@@ -2,9 +2,10 @@
 //! private operations, same 16-request burst.
 //!
 //! The modeled-channel load sweep lives in the harness (`harness e14`);
-//! this bench sanity-checks the real threaded `BatchService` end to end:
-//! submit a full burst, redeem every ticket, and compare against the
-//! same sixteen decryptions run one at a time on a warm session cache.
+//! this bench sanity-checks the real threaded offload service (a one-card
+//! `RsaBatchService::new_fleet`) end to end: submit a full burst, redeem
+//! every ticket, and compare against the same sixteen decryptions run one
+//! at a time on a warm session cache.
 
 mod common;
 
@@ -13,8 +14,9 @@ use phi_bench::workload;
 use phi_bigint::BigUint;
 use phi_rsa::{RsaBatchService, RsaOps};
 use phi_rt::service::ServiceConfig;
+use phi_rt::ResilienceConfig;
 use phiopenssl::batch::BATCH_WIDTH;
-use phiopenssl::PhiLibrary;
+use phiopenssl::{PhiConfig, PhiLibrary};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -36,15 +38,16 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let service = RsaBatchService::new(
-        &key,
-        ServiceConfig {
+    let config = ResilienceConfig {
+        service: ServiceConfig {
             width: BATCH_WIDTH,
             max_wait: 2e-3,
             queue_cap: 4 * BATCH_WIDTH,
         },
-    )
-    .unwrap();
+        ..ResilienceConfig::default()
+    };
+    let service =
+        RsaBatchService::new_fleet(&key, &PhiConfig::default(), config, Vec::new()).unwrap();
     g.bench_with_input(BenchmarkId::new("batched_burst", bits), &bits, |b, _| {
         b.iter(|| {
             let handles: Vec<_> = cts

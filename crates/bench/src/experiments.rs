@@ -18,7 +18,7 @@ use phi_rt::{FleetConfig, FleetRouter, ResilienceConfig, RoutingPolicy};
 use phi_simd::CostModel;
 use phiopenssl::batch::{Batch16, BatchMont, BATCH_WIDTH};
 use phiopenssl::vexp::{mod_exp_vec, TableLookup};
-use phiopenssl::{BatchCrtEngine, PhiLibrary, VMontCtx};
+use phiopenssl::{BatchCrtEngine, PhiConfig, PhiLibrary, VMontCtx};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -771,8 +771,9 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
 
 /// E15 — Table: offload resilience under injected card faults.
 ///
-/// Runs the fault-tolerant batch RSA service against a seeded fault
-/// schedule at each rate in `rates` (`rates[0]` should be `0.0`: its
+/// Runs the one-card batch RSA offload service
+/// ([`RsaBatchService::new_fleet`] at the default `PhiConfig`) against a
+/// seeded fault schedule at each rate in `rates` (`rates[0]` should be `0.0`: its
 /// throughput is the "vs clean" baseline). Requests go in as one burst so
 /// the collector flushes full-width batches; the first plaintext of every
 /// run is checked against the reference exponentiation. Throughput is
@@ -822,7 +823,8 @@ pub fn e15_fault_resilience(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_resilient(&key, config, faults).unwrap();
+        let service =
+            RsaBatchService::new_fleet(&key, &PhiConfig::default(), config, vec![faults]).unwrap();
         let handles: Vec<_> = cts
             .iter()
             .map(|c| {
@@ -834,10 +836,10 @@ pub fn e15_fault_resilience(key_bits: u32, rates: &[f64], ops: usize) -> Table {
         for (i, h) in handles.into_iter().enumerate() {
             let m = h.wait().expect("host fallback resolves every lane");
             if i == 0 {
-                assert_eq!(m, expected0, "resilient service answered wrong");
+                assert_eq!(m, expected0, "offload service answered wrong");
             }
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown_fleet().merged();
         let thr = report.effective_throughput();
         let baseline = *clean.get_or_insert(thr);
         t.row(vec![
@@ -1321,7 +1323,7 @@ pub fn e19_fleet(key_bits: u32, cards_sweep: &[usize], ops: usize) -> Table {
         .into_iter()
         .map(|s| Some(std::sync::Arc::new(s) as std::sync::Arc<dyn FaultSource>))
         .collect();
-    let phi = phiopenssl::PhiConfig::builder()
+    let phi = PhiConfig::builder()
         .fleet(FleetConfig {
             cards: DRILL_CARDS,
             routing: RoutingPolicy::RoundRobin,
@@ -1378,11 +1380,12 @@ pub fn e19_fleet(key_bits: u32, cards_sweep: &[usize], ops: usize) -> Table {
 /// E20 — Table: verified offload under silent-fault chaos (DESIGN.md
 /// §3.14).
 ///
-/// Runs the verify-on-release batch RSA service against a seeded
-/// *silent* corruption schedule at each rate in `rates` (`rates[0]`
-/// should be `0.0`: its throughput is the "vs clean" baseline and its
-/// `verify %` column is the pure price of the public-exponent check,
-/// the number `perfgate --verify-overhead` bounds). Silent faults flip
+/// Runs the verify-on-release batch RSA service (a one-card
+/// [`RsaBatchService::new_fleet`] with `PhiConfig::builder().verified()`)
+/// against a seeded *silent* corruption schedule at each rate in `rates`
+/// (`rates[0]` should be `0.0`: its throughput is the "vs clean" baseline
+/// and its `verify %` column is the pure price of the public-exponent
+/// check, the number `perfgate --verify-overhead` bounds). Silent faults flip
 /// result limbs without raising any detectable error, so the
 /// detected-fault machinery (retries, breaker) never sees them — only
 /// the `m^e ≡ c (mod n)` check on release stands between the corruption
@@ -1439,7 +1442,8 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, faults).unwrap();
+        let phi = PhiConfig::builder().verified().build();
+        let service = RsaBatchService::new_fleet(&key, &phi, config, vec![faults]).unwrap();
         let handles: Vec<_> = cts
             .iter()
             .map(|c| {
@@ -1456,7 +1460,7 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             }
         }
         assert_eq!(leaked, 0, "verified service released corrupted results");
-        let report = service.shutdown_resilient();
+        let report = service.shutdown_fleet().merged();
         let thr = report.effective_throughput();
         let baseline = *clean.get_or_insert(thr);
         let verify_share = if report.modeled_virtual_seconds > 0.0 {

@@ -245,7 +245,9 @@ pub fn measure_verify_overhead() -> VerifyOverhead {
         },
         ..ResilienceConfig::default()
     };
-    let service = RsaBatchService::new_verified(&key, config, None).expect("verified service");
+    let phi = phiopenssl::PhiConfig::builder().verified().build();
+    let service =
+        RsaBatchService::new_fleet(&key, &phi, config, Vec::new()).expect("verified service");
     let handles: Vec<_> = (0..ops as u64)
         .map(|j| {
             let c = &crate::workload::operand(bits, 7000 + j) % key.public().n();
@@ -255,7 +257,7 @@ pub fn measure_verify_overhead() -> VerifyOverhead {
     for h in handles {
         h.wait().expect("fault-free run resolves every lane");
     }
-    let report = service.shutdown_resilient();
+    let report = service.shutdown_fleet().merged();
     assert_eq!(
         report.verified_ops as usize, ops,
         "every released result must be checked"

@@ -117,10 +117,9 @@ pub struct PhiConfig {
     /// Which Montgomery reduction variant the engines run.
     pub mont_variant: MontVariant,
     /// Shape of the card fleet batch work offloads to. The default is a
-    /// single card, which reproduces the pre-fleet stack bit-for-bit;
-    /// `cards > 1` puts every fleet-built service
-    /// (`phi_rsa::RsaBatchService::new_fleet`) behind key-affinity
-    /// routing with work stealing. See DESIGN.md §3.13.
+    /// single card, the paper's deployment; `cards > 1` puts every
+    /// offload service (`phi_rsa::RsaBatchService::new_fleet`) behind
+    /// key-affinity routing with work stealing. See DESIGN.md §3.13.
     pub fleet: FleetConfig,
     /// Verify every card result on the host before releasing it (the
     /// cheap public-exponent check), closing the silent-fault /

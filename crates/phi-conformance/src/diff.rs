@@ -840,8 +840,9 @@ fn check_rsa_ops(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// The resilient batch service: the all-card path, the all-host
-/// degraded path, and the sequential oracle must be bit-identical.
+/// The one-card offload service's flush ladder: the all-card path, the
+/// all-host degraded path, and the sequential oracle must be
+/// bit-identical.
 fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     const NAME: &str = "resilient";
     let cases = (cfg.cases / 6).max(1) as u64;
@@ -860,12 +861,14 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let key = &keys[case as usize % keys.len()];
         let n = key.public().n();
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let card = RsaBatchService::new_resilient(key, config, None).expect("corpus key");
+        let phi = phiopenssl::PhiConfig::default();
+        let card = RsaBatchService::new_fleet(key, &phi, config, Vec::new()).expect("corpus key");
         let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(
             cfg.seed ^ case,
             FaultRates::uniform(1.0),
         ));
-        let host = RsaBatchService::new_resilient(key, config, Some(faults)).expect("corpus key");
+        let host =
+            RsaBatchService::new_fleet(key, &phi, config, vec![Some(faults)]).expect("corpus key");
         for i in 0..8u64 {
             let m = g.residue(n);
             let c = m.mod_exp(key.public().e(), n);
@@ -895,7 +898,7 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 });
             }
         }
-        let host_report = host.shutdown_resilient();
+        let host_report = host.shutdown_fleet().merged();
         if host_report.host_fallback_ops == 0 {
             out.push(Divergence {
                 kernel: NAME,
@@ -904,16 +907,15 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 detail: "total fault rate never exercised the host fallback".into(),
             });
         }
-        card.shutdown_resilient();
+        card.shutdown_fleet();
     }
     cases
 }
 
-/// The N-card fleet scheduler vs the single-card resilient path and the
-/// sequential oracle: answers must be bit-identical whatever the fleet
-/// size (1–4) or routing policy, and the fleet's resolution ledger must
-/// conserve the request count — including under the burst shape that
-/// triggers work stealing.
+/// The N-card fleet scheduler vs the sequential oracle: answers must be
+/// bit-identical whatever the fleet size (1–4) or routing policy, and
+/// the fleet's resolution ledger must conserve the request count —
+/// including under the burst shape that triggers work stealing.
 fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     const NAME: &str = "fleet";
     let cases = (cfg.cases / 6).max(2) as u64;
@@ -937,7 +939,6 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let key = &keys[case as usize % keys.len()];
         let n = key.public().n();
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let single = RsaBatchService::new_resilient(key, config, None).expect("corpus key");
         let cards = 1 + (case as usize % 4);
         let phi = phiopenssl::PhiConfig::builder()
             .fleet(FleetConfig {
@@ -960,9 +961,8 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
             } else {
                 via_fleet
             };
-            let via_single = single.call(c.clone()).expect("single-card answers");
             let via_seq = ops.private_op(key, &c).expect("c < n");
-            if via_fleet != m || via_single != m || via_seq != m || via_fleet != via_single {
+            if via_fleet != m || via_seq != m {
                 out.push(Divergence {
                     kernel: NAME,
                     seed: cfg.seed,
@@ -972,7 +972,6 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                         dump(&[
                             ("c", &c),
                             ("fleet", &via_fleet),
-                            ("single", &via_single),
                             ("seq", &via_seq),
                             ("want", &m)
                         ])
@@ -1018,7 +1017,6 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 ),
             });
         }
-        single.shutdown_resilient();
     }
     cases
 }
@@ -1357,10 +1355,12 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let key = &keys[case as usize % keys.len()];
         let n = key.public().n();
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let honest = RsaBatchService::new_verified(key, config, None).expect("corpus key");
+        let phi = phiopenssl::PhiConfig::builder().verified().build();
+        let honest = RsaBatchService::new_fleet(key, &phi, config, Vec::new()).expect("corpus key");
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(cfg.seed ^ case, FaultRates::silent(1.0)));
-        let faulted = RsaBatchService::new_verified(key, config, Some(faults)).expect("corpus key");
+        let faulted =
+            RsaBatchService::new_fleet(key, &phi, config, vec![Some(faults)]).expect("corpus key");
         for i in 0..8u64 {
             let m = g.residue(n);
             let c = m.mod_exp(key.public().e(), n);
@@ -1390,7 +1390,7 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 });
             }
         }
-        let honest_report = honest.shutdown_resilient();
+        let honest_report = honest.shutdown_fleet().merged();
         if honest_report.verify_failures != 0 {
             out.push(Divergence {
                 kernel: NAME,
@@ -1402,7 +1402,7 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 ),
             });
         }
-        let faulted_report = faulted.shutdown_resilient();
+        let faulted_report = faulted.shutdown_fleet().merged();
         if faulted_report.verify_failures == 0 {
             out.push(Divergence {
                 kernel: NAME,

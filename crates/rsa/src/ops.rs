@@ -10,25 +10,20 @@
 //! reused for the life of the context. A key's operation stream therefore
 //! pays context setup once per modulus, not once per call.
 //!
-//! For batch-shaped server loads, [`RsaBatchService`] wires a private key
-//! into the deadline-driven batch service of `phi_rt`: submissions from
-//! any thread aggregate into 16-lane [`BatchCrtEngine`] passes. An
-//! [`RsaOps`] with an attached service ([`RsaOps::with_service`]) routes
-//! eligible private operations through it and falls back to the
-//! sequential CRT path under backpressure.
-//!
-//! [`RsaBatchService::new_resilient`] builds the fault-tolerant variant
-//! instead: the same card engine behind `phi_rt`'s resilient service,
-//! with a host-scalar CRT closure as the degradation path, so injected
-//! card faults (or a tripped breaker) cost throughput, not answers.
-//!
-//! [`RsaBatchService::new_fleet`] generalizes both to an N-card fleet
-//! (`PhiConfig::builder().fleet(..)`): every modeled card runs the
-//! resilient loop over its own engine and Montgomery session cache,
-//! submissions are routed by the key's modulus fingerprint so a key's
+//! For batch-shaped server loads, [`RsaBatchService::new_fleet`] wires a
+//! private key into `phi_rt`'s offload service: submissions from any
+//! thread aggregate into 16-lane [`BatchCrtEngine`] passes on one or more
+//! modeled cards (`PhiConfig::builder().fleet(..)`). Every card runs the
+//! fault-tolerant flush ladder over its own engine and Montgomery session
+//! cache, with a host-scalar CRT closure as the degradation path, so
+//! injected card faults (or a tripped breaker) cost throughput, not
+//! answers; `PhiConfig::builder().verified()` adds verify-on-release.
+//! Submissions are routed by the key's modulus fingerprint so a key's
 //! stream stays on its warm card, and work stealing plus whole-card
-//! migration keep answers flowing when a card lags or trips. A one-card
-//! fleet reproduces [`RsaBatchService::new_resilient`] bit-for-bit.
+//! migration keep answers flowing when one of several cards lags or
+//! trips. An [`RsaOps`] with an attached service
+//! ([`RsaOps::with_service`]) routes eligible private operations through
+//! it and falls back to the sequential CRT path under backpressure.
 
 use crate::blinding::Blinding;
 use crate::error::RsaError;
@@ -38,72 +33,51 @@ use phi_bigint::BigUint;
 use phi_faults::FaultSource;
 use phi_mont::{Libcrypto, ModulusSession, OpensslBaseline};
 use phi_rt::resilient::HostFn;
-use phi_rt::service::{BatchService, ServiceConfig, SubmitError, TicketHandle};
-use phi_rt::stats::{ResilienceReport, ServiceReport};
+use phi_rt::service::SubmitError;
+use phi_rt::stats::ResilienceReport;
 use phi_rt::{
     key_fingerprint, CardSetup, FleetReport, FleetScheduler, IntegrityHooks, ResilienceConfig,
-    ResilientHandle, ResilientService,
+    ResilientHandle,
 };
 use phiopenssl::batch::{BatchMont, BATCH_WIDTH};
-use phiopenssl::{BatchCrtEngine, VMontCtx};
+use phiopenssl::{BatchCrtEngine, PhiConfig, VMontCtx};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
 
-/// The two card-side executors a service can run on.
-enum Backend {
-    /// The plain deadline-driven batch service.
-    Plain(BatchService<BigUint, BigUint>),
-    /// The fault-tolerant service: retries, deadline budget, breaker,
-    /// host-scalar fallback.
-    Resilient(ResilientService<BigUint, BigUint>),
-    /// The N-card fleet: every card runs the resilient loop over its own
-    /// engine (and therefore its own Montgomery session cache), with
-    /// key-affinity routing and work stealing on top.
-    Fleet(FleetScheduler<BigUint, BigUint>),
-}
-
-/// A pending plaintext from any backend of an [`RsaBatchService`].
-pub enum RsaTicket {
-    /// Handle into the plain batch service.
-    Plain(TicketHandle<BigUint>),
-    /// Handle into the resilient service, or into one fleet card's
-    /// resilient lane (both resolve with the same exactly-once contract).
-    Resilient(ResilientHandle<BigUint>),
-}
+/// A pending plaintext from an [`RsaBatchService`]: redeem with
+/// [`RsaTicket::wait`].
+pub struct RsaTicket(ResilientHandle<BigUint>);
 
 impl RsaTicket {
-    /// Block until the batch carrying this request resolved.
+    /// Block until the flush carrying this request resolved it — on a
+    /// card, on the host fallback, or with a typed error.
     pub fn wait(self) -> Result<BigUint, RsaError> {
-        match self {
-            RsaTicket::Plain(h) => h.wait().map_err(RsaError::from),
-            RsaTicket::Resilient(h) => h.wait().map_err(RsaError::from),
-        }
+        self.0.wait().map_err(RsaError::from)
     }
 }
 
 /// A shared deadline-driven batch executor for one private key.
 ///
-/// Wraps [`BatchService`] (or, via [`RsaBatchService::new_resilient`],
-/// the fault-tolerant [`ResilientService`]) around a [`BatchCrtEngine`]
-/// built from the key's CRT material. Clone-free sharing: wrap it in an
-/// [`Arc`] and hand it to every [`RsaOps`] (or TLS connection) serving
-/// that key.
+/// Holds `phi_rt`'s [`FleetScheduler`] — one modeled card or several —
+/// with a [`BatchCrtEngine`] built from the key's CRT material on every
+/// card. Clone-free sharing: wrap it in an [`Arc`] and hand it to every
+/// [`RsaOps`] (or TLS connection) serving that key.
 pub struct RsaBatchService {
-    backend: Backend,
+    fleet: FleetScheduler<BigUint, BigUint>,
     n: BigUint,
     /// [`key_fingerprint`] of `n`'s big-endian bytes — the routing key
-    /// every fleet submission carries, precomputed once per service.
+    /// every submission carries, precomputed once per service.
     fp: u64,
 }
 
-/// The 16-lane card executor for `key`, shared by both backends. The
-/// engine's vector backend, window width, reduction variant and tuning
-/// policy all come from `phi` — under `Tuning::Table` the engine
-/// dispatches the committed generated kernel for this key size.
-fn card_engine(
-    key: &RsaPrivateKey,
-    phi: &phiopenssl::PhiConfig,
-) -> Result<BatchCrtEngine, RsaError> {
+/// The 16-lane card executor for `key`. The engine's vector backend,
+/// window width, reduction variant and tuning policy all come from
+/// `phi` — under `Tuning::Table` the engine dispatches the committed
+/// generated kernel for this key size. Built from the key's parts rather
+/// than through [`BatchCrtEngine::with_config`], which would first build
+/// a [`phiopenssl::CrtKey`] and with it two Montgomery contexts per card
+/// that the engine never uses.
+fn card_engine(key: &RsaPrivateKey, phi: &PhiConfig) -> Result<BatchCrtEngine, RsaError> {
     Ok(BatchCrtEngine::from_parts_with_backend(
         key.public().n().clone(),
         key.dp().clone(),
@@ -121,7 +95,7 @@ fn card_engine(
 /// Host-scalar CRT over the host library's Montgomery sessions — the
 /// same path [`RsaOps::private_op`] takes with no service, so degraded
 /// throughput is priced as what the host can actually do, not as a free
-/// pass. Each resilient backend (and each fleet card) owns one.
+/// pass. Each card owns one.
 fn host_crt(key: &RsaPrivateKey) -> Result<HostFn<BigUint, BigUint>, RsaError> {
     let (p, q) = (key.p().clone(), key.q().clone());
     let (dp, dq, qinv) = (key.dp().clone(), key.dq().clone(), key.qinv().clone());
@@ -144,17 +118,21 @@ fn host_crt(key: &RsaPrivateKey) -> Result<HostFn<BigUint, BigUint>, RsaError> {
 /// the cheap public-exponent test `m^e ≡ c (mod n)`, batched: the whole
 /// flush is checked in masked 16-lane vector passes sharing the public
 /// exponent (~17 vector multiplications at e = 65537, amortized over
-/// every released lane). A vector pass costs the same at any occupancy,
-/// so checking sixteen results together is what keeps verification
-/// under the `perfgate --verify-overhead` bound — a scalar
+/// every released lane). The check runs on the same vector backend as
+/// the card (`phi.backend`). A vector pass costs the same at any
+/// occupancy, so checking sixteen results together is what keeps
+/// verification under the `perfgate --verify-overhead` bound — a scalar
 /// exponentiation per result would cost ~40% of the batched CRT work it
 /// guards, the batch check a few percent. Without this check a silently
 /// faulted CRT half leaks the private key via `gcd(s − ŝ, n)` (the
 /// Bellcore attack).
-fn integrity_hooks(key: &RsaPrivateKey) -> Result<IntegrityHooks<BigUint, BigUint>, RsaError> {
+fn integrity_hooks(
+    key: &RsaPrivateKey,
+    phi: &PhiConfig,
+) -> Result<IntegrityHooks<BigUint, BigUint>, RsaError> {
     let n = key.public().n().clone();
     let e = key.public().e().clone();
-    let ctx = VMontCtx::new(key.public().n()).map_err(RsaError::from)?;
+    let ctx = VMontCtx::with_backend(key.public().n(), phi.backend.resolve())?;
     Ok(IntegrityHooks::verified_batch(
         move |_c: &BigUint, m: &BigUint| (m + 1u64).rem_ref(&n).expect("public modulus is nonzero"),
         move |pairs: &[(&BigUint, &BigUint)]| {
@@ -175,136 +153,32 @@ fn integrity_hooks(key: &RsaPrivateKey) -> Result<IntegrityHooks<BigUint, BigUin
 }
 
 impl RsaBatchService {
-    /// Start a batch service for `key` with the given aggregation policy,
-    /// on the process-default vector backend.
+    /// Start the offload service for `key`.
     ///
-    /// Migration note: this is the single-card constructor kept for
-    /// in-tree callers and the E14 baseline. New code should build the
-    /// card-count-agnostic stack instead —
-    /// `PhiConfig::builder().fleet(FleetConfig::default())` plus
-    /// [`RsaBatchService::new_fleet`], which reproduces this backend's
-    /// behavior bit-for-bit at `cards = 1`.
-    #[doc(hidden)]
-    pub fn new(key: &RsaPrivateKey, config: ServiceConfig) -> Result<Self, RsaError> {
-        Self::with_phi_config(key, config, &phiopenssl::PhiConfig::default())
-    }
-
-    /// Start a batch service for `key` with an explicit [`PhiConfig`]
-    /// (vector backend + window) — build one with
-    /// `PhiConfig::builder().backend(Backend::Auto)` to run the card
-    /// kernels on the host's real AVX-512/AVX2 units.
+    /// The card shape comes from `phi.fleet`
+    /// (`PhiConfig::builder().fleet(FleetConfig { cards, .. })`; one card
+    /// by default): each modeled KNC card runs the fault-tolerant flush
+    /// ladder over its *own* [`BatchCrtEngine`] — built from `phi`, and
+    /// therefore with its own warm Montgomery session cache — with its
+    /// own circuit breaker, virtual clock and host-scalar CRT fallback.
+    /// Submissions carry the key's modulus fingerprint, so affinity
+    /// routing keeps one key's stream on the card whose sessions are
+    /// warm; work stealing and whole-card migration rebalance when a card
+    /// lags or trips. `resilience.service` sets the batch width, the
+    /// collection deadline and the queue cap.
     ///
-    /// [`PhiConfig`]: phiopenssl::PhiConfig
-    pub fn with_phi_config(
-        key: &RsaPrivateKey,
-        config: ServiceConfig,
-        phi: &phiopenssl::PhiConfig,
-    ) -> Result<Self, RsaError> {
-        let engine = card_engine(key, phi)?;
-        let service =
-            BatchService::new(config, move |cts: &[BigUint]| engine.private_op_masked(cts));
-        Ok(RsaBatchService {
-            backend: Backend::Plain(service),
-            fp: key_fingerprint(&key.public().n().to_bytes_be()),
-            n: key.public().n().clone(),
-        })
-    }
-
-    /// Service with the default policy (16 lanes, 2 ms deadline).
-    ///
-    /// Migration note: single-card constructor; new code should use
-    /// `PhiConfig::builder().fleet(..)` with
-    /// [`RsaBatchService::new_fleet`] — see [`RsaBatchService::new`].
-    #[doc(hidden)]
-    pub fn with_defaults(key: &RsaPrivateKey) -> Result<Self, RsaError> {
-        Self::new(key, ServiceConfig::default())
-    }
-
-    /// Start a fault-tolerant batch service for `key`.
-    ///
-    /// The card path is the same [`BatchCrtEngine`] as [`Self::new`]; the
-    /// degradation path is a host-scalar CRT closure over the key's
-    /// parts, so every request resolves to the correct plaintext even
-    /// when the card faults on every attempt. `faults` is the injected
-    /// fault schedule (`None` models a healthy card and costs one
-    /// pointer check per flush).
-    ///
-    /// Migration note: single-card constructor; new code should use
-    /// `PhiConfig::builder().fleet(..)` with
-    /// [`RsaBatchService::new_fleet`], which runs this exact resilient
-    /// loop per card and is bit-identical to it at `cards = 1`.
-    #[doc(hidden)]
-    pub fn new_resilient(
-        key: &RsaPrivateKey,
-        config: ResilienceConfig,
-        faults: Option<Arc<dyn FaultSource>>,
-    ) -> Result<Self, RsaError> {
-        let engine = card_engine(key, &phiopenssl::PhiConfig::default())?;
-        let host = host_crt(key)?;
-        let service = ResilientService::new(
-            config,
-            move |cts: &[BigUint]| engine.private_op_masked(cts),
-            Some(host),
-            faults,
-        );
-        Ok(RsaBatchService {
-            backend: Backend::Resilient(service),
-            fp: key_fingerprint(&key.public().n().to_bytes_be()),
-            n: key.public().n().clone(),
-        })
-    }
-
-    /// Start a *verified* fault-tolerant batch service for `key`: the
-    /// resilient loop of [`Self::new_resilient`] plus verify-on-release —
-    /// every card plaintext is checked against `m^e ≡ c (mod n)` before
-    /// it resolves, and a failed check walks the graded ladder (on-card
+    /// With `phi.verified` set (`PhiConfig::builder().verified()`) every
+    /// card plaintext is checked against `m^e ≡ c (mod n)` before it
+    /// resolves, and a failed check walks the graded ladder (on-card
     /// re-run → lane quarantine → breaker escalation → host-scalar
     /// fallback). No unverified result is ever released, which closes
-    /// the silent-fault / Bellcore key-leak channel. Equivalent to
-    /// [`Self::new_fleet`] with `phi.verified` set and one card.
-    pub fn new_verified(
-        key: &RsaPrivateKey,
-        config: ResilienceConfig,
-        faults: Option<Arc<dyn FaultSource>>,
-    ) -> Result<Self, RsaError> {
-        let engine = card_engine(key, &phiopenssl::PhiConfig::default())?;
-        let host = host_crt(key)?;
-        let service = ResilientService::with_integrity(
-            config,
-            move |cts: &[BigUint]| engine.private_op_masked(cts),
-            Some(host),
-            faults,
-            Some(integrity_hooks(key)?),
-        );
-        Ok(RsaBatchService {
-            backend: Backend::Resilient(service),
-            fp: key_fingerprint(&key.public().n().to_bytes_be()),
-            n: key.public().n().clone(),
-        })
-    }
-
-    /// Start an N-card fleet service for `key`.
-    ///
-    /// The fleet shape comes from `phi.fleet`
-    /// (`PhiConfig::builder().fleet(FleetConfig { cards, .. })`): each of
-    /// the `cards` modeled KNC cards runs the same resilient loop as
-    /// [`Self::new_resilient`] over its *own* [`BatchCrtEngine`] — and
-    /// therefore its own warm Montgomery session cache — with its own
-    /// circuit breaker and virtual clock. Submissions carry the key's
-    /// modulus fingerprint, so affinity routing keeps one key's stream on
-    /// the card whose sessions are warm; work stealing and whole-card
-    /// migration rebalance when a card lags or trips.
+    /// the silent-fault / Bellcore key-leak channel.
     ///
     /// `faults` holds one optional fault schedule per card (index =
-    /// card); a shorter vector leaves the remaining cards healthy. With
-    /// `phi.fleet.cards == 1` the service behaves bit-for-bit like
-    /// [`Self::new_resilient`]. With `phi.verified` set
-    /// (`PhiConfig::builder().verified()`) every card runs
-    /// verify-on-release and the quarantine ladder — see
-    /// [`Self::new_verified`].
+    /// card); a shorter vector leaves the remaining cards healthy.
     pub fn new_fleet(
         key: &RsaPrivateKey,
-        phi: &phiopenssl::PhiConfig,
+        phi: &PhiConfig,
         resilience: ResilienceConfig,
         faults: Vec<Option<Arc<dyn FaultSource>>>,
     ) -> Result<Self, RsaError> {
@@ -324,13 +198,12 @@ impl RsaBatchService {
             setup.host_fn = Some(host_crt(key)?);
             setup.faults = card_faults;
             if phi.verified {
-                setup.integrity = Some(integrity_hooks(key)?);
+                setup.integrity = Some(integrity_hooks(key, phi)?);
             }
             setups.push(setup);
         }
-        let scheduler = FleetScheduler::new(fleet, resilience, setups);
         Ok(RsaBatchService {
-            backend: Backend::Fleet(scheduler),
+            fleet: FleetScheduler::new(fleet, resilience, setups),
             fp: key_fingerprint(&key.public().n().to_bytes_be()),
             n: key.public().n().clone(),
         })
@@ -341,106 +214,28 @@ impl RsaBatchService {
         &self.n
     }
 
-    /// Whether the service runs a fault-tolerant backend (the resilient
-    /// service or the fleet, which is resilient per card).
-    pub fn is_resilient(&self) -> bool {
-        matches!(self.backend, Backend::Resilient(_) | Backend::Fleet(_))
-    }
-
-    /// Whether the service runs the N-card fleet backend.
-    pub fn is_fleet(&self) -> bool {
-        matches!(self.backend, Backend::Fleet(_))
-    }
-
-    /// Submit one ciphertext; redeem the handle for the plaintext. Fleet
-    /// submissions carry the modulus fingerprint so affinity routing
+    /// Submit one ciphertext; redeem the ticket for the plaintext. The
+    /// submission carries the modulus fingerprint so affinity routing
     /// keeps this key's stream on its warm card.
     pub fn submit(&self, c: BigUint) -> Result<RsaTicket, SubmitError> {
-        match &self.backend {
-            Backend::Plain(s) => Ok(RsaTicket::Plain(s.submit(c)?)),
-            Backend::Resilient(s) => Ok(RsaTicket::Resilient(s.submit(c)?)),
-            Backend::Fleet(s) => Ok(RsaTicket::Resilient(s.submit_keyed(Some(self.fp), c)?)),
-        }
+        Ok(RsaTicket(self.fleet.submit_keyed(Some(self.fp), c)?))
     }
 
-    /// Submit and block until the batch containing this request ran.
+    /// Submit and block until the flush carrying this request resolved.
     pub fn call(&self, c: BigUint) -> Result<BigUint, RsaError> {
         self.submit(c)?.wait()
     }
 
-    /// Telemetry snapshot (flushes, occupancy, rejects so far). For the
-    /// resilient backend this is the card-side slice of the report.
-    pub fn report(&self) -> ServiceReport {
-        match &self.backend {
-            Backend::Plain(s) => s.report(),
-            Backend::Resilient(s) => s.report().service,
-            Backend::Fleet(s) => s.report().merged().service,
-        }
-    }
-
-    /// Full resilience telemetry; `None` on the plain backend. For the
-    /// fleet this is the per-card reports merged fleet-wide.
+    /// Telemetry snapshot so far, every card's report merged. Always
+    /// `Some`; the `Option` keeps callers that `flatten()` it compiling.
     pub fn resilience_report(&self) -> Option<ResilienceReport> {
-        match &self.backend {
-            Backend::Plain(_) => None,
-            Backend::Resilient(s) => Some(s.report()),
-            Backend::Fleet(s) => Some(s.report().merged()),
-        }
+        Some(self.fleet.report().merged())
     }
 
-    /// Per-card fleet telemetry (steals, migrations, affinity hit rate);
-    /// `None` unless the service runs the fleet backend.
-    pub fn fleet_report(&self) -> Option<FleetReport> {
-        match &self.backend {
-            Backend::Fleet(s) => Some(s.report()),
-            _ => None,
-        }
-    }
-
-    /// Drain parked requests, stop the worker(s), return final telemetry.
-    pub fn shutdown(self) -> ServiceReport {
-        match self.backend {
-            Backend::Plain(s) => s.shutdown(),
-            Backend::Resilient(s) => s.shutdown().service,
-            Backend::Fleet(s) => s.shutdown().merged().service,
-        }
-    }
-
-    /// Shut down and return the full resilience telemetry (the plain
-    /// backend's card report wrapped in an otherwise-empty one; the
-    /// fleet's per-card reports merged).
-    pub fn shutdown_resilient(self) -> ResilienceReport {
-        match self.backend {
-            Backend::Plain(s) => ResilienceReport {
-                service: s.shutdown(),
-                ..ResilienceReport::default()
-            },
-            Backend::Resilient(s) => s.shutdown(),
-            Backend::Fleet(s) => s.shutdown().merged(),
-        }
-    }
-
-    /// Shut down and return the full fleet telemetry. Single-card
-    /// backends report as a one-card fleet with no steals or migrations,
-    /// so fleet-agnostic drivers can always harvest this shape.
+    /// Drain parked requests, stop every card worker, and return the
+    /// final per-card telemetry ([`FleetReport::merged`] rolls it up).
     pub fn shutdown_fleet(self) -> FleetReport {
-        match self.backend {
-            Backend::Fleet(s) => s.shutdown(),
-            other => FleetReport {
-                cards: vec![match other {
-                    Backend::Plain(s) => ResilienceReport {
-                        service: s.shutdown(),
-                        ..ResilienceReport::default()
-                    },
-                    Backend::Resilient(s) => s.shutdown(),
-                    Backend::Fleet(_) => unreachable!("matched above"),
-                }],
-                steals: 0,
-                migrations: 0,
-                affinity_hits: 0,
-                affinity_misses: 0,
-            },
-        }
+        self.fleet.shutdown()
     }
 }
 
@@ -700,6 +495,7 @@ impl RsaOps {
 mod tests {
     use super::*;
     use phi_mont::{MpssBaseline, OpensslBaseline};
+    use phi_rt::service::ServiceConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -818,10 +614,45 @@ mod tests {
         assert_eq!(setups, 1, "public and full-ladder paths share n's session");
     }
 
+    /// A service config whose flushes are full 16-lane batches (the
+    /// collection deadline never fires inside a test).
+    fn full_width() -> ResilienceConfig {
+        ResilienceConfig {
+            service: ServiceConfig {
+                width: 16,
+                max_wait: 10.0,
+                ..ServiceConfig::default()
+            },
+            ..ResilienceConfig::default()
+        }
+    }
+
+    fn service(key: &RsaPrivateKey, phi: &PhiConfig) -> RsaBatchService {
+        RsaBatchService::new_fleet(key, phi, ResilienceConfig::default(), Vec::new())
+            .expect("offload service")
+    }
+
+    fn verified() -> PhiConfig {
+        PhiConfig::builder().verified().build()
+    }
+
+    fn two_cards() -> phiopenssl::PhiConfigBuilder {
+        PhiConfig::builder()
+            .fleet(phiopenssl::FleetConfig {
+                cards: 2,
+                ..phiopenssl::FleetConfig::default()
+            })
+            .unwrap()
+    }
+
+    fn unshare(service: Arc<RsaBatchService>) -> RsaBatchService {
+        Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"))
+    }
+
     #[test]
     fn service_backed_private_op_matches_sequential() {
         let key = key256();
-        let service = Arc::new(RsaBatchService::with_defaults(&key).unwrap());
+        let service = Arc::new(service(&key, &PhiConfig::default()));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         let plain = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=5 {
@@ -831,11 +662,9 @@ mod tests {
             assert_eq!(plain.private_op(&key, &c).unwrap(), m);
         }
         drop(ops);
-        let report = Arc::try_unwrap(service)
-            .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown();
+        let report = unshare(service).shutdown_fleet().merged();
         assert_eq!(
-            report.ops(),
+            report.service.ops(),
             5,
             "all five private ops went through the service"
         );
@@ -850,13 +679,11 @@ mod tests {
             return;
         }
         let key = key256();
-        let phi = phiopenssl::PhiConfig::builder()
+        let phi = PhiConfig::builder()
             .backend(phiopenssl::Backend::NativeX86)
             .expect("AVX2 detected")
             .build();
-        let service = Arc::new(
-            RsaBatchService::with_phi_config(&key, ServiceConfig::default(), &phi).unwrap(),
-        );
+        let service = Arc::new(service(&key, &phi));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         let m = BigUint::from(0xFEED_F00Du64);
         let c = ops.public_op(key.public(), &m).unwrap();
@@ -869,43 +696,48 @@ mod tests {
     fn service_for_other_key_is_bypassed() {
         let key = key256();
         let other = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0xB0B), 256).unwrap();
-        let service = Arc::new(RsaBatchService::with_defaults(&other).unwrap());
+        let service = Arc::new(service(&other, &PhiConfig::default()));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         let m = BigUint::from(8675309u64);
         let c = ops.public_op(key.public(), &m).unwrap();
         assert_eq!(ops.private_op(&key, &c).unwrap(), m);
         drop(ops);
-        let report = Arc::try_unwrap(service)
-            .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown();
+        let report = unshare(service).shutdown_fleet();
         assert_eq!(
-            report.ops(),
+            report.resolved_ops(),
             0,
             "mismatched modulus must not reach the service"
         );
     }
 
     #[test]
-    fn resilient_service_with_a_healthy_card_matches_plain() {
+    fn healthy_single_card_serves_every_op_on_the_card() {
         let key = key256();
-        let service = RsaBatchService::new_resilient(&key, ResilienceConfig::default(), None)
-            .expect("resilient service");
-        assert!(service.is_resilient());
+        let service = service(&key, &PhiConfig::default());
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=4 {
-            let m = BigUint::from(i * 7_654_321);
+            let m = BigUint::from(i * 9_999_991);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let report = service.shutdown_resilient();
-        assert_eq!(report.service.ops(), 4, "all ops completed on the card");
-        assert_eq!(report.host_fallback_ops, 0);
-        assert_eq!(report.errored_ops, 0);
-        assert_eq!(report.faults_seen, 0);
+        let report = service.shutdown_fleet();
+        assert_eq!(report.cards.len(), 1);
+        assert_eq!(report.steals, 0, "one card has nobody to steal from");
+        assert_eq!(report.migrations, 0);
+        assert_eq!(
+            report.affinity_hits + report.affinity_misses,
+            4,
+            "every submission was keyed by the modulus fingerprint"
+        );
+        let card = report.merged();
+        assert_eq!(card.service.ops(), 4, "all ops completed on the card");
+        assert_eq!(card.host_fallback_ops, 0);
+        assert_eq!(card.errored_ops, 0);
+        assert_eq!(card.faults_seen, 0);
     }
 
     #[test]
-    fn resilient_service_answers_through_host_under_total_fault_rate() {
+    fn service_answers_through_host_under_total_fault_rate() {
         use phi_faults::{FaultInjector, FaultRates, FaultSource};
         let key = key256();
         let faults: Arc<dyn FaultSource> =
@@ -919,7 +751,8 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let service =
-            RsaBatchService::new_resilient(&key, config, Some(faults)).expect("resilient service");
+            RsaBatchService::new_fleet(&key, &PhiConfig::default(), config, vec![Some(faults)])
+                .expect("offload service");
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=6 {
             let m = BigUint::from(i * 1_000_003);
@@ -928,7 +761,7 @@ mod tests {
             // the host-scalar CRT closure picks up every lane.
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown_fleet().merged();
         assert_eq!(report.errored_ops, 0, "host fallback leaves no errors");
         assert_eq!(report.host_fallback_ops as usize + report.service.ops(), 6);
         assert!(report.host_fallback_ops > 0, "total fault rate forces host");
@@ -936,48 +769,16 @@ mod tests {
     }
 
     #[test]
-    fn single_card_fleet_matches_resilient_answers() {
-        let key = key256();
-        let service = RsaBatchService::new_fleet(
-            &key,
-            &phiopenssl::PhiConfig::default(),
-            ResilienceConfig::default(),
-            Vec::new(),
-        )
-        .expect("fleet service");
-        assert!(service.is_fleet());
-        assert!(service.is_resilient());
-        let ops = RsaOps::new(Box::new(MpssBaseline));
-        for i in 1u64..=4 {
-            let m = BigUint::from(i * 9_999_991);
-            let c = ops.public_op(key.public(), &m).unwrap();
-            assert_eq!(service.call(c).unwrap(), m);
-        }
-        let report = service.shutdown_fleet();
-        assert_eq!(report.cards.len(), 1);
-        assert_eq!(report.resolved_ops(), 4);
-        assert_eq!(report.steals, 0, "one card has nobody to steal from");
-        assert_eq!(report.migrations, 0);
-        assert_eq!(
-            report.affinity_hits + report.affinity_misses,
-            4,
-            "every submission was keyed by the modulus fingerprint"
-        );
-    }
-
-    #[test]
     fn multi_card_fleet_pins_one_key_to_one_card() {
         let key = key256();
-        let phi = phiopenssl::PhiConfig::builder()
+        let phi = PhiConfig::builder()
             .fleet(phiopenssl::FleetConfig {
                 cards: 3,
                 ..phiopenssl::FleetConfig::default()
             })
             .unwrap()
             .build();
-        let service =
-            RsaBatchService::new_fleet(&key, &phi, ResilienceConfig::default(), Vec::new())
-                .expect("fleet service");
+        let service = service(&key, &phi);
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=6 {
             let m = BigUint::from(i * 7_777_777);
@@ -995,39 +796,42 @@ mod tests {
     fn fleet_with_one_faulted_card_still_answers_everything() {
         use phi_faults::{FaultInjector, FaultRates, FaultSource};
         let key = key256();
-        let phi = phiopenssl::PhiConfig::builder()
-            .fleet(phiopenssl::FleetConfig {
-                cards: 2,
-                ..phiopenssl::FleetConfig::default()
-            })
-            .unwrap()
-            .build();
         let faults: Vec<Option<Arc<dyn FaultSource>>> = vec![Some(Arc::new(FaultInjector::new(
             0xF1EE7,
             FaultRates::uniform(1.0),
         )))];
-        let service = RsaBatchService::new_fleet(&key, &phi, ResilienceConfig::default(), faults)
-            .expect("fleet service");
+        let service = RsaBatchService::new_fleet(
+            &key,
+            &two_cards().build(),
+            ResilienceConfig::default(),
+            faults,
+        )
+        .expect("fleet service");
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=5 {
             let m = BigUint::from(i * 31_337);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let merged = service.shutdown_resilient();
+        let merged = service.shutdown_fleet().merged();
         assert_eq!(merged.errored_ops, 0);
         assert_eq!(merged.resolved_ops(), 5);
     }
 
     #[test]
-    fn ops_with_resilient_service_stays_correct_under_faults() {
+    fn ops_with_faulted_service_stays_correct() {
         use phi_faults::{FaultInjector, FaultRates, FaultSource};
         let key = key256();
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(0x5EED, FaultRates::uniform(0.5)));
         let service = Arc::new(
-            RsaBatchService::new_resilient(&key, ResilienceConfig::default(), Some(faults))
-                .expect("resilient service"),
+            RsaBatchService::new_fleet(
+                &key,
+                &PhiConfig::default(),
+                ResilienceConfig::default(),
+                vec![Some(faults)],
+            )
+            .expect("offload service"),
         );
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         for i in 1u64..=5 {
@@ -1036,31 +840,14 @@ mod tests {
             assert_eq!(ops.private_op(&key, &c).unwrap(), m);
         }
         drop(ops);
-        let report = Arc::try_unwrap(service)
-            .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown_resilient();
+        let report = unshare(service).shutdown_fleet().merged();
         assert_eq!(report.errored_ops, 0);
         assert_eq!(report.resolved_ops(), 5);
     }
 
-    #[test]
-    fn verified_service_checks_honest_results_and_prices_the_check() {
-        let key = key256();
-        // Drive one full-width flush: the verification pass is a batched
-        // vector computation, so its cost amortizes across occupied lanes
-        // exactly like the card pass does.  A 1-deep flush would pay the
-        // whole pass for a single result (~45% of card work at this key
-        // size) — the bound below is about the batch shape the service is
-        // built for.
-        let config = ResilienceConfig {
-            service: ServiceConfig {
-                width: 16,
-                max_wait: 10.0,
-                ..ServiceConfig::default()
-            },
-            ..ResilienceConfig::default()
-        };
-        let service = RsaBatchService::new_verified(&key, config, None).expect("verified service");
+    /// Push one full 16-lane flush of honest ciphertexts through `service`
+    /// and return its merged report.
+    fn one_full_flush(key: &RsaPrivateKey, service: RsaBatchService) -> ResilienceReport {
         let ops = RsaOps::new(Box::new(MpssBaseline));
         let plaintexts: Vec<BigUint> = (1u64..=16).map(|i| BigUint::from(i * 5_555_551)).collect();
         let tickets: Vec<RsaTicket> = plaintexts
@@ -1073,7 +860,21 @@ mod tests {
         for (ticket, m) in tickets.into_iter().zip(&plaintexts) {
             assert_eq!(&ticket.wait().unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        service.shutdown_fleet().merged()
+    }
+
+    #[test]
+    fn verified_service_checks_honest_results_and_prices_the_check() {
+        let key = key256();
+        // Drive one full-width flush: the verification pass is a batched
+        // vector computation, so its cost amortizes across occupied lanes
+        // exactly like the card pass does.  A 1-deep flush would pay the
+        // whole pass for a single result (~45% of card work at this key
+        // size) — the bound below is about the batch shape the service is
+        // built for.
+        let service =
+            RsaBatchService::new_fleet(&key, &verified(), full_width(), Vec::new()).unwrap();
+        let report = one_full_flush(&key, service);
         assert_eq!(report.verified_ops, 16, "every released result checked");
         assert_eq!(report.verify_failures, 0, "honest results never rejected");
         assert!(
@@ -1096,6 +897,33 @@ mod tests {
         );
     }
 
+    /// The release check runs on the card's configured backend, not the
+    /// process default: over the same full flush, a native verified
+    /// service spends less on the check than a modeled one (skipped on
+    /// hosts without AVX2).
+    #[test]
+    fn release_check_follows_the_configured_backend() {
+        if !phiopenssl::CpuFeatures::detect().avx2 {
+            return;
+        }
+        let key = key256();
+        let run = |backend| {
+            let phi = PhiConfig::builder()
+                .backend(backend)
+                .expect("AVX2 detected")
+                .verified()
+                .build();
+            let service = RsaBatchService::new_fleet(&key, &phi, full_width(), Vec::new()).unwrap();
+            one_full_flush(&key, service).verify_modeled_seconds
+        };
+        let modeled = run(phiopenssl::Backend::ModeledKnc);
+        let native = run(phiopenssl::Backend::NativeX86);
+        assert!(
+            native < modeled,
+            "native check {native}s is not cheaper than the modeled {modeled}s"
+        );
+    }
+
     #[test]
     fn verified_service_never_releases_silently_corrupted_plaintexts() {
         use phi_faults::{FaultInjector, FaultRates, FaultSource};
@@ -1105,16 +933,20 @@ mod tests {
         // caller.
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(0xC0FFEE, FaultRates::silent(0.5)));
-        let service =
-            RsaBatchService::new_verified(&key, ResilienceConfig::default(), Some(faults))
-                .expect("verified service");
+        let service = RsaBatchService::new_fleet(
+            &key,
+            &verified(),
+            ResilienceConfig::default(),
+            vec![Some(faults)],
+        )
+        .expect("verified service");
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=8 {
             let m = BigUint::from(i * 2_718_281);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m, "no corrupted result escapes");
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown_fleet().merged();
         assert_eq!(report.errored_ops, 0);
         assert_eq!(report.faults_seen, 0, "silent faults stay invisible");
         assert!(report.verify_failures > 0, "a 50% schedule must corrupt");
@@ -1124,27 +956,24 @@ mod tests {
     fn verified_fleet_survives_a_silently_faulty_card() {
         use phi_faults::{FaultInjector, FaultRates, FaultSource};
         let key = key256();
-        let phi = phiopenssl::PhiConfig::builder()
-            .fleet(phiopenssl::FleetConfig {
-                cards: 2,
-                ..phiopenssl::FleetConfig::default()
-            })
-            .unwrap()
-            .verified()
-            .build();
         let faults: Vec<Option<Arc<dyn FaultSource>>> = vec![Some(Arc::new(FaultInjector::new(
             0xDEAD,
             FaultRates::silent(1.0),
         )))];
-        let service = RsaBatchService::new_fleet(&key, &phi, ResilienceConfig::default(), faults)
-            .expect("verified fleet");
+        let service = RsaBatchService::new_fleet(
+            &key,
+            &two_cards().verified().build(),
+            ResilienceConfig::default(),
+            faults,
+        )
+        .expect("verified fleet");
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=6 {
             let m = BigUint::from(i * 1_234_577);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let merged = service.shutdown_resilient();
+        let merged = service.shutdown_fleet().merged();
         assert_eq!(merged.errored_ops, 0);
         assert_eq!(merged.resolved_ops(), 6);
         assert!(merged.verified_ops > 0, "the fleet path runs the check");

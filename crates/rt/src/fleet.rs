@@ -1,10 +1,10 @@
-//! Multi-card fleet scheduling: N modeled KNC cards behind one
+//! The offload service: N modeled KNC cards (N ≥ 1) behind one
 //! submit-from-anywhere façade with key-affinity routing, work stealing,
 //! and per-card fault isolation.
 //!
 //! The paper's deployment offloads to a single Xeon Phi 5110P; real
-//! hosts pack several. This module makes the offload stack
-//! card-count-agnostic:
+//! hosts pack several. This module is the one threaded offload worker of
+//! the crate, and it is card-count-agnostic:
 //!
 //! * [`FleetRouter`] — the pure routing state machine. Given a key
 //!   fingerprint (a modulus hash), the per-card queue depths and the
@@ -13,18 +13,21 @@
 //!   Montgomery session (cold keys land on the least-loaded card and
 //!   stick), **RoundRobin** ignores keys, **Random** draws from a seeded
 //!   generator. Deterministic and clockless, so simulations and
-//!   proptests drive it directly — the same split as
-//!   [`Collector`] vs [`BatchService`](crate::service::BatchService).
+//!   proptests drive it directly — the same split as [`Collector`] vs
+//!   the card workers that own one.
 //! * [`FleetScheduler`] — the threaded wrapper: one worker thread per
 //!   card, each owning its own [`Collector`], [`CircuitBreaker`],
 //!   modeled virtual clock and [`CostModel`] instance
-//!   ([`CostModel::knc_fleet`]), executing flushes through the *same*
-//!   [`run_flush`](crate::resilient) loop as
-//!   [`ResilientService`](crate::resilient::ResilientService). With
-//!   `cards = 1` the fleet is bit- and cycle-identical to the
-//!   single-card path by construction.
+//!   ([`CostModel::knc_fleet`]), executing every flush through the flush
+//!   ladder of [`crate::resilient`] and folding it into the card's
+//!   [`ResilienceReport`]. A panicking card closure poisons only its own
+//!   flush: the flush's unresolved tickets resolve to
+//!   [`OffloadError::ServiceShutdown`], are counted in
+//!   [`ServiceReport::poisoned_jobs`](crate::stats::ServiceReport::poisoned_jobs),
+//!   and the card keeps serving.
 //!
-//! Two cross-card mechanisms keep the fleet balanced and available:
+//! Two cross-card mechanisms keep a multi-card fleet balanced and
+//! available:
 //!
 //! * **Work stealing** — an idle card pulls the *newest* parked requests
 //!   from the most-loaded card once the imbalance crosses
@@ -37,10 +40,13 @@
 //!   tripped card earns its traffic back by stealing: host-fallback work
 //!   advances its virtual clock through the breaker cooldown, the next
 //!   flush probes half-open, and a clean probe ladder puts it back
-//!   online. No migration happens while draining, so shutdown always
+//!   online. With no online survivor the parked lanes stay where they
+//!   are; no migration happens while draining, so shutdown always
 //!   terminates.
 
-use crate::resilient::{run_flush, HostFn, RJob, ResilienceConfig, ResilientHandle};
+use crate::resilient::{
+    run_flush, FlushStats, HostFn, OffloadError, RJob, ResilienceConfig, ResilientHandle,
+};
 use crate::service::{Collector, FlushReason, SubmitError};
 use crate::stats::{FlushRecord, ResilienceReport};
 use crate::verify::{IntegrityHooks, LaneQuarantine};
@@ -63,9 +69,8 @@ pub enum RoutingPolicy {
     Random,
 }
 
-/// Fleet-level tunables. `cards = 1` reproduces the single-card stack
-/// bit-for-bit (no stealing partner, no migration target — the lone
-/// worker runs the exact `ResilientService` flush loop).
+/// Fleet-level tunables. `cards = 1` is the single-card deployment of
+/// the paper: no stealing partner, no migration target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Modeled KNC cards behind the scheduler.
@@ -178,7 +183,8 @@ impl FleetRouter {
     /// Pick the card for a submission. `depths[c]` is card `c`'s parked
     /// queue depth and `online[c]` its breaker-closed flag; when every
     /// card is offline all of them count as eligible again (degrading on
-    /// some card beats rejecting — the single-card stack does the same).
+    /// some card beats rejecting, just as a one-card fleet keeps routing
+    /// to its only card).
     pub fn route(&mut self, key: Option<u64>, depths: &[usize], online: &[bool]) -> usize {
         debug_assert_eq!(depths.len(), self.config.cards);
         debug_assert_eq!(online.len(), self.config.cards);
@@ -264,9 +270,8 @@ pub type CardFn<T, R> = Box<dyn Fn(&[T]) -> Vec<R> + Send>;
 /// executor (its own engine, and therefore its own Montgomery-session
 /// cache), its host-scalar fallback and its fault schedule.
 pub struct CardSetup<T, R> {
-    /// The batch executor for this card — same contract as
-    /// [`BatchService`](crate::service::BatchService): one result per
-    /// payload, in order.
+    /// The batch executor for this card: one result per payload, in
+    /// order.
     pub card_fn: CardFn<T, R>,
     /// Host-scalar fallback; `None` turns degradation into typed errors.
     pub host_fn: Option<HostFn<T, R>>,
@@ -387,10 +392,9 @@ fn lock<'a, T, R>(m: &'a Mutex<FleetState<T, R>>) -> std::sync::MutexGuard<'a, F
 
 /// The N-card scheduler: routes submissions by key affinity, steals for
 /// balance, and isolates faults per card. See the module docs for the
-/// architecture; per-request semantics (exactly-once resolution, typed
-/// [`OffloadError`](crate::resilient::OffloadError)s, drain-on-shutdown)
-/// are exactly those of
-/// [`ResilientService`](crate::resilient::ResilientService).
+/// architecture. Every admitted request resolves exactly once — on a
+/// card, on the host fallback, or with a typed [`OffloadError`] — and
+/// shutdown drains every parked request first.
 pub struct FleetScheduler<T: Send + Clone + 'static, R: Send + 'static> {
     shared: Arc<FleetShared<T, R>>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -407,6 +411,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         setups: Vec<CardSetup<T, R>>,
     ) -> Self {
         fleet.validate();
+        resilience.validate();
         assert_eq!(
             setups.len(),
             fleet.cards,
@@ -502,7 +507,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         &self,
         key: Option<u64>,
         payload: T,
-    ) -> Result<Result<R, crate::resilient::OffloadError>, SubmitError> {
+    ) -> Result<Result<R, OffloadError>, SubmitError> {
         Ok(self.submit_keyed(key, payload)?.wait())
     }
 
@@ -583,9 +588,9 @@ fn fleet_worker<T, R>(
         faults,
         integrity,
     } = setup;
-    // Breaker, lane quarantine and virtual clock are worker-local,
-    // exactly as in `resilient_worker`: flushes run outside the state
-    // lock.
+    // Breaker, lane quarantine and virtual clock are worker-local:
+    // flushes run outside the state lock, and only this thread drives
+    // them.
     let mut breaker = CircuitBreaker::new(config.breaker);
     let mut quarantine = LaneQuarantine::new(config.service.width, config.quarantine);
     let mut vnow: f64 = 0.0;
@@ -626,21 +631,37 @@ fn fleet_worker<T, R>(
 
             let oldest_wait = batch.oldest_wait();
             let depth_after = batch.depth_after;
+            let occupancy = batch.occupancy();
+            let mut stats = FlushStats::new();
             let wall_start = Instant::now();
-            let stats = run_flush(
-                &config,
-                &cost,
-                &card_fn,
-                host_fn.as_deref(),
-                faults.as_deref(),
-                integrity.as_ref(),
-                &mut breaker,
-                &mut quarantine,
-                &mut vnow,
-                batch.entries,
-                draining,
-            );
+            // A panicking card closure poisons this flush only: the
+            // entries it had not settled are dropped with the unwinding
+            // frame (their waiters see ServiceShutdown), and the worker
+            // lives on to serve the next flush.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_flush(
+                    &config,
+                    &cost,
+                    &card_fn,
+                    host_fn.as_deref(),
+                    faults.as_deref(),
+                    integrity.as_ref(),
+                    &mut breaker,
+                    &mut quarantine,
+                    &mut vnow,
+                    batch.entries,
+                    draining,
+                    &mut stats,
+                )
+            }));
             let wall_seconds = wall_start.elapsed().as_secs_f64();
+            let poisoned = match outcome {
+                Ok(()) => 0,
+                Err(_) => (occupancy - stats.settled()) as u64,
+            };
+            if poisoned > 0 && phi_trace::is_enabled() {
+                phi_trace::registry().counter_add("service.poisoned_jobs", poisoned);
+            }
 
             state = lock(&shared.state);
             let card_online = breaker.state(vnow) != BreakerState::Open;
@@ -657,6 +678,7 @@ fn fleet_worker<T, R>(
                     wall_seconds,
                 });
             }
+            slot.report.service.poisoned_jobs += poisoned;
             slot.report.faults_seen += stats.faults;
             slot.report.retries += stats.retries;
             slot.report.host_fallback_ops += stats.host_completed as u64;
@@ -683,7 +705,18 @@ fn fleet_worker<T, R>(
             slot.online = card_online;
 
             let mut leftovers = stats.requeued;
-            if !card_online && !state.shutdown {
+            let survivors: Vec<usize> = if card_online || state.shutdown {
+                Vec::new()
+            } else {
+                state
+                    .cards
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, slot)| c != card && slot.online)
+                    .map(|(c, _)| c)
+                    .collect()
+            };
+            if !survivors.is_empty() {
                 // The breaker just tripped (or stayed) open: move this
                 // card's parked lanes — and any deadline-requeued ones —
                 // onto the surviving online cards. Entries move wholesale
@@ -691,25 +724,15 @@ fn fleet_worker<T, R>(
                 // exactly-once resolution is preserved. Skipped during
                 // shutdown so draining terminates locally.
                 let depth = state.cards[card].collector.depth();
-                if depth > 0 {
-                    let mut parked = state.cards[card].collector.steal_back(depth);
-                    parked.append(&mut leftovers);
-                    leftovers = parked;
-                }
-                let survivors: Vec<usize> = state
-                    .cards
-                    .iter()
-                    .enumerate()
-                    .filter(|&(c, slot)| c != card && slot.online)
-                    .map(|(c, _)| c)
-                    .collect();
-                if !survivors.is_empty() && !leftovers.is_empty() {
-                    let moved = leftovers.len() as u64;
+                let mut moving = state.cards[card].collector.steal_back(depth);
+                moving.append(&mut leftovers);
+                if !moving.is_empty() {
+                    let moved = moving.len() as u64;
                     state.migrations += moved;
                     if phi_trace::is_enabled() {
                         phi_trace::registry().counter_add("fleet.migrations", moved);
                     }
-                    for (i, entry) in leftovers.drain(..).enumerate() {
+                    for (i, entry) in moving.into_iter().enumerate() {
                         let target = survivors[i % survivors.len()];
                         state.cards[target].collector.adopt(vec![entry]);
                     }
@@ -719,8 +742,8 @@ fn fleet_worker<T, R>(
                 }
             }
             if !leftovers.is_empty() {
-                // Deadline-cancelled lanes (or a whole-fleet outage):
-                // back onto this card's queue, single-card style.
+                // Deadline-cancelled lanes with nowhere else to go: back
+                // onto this card's queue, ahead of the parked work.
                 state.cards[card].report.requeues += leftovers.len() as u64;
                 state.cards[card].collector.requeue_front(leftovers);
             }
@@ -753,7 +776,6 @@ fn fleet_worker<T, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilient::OffloadError;
     use crate::service::ServiceConfig;
     use phi_faults::{FaultInjector, FaultKind, FaultRates, FaultScript};
 
@@ -852,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn single_card_fleet_answers_like_resilient_service() {
+    fn single_card_fleet_runs_full_batches() {
         let scheduler = FleetScheduler::new(
             fleet(1, RoutingPolicy::Affinity),
             config(4, 10.0, 64),
@@ -866,6 +888,72 @@ mod tests {
         assert_eq!(report.cards.len(), 1);
         assert_eq!(report.resolved_ops(), 8);
         assert_eq!(report.steals, 0);
+        assert_eq!(report.migrations, 0);
+        let card = &report.cards[0];
+        assert_eq!(card.service.flushes_by(FlushReason::Full), 2);
+        assert_eq!(card.service.rejected, 0);
+        assert_eq!(card.faults_seen, 0);
+        assert_eq!(card.host_fallback_ops, 0);
+        assert_eq!(card.breaker_state, BreakerState::Closed);
+        for f in &card.service.flushes {
+            assert_eq!((f.occupancy, f.width), (4, 4));
+            assert!(f.wall_seconds >= 0.0 && f.oldest_wait >= 0.0);
+        }
+    }
+
+    #[test]
+    fn deadline_completes_a_partial_batch() {
+        // Deadline far below the test timeout but long enough to batch:
+        // the lone submission can only complete via the deadline path.
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(16, 5e-3, 64),
+            doubler_setup(1),
+        );
+        assert_eq!(scheduler.call_keyed(None, 21).unwrap(), Ok(42));
+        let report = scheduler.shutdown().merged();
+        assert_eq!(report.service.ops(), 1);
+        assert_eq!(report.service.flushes_by(FlushReason::Deadline), 1);
+        assert!(report.service.flushes[0].occupancy < 16);
+    }
+
+    #[test]
+    fn breaker_trip_without_survivor_requeues_nothing() {
+        // One card whose first attempt resets it for good, and a host
+        // fallback that holds the degraded flush until four more
+        // requests are parked behind it. With no online card to migrate
+        // to, the parked requests simply stay queued: no flush cancelled
+        // them, so none of them is a requeue.
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((entered_tx, release_rx)));
+        let setups = vec![
+            CardSetup::new(|xs: &[u64]| xs.iter().map(|x| x * 2).collect())
+                .with_host(move |x: &u64| {
+                    let held = gate.lock().unwrap_or_else(|e| e.into_inner()).take();
+                    if let Some((entered, release)) = held {
+                        let _ = entered.send(());
+                        let _ = release.recv();
+                    }
+                    x * 2
+                })
+                .with_faults(Arc::new(FaultScript::new(vec![Some(FaultKind::CardReset)]))),
+        ];
+        let mut cfg = config(2, 10.0, 64);
+        cfg.breaker.cooldown_s = 1e9;
+        let scheduler = FleetScheduler::new(fleet(1, RoutingPolicy::Affinity), cfg, setups);
+        let mut handles: Vec<_> = (0..2).map(|i| scheduler.submit(i).unwrap()).collect();
+        entered_rx.recv().unwrap(); // the degraded flush is on the host
+        handles.extend((2..6).map(|i| scheduler.submit(i).unwrap()));
+        release_tx.send(()).unwrap();
+        for (i, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.wait(), Ok(i as u64 * 2));
+        }
+        let report = scheduler.shutdown();
+        let card = &report.cards[0];
+        assert_eq!(card.breaker_trips, 1);
+        assert_eq!(card.host_fallback_ops, 6);
+        assert_eq!(card.requeues, 0, "parked work is not requeued work");
         assert_eq!(report.migrations, 0);
     }
 
@@ -957,9 +1045,24 @@ mod tests {
         let handles: Vec<_> = (0..24).map(|i| scheduler.submit(i).unwrap()).collect();
         let report = scheduler.shutdown();
         assert_eq!(report.resolved_ops(), 24, "drain resolves parked work");
+        assert_eq!(report.merged().service.flushes_by(FlushReason::Drain), 2);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
+    }
+
+    #[test]
+    fn dropped_fleet_drains_instead_of_stranding_tickets() {
+        // A ticket that outlives its scheduler still resolves: dropping
+        // the scheduler drains the queues exactly like `shutdown`.
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(16, 3600.0, 64),
+            doubler_setup(1),
+        );
+        let h = scheduler.submit(9).unwrap();
+        drop(scheduler);
+        assert_eq!(h.wait(), Ok(18));
     }
 
     #[test]
@@ -1038,21 +1141,5 @@ mod tests {
                 .fold(0.0, f64::max),
             "fleet virtual time is the slowest card's clock"
         );
-    }
-
-    #[test]
-    fn no_host_fallback_degrades_to_typed_errors() {
-        let setups: Vec<CardSetup<u64, u64>> =
-            vec![
-                CardSetup::new(|xs: &[u64]| xs.iter().map(|x| x * 2).collect())
-                    .with_faults(Arc::new(FaultScript::repeat(FaultKind::PcieTimeout, 64))),
-            ];
-        let mut cfg = config(2, 10.0, 64);
-        cfg.breaker.trip_threshold = u32::MAX;
-        let scheduler = FleetScheduler::new(fleet(1, RoutingPolicy::Affinity), cfg, setups);
-        let h = scheduler.submit(1).unwrap();
-        assert!(matches!(h.wait(), Err(OffloadError::Faulted { .. })));
-        let report = scheduler.shutdown();
-        assert_eq!(report.merged().errored_ops, 1);
     }
 }

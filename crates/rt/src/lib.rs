@@ -2,10 +2,12 @@
 //!
 //! The execution model of the Xeon Phi card for the PhiOpenSSL
 //! reproduction: a thread pool with *simulated* core/SMT placement
-//! ([`pool`]), the host↔device offload cost model ([`offload`]), the
-//! deadline-driven batch service ([`service`]), its fault-tolerant
-//! sibling ([`resilient`]), and latency/throughput aggregation
-//! ([`stats`]).
+//! ([`pool`]), the host↔device offload cost model ([`offload`]), and
+//! one offload service path — the deadline-driven batch collector
+//! ([`service`]), the fault-tolerant flush ladder every flush runs
+//! through ([`resilient`]), its verify-on-release hooks ([`verify`]),
+//! and the card workers that own both ([`fleet`], one card or many) —
+//! plus latency/throughput aggregation ([`stats`]).
 //!
 //! Real KNC cards expose 240 hardware threads over 60 in-order cores and
 //! are fed over PCIe. This crate runs the work for real on host threads
@@ -32,10 +34,7 @@ pub use fleet::{
 };
 pub use offload::{OffloadBatcher, OffloadModel};
 pub use pool::{AffinityPolicy, BatchReport, PhiPool};
-pub use resilient::{OffloadError, ResilienceConfig, ResilientHandle, ResilientService};
-pub use service::{
-    Batch, BatchService, Collector, FlushReason, ServiceConfig, SubmitError, Ticket, TicketHandle,
-    BATCH_WIDTH,
-};
+pub use resilient::{OffloadError, ResilienceConfig, ResilientHandle};
+pub use service::{Batch, Collector, FlushReason, ServiceConfig, SubmitError, Ticket, BATCH_WIDTH};
 pub use stats::{FlushRecord, ResilienceReport, ServiceReport, Summary};
 pub use verify::{IntegrityHooks, LaneQuarantine, QuarantineConfig};

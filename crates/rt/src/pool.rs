@@ -377,8 +377,18 @@ mod failure_injection_tests {
     use phi_simd::count::{record, OpClass};
     use std::sync::atomic::AtomicU64;
 
+    /// Serializes the tests that panic pool jobs: `pool.jobs.panicked`
+    /// lives in the process-global registry, so a panicking job of one
+    /// test would otherwise land in another test's counter delta.
+    static PANICKING_JOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        PANICKING_JOBS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn panicking_jobs_do_not_kill_workers() {
+        let _serial = serial();
         let pool = JobPool::new(2);
         let done = Arc::new(AtomicU64::new(0));
         for i in 0..40 {
@@ -404,6 +414,7 @@ mod failure_injection_tests {
     fn panicked_jobs_counted_and_published() {
         // Deterministic count: a 1-worker pool serializes the jobs, and
         // drop joins the worker before the counters are read.
+        let _serial = serial();
         phi_trace::enable();
         let before = phi_trace::registry().counter("pool.jobs.panicked");
         let pool = JobPool::new(1);
@@ -428,6 +439,7 @@ mod failure_injection_tests {
 
     #[test]
     fn panic_counter_reports() {
+        let _serial = serial();
         let pool = JobPool::new(1);
         pool.submit(|| panic!("boom"));
         pool.submit(|| {});

@@ -1,13 +1,13 @@
-//! The resilient offload path: deadline-enforced, retrying,
+//! The flush ladder of the offload path: deadline-enforced, retrying,
 //! breaker-gated batch execution with host-fallback degradation.
 //!
-//! [`BatchService`](crate::service::BatchService) assumes the card never
-//! misbehaves; this module is the layer a deployment would actually run.
-//! A [`ResilientService`] owns the same deadline-driven
-//! [`Collector`] but executes each flush through a fault-aware loop:
+//! Every card worker of [`FleetScheduler`](crate::fleet::FleetScheduler)
+//! takes its batches from a deadline-driven
+//! [`Collector`](crate::service::Collector) and executes each flush
+//! through one fault-aware loop:
 //!
 //! 1. **Breaker gate** — a [`CircuitBreaker`] tracks card health on the
-//!    service's modeled virtual clock. While it is open, flushes skip the
+//!    card's modeled virtual clock. While it is open, flushes skip the
 //!    card entirely and degrade to the host-scalar fallback; once the
 //!    cooldown elapses, half-open probes let a recovered card earn its
 //!    traffic back.
@@ -28,10 +28,10 @@
 //!    exactly once: on the card, on the host fallback, or with a typed
 //!    [`OffloadError`]. No hangs, no lost tickets, no double answers.
 //! 6. **Verified release** — with [`IntegrityHooks`] attached
-//!    ([`ResilientService::with_integrity`]), no card result reaches a
-//!    caller before the host's release check passes. A failed check
-//!    walks the graded degradation ladder: re-run the lane once
-//!    on-card, quarantine the physical lane
+//!    ([`CardSetup::with_integrity`](crate::fleet::CardSetup::with_integrity)),
+//!    no card result reaches a caller before the host's release check
+//!    passes. A failed check walks the graded degradation ladder: re-run
+//!    the lane once on-card, quarantine the physical lane
 //!    ([`crate::verify::LaneQuarantine`]), escalate repeated
 //!    quarantines to the breaker, and finally resolve off-card (host
 //!    fallback or [`OffloadError::IntegrityFailure`]). This is the
@@ -39,14 +39,12 @@
 //!    ([`phi_faults::FaultKind::is_silent`]), which corrupt results
 //!    while the attempt reports success — undetectable by steps 1–4.
 //!
-//! With no fault source and a closed breaker the card path is the same
-//! measured `card_fn` invocation the plain service makes; the resilience
-//! machinery costs one `Option` check per flush and never records
-//! modeled operations of its own. Likewise, a service without a verify
-//! hook runs bit- and cycle-identically to the pre-verification stack.
+//! With no fault source and a closed breaker a flush is one measured
+//! `card_fn` invocation; the resilience machinery costs one `Option`
+//! check per flush and never records modeled operations of its own, and
+//! on a card without a verify hook verification costs nothing.
 
-use crate::service::{Collector, FlushReason, Pending, ServiceConfig, SubmitError, Ticket};
-use crate::stats::{FlushRecord, ResilienceReport};
+use crate::service::{Pending, ServiceConfig, Ticket};
 use crate::verify::{IntegrityHooks, LaneQuarantine, QuarantineConfig};
 use phi_faults::{
     BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, FaultKind, FaultSource,
@@ -55,11 +53,8 @@ use phi_simd::cost::CostModel;
 use phi_simd::count;
 use std::fmt;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::Instant;
 
-/// Tunables of the resilient service, over and above the collector's.
+/// Tunables of the flush ladder, over and above the collector's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Collector tunables (width, max wait, queue cap).
@@ -78,7 +73,7 @@ pub struct ResilienceConfig {
     pub backoff: BackoffPolicy,
     /// Card-health breaker tunables.
     pub breaker: BreakerConfig,
-    /// Lane-quarantine ladder tunables (only consulted when the service
+    /// Lane-quarantine ladder tunables (only consulted when a card
     /// carries a verify hook).
     pub quarantine: QuarantineConfig,
 }
@@ -100,7 +95,7 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.flush_deadline_s > 0.0,
             "flush deadline must be positive"
@@ -111,7 +106,7 @@ impl ResilienceConfig {
     }
 }
 
-/// Why a request left the resilient service without a result.
+/// Why a request left the offload service without a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadError {
     /// Every retry of the request's batch faulted and no host fallback
@@ -138,7 +133,8 @@ pub enum OffloadError {
         /// Verification rejections the request accumulated.
         rejections: u32,
     },
-    /// The service shut down without answering this ticket.
+    /// The service never answered this ticket: its flush was poisoned
+    /// by a panicking card closure, or the service was torn down.
     ServiceShutdown,
 }
 
@@ -158,7 +154,7 @@ impl fmt::Display for OffloadError {
                     "result failed verification {rejections} times, no fallback"
                 )
             }
-            OffloadError::ServiceShutdown => write!(f, "resilient service shut down"),
+            OffloadError::ServiceShutdown => write!(f, "offload service shut down"),
         }
     }
 }
@@ -168,9 +164,7 @@ impl std::error::Error for OffloadError {}
 /// The host-scalar fallback executor: one request at a time, no card.
 pub type HostFn<T, R> = Box<dyn Fn(&T) -> R + Send>;
 
-/// A request travelling through the resilient service (and through the
-/// per-card flush loops of [`crate::fleet::FleetScheduler`], which reuses
-/// this exact machinery so fleet answers inherit the same guarantees).
+/// A request travelling through a card's collector and flush loop.
 pub(crate) struct RJob<T, R> {
     pub(crate) payload: T,
     pub(crate) reply: mpsc::Sender<Result<R, OffloadError>>,
@@ -178,29 +172,7 @@ pub(crate) struct RJob<T, R> {
     pub(crate) requeues: u32,
 }
 
-struct RState<T, R> {
-    collector: Collector<RJob<T, R>>,
-    report: ResilienceReport,
-    shutdown: bool,
-}
-
-struct RShared<T, R> {
-    state: Mutex<RState<T, R>>,
-    wake: Condvar,
-    epoch: Instant,
-}
-
-impl<T, R> RShared<T, R> {
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-}
-
-fn lock<'a, T, R>(m: &'a Mutex<RState<T, R>>) -> std::sync::MutexGuard<'a, RState<T, R>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A pending resilient result: redeem with [`ResilientHandle::wait`].
+/// A pending offload result: redeem with [`ResilientHandle::wait`].
 #[derive(Debug)]
 pub struct ResilientHandle<R> {
     ticket: Ticket,
@@ -208,8 +180,7 @@ pub struct ResilientHandle<R> {
 }
 
 impl<R> ResilientHandle<R> {
-    /// Assemble a handle around an existing reply channel (the fleet
-    /// scheduler hands out the same handle type as this service).
+    /// Assemble a handle around a request's reply channel.
     pub(crate) fn from_parts(ticket: Ticket, rx: mpsc::Receiver<Result<R, OffloadError>>) -> Self {
         ResilientHandle { ticket, rx }
     }
@@ -220,149 +191,15 @@ impl<R> ResilientHandle<R> {
     }
 
     /// Block until the request resolves — on the card, on the host
-    /// fallback, or with a typed error. A torn-down service maps to
-    /// [`OffloadError::ServiceShutdown`]; this never panics and never
-    /// hangs (shutdown drains, and drained flushes never requeue).
+    /// fallback, or with a typed error. A poisoned flush or a torn-down
+    /// service maps to [`OffloadError::ServiceShutdown`]; this never
+    /// panics and never hangs (shutdown drains, and drained flushes never
+    /// requeue).
     pub fn wait(self) -> Result<R, OffloadError> {
         match self.rx.recv() {
             Ok(resolution) => resolution,
             Err(_) => Err(OffloadError::ServiceShutdown),
         }
-    }
-}
-
-/// The fault-tolerant deadline-driven batch service.
-///
-/// Shaped like [`BatchService`](crate::service::BatchService) — one
-/// worker thread, submit-from-anywhere, per-ticket reply channels — but
-/// each flush runs the breaker/retry/deadline loop described in the
-/// module docs, and every request resolves to `Result<R, OffloadError>`.
-pub struct ResilientService<T: Send + Clone + 'static, R: Send + 'static> {
-    shared: Arc<RShared<T, R>>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl<T: Send + Clone + 'static, R: Send + 'static> ResilientService<T, R> {
-    /// Start a resilient service.
-    ///
-    /// * `card_fn` — the batch executor (the modeled card path), same
-    ///   contract as the plain service: one result per payload, in order.
-    /// * `host_fn` — the scalar host fallback; `None` turns degradation
-    ///   into typed errors instead.
-    /// * `faults` — the fault schedule; `None` (a healthy card) costs a
-    ///   single pointer check per attempt.
-    pub fn new<F>(
-        config: ResilienceConfig,
-        card_fn: F,
-        host_fn: Option<HostFn<T, R>>,
-        faults: Option<Arc<dyn FaultSource>>,
-    ) -> Self
-    where
-        F: Fn(&[T]) -> Vec<R> + Send + 'static,
-    {
-        Self::with_integrity(config, card_fn, host_fn, faults, None)
-    }
-
-    /// Start a resilient service with result-integrity hooks.
-    ///
-    /// `integrity` models silent corruption (its `corrupt` hook is how
-    /// [`phi_faults::FaultKind::is_silent`] faults mutate results) and,
-    /// when its `verify` hook is present, checks every card result
-    /// before release — walking the graded degradation ladder on
-    /// failure. `None` (or a corrupt-only hook set) releases card
-    /// results unchecked, exactly like [`ResilientService::new`].
-    pub fn with_integrity<F>(
-        config: ResilienceConfig,
-        card_fn: F,
-        host_fn: Option<HostFn<T, R>>,
-        faults: Option<Arc<dyn FaultSource>>,
-        integrity: Option<IntegrityHooks<T, R>>,
-    ) -> Self
-    where
-        F: Fn(&[T]) -> Vec<R> + Send + 'static,
-    {
-        config.validate();
-        let shared = Arc::new(RShared {
-            state: Mutex::new(RState {
-                collector: Collector::new(config.service),
-                report: ResilienceReport::default(),
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            epoch: Instant::now(),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let worker = thread::Builder::new()
-            .name("phi-resilient-service".into())
-            .spawn(move || {
-                resilient_worker(worker_shared, config, card_fn, host_fn, faults, integrity)
-            })
-            .expect("spawn resilient service worker");
-        ResilientService {
-            shared,
-            worker: Some(worker),
-        }
-    }
-
-    /// Submit one request; fails fast with [`SubmitError::QueueFull`]
-    /// under backpressure.
-    pub fn submit(&self, payload: T) -> Result<ResilientHandle<R>, SubmitError> {
-        let (reply, rx) = mpsc::channel();
-        let now = self.shared.now();
-        let mut state = lock(&self.shared.state);
-        if state.shutdown {
-            return Err(SubmitError::ServiceShutdown);
-        }
-        let ticket = state.collector.submit(
-            RJob {
-                payload,
-                reply,
-                requeues: 0,
-            },
-            now,
-        )?;
-        drop(state);
-        self.shared.wake.notify_one();
-        Ok(ResilientHandle { ticket, rx })
-    }
-
-    /// Submit and block. The outer error is admission (queue full), the
-    /// inner one execution (fault/deadline/offline).
-    pub fn call(&self, payload: T) -> Result<Result<R, OffloadError>, SubmitError> {
-        Ok(self.submit(payload)?.wait())
-    }
-
-    /// Snapshot of the resilience telemetry so far.
-    pub fn report(&self) -> ResilienceReport {
-        let state = lock(&self.shared.state);
-        let mut report = state.report.clone();
-        report.service.rejected = state.collector.rejected();
-        report
-    }
-
-    /// Stop accepting work, drain every parked request (drained flushes
-    /// resolve instead of requeueing, so this terminates), and return the
-    /// final telemetry.
-    pub fn shutdown(mut self) -> ResilienceReport {
-        self.stop_worker();
-        let state = lock(&self.shared.state);
-        let mut report = state.report.clone();
-        report.service.rejected = state.collector.rejected();
-        report
-    }
-
-    fn stop_worker(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            lock(&self.shared.state).shutdown = true;
-            self.shared.wake.notify_all();
-            worker.join().expect("resilient service worker panicked");
-        }
-    }
-}
-
-impl<T: Send + Clone + 'static, R: Send + 'static> Drop for ResilientService<T, R> {
-    fn drop(&mut self) {
-        self.stop_worker();
     }
 }
 
@@ -385,7 +222,7 @@ pub(crate) struct FlushStats<T, R> {
 }
 
 impl<T, R> FlushStats<T, R> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FlushStats {
             card_completed: 0,
             card_modeled_s: 0.0,
@@ -403,115 +240,11 @@ impl<T, R> FlushStats<T, R> {
             requeued: Vec::new(),
         }
     }
-}
 
-fn resilient_worker<T, R, F>(
-    shared: Arc<RShared<T, R>>,
-    config: ResilienceConfig,
-    card_fn: F,
-    host_fn: Option<HostFn<T, R>>,
-    faults: Option<Arc<dyn FaultSource>>,
-    integrity: Option<IntegrityHooks<T, R>>,
-) where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R>,
-{
-    let cost = CostModel::knc();
-    // The breaker, lane quarantine and virtual clock are worker-local:
-    // flush execution happens outside the state lock, and only this
-    // thread drives them.
-    let mut breaker = CircuitBreaker::new(config.breaker);
-    let mut quarantine = LaneQuarantine::new(config.service.width, config.quarantine);
-    let mut vnow: f64 = 0.0;
-    let mut state = lock(&shared.state);
-    loop {
-        let now = shared.now();
-        let due = state.collector.ready(now);
-        let draining = state.shutdown && !state.collector.is_empty();
-        if let Some(reason) = due.or(if draining {
-            Some(FlushReason::Drain)
-        } else {
-            None
-        }) {
-            let batch = state.collector.take_batch(reason, now);
-            drop(state);
-
-            let oldest_wait = batch.oldest_wait();
-            let depth_after = batch.depth_after;
-            let wall_start = Instant::now();
-            let stats = run_flush(
-                &config,
-                &cost,
-                &card_fn,
-                host_fn.as_deref(),
-                faults.as_deref(),
-                integrity.as_ref(),
-                &mut breaker,
-                &mut quarantine,
-                &mut vnow,
-                batch.entries,
-                draining,
-            );
-            let wall_seconds = wall_start.elapsed().as_secs_f64();
-
-            state = lock(&shared.state);
-            let width = state.collector.config().width;
-            if stats.card_completed > 0 {
-                state.report.service.flushes.push(FlushRecord {
-                    reason,
-                    occupancy: stats.card_completed,
-                    width,
-                    queue_depth_after: depth_after,
-                    oldest_wait,
-                    modeled_seconds: stats.card_modeled_s,
-                    wall_seconds,
-                });
-            }
-            let report = &mut state.report;
-            report.faults_seen += stats.faults;
-            report.retries += stats.retries;
-            report.host_fallback_ops += stats.host_completed as u64;
-            report.host_modeled_seconds += stats.host_modeled_s;
-            report.errored_ops += stats.errored as u64;
-            report.verified_ops += stats.verified;
-            report.verify_failures += stats.verify_failures;
-            report.verify_reruns += stats.verify_reruns;
-            report.verify_modeled_seconds += stats.verify_modeled_s;
-            report.lane_quarantines = quarantine.quarantines();
-            report.lane_readmissions = quarantine.readmissions();
-            report.integrity_escalations = quarantine.escalations();
-            report.quarantined_lanes = quarantine.quarantined() as u64;
-            if stats.deadline_cancelled {
-                report.deadline_cancellations += 1;
-            }
-            if stats.degraded {
-                report.degraded_flushes += 1;
-            }
-            report.breaker_trips = breaker.trips();
-            report.breaker_recoveries = breaker.recoveries();
-            report.breaker_state = breaker.state(vnow);
-            report.modeled_virtual_seconds = vnow;
-            if !stats.requeued.is_empty() {
-                report.requeues += stats.requeued.len() as u64;
-                state.collector.requeue_front(stats.requeued);
-            }
-            continue;
-        }
-        if state.shutdown {
-            return;
-        }
-        state = match state.collector.next_deadline() {
-            Some(deadline) => {
-                let timeout = (deadline - shared.now()).max(0.0);
-                shared
-                    .wake
-                    .wait_timeout(state, std::time::Duration::from_secs_f64(timeout))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => shared.wake.wait(state).unwrap_or_else(|e| e.into_inner()),
-        };
+    /// Entries of the flush this record has settled so far: resolved on
+    /// the card or the host, errored, or handed back for requeueing.
+    pub(crate) fn settled(&self) -> usize {
+        self.card_completed + self.host_completed + self.errored + self.requeued.len()
     }
 }
 
@@ -648,13 +381,12 @@ where
 }
 
 /// Execute one flush through the breaker/fault/retry/deadline loop
-/// (plus, with integrity hooks, the verify-on-release ladder).
-/// Consumes `entries`; every entry is either resolved through its reply
-/// channel or returned in `FlushStats::requeued`.
-///
-/// Crate-visible so the fleet scheduler's per-card workers run the
-/// *identical* loop — with `cards = 1` the fleet is bit- and
-/// cycle-identical to [`ResilientService`] by construction.
+/// (plus, with integrity hooks, the verify-on-release ladder), recording
+/// what happened into `stats`. Consumes `entries`; every entry is either
+/// resolved through its reply channel or returned in
+/// `FlushStats::requeued`. If `card_fn` panics, the entries `stats` has
+/// not settled are dropped with the unwinding frame, so their waiters see
+/// [`OffloadError::ServiceShutdown`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_flush<T, R, F>(
     config: &ResilienceConfig,
@@ -668,13 +400,12 @@ pub(crate) fn run_flush<T, R, F>(
     vnow: &mut f64,
     entries: Vec<Pending<RJob<T, R>>>,
     draining: bool,
-) -> FlushStats<T, R>
-where
+    stats: &mut FlushStats<T, R>,
+) where
     T: Send + Clone,
     R: Send,
     F: Fn(&[T]) -> Vec<R>,
 {
-    let mut stats = FlushStats::new();
     let mut entries: Vec<Option<Pending<RJob<T, R>>>> = entries.into_iter().map(Some).collect();
     let mut pending: Vec<usize> = (0..entries.len()).collect();
     let verifying = integrity.is_some_and(IntegrityHooks::is_verified);
@@ -693,9 +424,9 @@ where
             OffloadError::CardOffline,
             cost,
             vnow,
-            &mut stats,
+            stats,
         );
-        return stats;
+        return;
     }
 
     if verifying {
@@ -737,7 +468,7 @@ where
                     OffloadError::IntegrityFailure { rejections },
                     cost,
                     vnow,
-                    &mut stats,
+                    stats,
                 );
             }
             usable.into_iter().take(pending.len()).collect()
@@ -799,11 +530,11 @@ where
                     &mut vfails,
                     cost,
                     vnow,
-                    &mut stats,
+                    stats,
                 );
                 if failed.is_empty() {
                     breaker.record_success(*vnow);
-                    return stats;
+                    return;
                 }
                 // Graded ladder: failed lanes inside their re-run budget
                 // go around for one more card pass; the rest resolve
@@ -821,11 +552,11 @@ where
                         },
                         cost,
                         vnow,
-                        &mut stats,
+                        stats,
                     );
                 }
                 if rerun.is_empty() {
-                    return stats;
+                    return;
                 }
                 stats.verify_reruns += rerun.len() as u64;
                 if phi_trace::is_enabled() {
@@ -846,9 +577,9 @@ where
                         OffloadError::CardOffline,
                         cost,
                         vnow,
-                        &mut stats,
+                        stats,
                     );
-                    return stats;
+                    return;
                 }
             }
             Some(kind) => {
@@ -908,7 +639,7 @@ where
                             &mut vfails,
                             cost,
                             vnow,
-                            &mut stats,
+                            stats,
                         );
                         if !failed.is_empty() {
                             let max_reruns = quarantine.config().max_reruns;
@@ -924,7 +655,7 @@ where
                                     },
                                     cost,
                                     vnow,
-                                    &mut stats,
+                                    stats,
                                 );
                             }
                             if !rerun.is_empty() {
@@ -943,7 +674,7 @@ where
                     pending = next;
                 }
                 if pending.is_empty() {
-                    return stats;
+                    return;
                 }
                 // A tripped breaker (reset, or this fault crossing the
                 // threshold; a faulted probe re-opens too) degrades the
@@ -960,9 +691,9 @@ where
                         OffloadError::CardOffline,
                         cost,
                         vnow,
-                        &mut stats,
+                        stats,
                     );
-                    return stats;
+                    return;
                 }
                 if attempts > config.backoff.max_retries {
                     // Retry ladder exhausted inside one flush.
@@ -973,9 +704,9 @@ where
                         OffloadError::Faulted { kind, attempts },
                         cost,
                         vnow,
-                        &mut stats,
+                        stats,
                     );
-                    return stats;
+                    return;
                 }
                 let delay = config.backoff.delay(attempts);
                 if *vnow - vstart + delay > config.flush_deadline_s {
@@ -1005,13 +736,13 @@ where
                         OffloadError::DeadlineExceeded { requeues },
                         cost,
                         vnow,
-                        &mut stats,
+                        stats,
                     );
                     if phi_trace::is_enabled() && !stats.requeued.is_empty() {
                         phi_trace::registry()
                             .counter_add("resilient.requeues", stats.requeued.len() as u64);
                     }
-                    return stats;
+                    return;
                 }
                 *vnow += delay;
                 stats.retries += 1;
@@ -1026,7 +757,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{CardSetup, FleetConfig, FleetScheduler};
+    use crate::stats::ResilienceReport;
     use phi_faults::{FaultInjector, FaultRates, FaultScript};
+    use std::sync::Arc;
 
     fn config(width: usize, max_wait: f64, queue_cap: usize) -> ResilienceConfig {
         ResilienceConfig {
@@ -1043,21 +777,60 @@ mod tests {
         xs.iter().map(|x| x * 2).collect()
     }
 
-    fn host() -> Option<HostFn<u64, u64>> {
-        Some(Box::new(|x: &u64| x * 2))
+    /// A one-card fleet whose card doubles, with an optional doubling
+    /// host fallback: the flush ladder in isolation.
+    fn one_card(
+        cfg: ResilienceConfig,
+        host: bool,
+        faults: Option<Arc<dyn FaultSource>>,
+        integrity: Option<IntegrityHooks<u64, u64>>,
+    ) -> FleetScheduler<u64, u64> {
+        let setup = CardSetup {
+            card_fn: Box::new(doubler),
+            host_fn: host.then(|| Box::new(|x: &u64| x * 2) as HostFn<u64, u64>),
+            faults,
+            integrity,
+        };
+        FleetScheduler::new(FleetConfig::default(), cfg, vec![setup])
+    }
+
+    fn shutdown(service: FleetScheduler<u64, u64>) -> ResilienceReport {
+        service.shutdown().merged()
+    }
+
+    /// Redeem a handle, giving up after a few seconds, so a dead card
+    /// worker fails a test instead of hanging it.
+    fn wait_bounded(h: ResilientHandle<u64>) -> Option<Result<u64, OffloadError>> {
+        match h.rx.recv_timeout(std::time::Duration::from_secs(3)) {
+            Ok(resolution) => Some(resolution),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(OffloadError::ServiceShutdown)),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+        }
     }
 
     #[test]
-    fn clean_card_behaves_like_the_plain_service() {
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), None);
-        let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
-        let results: Vec<u64> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
-        assert_eq!(results, (0..8).map(|i| i * 2).collect::<Vec<_>>());
-        let report = service.shutdown();
-        assert_eq!(report.service.ops(), 8);
-        assert_eq!(report.faults_seen, 0);
-        assert_eq!(report.host_fallback_ops, 0);
-        assert_eq!(report.breaker_state, BreakerState::Closed);
+    fn panicking_card_poisons_only_its_flush() {
+        let setup = CardSetup::new(|xs: &[u64]| {
+            if xs.contains(&13) {
+                panic!("injected poison");
+            }
+            doubler(xs)
+        });
+        let service = FleetScheduler::new(FleetConfig::default(), config(2, 10.0, 16), vec![setup]);
+        // This pair flushes together and poisons its flush.
+        let a = service.submit(13).unwrap();
+        let b = service.submit(1).unwrap();
+        assert_eq!(wait_bounded(a), Some(Err(OffloadError::ServiceShutdown)));
+        assert_eq!(wait_bounded(b), Some(Err(OffloadError::ServiceShutdown)));
+        // The card survived: a clean pair still completes.
+        let c = service.submit(2).unwrap();
+        let d = service.submit(3).unwrap();
+        let (c, d) = (wait_bounded(c), wait_bounded(d));
+        let report = shutdown(service);
+        assert_eq!(c, Some(Ok(4)), "the card worker died with its flush");
+        assert_eq!(d, Some(Ok(6)));
+        assert_eq!(report.service.poisoned_jobs, 2);
+        assert_eq!(report.service.ops(), 2, "only the clean flush completed");
     }
 
     #[test]
@@ -1066,12 +839,12 @@ mod tests {
         // the card after a single retry.
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::new(vec![Some(FaultKind::PcieTimeout)]));
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), Some(script));
+        let service = one_card(config(4, 10.0, 64), true, Some(script), None);
         let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.faults_seen, 1);
         assert_eq!(report.retries, 1);
         assert_eq!(report.service.ops(), 4, "all lanes completed on card");
@@ -1086,12 +859,12 @@ mod tests {
             Arc::new(FaultScript::new(vec![Some(FaultKind::EccLaneFault {
                 lane: 2,
             })]));
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), Some(script));
+        let service = one_card(config(4, 10.0, 64), true, Some(script), None);
         let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.faults_seen, 1);
         assert_eq!(report.service.ops(), 4);
         // Two card passes happened (3 survivors + 1 retried lane), but
@@ -1107,12 +880,12 @@ mod tests {
         let script: Arc<dyn FaultSource> = Arc::new(FaultScript::repeat(FaultKind::CardReset, 64));
         let mut cfg = config(4, 10.0, 64);
         cfg.breaker.cooldown_s = 1e9; // never recovers inside the test
-        let service = ResilientService::new(cfg, doubler, host(), Some(script));
+        let service = one_card(cfg, true, Some(script), None);
         let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2), "host fallback is correct");
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.breaker_trips, 1);
         assert_eq!(report.breaker_state, BreakerState::Open);
         assert_eq!(report.host_fallback_ops, 8);
@@ -1130,11 +903,11 @@ mod tests {
         let mut cfg = config(1, 10.0, 64);
         cfg.breaker.cooldown_s = 0.0;
         cfg.breaker.probe_successes = 2;
-        let service = ResilientService::new(cfg, doubler, host(), Some(script));
+        let service = one_card(cfg, true, Some(script), None);
         for i in 0..4u64 {
-            assert_eq!(service.call(i).unwrap(), Ok(i * 2));
+            assert_eq!(service.call_keyed(None, i).unwrap(), Ok(i * 2));
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.breaker_trips, 1);
         assert_eq!(report.breaker_recoveries, 1);
         assert_eq!(report.breaker_state, BreakerState::Closed);
@@ -1149,8 +922,7 @@ mod tests {
             Arc::new(FaultScript::repeat(FaultKind::PcieTimeout, 64));
         let mut cfg = config(2, 10.0, 64);
         cfg.breaker.trip_threshold = u32::MAX; // isolate the retry-exhaustion path
-        let service: ResilientService<u64, u64> =
-            ResilientService::new(cfg, doubler, None, Some(script));
+        let service = one_card(cfg, false, Some(script), None);
         let a = service.submit(1).unwrap();
         let b = service.submit(2).unwrap();
         match a.wait() {
@@ -1161,29 +933,9 @@ mod tests {
             other => panic!("expected Faulted, got {other:?}"),
         }
         assert!(b.wait().is_err());
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.errored_ops, 2);
         assert_eq!(report.resolved_ops(), 2);
-    }
-
-    #[test]
-    fn every_request_resolves_exactly_once_under_random_faults() {
-        // The conservation property, end to end: under a 30% seeded
-        // fault schedule every submitted request resolves exactly once,
-        // correctly, with no hangs.
-        let inj: Arc<dyn FaultSource> =
-            Arc::new(FaultInjector::new(0xfa117, FaultRates::uniform(0.3)));
-        let mut cfg = config(4, 1e-3, 256);
-        cfg.breaker.cooldown_s = 0.0;
-        let service = ResilientService::new(cfg, doubler, host(), Some(inj));
-        let handles: Vec<_> = (0..200).map(|i| service.submit(i).unwrap()).collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.wait(), Ok(i as u64 * 2), "request {i}");
-        }
-        let report = service.shutdown();
-        assert_eq!(report.resolved_ops(), 200);
-        assert_eq!(report.errored_ops, 0, "host fallback absorbs all faults");
-        assert!(report.faults_seen > 0, "a 30% schedule must fault");
     }
 
     #[test]
@@ -1200,25 +952,13 @@ mod tests {
         ));
         let mut cfg = config(16, 3600.0, 64);
         cfg.breaker.cooldown_s = 0.0;
-        let service = ResilientService::new(cfg, doubler, host(), Some(inj));
+        let service = one_card(cfg, true, Some(inj), None);
         let handles: Vec<_> = (0..32).map(|i| service.submit(i).unwrap()).collect();
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.resolved_ops(), 32);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-    }
-
-    #[test]
-    fn submit_after_shutdown_flag_is_rejected() {
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), None);
-        lock(&service.shared.state).shutdown = true;
-        assert_eq!(
-            service.submit(1).map(|_| ()),
-            Err(SubmitError::ServiceShutdown)
-        );
-        // Clear the flag so Drop's stop_worker path joins cleanly.
-        lock(&service.shared.state).shutdown = false;
     }
 
     #[test]
@@ -1237,10 +977,10 @@ mod tests {
         cfg.flush_deadline_s = 1e-9; // any fault penalty blows it
         cfg.max_requeues = 2;
         cfg.breaker.trip_threshold = u32::MAX; // isolate the deadline path
-        let service = ResilientService::new(cfg, doubler, host(), Some(inj));
+        let service = one_card(cfg, true, Some(inj), None);
         let h = service.submit(21).unwrap();
         assert_eq!(h.wait(), Ok(42));
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert!(report.deadline_cancellations >= 1);
         assert_eq!(report.requeues, 2, "requeued to the cap, then forced");
         assert_eq!(report.host_fallback_ops, 1);
@@ -1257,8 +997,8 @@ mod tests {
     fn verified_service(
         cfg: ResilienceConfig,
         faults: Option<Arc<dyn FaultSource>>,
-    ) -> ResilientService<u64, u64> {
-        ResilientService::with_integrity(cfg, doubler, host(), faults, Some(doubler_hooks()))
+    ) -> FleetScheduler<u64, u64> {
+        one_card(cfg, true, faults, Some(doubler_hooks()))
     }
 
     #[test]
@@ -1268,7 +1008,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.verified_ops, 8, "every released result was checked");
         assert_eq!(report.verify_failures, 0, "honest results never rejected");
         assert_eq!(report.verify_reruns, 0);
@@ -1293,7 +1033,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2), "no corrupted result escapes");
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.faults_seen, 0, "silent faults are unobservable");
         assert_eq!(report.retries, 0, "verify re-runs are not backoff retries");
         assert_eq!(report.verify_failures, 1);
@@ -1312,7 +1052,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.verify_failures, 4);
         assert_eq!(report.verify_reruns, 4);
         assert_eq!(report.host_fallback_ops, 0);
@@ -1327,17 +1067,16 @@ mod tests {
             Arc::new(FaultScript::new(vec![Some(FaultKind::SilentLaneFlip {
                 lane: 1,
             })]));
-        let service = ResilientService::with_integrity(
+        let service = one_card(
             config(4, 10.0, 64),
-            doubler,
-            host(),
+            true,
             Some(script),
             Some(IntegrityHooks::corrupt_only(|_, r| r + 1)),
         );
         let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
         let results: Vec<u64> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
         assert_eq!(results, vec![0, 3, 4, 6], "lane 1 leaked 2*1 + 1");
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.verified_ops, 0, "nothing was checked");
         assert_eq!(report.verify_failures, 0);
     }
@@ -1364,13 +1103,13 @@ mod tests {
                     "every result correct, wherever it resolved"
                 );
             }
-            if service.report().quarantined_lanes > 0 {
+            if service.report().merged().quarantined_lanes > 0 {
                 quarantined = true;
                 break;
             }
         }
         assert!(quarantined, "repeat verify failures must quarantine a lane");
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert!(report.verify_failures >= 2);
         assert!(report.host_fallback_ops >= 1, "re-run budget exhausted");
         assert!(report.lane_quarantines >= 1);
@@ -1381,17 +1120,16 @@ mod tests {
     fn verify_failure_without_host_is_a_typed_error() {
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::repeat(FaultKind::SilentBatchCorruption, 64));
-        let service = ResilientService::with_integrity(
+        let service = one_card(
             config(2, 1e-3, 64),
-            doubler,
-            None,
+            false,
             Some(script),
             Some(doubler_hooks()),
         );
         let h = service.submit(5).unwrap();
         let err = h.wait().unwrap_err();
         assert_eq!(err, OffloadError::IntegrityFailure { rejections: 2 });
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.errored_ops, 1);
         assert_eq!(report.verify_failures, 2, "initial attempt + one re-run");
     }
@@ -1410,7 +1148,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = shutdown(service);
         assert_eq!(report.faults_seen, 1, "the ECC fault");
         assert_eq!(report.verify_failures, 1, "the silent flip on the retry");
         // 3 survivors + the retried lane twice (flip, then clean re-run).
@@ -1420,18 +1158,16 @@ mod tests {
 
     #[test]
     fn verified_mode_is_cycle_identical_when_absent() {
-        // A service without hooks and one with `None` hooks must produce
-        // identical virtual clocks — verification must cost nothing when
-        // off (the existing cards=1 fleet identity tests depend on it).
-        let run = |hooks: Option<IntegrityHooks<u64, u64>>| {
-            let service =
-                ResilientService::with_integrity(config(4, 10.0, 64), doubler, host(), None, hooks);
+        // Two cards without hooks must produce identical virtual clocks —
+        // verification must cost nothing when off.
+        let run = || {
+            let service = one_card(config(4, 10.0, 64), true, None, None);
             let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
             handles.into_iter().for_each(|h| {
                 h.wait().unwrap();
             });
-            service.shutdown().modeled_virtual_seconds
+            shutdown(service).modeled_virtual_seconds
         };
-        assert_eq!(run(None), run(None));
+        assert_eq!(run(), run());
     }
 }

@@ -1,39 +1,27 @@
-//! Deadline-driven batch aggregation: the service layer that turns a
+//! Deadline-driven batch aggregation: the collector that turns a
 //! stream of independent requests into full-width batch passes.
 //!
 //! The PhiOpenSSL batch engine only pays off when all sixteen lanes carry
-//! live work, but server requests arrive one at a time. This module
-//! supplies the missing piece: requests are [`submit`](BatchService::submit)ted
-//! individually and parked in a collector; a batch is *flushed* to the
-//! execution closure as soon as it fills ([`FlushReason::Full`]) or as
-//! soon as the oldest parked request has waited `max_wait`
+//! live work, but server requests arrive one at a time. [`Collector`]
+//! supplies the missing piece: requests are
+//! [`submit`](Collector::submit)ted individually and parked; a batch is
+//! due as soon as it fills ([`FlushReason::Full`]) or as soon as the
+//! oldest parked request has waited `max_wait`
 //! ([`FlushReason::Deadline`]) — so latency is bounded by configuration,
 //! not by traffic. A bounded queue pushes back on overload:
-//! [`submit`](BatchService::submit) fails fast with
+//! [`submit`](Collector::submit) fails fast with
 //! [`SubmitError::QueueFull`] instead of letting latency grow without
 //! bound.
 //!
-//! Two layers:
-//!
-//! * [`Collector`] — the pure aggregation state machine, parameterized by
-//!   an abstract clock (`f64` seconds). Deterministic, single-threaded,
-//!   directly drivable by tests and by the virtual-clock load simulation
-//!   of experiment E14.
-//! * [`BatchService`] — the threaded wrapper: a worker thread owns the
-//!   collector, watches the deadline, executes flushes, and answers each
-//!   ticket through its own completion channel. Telemetry is folded into
-//!   a [`ServiceReport`] as
-//!   [`FlushRecord`]s.
+//! The collector is a pure state machine over an abstract clock (`f64`
+//! seconds): deterministic, single-threaded, and directly drivable by
+//! tests and by the virtual-clock load simulation of experiment E14. The
+//! threaded service around it is
+//! [`FleetScheduler`](crate::fleet::FleetScheduler): each card worker
+//! owns one collector, watches its deadline, and executes its flushes.
 
-use crate::stats::{FlushRecord, ServiceReport};
-use phi_simd::cost::CostModel;
-use phi_simd::count;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::Instant;
 
 /// Lane width of the batch CRT engine; a full flush carries this many ops.
 pub const BATCH_WIDTH: usize = 16;
@@ -90,9 +78,7 @@ pub enum SubmitError {
         /// Parked requests at the time of rejection.
         depth: usize,
     },
-    /// The service worker is gone without answering this ticket — either
-    /// the service shut down, or the batch containing the request was
-    /// poisoned by a panicking batch closure.
+    /// The service is shutting down and admits no new work.
     ServiceShutdown,
 }
 
@@ -103,7 +89,7 @@ impl fmt::Display for SubmitError {
                 write!(f, "service queue full ({depth} requests parked)")
             }
             SubmitError::ServiceShutdown => {
-                write!(f, "batch service shut down before answering")
+                write!(f, "batch service shut down")
             }
         }
     }
@@ -318,250 +304,6 @@ impl<T> Collector<T> {
     }
 }
 
-/// A request travelling through the threaded service: the caller's
-/// payload plus the channel its result goes back on.
-struct Job<T, R> {
-    payload: T,
-    reply: mpsc::Sender<R>,
-}
-
-struct State<T, R> {
-    collector: Collector<Job<T, R>>,
-    report: ServiceReport,
-    shutdown: bool,
-}
-
-struct Shared<T, R> {
-    state: Mutex<State<T, R>>,
-    wake: Condvar,
-    epoch: Instant,
-}
-
-impl<T, R> Shared<T, R> {
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-}
-
-/// A pending result: redeem with [`TicketHandle::wait`].
-#[derive(Debug)]
-pub struct TicketHandle<R> {
-    ticket: Ticket,
-    rx: mpsc::Receiver<R>,
-}
-
-impl<R> TicketHandle<R> {
-    /// The ticket this handle redeems.
-    pub fn ticket(&self) -> Ticket {
-        self.ticket
-    }
-
-    /// Block until the batch containing this request has executed.
-    ///
-    /// Returns [`SubmitError::ServiceShutdown`] if the worker will never
-    /// answer — the batch holding this request was poisoned by a
-    /// panicking batch closure, or the service was torn down before the
-    /// request was drained. The normal shutdown path drains the queue
-    /// first, so accepted requests are answered.
-    pub fn wait(self) -> Result<R, SubmitError> {
-        self.rx.recv().map_err(|_| SubmitError::ServiceShutdown)
-    }
-}
-
-/// The threaded deadline-driven batch service.
-///
-/// One worker thread owns a [`Collector`]; callers from any thread
-/// [`submit`](BatchService::submit) requests and block on their
-/// [`TicketHandle`]s. The `batch_fn` closure executes each flush — it
-/// receives the batched payloads (1..=width of them) and must return
-/// exactly one result per payload, in order.
-pub struct BatchService<T: Send + 'static, R: Send + 'static> {
-    shared: Arc<Shared<T, R>>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl<T: Send + 'static, R: Send + 'static> BatchService<T, R> {
-    /// Start a service with the given configuration and batch executor.
-    pub fn new<F>(config: ServiceConfig, batch_fn: F) -> Self
-    where
-        F: Fn(&[T]) -> Vec<R> + Send + 'static,
-    {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                collector: Collector::new(config),
-                report: ServiceReport::default(),
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            epoch: Instant::now(),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let worker = thread::Builder::new()
-            .name("phi-batch-service".into())
-            .spawn(move || worker_loop(worker_shared, batch_fn))
-            .expect("spawn batch service worker");
-        BatchService {
-            shared,
-            worker: Some(worker),
-        }
-    }
-
-    /// Service with the default configuration (width 16, 2 ms deadline).
-    pub fn with_defaults<F>(batch_fn: F) -> Self
-    where
-        F: Fn(&[T]) -> Vec<R> + Send + 'static,
-    {
-        Self::new(ServiceConfig::default(), batch_fn)
-    }
-
-    /// Submit one request. Returns immediately with a redeemable handle,
-    /// or [`SubmitError::QueueFull`] under backpressure (the request was
-    /// *not* enqueued; callers retry or shed load).
-    pub fn submit(&self, payload: T) -> Result<TicketHandle<R>, SubmitError> {
-        let (reply, rx) = mpsc::channel();
-        let now = self.shared.now();
-        let mut state = lock(&self.shared.state);
-        let ticket = state.collector.submit(Job { payload, reply }, now)?;
-        drop(state);
-        self.shared.wake.notify_one();
-        Ok(TicketHandle { ticket, rx })
-    }
-
-    /// Convenience: submit and block until the result is ready.
-    pub fn call(&self, payload: T) -> Result<R, SubmitError> {
-        self.submit(payload)?.wait()
-    }
-
-    /// Snapshot of the telemetry so far (flushes completed, rejects).
-    pub fn report(&self) -> ServiceReport {
-        let state = lock(&self.shared.state);
-        let mut report = state.report.clone();
-        report.rejected = state.collector.rejected();
-        report
-    }
-
-    /// Stop accepting work, drain every parked request through the batch
-    /// closure, stop the worker, and return the final telemetry.
-    pub fn shutdown(mut self) -> ServiceReport {
-        self.stop_worker();
-        let state = lock(&self.shared.state);
-        let mut report = state.report.clone();
-        report.rejected = state.collector.rejected();
-        report
-    }
-
-    fn stop_worker(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            lock(&self.shared.state).shutdown = true;
-            self.shared.wake.notify_all();
-            worker.join().expect("batch service worker panicked");
-        }
-    }
-}
-
-impl<T: Send + 'static, R: Send + 'static> Drop for BatchService<T, R> {
-    fn drop(&mut self) {
-        self.stop_worker();
-    }
-}
-
-/// Poison-tolerant lock: the service must stay answerable even if a
-/// caller thread panicked while holding the state lock.
-fn lock<'a, T, R>(m: &'a Mutex<State<T, R>>) -> std::sync::MutexGuard<'a, State<T, R>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn worker_loop<T, R, F>(shared: Arc<Shared<T, R>>, batch_fn: F)
-where
-    F: Fn(&[T]) -> Vec<R>,
-{
-    let cost = CostModel::knc();
-    let mut state = lock(&shared.state);
-    loop {
-        let now = shared.now();
-        let due = state.collector.ready(now);
-        let draining = state.shutdown && !state.collector.is_empty();
-        if let Some(reason) = due.or(if draining {
-            Some(FlushReason::Drain)
-        } else {
-            None
-        }) {
-            let batch = state.collector.take_batch(reason, now);
-            drop(state);
-
-            let occupancy = batch.occupancy();
-            let oldest_wait = batch.oldest_wait();
-            let depth_after = batch.depth_after;
-            let (mut payloads, replies): (Vec<T>, Vec<mpsc::Sender<R>>) = batch
-                .entries
-                .into_iter()
-                .map(|p| (p.payload.payload, p.payload.reply))
-                .unzip();
-            let wall_start = Instant::now();
-            // A panicking batch closure poisons this batch only: its
-            // tickets are dropped (waiters see ServiceShutdown) and the
-            // worker lives on to serve the next flush.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                count::measure(|| {
-                    let _span = phi_trace::span(phi_trace::Scope::ServiceFlush);
-                    batch_fn(&payloads)
-                })
-            }));
-            let wall_seconds = wall_start.elapsed().as_secs_f64();
-            payloads.clear();
-            match outcome {
-                Ok((results, ops)) => {
-                    assert_eq!(
-                        results.len(),
-                        occupancy,
-                        "batch closure must return one result per payload"
-                    );
-                    for (reply, result) in replies.into_iter().zip(results) {
-                        // A caller that dropped its handle just forfeits
-                        // the result; the batch ran regardless.
-                        let _ = reply.send(result);
-                    }
-                    state = lock(&shared.state);
-                    let width = state.collector.config().width;
-                    state.report.flushes.push(FlushRecord {
-                        reason,
-                        occupancy,
-                        width,
-                        queue_depth_after: depth_after,
-                        oldest_wait,
-                        modeled_seconds: cost.single_thread_seconds(&ops),
-                        wall_seconds,
-                    });
-                }
-                Err(_) => {
-                    drop(replies);
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry()
-                            .counter_add("service.poisoned_jobs", occupancy as u64);
-                    }
-                    state = lock(&shared.state);
-                    state.report.poisoned_jobs += occupancy as u64;
-                }
-            }
-            continue;
-        }
-        if state.shutdown {
-            return;
-        }
-        state = match state.collector.next_deadline() {
-            Some(deadline) => {
-                let timeout = (deadline - shared.now()).max(0.0);
-                shared
-                    .wake
-                    .wait_timeout(state, std::time::Duration::from_secs_f64(timeout))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => shared.wake.wait(state).unwrap_or_else(|e| e.into_inner()),
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,114 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn service_runs_full_batches() {
-        let service: BatchService<u64, u64> =
-            BatchService::new(config(4, 10.0, 16), |xs| xs.iter().map(|x| x * 2).collect());
-        let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
-        let results: Vec<u64> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
-        assert_eq!(results, (0..8).map(|i| i * 2).collect::<Vec<_>>());
-        let report = service.shutdown();
-        assert_eq!(report.ops(), 8);
-        assert_eq!(report.flushes_by(FlushReason::Full), 2);
-        assert_eq!(report.rejected, 0);
-    }
-
-    #[test]
-    fn service_deadline_completes_partial_batches() {
-        // Deadline far below test timeout but long enough to batch: the
-        // single submission can only complete via the deadline path.
-        let service: BatchService<u8, u8> =
-            BatchService::new(config(16, 5e-3, 64), |xs| xs.to_vec());
-        let got = service.call(42).unwrap();
-        assert_eq!(got, 42);
-        let report = service.shutdown();
-        assert_eq!(report.ops(), 1);
-        assert_eq!(report.flushes_by(FlushReason::Deadline), 1);
-        assert!(report.flushes[0].occupancy < 16);
-    }
-
-    #[test]
-    fn service_shutdown_drains_parked_requests() {
-        // An hour-long deadline: results can only arrive via Drain.
-        let service: BatchService<u32, u32> =
-            BatchService::new(config(16, 3600.0, 64), |xs| xs.to_vec());
-        let handles: Vec<_> = (0..5).map(|i| service.submit(i).unwrap()).collect();
-        let report = service.shutdown();
-        assert_eq!(report.ops(), 5);
-        assert_eq!(report.flushes_by(FlushReason::Drain), 1);
-        // Every ticket answered even though no flush condition ever fired.
-        let results: Vec<u32> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
-        assert_eq!(results, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn service_telemetry_records_occupancy_and_times() {
-        let service: BatchService<u64, u64> =
-            BatchService::new(config(2, 10.0, 8), |xs| xs.to_vec());
-        service.call(7).unwrap_or_else(|e| panic!("{e}"));
-        // call() blocks until its own batch ran, so one flush exists
-        // already; the pair below adds at least one more.
-        let a = service.submit(1).unwrap();
-        let b = service.submit(2).unwrap();
-        a.wait().unwrap();
-        b.wait().unwrap();
-        let report = service.report();
-        assert!(report.flush_count() >= 1);
-        for f in &report.flushes {
-            assert!(f.occupancy >= 1 && f.occupancy <= 2);
-            assert_eq!(f.width, 2);
-            assert!(f.wall_seconds >= 0.0);
-            assert!(f.oldest_wait >= 0.0);
-        }
-        drop(service);
-    }
-
-    #[test]
-    fn service_backpressure_surfaces_queue_full() {
-        // Pin the worker inside the batch closure so the queue genuinely
-        // fills: 4 in flight + 4 parked at cap, the ninth must bounce.
-        use crossbeam::channel;
-        let (started_tx, started_rx) = channel::unbounded::<()>();
-        let (release_tx, release_rx) = channel::unbounded::<()>();
-        let service: BatchService<u8, u8> = BatchService::new(config(4, 3600.0, 4), move |xs| {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-            xs.to_vec()
-        });
-        let mut held: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
-        started_rx.recv().unwrap(); // worker now blocked mid-batch
-        for i in 4..8 {
-            held.push(service.submit(i).unwrap()); // parks; worker is busy
-        }
-        match service.submit(99) {
-            Err(SubmitError::QueueFull { depth }) => assert_eq!(depth, 4),
-            other => panic!("expected backpressure at the high-water mark, got {other:?}"),
-        }
-        // Unblock both batches (the in-flight one and the parked one),
-        // then verify every accepted request completes and the reject
-        // made it into the telemetry.
-        release_tx.send(()).unwrap();
-        release_tx.send(()).unwrap();
-        let results: Vec<u8> = held.into_iter().map(|h| h.wait().unwrap()).collect();
-        assert_eq!(results, (0..8).collect::<Vec<u8>>());
-        let report = service.shutdown();
-        assert_eq!(report.rejected, 1);
-        assert_eq!(report.ops(), 8);
-    }
-
-    #[test]
-    fn tickets_within_one_service_are_distinct() {
-        let service: BatchService<u8, u8> =
-            BatchService::new(config(4, 1e-3, 64), |xs| xs.to_vec());
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..32 {
-            let h = service.submit(i).unwrap();
-            assert!(seen.insert(h.ticket()), "duplicate ticket {}", h.ticket());
-            h.wait().unwrap();
-        }
-    }
-
-    #[test]
     fn collector_requeue_front_restores_order() {
         let mut c = Collector::new(config(4, 1.0, 4));
         for i in 0..4 {
@@ -793,42 +427,5 @@ mod tests {
         let drained = c.take_batch(FlushReason::Drain, 4.0);
         let order: Vec<&str> = drained.entries.iter().map(|p| p.payload).collect();
         assert_eq!(order, vec!["old", "new"], "requeued work goes first");
-    }
-
-    #[test]
-    fn poisoned_batch_does_not_kill_the_service() {
-        let service: BatchService<u32, u32> = BatchService::new(config(2, 10.0, 16), |xs| {
-            if xs.contains(&13) {
-                panic!("injected poison");
-            }
-            xs.to_vec()
-        });
-        // This pair flushes together and poisons its batch.
-        let a = service.submit(13).unwrap();
-        let b = service.submit(1).unwrap();
-        assert_eq!(a.wait(), Err(SubmitError::ServiceShutdown));
-        assert_eq!(b.wait(), Err(SubmitError::ServiceShutdown));
-        // The worker survived: a clean batch still completes.
-        let c = service.submit(2).unwrap();
-        let d = service.submit(3).unwrap();
-        assert_eq!(c.wait(), Ok(2));
-        assert_eq!(d.wait(), Ok(3));
-        let report = service.shutdown();
-        assert_eq!(report.poisoned_jobs, 2);
-        assert_eq!(report.ops(), 2, "only the clean batch counts as flushed");
-    }
-
-    #[test]
-    fn dropped_service_yields_typed_shutdown_not_panic() {
-        // A ticket that outlives its service must resolve to a typed
-        // error (the old behavior was a panic in wait()).
-        let service: BatchService<u8, u8> =
-            BatchService::new(config(16, 3600.0, 64), |xs| xs.to_vec());
-        let h = service.submit(9).unwrap();
-        // Shutdown drains, so this one IS answered...
-        drop(service);
-        assert_eq!(h.wait(), Ok(9));
-        // ...but a poisoned batch genuinely drops tickets (covered by
-        // poisoned_batch_does_not_kill_the_service above).
     }
 }

@@ -41,9 +41,9 @@ pub struct ServiceReport {
     pub flushes: Vec<FlushRecord>,
     /// Submissions bounced for backpressure (queue at high-water mark).
     pub rejected: u64,
-    /// Requests whose batch was poisoned by a panicking batch closure:
-    /// their tickets were dropped (waiters see `ServiceShutdown`) and no
-    /// flush record exists for them.
+    /// Requests whose flush was poisoned by a panicking card closure
+    /// before they resolved: their tickets were dropped (waiters see
+    /// `ServiceShutdown`) and no flush record counts them.
     pub poisoned_jobs: u64,
 }
 
@@ -106,10 +106,10 @@ impl ServiceReport {
     }
 }
 
-/// Aggregated telemetry of a resilient (fault-tolerant) batch service's
-/// lifetime: the card-path flush records plus the degradation ledger —
-/// faults survived, retries and requeues spent, and where each request
-/// ultimately resolved (card, host fallback, or a typed error).
+/// Aggregated telemetry of one offload card's lifetime (or, merged, a
+/// whole fleet's): the card-path flush records plus the degradation
+/// ledger — faults survived, retries and requeues spent, and where each
+/// request ultimately resolved (card, host fallback, or a typed error).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceReport {
     /// Card-path telemetry: one record per flush that completed at least

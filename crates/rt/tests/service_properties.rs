@@ -1,15 +1,15 @@
 //! Property tests for the deadline-driven batch collector: under any
 //! arrival schedule, every accepted ticket is delivered in exactly one
 //! flushed batch — nothing lost, nothing duplicated — and no flush
-//! violates the width bound or fires before it is due. The resilient
-//! service extends the invariant to fault schedules: whatever the
-//! injected faults, deadline budget and fallback configuration, every
-//! submitted request resolves exactly once.
+//! violates the width bound or fires before it is due. The offload
+//! service (a one-card fleet) extends the invariant to fault schedules:
+//! whatever the injected faults, deadline budget and fallback
+//! configuration, every submitted request resolves exactly once.
 
 use phi_bigint::BigUint;
 use phi_faults::{FaultKind, FaultScript, FaultSource};
 use phi_rt::service::{Collector, FlushReason, ServiceConfig, SubmitError, Ticket};
-use phi_rt::{ResilienceConfig, ResilientService};
+use phi_rt::{CardSetup, FleetConfig, FleetScheduler, ResilienceConfig};
 use phiopenssl::{BatchCrtEngine, CrtKey};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -175,7 +175,7 @@ proptest! {
     /// each one exactly once. No hangs (the test would never finish),
     /// no lost tickets, no wrong results.
     #[test]
-    fn resilient_service_conserves_requests_under_any_fault_schedule(
+    fn one_card_fleet_conserves_requests_under_any_fault_schedule(
         codes in proptest::collection::vec(0u8..12, 0..60),
         n_requests in 1u64..40,
         width in 1usize..=8,
@@ -196,17 +196,12 @@ proptest! {
         };
         let schedule: Vec<Option<FaultKind>> = codes.iter().map(|&c| fault_from_code(c)).collect();
         let script: Arc<dyn FaultSource> = Arc::new(FaultScript::new(schedule));
-        let host = if with_host {
-            Some(Box::new(|x: &u64| x + 1) as Box<dyn Fn(&u64) -> u64 + Send>)
-        } else {
-            None
-        };
-        let service: ResilientService<u64, u64> = ResilientService::new(
-            config,
-            |xs: &[u64]| xs.iter().map(|x| x + 1).collect(),
-            host,
-            Some(script),
-        );
+        let mut card = CardSetup::new(|xs: &[u64]| xs.iter().map(|x| x + 1).collect())
+            .with_faults(script);
+        if with_host {
+            card = card.with_host(|x: &u64| x + 1);
+        }
+        let service = FleetScheduler::new(FleetConfig::default(), config, vec![card]);
         let handles: Vec<_> = (0..n_requests)
             .map(|i| service.submit(i).expect("queue_cap exceeds request count"))
             .collect();
@@ -224,7 +219,7 @@ proptest! {
                 }
             }
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         prop_assert_eq!(ok + errored, n_requests, "every wait() returned exactly once");
         prop_assert_eq!(report.resolved_ops(), n_requests, "report conservation");
         prop_assert_eq!(report.errored_ops, errored);
@@ -277,12 +272,8 @@ proptest! {
             },
             ..ResilienceConfig::default()
         };
-        let service: ResilientService<BigUint, BigUint> = ResilientService::new(
-            config,
-            move |cts: &[BigUint]| engine.private_op_masked(cts),
-            None,
-            None,
-        );
+        let card = CardSetup::new(move |cts: &[BigUint]| engine.private_op_masked(cts));
+        let service = FleetScheduler::new(FleetConfig::default(), config, vec![card]);
         let cts: Vec<BigUint> = ms
             .iter()
             .map(|&m| BigUint::from(m).mod_exp(&e, &n))
@@ -295,7 +286,7 @@ proptest! {
         // batch (the 10 s deadline never fires), and it resolves every
         // handle before returning.
         let k = ms.len();
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         prop_assert_eq!(report.resolved_ops(), k as u64);
         prop_assert_eq!(report.errored_ops, 0);
         for (i, (h, c)) in handles.into_iter().zip(&cts).enumerate() {

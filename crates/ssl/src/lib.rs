@@ -37,10 +37,7 @@ pub mod session;
 
 pub use alert::{Alert, AlertDescription, AlertLevel};
 pub use cipher::{ConnectionKeys, RecordCipher};
-pub use driver::{
-    drive_concurrent_batched, drive_concurrent_batched_with_config, drive_concurrent_fleet,
-    drive_concurrent_resilient, drive_handshake, handshake_throughput, HandshakeOutcome,
-};
+pub use driver::{drive_concurrent_fleet, drive_handshake, handshake_throughput, HandshakeOutcome};
 pub use error::SslError;
 pub use handshake::{Client, Server};
 pub use session::{Session, SessionCache};

@@ -53,16 +53,18 @@ fn main() {
     assert_eq!(setups, 1, "session must cache its Montgomery context");
 
     // --- the deadline-driven batch service ---------------------------
+    // One modeled card (the default fleet shape) with 4-lane batches.
+    let narrow = ResilienceConfig {
+        service: ServiceConfig {
+            width: 4,
+            max_wait: 2e-3,
+            queue_cap: 64,
+        },
+        ..ResilienceConfig::default()
+    };
     let service = Arc::new(
-        RsaBatchService::new(
-            &key,
-            ServiceConfig {
-                width: 4,
-                max_wait: 2e-3,
-                queue_cap: 64,
-            },
-        )
-        .expect("CRT service"),
+        RsaBatchService::new_fleet(&key, &PhiConfig::default(), narrow, Vec::new())
+            .expect("CRT service"),
     );
     let ops = RsaOps::new(Box::new(PhiLibrary::default()));
     let expected = ops.private_op(&key, &ct).expect("sequential reference");
@@ -80,7 +82,9 @@ fn main() {
     }
     let report = Arc::try_unwrap(service)
         .unwrap_or_else(|_| unreachable!("all workers joined"))
-        .shutdown();
+        .shutdown_fleet()
+        .merged()
+        .service;
     println!(
         "batch service: {} ops in {} flushes (full: {}, deadline: {}), mean lane occupancy {:.0}%",
         report.ops(),
@@ -93,9 +97,15 @@ fn main() {
 
     // A lone request can't fill a batch: the deadline fires instead and
     // the pass runs with masked (dummy) lanes.
-    let lone = RsaBatchService::with_defaults(&key).expect("CRT service");
+    let lone = RsaBatchService::new_fleet(
+        &key,
+        &PhiConfig::default(),
+        ResilienceConfig::default(),
+        Vec::new(),
+    )
+    .expect("CRT service");
     assert_eq!(lone.call(ct.clone()).expect("lone op"), expected);
-    let report = lone.shutdown();
+    let report = lone.shutdown_fleet().merged().service;
     let flush = &report.flushes[0];
     println!(
         "lone request: flushed by {:?} after {:.1} ms with {}/{} lanes live",
@@ -108,8 +118,7 @@ fn main() {
     // --- the N-card fleet --------------------------------------------
     // Same service surface, spread over two modeled cards: keyed
     // submissions route by modulus affinity, idle cards steal work, and
-    // a tripped card migrates its lanes onto survivors. `cards = 1`
-    // reproduces the single-card stack bit for bit.
+    // a tripped card migrates its lanes onto survivors.
     let phi = PhiConfig::builder()
         .fleet(FleetConfig {
             cards: 2,

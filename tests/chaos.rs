@@ -16,8 +16,11 @@ use phiopenssl_suite::faults::{
 use phiopenssl_suite::rsa::key::RsaPrivateKey;
 use phiopenssl_suite::rsa::{RsaBatchService, RsaOps};
 use phiopenssl_suite::rt::service::ServiceConfig;
-use phiopenssl_suite::rt::{AffinityPolicy, OffloadError, ResilienceConfig, ResilientService};
-use phiopenssl_suite::ssl::drive_concurrent_resilient;
+use phiopenssl_suite::rt::{
+    AffinityPolicy, CardSetup, FleetScheduler, OffloadError, ResilienceConfig,
+};
+use phiopenssl_suite::ssl::drive_concurrent_fleet;
+use phiopenssl_suite::Backend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -42,6 +45,26 @@ fn chaos_seed(default: u64) -> u64 {
         .unwrap_or(default);
     eprintln!("chaos seed: {seed} (replay with CHAOS_SEED={seed})");
     seed
+}
+
+/// The offload service on one card (the default fleet shape) with an
+/// optional fault schedule for that card.
+fn one_card(
+    key: &RsaPrivateKey,
+    phi: &PhiConfig,
+    config: ResilienceConfig,
+    faults: Option<Arc<dyn FaultSource>>,
+) -> RsaBatchService {
+    RsaBatchService::new_fleet(key, phi, config, vec![faults]).unwrap()
+}
+
+/// The verify-on-release configuration of [`one_card`].
+fn verified() -> PhiConfig {
+    PhiConfig::builder().verified().build()
+}
+
+fn unshare(service: Arc<RsaBatchService>) -> RsaBatchService {
+    Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"))
 }
 
 fn quick_config() -> ResilienceConfig {
@@ -80,14 +103,14 @@ fn card_reset_mid_batch_trips_breaker_then_recovers() {
         },
         ..quick_config()
     };
-    let service = RsaBatchService::new_resilient(&key, config, Some(script)).unwrap();
+    let service = one_card(&key, &PhiConfig::default(), config, Some(script));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     for i in 1u64..=5 {
         let m = phiopenssl_suite::bigint::BigUint::from(i * 1_000_003);
         let c = ops.public_op(key.public(), &m).unwrap();
         assert_eq!(service.call(c).unwrap(), m, "request {i} answered wrong");
     }
-    let report = service.shutdown_resilient();
+    let report = service.shutdown_fleet().merged();
     assert_eq!(report.errored_ops, 0, "fallback leaves no errors");
     assert_eq!(report.resolved_ops(), 5, "every request resolved");
     assert!(
@@ -120,14 +143,14 @@ fn open_breaker_degrades_whole_batches_to_host() {
         },
         ..quick_config()
     };
-    let service = RsaBatchService::new_resilient(&key, config, Some(script)).unwrap();
+    let service = one_card(&key, &PhiConfig::default(), config, Some(script));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     for i in 1u64..=6 {
         let m = phiopenssl_suite::bigint::BigUint::from(i * 31_337);
         let c = ops.public_op(key.public(), &m).unwrap();
         assert_eq!(service.call(c).unwrap(), m);
     }
-    let report = service.shutdown_resilient();
+    let report = service.shutdown_fleet().merged();
     assert_eq!(report.errored_ops, 0);
     assert_eq!(report.resolved_ops(), 6);
     assert_eq!(report.breaker_state, BreakerState::Open);
@@ -144,8 +167,12 @@ fn randomized_fault_schedule_resolves_every_request_exactly_once() {
     let key = test_key();
     let faults: Arc<dyn FaultSource> =
         Arc::new(FaultInjector::new(seed, FaultRates::uniform(0.25)));
-    let service =
-        Arc::new(RsaBatchService::new_resilient(&key, quick_config(), Some(faults)).unwrap());
+    let service = Arc::new(one_card(
+        &key,
+        &PhiConfig::default(),
+        quick_config(),
+        Some(faults),
+    ));
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
     let workers: Vec<_> = (0..THREADS)
@@ -168,9 +195,7 @@ fn randomized_fault_schedule_resolves_every_request_exactly_once() {
     for w in workers {
         w.join().expect("worker panicked");
     }
-    let report = Arc::try_unwrap(service)
-        .unwrap_or_else(|_| panic!("service still shared"))
-        .shutdown_resilient();
+    let report = unshare(service).shutdown_fleet().merged();
     assert_eq!(
         report.resolved_ops(),
         THREADS * PER_THREAD,
@@ -190,16 +215,18 @@ fn handshakes_survive_card_chaos_end_to_end() {
     let seed = chaos_seed(0xD00_C8A0);
     let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0x55C8), 512).unwrap();
     let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(seed, FaultRates::uniform(0.4)));
-    let (ok, _pool, report) = drive_concurrent_resilient(
+    let (ok, _pool, fleet) = drive_concurrent_fleet(
         &key,
         || RsaOps::new(Box::new(MpssBaseline)),
         8,
         4,
         AffinityPolicy::Compact,
+        &PhiConfig::default(),
         quick_config(),
-        Some(faults),
+        vec![Some(faults)],
     )
     .unwrap();
+    let report = fleet.merged();
     assert_eq!(ok, 8, "seed {seed}: a handshake failed under chaos");
     assert_eq!(report.errored_ops, 0, "seed {seed}");
     assert_eq!(report.resolved_ops(), 8, "seed {seed}");
@@ -213,9 +240,10 @@ fn handshakes_survive_card_chaos_end_to_end() {
 fn host_fallback_answers_are_bit_identical_to_the_card_path() {
     let seed = chaos_seed(0xB17_1DE4);
     let key = test_key();
-    let card = RsaBatchService::new_resilient(&key, quick_config(), None).unwrap();
+    let phi = PhiConfig::default();
+    let card = one_card(&key, &phi, quick_config(), None);
     let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(seed, FaultRates::uniform(1.0)));
-    let host = RsaBatchService::new_resilient(&key, quick_config(), Some(faults)).unwrap();
+    let host = one_card(&key, &phi, quick_config(), Some(faults));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0FF_10AD);
     for i in 0..24u64 {
@@ -228,8 +256,8 @@ fn host_fallback_answers_are_bit_identical_to_the_card_path() {
         assert_eq!(via_card, via_oracle, "seed {seed}: request {i} vs oracle");
         assert_eq!(via_card, m, "seed {seed}: request {i} wrong plaintext");
     }
-    let card_report = card.shutdown_resilient();
-    let host_report = host.shutdown_resilient();
+    let card_report = card.shutdown_fleet().merged();
+    let host_report = host.shutdown_fleet().merged();
     assert_eq!(
         card_report.host_fallback_ops, 0,
         "healthy card never falls back"
@@ -293,9 +321,7 @@ fn fleet_correlated_card_resets_resolve_every_request_exactly_once() {
     for w in workers {
         w.join().expect("worker panicked");
     }
-    let report = Arc::try_unwrap(service)
-        .unwrap_or_else(|_| panic!("service still shared"))
-        .shutdown_fleet();
+    let report = unshare(service).shutdown_fleet();
     assert_eq!(report.cards.len(), CARDS);
     assert_eq!(
         report.resolved_ops(),
@@ -315,15 +341,17 @@ fn fleet_correlated_card_resets_resolve_every_request_exactly_once() {
 
 /// The fleet's blessed-config identity claim, checked to the bit *and*
 /// the modeled cycle: a one-card fleet fed deterministic full-width
-/// batches — including a scripted whole-card reset — produces the same
-/// plaintexts and the same `modeled_virtual_seconds` as the single-card
-/// resilient service under the identical fault script.
+/// batches — including a scripted whole-card reset — answers like the
+/// sequential oracle and reproduces, field for field, the report the
+/// retired single-card resilient service produced under the identical
+/// fault script. The pinned values are that service's; the modeled
+/// virtual clock is compared bit for bit.
 #[test]
 fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
     let key = test_key();
     // Full-width batches with an effectively-infinite collection window
-    // make the flush composition deterministic on both stacks: each
-    // round of 4 submissions is exactly one occupancy-4 flush.
+    // make the flush composition deterministic: each round of 4
+    // submissions is exactly one occupancy-4 flush.
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
@@ -337,29 +365,21 @@ fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
         },
         ..ResilienceConfig::default()
     };
-    let schedule = || {
-        FaultScript::new(vec![
-            None,
-            Some(FaultKind::CardReset),
-            None,
-            None,
-            None,
-            None,
-        ])
-    };
-    let resilient = RsaBatchService::new_resilient(
-        &key,
-        config,
-        Some(Arc::new(schedule()) as Arc<dyn FaultSource>),
-    )
-    .unwrap();
-    let fleet = RsaBatchService::new_fleet(
-        &key,
-        &PhiConfig::default(), // cards = 1: the identity shape
-        config,
-        vec![Some(Arc::new(schedule()) as Arc<dyn FaultSource>)],
-    )
-    .unwrap();
+    let schedule = FaultScript::new(vec![
+        None,
+        Some(FaultKind::CardReset),
+        None,
+        None,
+        None,
+        None,
+    ]);
+    // The pinned clock is a modeled-channel figure: name the backend
+    // rather than inherit the process default.
+    let phi = PhiConfig::builder()
+        .backend(Backend::ModeledKnc)
+        .expect("the model runs anywhere")
+        .build();
+    let fleet = one_card(&key, &phi, config, Some(Arc::new(schedule)));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     for round in 0..3u64 {
         let batch: Vec<_> = (0..4u64)
@@ -369,30 +389,34 @@ fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
                 (m, c)
             })
             .collect();
-        let via_resilient: Vec<_> = batch
-            .iter()
-            .map(|(_, c)| resilient.submit(c.clone()).unwrap())
-            .collect();
-        let via_fleet: Vec<_> = batch
+        let tickets: Vec<_> = batch
             .iter()
             .map(|(_, c)| fleet.submit(c.clone()).unwrap())
             .collect();
-        for (((m, _), r), f) in batch.iter().zip(via_resilient).zip(via_fleet) {
-            let r = r.wait().unwrap();
-            let f = f.wait().unwrap();
-            assert_eq!(r, f, "round {round}: paths split");
-            assert_eq!(&r, m, "round {round}: wrong plaintext");
+        for ((m, c), t) in batch.iter().zip(tickets) {
+            let got = t.wait().unwrap();
+            assert_eq!(&got, m, "round {round}: wrong plaintext");
+            assert_eq!(
+                got,
+                ops.private_op(&key, c).unwrap(),
+                "round {round}: split from the sequential oracle"
+            );
         }
     }
-    let base = resilient.shutdown_resilient();
-    let one_card = fleet.shutdown_resilient();
-    assert_eq!(one_card.service.ops(), base.service.ops());
-    assert_eq!(one_card.faults_seen, base.faults_seen);
-    assert_eq!(one_card.host_fallback_ops, base.host_fallback_ops);
-    assert_eq!(one_card.breaker_trips, base.breaker_trips);
+    let one_card = fleet.shutdown_fleet().merged();
+    assert_eq!(one_card.service.ops(), 12);
+    assert_eq!(one_card.service.flush_count(), 3);
+    assert_eq!(one_card.faults_seen, 1);
+    assert_eq!(one_card.host_fallback_ops, 0);
+    assert_eq!(one_card.breaker_trips, 1);
+    assert_eq!(one_card.breaker_recoveries, 1);
+    assert_eq!(one_card.breaker_state, BreakerState::Closed);
+    assert_eq!(one_card.requeues, 0);
+    assert_eq!(one_card.degraded_flushes, 0);
     assert_eq!(one_card.errored_ops, 0);
     assert_eq!(
-        one_card.modeled_virtual_seconds, base.modeled_virtual_seconds,
+        one_card.modeled_virtual_seconds.to_bits(),
+        1.836_512_820_512_820_4e-3_f64.to_bits(),
         "cards = 1 must be cycle-identical, not just bit-identical"
     );
 }
@@ -417,8 +441,7 @@ fn silent_fault_sweep_releases_zero_corrupted_results() {
         } else {
             None
         };
-        let service =
-            Arc::new(RsaBatchService::new_verified(&key, quick_config(), faults).unwrap());
+        let service = Arc::new(one_card(&key, &verified(), quick_config(), faults));
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 8;
         let workers: Vec<_> = (0..THREADS)
@@ -443,9 +466,7 @@ fn silent_fault_sweep_releases_zero_corrupted_results() {
         for w in workers {
             w.join().expect("worker panicked");
         }
-        let report = Arc::try_unwrap(service)
-            .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown_resilient();
+        let report = unshare(service).shutdown_fleet().merged();
         assert_eq!(
             report.resolved_ops(),
             THREADS * PER_THREAD,
@@ -476,8 +497,7 @@ fn mixed_detected_and_silent_chaos_conserves_every_request() {
     rates.silent_lane = 0.15;
     rates.silent_batch = 0.05;
     let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(seed, rates));
-    let service =
-        Arc::new(RsaBatchService::new_verified(&key, quick_config(), Some(faults)).unwrap());
+    let service = Arc::new(one_card(&key, &verified(), quick_config(), Some(faults)));
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
     let workers: Vec<_> = (0..THREADS)
@@ -500,9 +520,7 @@ fn mixed_detected_and_silent_chaos_conserves_every_request() {
     for w in workers {
         w.join().expect("worker panicked");
     }
-    let report = Arc::try_unwrap(service)
-        .unwrap_or_else(|_| panic!("service still shared"))
-        .shutdown_resilient();
+    let report = unshare(service).shutdown_fleet().merged();
     assert_eq!(
         report.resolved_ops(),
         THREADS * PER_THREAD,
@@ -533,7 +551,7 @@ fn silent_fault_chaos_replays_bit_for_bit() {
     let run = || {
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(seed, FaultRates::silent(0.5)));
-        let service = RsaBatchService::new_verified(&key, config, Some(faults)).unwrap();
+        let service = one_card(&key, &verified(), config, Some(faults));
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for round in 0..4u64 {
             let batch: Vec<_> = (0..4u64)
@@ -551,7 +569,7 @@ fn silent_fault_chaos_replays_bit_for_bit() {
                 assert_eq!(&t.wait().unwrap(), m, "seed {seed}: round {round}");
             }
         }
-        service.shutdown_resilient()
+        service.shutdown_fleet().merged()
     };
     let a = run();
     let b = run();
@@ -585,12 +603,8 @@ fn faulted_card_without_fallback_errors_rather_than_hangs() {
     };
     let script: Arc<dyn FaultSource> =
         Arc::new(FaultScript::repeat(FaultKind::PcieTimeout, 10_000));
-    let service: ResilientService<u64, u64> = ResilientService::new(
-        config,
-        |xs: &[u64]| xs.iter().map(|x| x + 1).collect(),
-        None,
-        Some(script),
-    );
+    let card = CardSetup::new(|xs: &[u64]| xs.iter().map(|x| x + 1).collect()).with_faults(script);
+    let service = FleetScheduler::new(FleetConfig::default(), config, vec![card]);
     let handles: Vec<_> = (0..12u64)
         .map(|i| service.submit(i).expect("queue has room"))
         .collect();
@@ -605,7 +619,7 @@ fn faulted_card_without_fallback_errors_rather_than_hangs() {
             Err(other) => panic!("unexpected error class: {other}"),
         }
     }
-    let report = service.shutdown();
+    let report = service.shutdown().merged();
     assert_eq!(report.errored_ops, 12, "all twelve requests errored");
     assert_eq!(report.resolved_ops(), 12, "…and none were lost");
 }

@@ -8,7 +8,7 @@ use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::{RsaBatchService, RsaOps};
 use phi_rt::service::ServiceConfig;
 use phi_rt::ResilienceConfig;
-use phiopenssl::PhiLibrary;
+use phiopenssl::{PhiConfig, PhiLibrary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -128,7 +128,8 @@ proptest! {
             service: ServiceConfig { width: 16, max_wait: 10.0, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, None).unwrap();
+        let phi = PhiConfig::builder().verified().build();
+        let service = RsaBatchService::new_fleet(&key, &phi, config, Vec::new()).unwrap();
         let ops = RsaOps::new(Box::new(MpssBaseline));
         let batch: Vec<_> = (0..occupancy as u64)
             .map(|i| {
@@ -144,7 +145,7 @@ proptest! {
         for ((m, _), t) in batch.iter().zip(tickets) {
             prop_assert_eq!(&t.wait().unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown_fleet().merged();
         prop_assert_eq!(report.verified_ops, occupancy as u64);
         prop_assert_eq!(report.verify_failures, 0);
         prop_assert_eq!(report.host_fallback_ops, 0);
@@ -169,7 +170,8 @@ proptest! {
             service: ServiceConfig { width: 4, max_wait: 10.0, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, Some(script)).unwrap();
+        let phi = PhiConfig::builder().verified().build();
+        let service = RsaBatchService::new_fleet(&key, &phi, config, vec![Some(script)]).unwrap();
         let ops = RsaOps::new(Box::new(MpssBaseline));
         let batch: Vec<_> = (0..occupancy as u64)
             .map(|i| {
@@ -185,7 +187,7 @@ proptest! {
         for ((m, _), t) in batch.iter().zip(tickets) {
             prop_assert_eq!(&t.wait().unwrap(), m, "lane {} occupancy {}", lane, occupancy);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown_fleet().merged();
         prop_assert!(
             report.verify_failures > 0,
             "flip on lane {} at occupancy {} escaped", lane, occupancy
