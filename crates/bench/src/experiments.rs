@@ -18,7 +18,7 @@ use phi_rt::{FleetConfig, FleetRouter, ResilienceConfig, RoutingPolicy};
 use phi_simd::CostModel;
 use phiopenssl::batch::{Batch16, BatchMont, BATCH_WIDTH};
 use phiopenssl::vexp::{mod_exp_vec, TableLookup};
-use phiopenssl::{BatchCrtEngine, PhiConfig, PhiLibrary, VMontCtx};
+use phiopenssl::{PhiConfig, PhiLibrary, VMontCtx};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -665,8 +665,9 @@ fn poisson_arrivals(rate: f64, count: usize, seed: u64) -> Vec<f64> {
 /// multiple of that library's own batched capacity and simulates the
 /// service layer's collector (the real `phi_rt` state machine) on a
 /// virtual clock. Execution times come from the modeled KNC channel: a
-/// PhiOpenSSL batch costs one full-width [`BatchCrtEngine`] pass no
-/// matter its occupancy (masked lanes still run), while the scalar
+/// PhiOpenSSL batch costs one full-width
+/// [`BatchCrtEngine`](phiopenssl::BatchCrtEngine) pass no matter its
+/// occupancy (masked lanes still run), while the scalar
 /// baselines execute a batch as `occupancy` sequential private
 /// operations — batching buys them nothing, which is the point.
 pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) -> Table {
@@ -713,15 +714,7 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
         ("MPSS", || Box::new(MpssBaseline)),
         ("OpenSSL", || Box::new(OpensslBaseline)),
     ];
-    let engine = BatchCrtEngine::from_parts(
-        key.public().n().clone(),
-        key.dp().clone(),
-        key.dq().clone(),
-        key.qinv().clone(),
-        key.p().clone(),
-        key.q().clone(),
-    )
-    .unwrap();
+    let engine = workload::batch_engine(&key, &PhiConfig::default());
     let expected = cts[0].mod_exp(key.d(), key.public().n());
     for (name, make) in makers {
         let ops = RsaOps::new(make());
@@ -1012,8 +1005,9 @@ pub struct FleetSimPoint {
 /// Drive the real [`FleetRouter`] plus one [`Collector`] per card
 /// through an arrival schedule on a virtual clock — the fleet analogue
 /// of [`simulate_service`]. A vector Montgomery pass shares one modulus
-/// across all lanes ([`BatchCrtEngine`] is built per key), so a flushed
-/// batch covering `d` distinct keys executes as `d` masked full-cost
+/// across all lanes ([`BatchCrtEngine`](phiopenssl::BatchCrtEngine) is
+/// built per key), so a flushed batch covering `d` distinct keys
+/// executes as `d` masked full-cost
 /// passes of `batch_cost` seconds each — mixed-key batches are exactly
 /// what key-affinity routing exists to avoid. On top of that, every
 /// key whose Montgomery session is not resident in the card's
@@ -1131,30 +1125,12 @@ fn simulate_fleet(
 /// must hold before it can run that key's batches).
 fn fleet_costs(key_bits: u32) -> (f64, f64) {
     let key = workload::rsa_key(key_bits);
-    let engine = BatchCrtEngine::from_parts(
-        key.public().n().clone(),
-        key.dp().clone(),
-        key.dq().clone(),
-        key.qinv().clone(),
-        key.p().clone(),
-        key.q().clone(),
-    )
-    .expect("workload key is valid");
+    let engine = workload::batch_engine(&key, &PhiConfig::default());
     let cts: Vec<phi_bigint::BigUint> = (0..BATCH_WIDTH as u64)
         .map(|j| &workload::operand(key_bits, 500 + j) % key.public().n())
         .collect();
     let (_, batch) = modeled(|| engine.private_op_16(&cts));
-    let (_, setup) = modeled(|| {
-        BatchCrtEngine::from_parts(
-            key.public().n().clone(),
-            key.dp().clone(),
-            key.dq().clone(),
-            key.qinv().clone(),
-            key.p().clone(),
-            key.q().clone(),
-        )
-        .expect("workload key is valid")
-    });
+    let (_, setup) = modeled(|| workload::batch_engine(&key, &PhiConfig::default()));
     (batch.us() * 1e-6, setup.us() * 1e-6)
 }
 
@@ -1498,7 +1474,7 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
 /// oracle. When the host has AVX2 the same comparison is repeated on the
 /// native backend (parity asserted, wall clock reported in the notes).
 pub fn e21_tuned(key_sizes: &[u32]) -> Table {
-    use phiopenssl::{ResolvedBackend, Tuning, TuningTable};
+    use phiopenssl::{Backend, Tuning, TuningTable};
     use std::hint::black_box;
     use std::time::Instant;
 
@@ -1524,20 +1500,16 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
         let cts: Vec<phi_bigint::BigUint> = (0..BATCH_WIDTH as u64)
             .map(|j| &workload::operand(bits, 2100 + j) % key.public().n())
             .collect();
-        let build = |backend| {
-            BatchCrtEngine::from_parts_with_backend(
-                key.public().n().clone(),
-                key.dp().clone(),
-                key.dq().clone(),
-                key.qinv().clone(),
-                key.p().clone(),
-                key.q().clone(),
-                backend,
-            )
-            .expect("odd CRT halves")
+        let build = |backend, tuning| {
+            let config = PhiConfig::builder()
+                .backend(backend)
+                .expect("backend checked against the host")
+                .tuning(tuning)
+                .build();
+            workload::batch_engine(&key, &config)
         };
-        let engine = build(ResolvedBackend::ModeledKnc);
-        let tuned = build(ResolvedBackend::ModeledKnc).with_tuning(Tuning::Table);
+        let engine = build(Backend::ModeledKnc, Tuning::Static);
+        let tuned = build(Backend::ModeledKnc, Tuning::Table);
         assert!(
             tuned.tuned_kernel_active(),
             "committed table must cover {bits}-bit keys"
@@ -1549,8 +1521,8 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
             .entry_for_modulus(key.public().n().bit_length(), "modeled-knc")
             .expect("committed table covers every supported size");
         if native {
-            let eng_n = build(ResolvedBackend::NativeX86);
-            let tun_n = build(ResolvedBackend::NativeX86).with_tuning(Tuning::Table);
+            let eng_n = build(Backend::NativeX86, Tuning::Static);
+            let tun_n = build(Backend::NativeX86, Tuning::Table);
             let started = Instant::now();
             let r_n = black_box(eng_n.private_op_16(black_box(&cts)));
             let wall_s = started.elapsed().as_secs_f64();

@@ -131,7 +131,7 @@ pub struct TunedLine {
 /// channel is deterministic, so "the committed tuning table stopped
 /// paying for itself" is a code (or stale-table) change, never noise.
 pub fn measure_tuned_improvement(sizes: &[u32]) -> Vec<TunedLine> {
-    use phiopenssl::{BatchCrtEngine, ResolvedBackend, Tuning};
+    use phiopenssl::{Backend, PhiConfig, Tuning};
     sizes
         .iter()
         .map(|&bits| {
@@ -139,20 +139,16 @@ pub fn measure_tuned_improvement(sizes: &[u32]) -> Vec<TunedLine> {
             let cts: Vec<phi_bigint::BigUint> = (0..phiopenssl::batch::BATCH_WIDTH as u64)
                 .map(|j| &crate::workload::operand(bits, 2200 + j) % key.public().n())
                 .collect();
-            let build = || {
-                BatchCrtEngine::from_parts_with_backend(
-                    key.public().n().clone(),
-                    key.dp().clone(),
-                    key.dq().clone(),
-                    key.qinv().clone(),
-                    key.p().clone(),
-                    key.q().clone(),
-                    ResolvedBackend::ModeledKnc,
-                )
-                .expect("odd CRT halves")
+            let build = |tuning| {
+                let config = PhiConfig::builder()
+                    .backend(Backend::ModeledKnc)
+                    .expect("the model runs anywhere")
+                    .tuning(tuning)
+                    .build();
+                crate::workload::batch_engine(&key, &config)
             };
-            let engine = build();
-            let tuned = build().with_tuning(Tuning::Table);
+            let engine = build(Tuning::Static);
+            let tuned = build(Tuning::Table);
             assert!(
                 tuned.tuned_kernel_active(),
                 "committed table must cover {bits}-bit keys"

@@ -4,7 +4,7 @@
 use phi_bigint::BigUint;
 use phi_mont::Libcrypto;
 use phi_rsa::key::RsaPrivateKey;
-use phiopenssl::PhiLibrary;
+use phiopenssl::{BatchCrtEngine, PhiConfig, PhiLibrary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -49,6 +49,21 @@ pub fn rsa_key(bits: u32) -> RsaPrivateKey {
             RsaPrivateKey::generate(&mut rng, bits).expect("key generation")
         })
         .clone()
+}
+
+/// The batch CRT engine for `key` under `config`, built from the key's
+/// parts (no `CrtKey`, so only the engine's own contexts are built).
+pub fn batch_engine(key: &RsaPrivateKey, config: &PhiConfig) -> BatchCrtEngine {
+    BatchCrtEngine::from_parts(
+        key.public().n().clone(),
+        key.dp().clone(),
+        key.dq().clone(),
+        key.qinv().clone(),
+        key.p().clone(),
+        key.q().clone(),
+        config,
+    )
+    .expect("odd CRT halves")
 }
 
 /// The three compared libraries: short label + implementation.

@@ -16,7 +16,6 @@
 
 #![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
 
-use crate::library::MontVariant;
 use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::VMontCtx;
 use phi_backend::{with_backend, Vector32, Vector64, VectorBackend};
@@ -27,6 +26,38 @@ use phi_simd::U32x16;
 
 /// Operations per batch (one per 32-bit lane of a 512-bit register).
 pub const BATCH_WIDTH: usize = 16;
+
+/// Which Montgomery reduction kernel a [`BatchMont`] (or a generated
+/// [`KernelParams`](crate::KernelParams) point) runs.
+///
+/// Every variant produces **bit-identical** results (the phi-conformance
+/// `mont-truncated` family proves it continuously); the choice is purely
+/// a cost trade documented in DESIGN.md §3.12 and measured by E8/E18.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MontVariant {
+    /// The classic interleaved-CIOS batch kernel: the E8/E18 reference
+    /// and the fallback for single-digit moduli.
+    Classic,
+    /// The truncated-separated kernel (the `truncated` module).
+    Truncated,
+    /// The engines' choice, which is the truncated kernel wherever it
+    /// applies. A dispatch policy, not a concrete kernel: generated
+    /// parameter points must name `Classic` or `Truncated`.
+    #[default]
+    Auto,
+}
+
+impl MontVariant {
+    /// Whether 16-lane batch multiplies take the truncated kernel for a
+    /// `k`-digit modulus. Single-digit moduli always run classic: the
+    /// truncation boundary column `s_{k-2}` does not exist for `k < 2`.
+    fn batch_truncated(self, k: usize) -> bool {
+        match self {
+            MontVariant::Classic => false,
+            MontVariant::Truncated | MontVariant::Auto => k >= 2,
+        }
+    }
+}
 
 /// Sixteen same-shaped values in transposed (digit-major) layout:
 /// `cols[d]` holds digit `d` of every operation.

@@ -6,13 +6,20 @@
 //! dq, qInv)`, so a batch of ciphertexts is exactly the shape
 //! [`BatchMont`] wants: the two half-size exponentiations run with one
 //! shared exponent each, and only the Garner recombination is per-lane.
+//!
+//! An engine is built one way, from a [`PhiConfig`]: window width,
+//! vector backend and [`Tuning`] all come from the config. The batch
+//! ladders run the truncated kernel (`MontVariant::Auto`), or the
+//! committed generated kernel under [`Tuning::Table`]; single operations
+//! run the intra-operand [`VMontCtx`] ladder.
 
-use crate::batch::{BatchMont, BATCH_WIDTH};
+use crate::batch::{BatchMont, MontVariant, BATCH_WIDTH};
 use crate::crt::CrtKey;
 use crate::genmont::GenMontCtx;
-use crate::library::{MontVariant, PhiConfig};
+use crate::library::PhiConfig;
+use crate::radix::VecNum;
 use crate::tuning::{Tuning, TuningTable};
-use crate::vexp::DEFAULT_WINDOW;
+use crate::vexp::{exp_fixed_window_vec, TableLookup};
 use crate::vmont::VMontCtx;
 use crate::vmul::big_mul_with_backend;
 use phi_backend::ResolvedBackend;
@@ -29,41 +36,18 @@ pub struct BatchCrtEngine {
     qinv: BigUint,
     n: BigUint,
     window: u32,
-    variant: MontVariant,
     tuning: Tuning,
-    /// Generated half-size contexts, present only when the tuning policy
-    /// selected a committed `generated` winner applicable to both halves.
-    gen_p: Option<GenMontCtx>,
-    gen_q: Option<GenMontCtx>,
+    /// Generated half-size contexts `(p, q)`, present only when the
+    /// tuning policy selected a committed `generated` winner applicable
+    /// to both halves.
+    generated: Option<(GenMontCtx, GenMontCtx)>,
 }
 
 impl BatchCrtEngine {
-    /// Build from CRT key material and a validated [`PhiConfig`] — the
-    /// blessed construction path: window width and vector backend both
-    /// flow from the config (build one with `PhiConfig::builder()`).
+    /// Build from CRT key material and a validated [`PhiConfig`] (build
+    /// one with `PhiConfig::builder()`). Delegates to
+    /// [`from_parts`](Self::from_parts).
     pub fn with_config(key: &CrtKey, config: &PhiConfig) -> Result<Self, BigIntError> {
-        let engine = Self::from_parts_with_backend(
-            key.modulus().clone(),
-            key.dp().clone(),
-            key.dq().clone(),
-            key.qinv().clone(),
-            key.p_modulus().clone(),
-            key.q_modulus().clone(),
-            config.backend.resolve(),
-        )?;
-        Ok(engine
-            .with_window(config.window)
-            .with_variant(config.mont_variant)
-            .with_tuning(config.tuning))
-    }
-
-    /// Build from CRT key material on the process-default backend.
-    ///
-    /// Migration note: prefer [`with_config`](Self::with_config), which
-    /// routes the window width and backend selection through the
-    /// validated `PhiConfig::builder()` path instead of per-call setters.
-    #[doc(hidden)]
-    pub fn new(key: &CrtKey) -> Result<Self, BigIntError> {
         Self::from_parts(
             key.modulus().clone(),
             key.dp().clone(),
@@ -71,14 +55,19 @@ impl BatchCrtEngine {
             key.qinv().clone(),
             key.p_modulus().clone(),
             key.q_modulus().clone(),
+            config,
         )
     }
 
-    /// Build from raw components (`n = p·q` is trusted, not recomputed).
+    /// Build from raw CRT components (`n = p·q` is trusted, not
+    /// recomputed); window width, backend and tuning come from `config`.
     ///
-    /// Migration note: prefer [`with_config`](Self::with_config) with a
-    /// [`CrtKey`]; raw-component construction bypasses config validation.
-    #[doc(hidden)]
+    /// Builds exactly one [`VMontCtx`] per half, plus one [`GenMontCtx`]
+    /// per half when `config.tuning` selects a generated kernel for this
+    /// key size, and never a [`CrtKey`]. Callers that hold a key's parts
+    /// (the offload service builds one engine per card) use this rather
+    /// than [`with_config`](Self::with_config), whose `CrtKey` costs two
+    /// more Montgomery contexts the engine never uses.
     pub fn from_parts(
         n: BigUint,
         dp: BigUint,
@@ -86,98 +75,30 @@ impl BatchCrtEngine {
         qinv: BigUint,
         p: BigUint,
         q: BigUint,
+        config: &PhiConfig,
     ) -> Result<Self, BigIntError> {
-        Self::from_parts_with_backend(
-            n,
-            dp,
-            dq,
-            qinv,
-            p,
-            q,
-            phi_backend::process_default().resolve(),
-        )
-    }
-
-    /// Raw-component construction on an explicit backend (service-layer
-    /// plumbing; end users should go through [`with_config`](Self::with_config)).
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts_with_backend(
-        n: BigUint,
-        dp: BigUint,
-        dq: BigUint,
-        qinv: BigUint,
-        p: BigUint,
-        q: BigUint,
-        backend: ResolvedBackend,
-    ) -> Result<Self, BigIntError> {
-        Ok(BatchCrtEngine {
-            ctx_p: VMontCtx::with_backend(&p, backend)?,
-            ctx_q: VMontCtx::with_backend(&q, backend)?,
-            p,
-            q,
-            dp,
-            dq,
-            qinv,
-            n,
-            window: DEFAULT_WINDOW,
-            variant: MontVariant::Auto,
-            tuning: Tuning::Static,
-            gen_p: None,
-            gen_q: None,
-        })
-    }
-
-    /// Override the fixed-window width.
-    pub fn with_window(mut self, window: u32) -> Self {
-        assert!((1..=7).contains(&window));
-        self.window = window;
-        self
-    }
-
-    /// Override the Montgomery reduction variant (default `Auto`:
-    /// truncated kernels on the batch ladders, classic single-op path).
-    pub fn with_variant(mut self, variant: MontVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// The reduction variant the batch ladders dispatch on.
-    pub fn variant(&self) -> MontVariant {
-        self.variant
-    }
-
-    /// Select the tuning policy (default [`Tuning::Static`], which keeps
-    /// the hand-written kernels and is bit- and cycle-identical to the
-    /// pre-tuning engine). Under [`Tuning::Table`]/[`Tuning::Auto`], a
-    /// committed `generated` winner for this key size builds the
-    /// generated half-size contexts the batch ladders then dispatch to;
-    /// entries inapplicable to the concrete halves fall back silently.
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self.gen_p = None;
-        self.gen_q = None;
-        if tuning == Tuning::Static {
-            return self;
-        }
-        let backend = self.backend();
-        let params = TuningTable::committed().params_for_modulus(
-            tuning,
-            self.n.bit_length(),
-            backend.name(),
+        assert!(
+            (1..=7).contains(&config.window),
+            "fixed-window width {} outside 1..=7",
+            config.window
         );
-        if let Some(params) = params {
-            // Both halves must admit the point to keep the two CRT
-            // ladders on the same kernel.
-            if let (Ok(gp), Ok(gq)) = (
-                GenMontCtx::new(&self.p, params, backend),
-                GenMontCtx::new(&self.q, params, backend),
-            ) {
-                self.gen_p = Some(gp);
-                self.gen_q = Some(gq);
-            }
-        }
-        self
+        let backend = config.backend.resolve();
+        let ctx_p = VMontCtx::with_backend(&p, backend)?;
+        let ctx_q = VMontCtx::with_backend(&q, backend)?;
+        let generated = generated_halves(&n, &p, &q, config.tuning, backend);
+        Ok(BatchCrtEngine {
+            ctx_p,
+            ctx_q,
+            p,
+            q,
+            dp,
+            dq,
+            qinv,
+            n,
+            window: config.window,
+            tuning: config.tuning,
+            generated,
+        })
     }
 
     /// The active tuning policy.
@@ -188,7 +109,7 @@ impl BatchCrtEngine {
     /// Whether the batch ladders currently dispatch to a generated
     /// (table-selected) kernel rather than the static ones.
     pub fn tuned_kernel_active(&self) -> bool {
-        self.gen_p.is_some()
+        self.generated.is_some()
     }
 
     /// The backend this engine's kernels run on.
@@ -207,11 +128,11 @@ impl BatchCrtEngine {
         // Two shared-exponent batched ladders, through the generated
         // kernel when the tuning table selected one (bit-identical —
         // only the modeled cycle count moves)…
-        let (m1, m2) = if let (Some(gp), Some(gq)) = (&self.gen_p, &self.gen_q) {
+        let (m1, m2) = if let Some((gp, gq)) = &self.generated {
             (gp.mod_exp_16(cts, &self.dp), gq.mod_exp_16(cts, &self.dq))
         } else {
-            let bp = BatchMont::with_variant(&self.ctx_p, self.variant);
-            let bq = BatchMont::with_variant(&self.ctx_q, self.variant);
+            let bp = BatchMont::with_variant(&self.ctx_p, MontVariant::Auto);
+            let bq = BatchMont::with_variant(&self.ctx_q, MontVariant::Auto);
             (
                 bp.mod_exp_16(cts, &self.dp, self.window),
                 bq.mod_exp_16(cts, &self.dq, self.window),
@@ -222,14 +143,7 @@ impl BatchCrtEngine {
         let qinv_mont = self.ctx_p.to_mont_vec(&self.qinv);
         m1.iter()
             .zip(m2.iter())
-            .map(|(m1, m2)| {
-                let diff = m1.mod_sub(m2, &self.p);
-                let h = self
-                    .ctx_p
-                    .mont_mul_vec(&qinv_mont, &self.ctx_p.to_vec_form(&diff))
-                    .to_biguint();
-                m2 + &big_mul_with_backend(&h, &self.q, self.backend())
-            })
+            .map(|(m1, m2)| self.recombine(&qinv_mont, m1, m2))
             .collect()
     }
 
@@ -272,56 +186,64 @@ impl BatchCrtEngine {
         out
     }
 
-    /// One operation through the single-op path: the intra-operand kernel
-    /// under `Classic`/`Auto`, or the SoA 16-lane layout at occupancy 1
-    /// under `Truncated` (scalar-shaped calls reuse the batch engine).
+    /// One operation through the intra-operand single-op kernel.
     pub fn private_op_single(&self, c: &BigUint) -> BigUint {
-        use crate::vexp::{exp_fixed_window_vec, TableLookup};
-        let (m1, m2) = if self.variant.single_soa() {
-            (
-                crate::truncated::mod_exp_soa(&self.ctx_p, c, &self.dp, self.window),
-                crate::truncated::mod_exp_soa(&self.ctx_q, c, &self.dq, self.window),
-            )
-        } else {
-            let m1 = {
-                let cm = self.ctx_p.to_mont_vec(c);
-                let r = exp_fixed_window_vec(
-                    &self.ctx_p,
-                    &cm,
-                    &self.dp,
-                    self.window,
-                    TableLookup::Direct,
-                );
-                self.ctx_p.from_mont_vec(&r)
-            };
-            let m2 = {
-                let cm = self.ctx_q.to_mont_vec(c);
-                let r = exp_fixed_window_vec(
-                    &self.ctx_q,
-                    &cm,
-                    &self.dq,
-                    self.window,
-                    TableLookup::Direct,
-                );
-                self.ctx_q.from_mont_vec(&r)
-            };
-            (m1, m2)
+        let half = |ctx: &VMontCtx, d: &BigUint| {
+            let r = exp_fixed_window_vec(
+                ctx,
+                &ctx.to_mont_vec(c),
+                d,
+                self.window,
+                TableLookup::Direct,
+            );
+            ctx.from_mont_vec(&r)
         };
+        let (m1, m2) = (half(&self.ctx_p, &self.dp), half(&self.ctx_q, &self.dq));
         let _span = phi_trace::span(phi_trace::Scope::CrtRecombine);
-        let diff = m1.mod_sub(&m2, &self.p);
         let qinv_mont = self.ctx_p.to_mont_vec(&self.qinv);
+        self.recombine(&qinv_mont, &m1, &m2)
+    }
+
+    /// Garner recombination of one lane's half results:
+    /// `m2 + q·(qInv·(m1 − m2) mod p)`.
+    fn recombine(&self, qinv_mont: &VecNum, m1: &BigUint, m2: &BigUint) -> BigUint {
+        let diff = m1.mod_sub(m2, &self.p);
         let h = self
             .ctx_p
-            .mont_mul_vec(&qinv_mont, &self.ctx_p.to_vec_form(&diff))
+            .mont_mul_vec(qinv_mont, &self.ctx_p.to_vec_form(&diff))
             .to_biguint();
-        &m2 + &big_mul_with_backend(&h, &self.q, self.backend())
+        m2 + &big_mul_with_backend(&h, &self.q, self.backend())
+    }
+}
+
+/// The generated half-size contexts the committed table selects for an
+/// `n`-sized key under `tuning`, or `None` to stay on the static kernels
+/// (`Static` never reads the table). Both halves must admit the point,
+/// so the two CRT ladders always run the same kernel; a point
+/// inapplicable to either half falls back.
+fn generated_halves(
+    n: &BigUint,
+    p: &BigUint,
+    q: &BigUint,
+    tuning: Tuning,
+    backend: ResolvedBackend,
+) -> Option<(GenMontCtx, GenMontCtx)> {
+    if tuning == Tuning::Static {
+        return None;
+    }
+    let params = TuningTable::committed().params_for_modulus(n.bit_length(), backend.name())?;
+    match (
+        GenMontCtx::new(p, params, backend),
+        GenMontCtx::new(q, params, backend),
+    ) {
+        (Ok(gp), Ok(gq)) => Some((gp, gq)),
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vexp::TableLookup;
     use phi_simd::count::{self, OpClass};
 
     fn demo() -> (BatchCrtEngine, CrtKey, BigUint, BigUint) {
@@ -331,8 +253,26 @@ mod tests {
         let phi = &(&p - &BigUint::one()) * &(&q - &BigUint::one());
         let d = e.mod_inverse(&phi).unwrap();
         let key = CrtKey::new(&p, &q, &d).unwrap();
-        let engine = BatchCrtEngine::new(&key).unwrap();
+        let engine = BatchCrtEngine::with_config(&key, &PhiConfig::default()).unwrap();
         (engine, key, e, d)
+    }
+
+    /// The raw-parts constructor over `key`'s components.
+    fn from_key(key: &CrtKey, config: &PhiConfig) -> BatchCrtEngine {
+        BatchCrtEngine::from_parts(
+            key.modulus().clone(),
+            key.dp().clone(),
+            key.dq().clone(),
+            key.qinv().clone(),
+            key.p_modulus().clone(),
+            key.q_modulus().clone(),
+            config,
+        )
+        .unwrap()
+    }
+
+    fn table() -> PhiConfig {
+        PhiConfig::builder().tuning(Tuning::Table).build()
     }
 
     fn ciphertexts(n: &BigUint, e: &BigUint, count: usize) -> (Vec<BigUint>, Vec<BigUint>) {
@@ -430,24 +370,19 @@ mod tests {
     }
 
     #[test]
-    fn window_override_still_correct() {
-        let (engine, _, e, _) = demo();
-        let engine = engine.with_window(3);
-        let (msgs, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
-        assert_eq!(engine.private_op_16(&cts), msgs);
-    }
-
-    #[test]
-    fn with_config_honors_window_and_backend() {
+    fn both_constructors_honor_window_and_backend() {
         let (engine, key, e, _) = demo();
-        let config = crate::library::PhiConfig::builder()
-            .window(3)
-            .unwrap()
-            .build();
-        let cfg_engine = BatchCrtEngine::with_config(&key, &config).unwrap();
-        assert_eq!(cfg_engine.backend(), ResolvedBackend::ModeledKnc);
+        let config = PhiConfig::builder().window(3).unwrap().build();
         let (msgs, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
-        assert_eq!(cfg_engine.private_op_16(&cts), msgs);
+        for windowed in [
+            BatchCrtEngine::with_config(&key, &config).unwrap(),
+            from_key(&key, &config),
+        ] {
+            assert_eq!(windowed.window, 3);
+            assert_eq!(windowed.backend(), ResolvedBackend::ModeledKnc);
+            assert_eq!(windowed.private_op_16(&cts), msgs);
+            assert_eq!(windowed.private_op_single(&cts[0]), msgs[0]);
+        }
     }
 
     #[test]
@@ -456,47 +391,58 @@ mod tests {
         let (msgs, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
         let want = engine.private_op_16(&cts);
         assert_eq!(want, msgs);
+        // Static never consults the table.
+        assert_eq!(engine.tuning(), Tuning::Static);
+        assert!(!engine.tuned_kernel_active());
         // The demo key rounds up to the 512-bit table cell, whose
         // generated winner admits the tiny halves — the tuned engine
-        // must dispatch it and stay bit-identical.
-        let tuned = BatchCrtEngine::new(&key)
-            .unwrap()
-            .with_tuning(Tuning::Table);
-        assert_eq!(tuned.tuning(), Tuning::Table);
-        assert!(tuned.tuned_kernel_active());
-        assert_eq!(tuned.private_op_16(&cts), want);
-        assert_eq!(tuned.private_op_masked(&cts[..5]), msgs[..5]);
-        // Static never consults the table.
-        let s = BatchCrtEngine::new(&key)
-            .unwrap()
-            .with_tuning(Tuning::Static);
-        assert!(!s.tuned_kernel_active());
-        assert_eq!(s.private_op_16(&cts), want);
-        // And the config path threads the policy through.
-        let config = crate::library::PhiConfig::builder()
-            .tuning(Tuning::Auto)
-            .build();
-        let cfg = BatchCrtEngine::with_config(&key, &config).unwrap();
-        assert_eq!(cfg.tuning(), Tuning::Auto);
-        assert_eq!(cfg.private_op_16(&cts), want);
+        // must dispatch it and stay bit-identical, through either
+        // constructor.
+        for tuned in [
+            BatchCrtEngine::with_config(&key, &table()).unwrap(),
+            from_key(&key, &table()),
+        ] {
+            assert_eq!(tuned.tuning(), Tuning::Table);
+            assert!(tuned.tuned_kernel_active());
+            assert_eq!(tuned.private_op_16(&cts), want);
+            assert_eq!(tuned.private_op_masked(&cts[..5]), msgs[..5]);
+        }
+    }
+
+    /// The setup bill the one raw-parts constructor must keep: one
+    /// context per CRT half, two more only when the table selects a
+    /// generated kernel, and none for a `CrtKey` — building the key is
+    /// what would cost an offload card two unused contexts.
+    #[test]
+    fn constructors_build_only_the_contexts_the_engine_runs() {
+        let (_, key, _, d) = demo();
+        let parts = |config: PhiConfig| count::measure_ctx_setups(|| from_key(&key, &config)).1;
+        assert_eq!(parts(PhiConfig::default()), 2, "static: one per half");
+        assert_eq!(parts(table()), 4, "table: plus one generated per half");
+        let (_, with_config) = count::measure_ctx_setups(|| {
+            BatchCrtEngine::with_config(&key, &PhiConfig::default()).unwrap()
+        });
+        assert_eq!(with_config, 2, "a prebuilt CrtKey adds nothing");
+        let (_, crt_key) = count::measure_ctx_setups(|| {
+            CrtKey::new(key.p_modulus(), key.q_modulus(), &d).unwrap()
+        });
+        assert_eq!(
+            crt_key, 2,
+            "building the CrtKey is the cost from_parts avoids"
+        );
     }
 
     #[test]
     fn native_engine_matches_modeled_bit_for_bit() {
         if !phi_backend::CpuFeatures::detect().avx2 {
-            return; // no native tier on this host
+            return; // no native backend on this host
         }
         let (engine, key, e, _) = demo();
-        let native = BatchCrtEngine::from_parts_with_backend(
-            key.modulus().clone(),
-            key.dp().clone(),
-            key.dq().clone(),
-            key.qinv().clone(),
-            key.p_modulus().clone(),
-            key.q_modulus().clone(),
-            ResolvedBackend::NativeX86,
-        )
-        .unwrap();
+        let config = PhiConfig::builder()
+            .backend(phi_backend::Backend::NativeX86)
+            .unwrap()
+            .build();
+        let native = from_key(&key, &config);
         assert_eq!(native.backend(), ResolvedBackend::NativeX86);
         let (_, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
         assert_eq!(native.private_op_16(&cts), engine.private_op_16(&cts));

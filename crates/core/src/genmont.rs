@@ -33,7 +33,7 @@
 
 #![allow(clippy::needless_range_loop)] // explicit column indices read as kernel semantics
 
-use crate::library::MontVariant;
+use crate::batch::MontVariant;
 use crate::params::{KernelParams, ParamError};
 use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};

@@ -20,11 +20,11 @@
 //!   kernel, with an optional constant-time table gather.
 //! * [`batch`] — the second vectorization axis: sixteen *independent*
 //!   Montgomery multiplications, one per 32-bit lane (for batch-shaped
-//!   server loads).
+//!   server loads), with the reduction kernel named by [`MontVariant`].
 //! * [`truncated`] — the truncated-separated Montgomery reduction over
 //!   the same 16-lane SoA layout (elided low partial products plus an
-//!   exact correction; bit-identical, fewer modeled cycles), selected via
-//!   [`PhiConfig`]'s [`MontVariant`].
+//!   exact correction; bit-identical, fewer modeled cycles): the batch
+//!   engines' kernel, and the E8/E18 rival of the classic one.
 //! * [`crt`] — CRT decomposition/recombination for private-key operations.
 //! * [`params`] — [`KernelParams`]: the kernel design space (radix,
 //!   window, reduction variant, unroll, occupancy) with overflow-derived
@@ -35,14 +35,16 @@
 //! * [`tuning`] — [`TuningTable`]: the committed autotuner result
 //!   (`bench/tuning.json`, searched by the `phi-tune` crate on the
 //!   deterministic modeled channel), dispatched via [`PhiConfig`]'s
-//!   [`Tuning`] policy.
+//!   [`Tuning`], the one kernel choice the config carries.
+//! * [`engine`] — [`BatchCrtEngine`]: sixteen CRT private operations per
+//!   pass, built from a [`PhiConfig`] (with or without a [`CrtKey`]).
 //! * [`library`] — [`PhiLibrary`], packaging everything behind the same
 //!   [`Libcrypto`](phi_mont::Libcrypto) facade as the two baselines.
 //!
 //! Every kernel is generic over a [`VectorBackend`] (from `phi-backend`):
 //! [`ModeledKnc`] replays the paper's KNC cost model with exact operation
-//! counting, while [`NativeX86`] executes the same lane semantics with
-//! real AVX-512/AVX2 instructions. Select one via
+//! counting, while [`NativeX86`] executes the same lane semantics as
+//! plain lane loops the compiler auto-vectorizes. Select one via
 //! `PhiConfig::builder().backend(Backend::Auto)`.
 //!
 //! ## Example
@@ -85,19 +87,18 @@ pub mod vmont;
 pub mod vmul;
 pub mod vsqr;
 
-pub use batch::BatchMont;
+pub use batch::{BatchMont, MontVariant};
 pub use batch_multi::MultiBatchMont;
 pub use crt::CrtKey;
 pub use engine::BatchCrtEngine;
 pub use genmont::{GenMontCtx, GenMontError};
-pub use library::{ConfigError, MontVariant, PhiConfig, PhiConfigBuilder, PhiLibrary};
+pub use library::{ConfigError, PhiConfig, PhiConfigBuilder, PhiLibrary};
 pub use params::{KernelParams, ParamError};
 pub use phi_backend::{
     Backend, BackendUnavailable, CpuFeatures, ModeledKnc, NativeX86, ResolvedBackend, VectorBackend,
 };
 pub use phi_rt::{FleetConfig, RoutingPolicy};
 pub use radix::{VecNum, DIGIT_BITS, DIGIT_MASK};
-pub use truncated::{mod_exp_soa, mont_mul_soa, SoaMontEngine};
 pub use tuning::{TunedEntry, Tuning, TuningTable};
 pub use vexp::TableLookup;
 pub use vmont::VMontCtx;

@@ -1,8 +1,12 @@
 //! [`PhiLibrary`]: the vectorized library behind the same facade as the
 //! two scalar baselines, so benchmarks and RSA code treat all three
-//! uniformly.
+//! uniformly, and [`PhiConfig`], the one configuration every engine is
+//! built from.
+//!
+//! The library's scalar-shaped calls (engines, sessions, mod-exp) run the
+//! intra-operand [`VMontCtx`] kernel. The only kernel option in the
+//! config is [`PhiConfig::tuning`], which the 16-lane batch engines read.
 
-use crate::truncated::{mod_exp_soa, SoaMontEngine};
 use crate::tuning::Tuning;
 use crate::vexp::{mod_exp_vec, TableLookup, DEFAULT_WINDOW};
 use crate::vmont::VMontCtx;
@@ -59,44 +63,6 @@ impl From<BackendUnavailable> for ConfigError {
     }
 }
 
-/// Which Montgomery reduction kernel the 16-lane engines run.
-///
-/// Every variant produces **bit-identical** results (the phi-conformance
-/// `mont-truncated` family proves it continuously); the choice is purely
-/// a cost trade documented in DESIGN.md §3.12 and measured by E18.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MontVariant {
-    /// The classic interleaved-CIOS batch kernel everywhere.
-    Classic,
-    /// The truncated-separated kernel everywhere it applies — including
-    /// scalar-shaped single operations, which are routed through the
-    /// 16-lane SoA layout at occupancy 1.
-    Truncated,
-    /// Truncated kernels on the batch/exponentiation paths (where they
-    /// win), classic kernels for scalar-shaped single multiplies (where
-    /// occupancy-1 SoA padding would waste 15 lanes). The default.
-    #[default]
-    Auto,
-}
-
-impl MontVariant {
-    /// Whether 16-lane batch multiplies take the truncated kernel for a
-    /// `k`-digit modulus. Single-digit moduli always run classic: the
-    /// truncation boundary column `s_{k-2}` does not exist for `k < 2`.
-    pub(crate) fn batch_truncated(self, k: usize) -> bool {
-        match self {
-            MontVariant::Classic => false,
-            MontVariant::Truncated | MontVariant::Auto => k >= 2,
-        }
-    }
-
-    /// Whether scalar-shaped single operations reroute through the SoA
-    /// occupancy-1 path.
-    pub(crate) fn single_soa(self) -> bool {
-        self == MontVariant::Truncated
-    }
-}
-
 /// Tunables of the vectorized library.
 ///
 /// Construct through [`PhiConfig::builder`], which validates every
@@ -114,8 +80,6 @@ pub struct PhiConfig {
     pub lookup: TableLookup,
     /// Which vector backend the kernels execute on.
     pub backend: Backend,
-    /// Which Montgomery reduction variant the engines run.
-    pub mont_variant: MontVariant,
     /// Shape of the card fleet batch work offloads to. The default is a
     /// single card, the paper's deployment; `cards > 1` puts every
     /// offload service (`phi_rsa::RsaBatchService::new_fleet`) behind
@@ -126,10 +90,10 @@ pub struct PhiConfig {
     /// Bellcore key-leak channel at a small modeled cost. Off by
     /// default; see DESIGN.md §3.14.
     pub verified: bool,
-    /// How kernel parameters are chosen per modulus size: the static
-    /// hand-picked defaults (bit- and cycle-identical to the pre-tuning
-    /// stack, the default), the committed `bench/tuning.json` table, or
-    /// the permissive auto policy. See DESIGN.md §3.15.
+    /// The one kernel choice: the batch engines' hand-written kernels at
+    /// the paper's point (the default, bit- and cycle-identical to the
+    /// pre-tuning stack) or the committed `bench/tuning.json` winner for
+    /// the key size. See DESIGN.md §3.15.
     pub tuning: Tuning,
 }
 
@@ -142,7 +106,6 @@ impl Default for PhiConfig {
             // PHI_BACKEND or phi_backend::set_process_default (the bench
             // harness's --backend flag).
             backend: phi_backend::process_default(),
-            mont_variant: MontVariant::Auto,
             fleet: FleetConfig::default(),
             verified: false,
             tuning: Tuning::Static,
@@ -198,14 +161,6 @@ impl PhiConfigBuilder {
     /// Set the window-table lookup policy explicitly.
     pub fn lookup(mut self, lookup: TableLookup) -> Self {
         self.config.lookup = lookup;
-        self
-    }
-
-    /// Select the Montgomery reduction variant (default
-    /// [`MontVariant::Auto`]). All variants are bit-identical; see
-    /// DESIGN.md §3.12 for the cost trade.
-    pub fn mont_variant(mut self, variant: MontVariant) -> Self {
-        self.config.mont_variant = variant;
         self
     }
 
@@ -307,12 +262,10 @@ impl Libcrypto for PhiLibrary {
     }
 
     fn make_engine(&self, n: &BigUint) -> Result<Box<dyn MontEngine + Send + Sync>, BigIntError> {
-        let backend = self.config.backend.resolve();
-        if self.config.mont_variant.single_soa() {
-            Ok(Box::new(SoaMontEngine::with_backend(n, backend)?))
-        } else {
-            Ok(Box::new(VMontCtx::with_backend(n, backend)?))
-        }
+        Ok(Box::new(VMontCtx::with_backend(
+            n,
+            self.config.backend.resolve(),
+        )?))
     }
 
     fn strategy_for(&self, _bits: u32) -> ExpStrategy {
@@ -324,21 +277,6 @@ impl Libcrypto for PhiLibrary {
         // precomputed n'/R² tables, so the session still counts as a
         // single setup.
         let PhiConfig { window, lookup, .. } = self.config;
-        if self.config.mont_variant.single_soa() {
-            // Scalar-shaped calls reuse the 16-lane SoA engine at
-            // occupancy 1. The batch ladder indexes its window table
-            // directly (no constant-time gather), so `lookup` does not
-            // apply on this path.
-            let engine = SoaMontEngine::with_backend(n, self.config.backend.resolve())?;
-            let exp_ctx = engine.ctx().clone();
-            return Ok(ModulusSession::new(
-                self.name(),
-                Box::new(engine),
-                ExpPolicy::Custom(Box::new(move |base, exp| {
-                    mod_exp_soa(&exp_ctx, base, exp, window)
-                })),
-            ));
-        }
         let ctx = VMontCtx::with_backend(n, self.config.backend.resolve())?;
         let exp_ctx = ctx.clone();
         Ok(ModulusSession::new(

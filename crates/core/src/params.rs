@@ -10,7 +10,7 @@
 //! classic kernel (the `tuned` conformance family proves it continuously);
 //! the parameters only move modeled cycles.
 
-use crate::library::MontVariant;
+use crate::batch::MontVariant;
 use std::fmt;
 
 /// Unroll factors the generator can emit. The cap is register budget: one

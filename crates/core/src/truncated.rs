@@ -29,17 +29,20 @@
 //! win over the classic batch kernel comes from; Experiment E18 quantifies
 //! it per key size.
 //!
+//! The kernel is reached only through [`BatchMont`](crate::BatchMont)
+//! under `MontVariant::{Truncated, Auto}`, i.e. on the batch ladders and
+//! the batched release check. Scalar-shaped single operations run the
+//! intra-operand [`vmont`](crate::vmont) kernel instead.
+//!
 //! Everything here is generic over [`VectorBackend`], so the modeled-KNC
 //! and native-x86 backends run the same source.
 
 #![allow(clippy::needless_range_loop)] // explicit column indices read as kernel semantics
 
 use crate::batch::{Batch16, BATCH_WIDTH};
-use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK};
+use crate::radix::{DIGIT_BITS, DIGIT_MASK};
 use crate::vmont::VMontCtx;
-use phi_backend::{with_backend, Vector32, Vector64, VectorBackend};
-use phi_bigint::{BigIntError, BigUint};
-use phi_mont::MontEngine;
+use phi_backend::{Vector32, Vector64, VectorBackend};
 use phi_simd::count::OpClass;
 use phi_simd::U32x16;
 
@@ -305,100 +308,13 @@ pub(crate) fn mont_sqr_16_truncated<B: VectorBackend>(ctx: &VMontCtx, a: &Batch1
     reduce_truncated::<B>(ctx, &traw)
 }
 
-/// Montgomery product of a *single* operand pair through the 16-lane SoA
-/// engine (occupancy 1, idle lanes carry zero) — the batch-of-operands
-/// layout applied to scalar-shaped calls, per `PhiConfig::mont_variant =
-/// Truncated`. Inputs must be context-shaped and `< n`.
-pub fn mont_mul_soa(ctx: &VMontCtx, a: &VecNum, b: &VecNum) -> VecNum {
-    if ctx.digits() < 2 {
-        return ctx.mont_mul_vec(a, b);
-    }
-    with_backend!(ctx.backend(), B => {
-        let mut av = vec![VecNum::zero(ctx.padded_digits()); BATCH_WIDTH];
-        let mut bv = av.clone();
-        av[0] = a.clone();
-        bv[0] = b.clone();
-        let ab = Batch16::transpose_from_impl::<B>(&av);
-        let bb = Batch16::transpose_from_impl::<B>(&bv);
-        let out = mont_mul_16_truncated::<B>(ctx, &ab, &bb);
-        out.transpose_out_impl::<B>().swap_remove(0)
-    })
-}
-
-/// Fixed-window modular exponentiation of a single base through the
-/// 16-lane SoA ladder (idle lanes exponentiate zero). Bit-identical to
-/// the classic single-op path.
-pub fn mod_exp_soa(ctx: &VMontCtx, base: &BigUint, exp: &BigUint, window: u32) -> BigUint {
-    let mut bases = vec![BigUint::zero(); BATCH_WIDTH];
-    bases[0] = base.clone();
-    crate::batch::BatchMont::with_variant(ctx, crate::MontVariant::Truncated)
-        .mod_exp_16(&bases, exp, window)
-        .swap_remove(0)
-}
-
-/// A [`MontEngine`] whose hot multiply runs the truncated SoA kernel at
-/// occupancy 1 — what [`PhiLibrary::make_engine`](crate::PhiLibrary)
-/// returns under `MontVariant::Truncated`, so even scalar-shaped engine
-/// calls reuse the 16-lane layout.
-#[derive(Debug, Clone)]
-pub struct SoaMontEngine {
-    ctx: VMontCtx,
-}
-
-impl SoaMontEngine {
-    /// Build an engine for the odd modulus `n` on an explicit backend.
-    pub fn with_backend(
-        n: &BigUint,
-        backend: phi_backend::ResolvedBackend,
-    ) -> Result<Self, BigIntError> {
-        Ok(SoaMontEngine {
-            ctx: VMontCtx::with_backend(n, backend)?,
-        })
-    }
-
-    /// The wrapped vector context.
-    pub fn ctx(&self) -> &VMontCtx {
-        &self.ctx
-    }
-}
-
-impl MontEngine for SoaMontEngine {
-    fn modulus(&self) -> &BigUint {
-        self.ctx.modulus()
-    }
-
-    fn r_bits(&self) -> u32 {
-        MontEngine::r_bits(&self.ctx)
-    }
-
-    fn to_mont(&self, a: &BigUint) -> BigUint {
-        let av = self.ctx.to_vec_form(a);
-        mont_mul_soa(&self.ctx, &av, self.ctx.rr_vec()).to_biguint()
-    }
-
-    fn from_mont(&self, a: &BigUint) -> BigUint {
-        let av = self.ctx.to_vec_form(a);
-        let mut one = self.ctx.zero_vec();
-        one.digits_mut()[0] = 1;
-        mont_mul_soa(&self.ctx, &av, &one).to_biguint()
-    }
-
-    fn one_mont(&self) -> BigUint {
-        self.ctx.one_mont()
-    }
-
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let av = self.ctx.to_vec_form(a);
-        let bv = self.ctx.to_vec_form(b);
-        mont_mul_soa(&self.ctx, &av, &bv).to_biguint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchMont;
-    use crate::MontVariant;
+    use crate::batch::{BatchMont, MontVariant};
+    use crate::radix::VecNum;
+    use phi_bigint::BigUint;
+    use phi_mont::MontEngine;
     use phi_simd::count;
 
     fn n256() -> BigUint {
@@ -548,40 +464,6 @@ mod tests {
             ct < cc,
             "truncated must win: classic {cc} cycles, truncated {ct} cycles"
         );
-    }
-
-    #[test]
-    fn mont_mul_soa_matches_single_kernel() {
-        let n = n256();
-        let ctx = VMontCtx::new(&n).unwrap();
-        let a = ctx.to_mont_vec(&BigUint::from(123456789u64));
-        let b = ctx.to_mont_vec(&BigUint::from(987654321u64));
-        assert_eq!(mont_mul_soa(&ctx, &a, &b), ctx.mont_mul_vec(&a, &b));
-    }
-
-    #[test]
-    fn mod_exp_soa_matches_oracle() {
-        let n = n256();
-        let ctx = VMontCtx::new(&n).unwrap();
-        let base = BigUint::from_hex("123456789abcdef0").unwrap();
-        let exp = BigUint::from_hex("fedcba9876543210").unwrap();
-        assert_eq!(mod_exp_soa(&ctx, &base, &exp, 5), base.mod_exp(&exp, &n));
-        // Edge exponents route through the batch ladder's early returns.
-        assert!(mod_exp_soa(&ctx, &base, &BigUint::zero(), 5).is_one());
-        assert_eq!(mod_exp_soa(&ctx, &base, &BigUint::one(), 5), base);
-    }
-
-    #[test]
-    fn soa_engine_roundtrips_and_multiplies() {
-        let n = n256();
-        let e = SoaMontEngine::with_backend(&n, phi_backend::process_default().resolve()).unwrap();
-        let a = BigUint::from(999u64);
-        assert_eq!(e.from_mont(&e.to_mont(&a)), a);
-        let vctx = VMontCtx::new(&n).unwrap();
-        let am = e.to_mont(&BigUint::from(7u64));
-        let bm = e.to_mont(&BigUint::from(11u64));
-        assert_eq!(e.mont_mul(&am, &bm), vctx.mont_mul(&am, &bm));
-        assert_eq!(e.one_mont(), vctx.one_mont());
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! measurement — `phi-tune --check` re-derives it in CI and fails on
 //! staleness.
 //!
-//! The dispatch policy is deliberately conservative: [`Tuning::Static`]
-//! (the default) never consults the table and is bit- and cycle-identical
-//! to the pre-tuning stack; [`Tuning::Table`] applies committed winners
-//! exactly; [`Tuning::Auto`] does the same but tolerates missing or
-//! inapplicable entries by falling back to the static kernels.
+//! [`Tuning`] is the one kernel choice a [`PhiConfig`](crate::PhiConfig)
+//! carries. [`Tuning::Static`] (the default) never consults the table and
+//! is bit- and cycle-identical to the pre-tuning stack; [`Tuning::Table`]
+//! applies the committed winner for the key size, and falls back to the
+//! static kernels where a cell's winner is static or its point does not
+//! admit the concrete CRT halves.
 
-use crate::library::MontVariant;
+use crate::batch::MontVariant;
 use crate::params::KernelParams;
 use phi_trace::json::Value;
 use std::fmt;
@@ -35,14 +36,10 @@ pub enum Tuning {
     /// pre-tuning stack (the perfgate baseline is pinned to this).
     #[default]
     Static,
-    /// Apply the committed table exactly: a modulus whose size maps to a
+    /// Apply the committed table: a modulus whose size maps to a
     /// `generated` winner runs that generated variant. Supported key
     /// sizes are expected to have entries (debug-asserted).
     Table,
-    /// Like `Table`, but permissive: missing entries, unknown backends
-    /// and inapplicable parameter points silently fall back to the
-    /// static kernels instead of asserting.
-    Auto,
 }
 
 impl fmt::Display for Tuning {
@@ -50,7 +47,6 @@ impl fmt::Display for Tuning {
         f.write_str(match self {
             Tuning::Static => "static",
             Tuning::Table => "table",
-            Tuning::Auto => "auto",
         })
     }
 }
@@ -238,25 +234,15 @@ impl TuningTable {
             .min_by_key(|e| e.key_bits)
     }
 
-    /// The generated parameter point a modulus should run under the
-    /// given policy, already re-validated against the *actual* modulus
-    /// size — `None` means "stay on the static kernels".
-    pub fn params_for_modulus(
-        &self,
-        tuning: Tuning,
-        mod_bits: u32,
-        backend: &str,
-    ) -> Option<KernelParams> {
-        if tuning == Tuning::Static {
-            return None;
-        }
+    /// The generated parameter point a modulus runs under
+    /// [`Tuning::Table`], already re-validated against the *actual*
+    /// modulus size — `None` means "stay on the static kernels".
+    pub fn params_for_modulus(&self, mod_bits: u32, backend: &str) -> Option<KernelParams> {
         let entry = self.entry_for_modulus(mod_bits, backend);
-        if tuning == Tuning::Table {
-            debug_assert!(
-                entry.is_some() || mod_bits > 4096,
-                "Tuning::Table expects a committed entry for {mod_bits}-bit moduli on {backend}"
-            );
-        }
+        debug_assert!(
+            entry.is_some() || mod_bits > 4096,
+            "Tuning::Table expects a committed entry for {mod_bits}-bit moduli on {backend}"
+        );
         let params = entry?.generated_params()?;
         // The cell is keyed by the nominal RSA key size but its kernel
         // runs on the CRT halves (the search validated at `key_bits/2`),
@@ -357,17 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn static_policy_never_returns_params() {
-        let t = TuningTable::committed();
-        for bits in [256u32, 512, 1024, 2048, 4096] {
-            assert_eq!(
-                t.params_for_modulus(Tuning::Static, bits, "modeled-knc"),
-                None
-            );
-        }
-    }
-
-    #[test]
     fn modulus_lookup_rounds_up_to_the_nominal_key_size() {
         let t = TuningTable::committed();
         // A 2047-bit modulus (2048-bit key with a short top limb) maps
@@ -376,10 +351,7 @@ mod tests {
         assert_eq!(e.key_bits, 2048);
         // Beyond the largest searched size there is no entry.
         assert!(t.entry_for_modulus(5000, "modeled-knc").is_none());
-        assert_eq!(
-            t.params_for_modulus(Tuning::Auto, 5000, "modeled-knc"),
-            None
-        );
+        assert_eq!(t.params_for_modulus(5000, "modeled-knc"), None);
     }
 
     #[test]
@@ -391,14 +363,12 @@ mod tests {
         // valid at its 512-bit halves.
         for bits in [512u32, 1024, 2048, 4096] {
             let p = t
-                .params_for_modulus(Tuning::Table, bits, "modeled-knc")
+                .params_for_modulus(bits, "modeled-knc")
                 .expect("committed winners apply at their own key size");
             p.validate(bits / 2).unwrap();
         }
         // A key_bits - 1-bit modulus (short top limb) still resolves.
-        assert!(t
-            .params_for_modulus(Tuning::Table, 1023, "modeled-knc")
-            .is_some());
+        assert!(t.params_for_modulus(1023, "modeled-knc").is_some());
     }
 
     #[test]
@@ -430,7 +400,6 @@ mod tests {
     fn tuning_display_names() {
         assert_eq!(Tuning::Static.to_string(), "static");
         assert_eq!(Tuning::Table.to_string(), "table");
-        assert_eq!(Tuning::Auto.to_string(), "auto");
         assert_eq!(Tuning::default(), Tuning::Static);
     }
 }

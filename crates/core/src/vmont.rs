@@ -140,7 +140,7 @@ impl VMontCtx {
         &self.nprime_digits
     }
 
-    /// `R² mod n` in vector form (shared with the SoA single-op engine).
+    /// `R² mod n` in vector form (shared with the batch domain entry).
     pub(crate) fn rr_vec(&self) -> &VecNum {
         &self.rr_vec
     }

@@ -203,31 +203,18 @@ proptest! {
     }
 
     #[test]
-    fn soa_single_op_matches_positional_kernel(
-        n in odd_modulus(),
-        a in value(),
-        b in value(),
-    ) {
-        let ctx = VMontCtx::new(&n).unwrap();
-        let av = ctx.to_mont_vec(&(&a % &n));
-        let bv = ctx.to_mont_vec(&(&b % &n));
-        let soa = phiopenssl::mont_mul_soa(&ctx, &av, &bv);
-        prop_assert_eq!(soa.to_biguint(), ctx.mont_mul_vec(&av, &bv).to_biguint());
-    }
-
-    #[test]
     fn masked_engine_matches_sequential_crt(
         seeds in proptest::collection::vec(any::<u64>(), BATCH_WIDTH),
         live in 1usize..=15,
     ) {
-        use phiopenssl::{BatchCrtEngine, CrtKey};
+        use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig};
         let p = BigUint::from_hex("ffffffffffffffc5").unwrap(); // 2^64-59
         let q = BigUint::from_hex("7fffffffffffffe7").unwrap(); // 2^63-25
         let e = BigUint::from(65537u64);
         let phi = &(&p - &BigUint::one()) * &(&q - &BigUint::one());
         let d = e.mod_inverse(&phi).unwrap();
         let key = CrtKey::new(&p, &q, &d).unwrap();
-        let engine = BatchCrtEngine::new(&key).unwrap();
+        let engine = BatchCrtEngine::with_config(&key, &PhiConfig::default()).unwrap();
         let n = engine.modulus().clone();
         let cts: Vec<BigUint> = seeds[..live].iter().map(|&s| &BigUint::from(s) % &n).collect();
         let got = engine.private_op_masked(&cts);

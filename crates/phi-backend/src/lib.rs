@@ -8,21 +8,24 @@
 //!   vector unit from `phi-simd`, with deterministic per-instruction
 //!   accounting. This is the repo's historical and default mode; the
 //!   trait indirection is count- and bit-identical to the pre-trait code.
-//! * [`NativeX86`] — real host SIMD via `core::arch`, with runtime
-//!   feature detection tiering the widening multiply-accumulate through
-//!   AVX-512 IFMA, AVX-512F, AVX2, or a portable scalar loop.
+//! * [`NativeX86`] — real host SIMD: plain lane loops the compiler
+//!   auto-vectorizes to whatever the build targets, with no accounting.
+//!   [`native_tier`] labels the host's SIMD level for logs.
 //!
 //! Callers pick a backend with [`Backend`] (usually via
-//! `PhiConfig::builder().backend(...)` in the core crate) and kernels
-//! dispatch through the [`with_backend!`] macro, which monomorphizes the
-//! generic body per backend.
+//! `PhiConfig::builder().backend(...)` in the core crate; the
+//! `PHI_BACKEND` environment variable sets the process default) and
+//! kernels dispatch through the [`with_backend!`] macro, which
+//! monomorphizes the generic body per backend.
+
+#![forbid(unsafe_code)]
 
 mod modeled;
 mod native;
 mod traits;
 
 pub use modeled::ModeledKnc;
-pub use native::{fma32_dispatch, native_tier, NMask8, NativeTier, NativeX86, NV32, NV64};
+pub use native::{native_tier, NMask8, NativeTier, NativeX86, NV32, NV64};
 pub use traits::{LaneMask8, Vector32, Vector64, VectorBackend};
 
 use std::fmt;
@@ -186,7 +189,7 @@ impl Backend {
     /// `NativeX86` request resolves to `NativeX86` even on a host where
     /// [`ensure_available`](Backend::ensure_available) would refuse it —
     /// validation is the config layer's job; an unvalidated native
-    /// backend still runs correctly through its portable scalar tier.
+    /// backend still runs correctly, its lane loops need no AVX2.
     pub fn resolve(self) -> ResolvedBackend {
         match self {
             Backend::ModeledKnc => ResolvedBackend::ModeledKnc,

@@ -1,51 +1,24 @@
 //! [`NativeX86`]: the real-hardware backend.
 //!
-//! Lane types are plain arrays that the compiler auto-vectorizes under
-//! `-C target-cpu=native`; the one operation that genuinely needs an
-//! exact instruction choice — the widening 32×32→64 multiply-accumulate
-//! [`fma32`](crate::Vector64::fma32) the kernels are built from — is
-//! lowered explicitly through `core::arch` with runtime feature
-//! detection:
+//! Lane types are plain arrays and every lane operation, the widening
+//! 32×32→64 multiply-accumulate [`fma32`](crate::Vector64::fma32)
+//! included, is a plain lane loop. LLVM lowers those loops to the best
+//! SIMD the build targets (`vpmuludq`/`vpaddq` on zmm under
+//! `RUSTFLAGS="-C target-cpu=native"`) and keeps all eight lanes in
+//! registers across the surrounding vector ops. Hand-written
+//! `core::arch` lowerings measured 0.4–0.9× of this loop end to end (a
+//! `#[target_feature]` function cannot inline into callers built without
+//! that feature, and inlined intrinsics fence the lanes through memory at
+//! each op boundary), so the backend has none and the crate forbids
+//! `unsafe`.
 //!
-//! * **AVX-512 IFMA** (`avx512ifma`): `vpmadd52luq`/`vpmadd52huq`. The
-//!   kernels' 27-bit digits are pre-widened to 32-bit operands whose
-//!   products span up to 64 bits — more than one 52-bit IFMA lane holds —
-//!   so the exact product is reassembled from the lo52/hi52 pair:
-//!   `acc + lo52(a·b) + (hi52(a·b) << 52)`. Operands are masked to 32
-//!   bits first so the semantics match the modeled `fma32` exactly.
-//! * **AVX-512F**: `vpmuludq` on a full zmm (`_mm512_mul_epu32`) + one
-//!   64-bit add — all eight lanes in two instructions.
-//! * **AVX2**: the same `vpmuludq`/`vpaddq` pair on two ymm halves.
-//! * **Portable scalar**: a plain lane loop, the last resort on any host.
-//!
-//! The tier is detected once and cached; `PHI_NATIVE_TIER`
-//! (`scalar` | `avx2` | `avx512` | `ifma`) can force a *lower* tier for
-//! differential testing. This module is the only place in the workspace
-//! that uses `unsafe` (the intrinsic calls, each guarded by its runtime
-//! feature check).
-//!
-//! # Why the hot path is a plain loop
-//!
-//! The kernels' `fma32` hot path is deliberately the portable 8-lane
-//! loop, not a call into the intrinsic tiers: LLVM lowers the loop to
-//! the best SIMD the build targets (`vpmuludq`/`vpaddq` on zmm under
-//! `RUSTFLAGS="-C target-cpu=native"`) while keeping all eight lanes in
-//! registers across the surrounding vector ops. Every explicit-call
-//! variant measured slower end to end — a `#[target_feature]` function
-//! cannot inline into callers compiled without that feature (per-op call
-//! plus a lane round-trip through memory, 0.4x vs modeled), and even
-//! statically-inlined intrinsics fence the lanes through `[u64; 8]`
-//! arrays at each op boundary (0.6–0.9x). The intrinsic tiers remain as
-//! a *validation* surface: [`fma32_dispatch`] runs the best
-//! runtime-detected tier so the unit tests and the conformance
-//! `backend-parity` family can prove each hand-written lowering
-//! bit-identical to the semantic loop on whatever host CI lands on.
+//! [`native_tier`] names the best SIMD the host offers, as a label for
+//! logs and reports; it selects nothing.
 
 #![allow(clippy::needless_range_loop)] // explicit lane indices read as lane semantics
 
 use crate::traits::{LaneMask8, Vector32, Vector64, VectorBackend};
 use phi_simd::count::OpClass;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The native execution backend: host SIMD, no instruction accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,16 +36,17 @@ pub struct NV32(pub [u32; 16]);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NMask8(pub u8);
 
-/// The `fma32` lowering tiers, best first.
+/// The best SIMD level the host offers, best last: a host label for
+/// logs and reports (see [`native_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NativeTier {
-    /// Portable lane loop.
+    /// No AVX2 (or not x86-64).
     Scalar = 0,
-    /// `vpmuludq`/`vpaddq` on two ymm halves.
+    /// AVX2.
     Avx2 = 1,
-    /// `vpmuludq`/`vpaddq` on one zmm.
+    /// AVX-512 Foundation.
     Avx512 = 2,
-    /// `vpmadd52luq` + `vpmadd52huq` reassembly.
+    /// AVX-512 IFMA.
     Avx512Ifma = 3,
 }
 
@@ -88,50 +62,17 @@ impl NativeTier {
     }
 }
 
-const TIER_UNSET: u8 = u8::MAX;
-static TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
-
-fn detect_tier() -> NativeTier {
+/// The host's SIMD level, derived from [`CpuFeatures::detect`](crate::CpuFeatures::detect).
+pub fn native_tier() -> NativeTier {
     let features = crate::CpuFeatures::detect();
-    // `phi_avx512_intrinsics` tracks the toolchain: the AVX-512
-    // intrinsics are stable only since rustc 1.89, and at the workspace
-    // MSRV those tiers are compiled out.
-    let hw = if features.avx512ifma && cfg!(phi_avx512_intrinsics) {
+    if features.avx512ifma {
         NativeTier::Avx512Ifma
-    } else if features.avx512f && cfg!(phi_avx512_intrinsics) {
+    } else if features.avx512f {
         NativeTier::Avx512
     } else if features.avx2 {
         NativeTier::Avx2
     } else {
         NativeTier::Scalar
-    };
-    // Allow forcing a lower tier for differential testing; requests
-    // above what the host supports are clamped down, never up.
-    let forced = match std::env::var("PHI_NATIVE_TIER").as_deref() {
-        Ok("scalar") => Some(NativeTier::Scalar),
-        Ok("avx2") => Some(NativeTier::Avx2),
-        Ok("avx512") => Some(NativeTier::Avx512),
-        Ok("ifma") | Ok("avx512-ifma") => Some(NativeTier::Avx512Ifma),
-        _ => None,
-    };
-    match forced {
-        Some(t) => t.min(hw),
-        None => hw,
-    }
-}
-
-/// The active `fma32` lowering tier (detected once, then cached).
-pub fn native_tier() -> NativeTier {
-    match TIER.load(Ordering::Relaxed) {
-        TIER_UNSET => {
-            let t = detect_tier();
-            TIER.store(t as u8, Ordering::Relaxed);
-            t
-        }
-        0 => NativeTier::Scalar,
-        1 => NativeTier::Avx2,
-        2 => NativeTier::Avx512,
-        _ => NativeTier::Avx512Ifma,
     }
 }
 
@@ -143,99 +84,6 @@ fn fma32_scalar(acc: [u64; 8], a: [u64; 8], b: [u64; 8]) -> [u64; 8] {
         out[i] = acc[i].wrapping_add(p);
     }
     out
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32, _mm256_storeu_si256,
-    };
-    #[cfg(phi_avx512_intrinsics)]
-    use core::arch::x86_64::{
-        __m512i, _mm512_add_epi64, _mm512_and_epi64, _mm512_loadu_si512, _mm512_madd52hi_epu64,
-        _mm512_madd52lo_epu64, _mm512_mul_epu32, _mm512_set1_epi64, _mm512_setzero_si512,
-        _mm512_slli_epi64, _mm512_storeu_si512,
-    };
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fma32_avx2(acc: &[u64; 8], a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for half in 0..2 {
-            let off = half * 4;
-            let va = _mm256_loadu_si256(a.as_ptr().add(off) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(off) as *const __m256i);
-            let vacc = _mm256_loadu_si256(acc.as_ptr().add(off) as *const __m256i);
-            // vpmuludq: low 32 bits of each 64-bit lane, full 64-bit product.
-            let prod = _mm256_mul_epu32(va, vb);
-            let sum = _mm256_add_epi64(vacc, prod);
-            _mm256_storeu_si256(out.as_mut_ptr().add(off) as *mut __m256i, sum);
-        }
-        out
-    }
-
-    // The AVX-512 intrinsics stabilized in rustc 1.89; the
-    // `phi_avx512_intrinsics` cfg (set by build.rs from the compiler
-    // version) compiles these tiers out below that, so the workspace
-    // MSRV (1.82) never sees them — clippy's lint can't know that.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(phi_avx512_intrinsics)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn fma32_avx512(acc: &[u64; 8], a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
-        let va = _mm512_loadu_si512(a.as_ptr() as *const __m512i);
-        let vb = _mm512_loadu_si512(b.as_ptr() as *const __m512i);
-        let vacc = _mm512_loadu_si512(acc.as_ptr() as *const __m512i);
-        let sum = _mm512_add_epi64(vacc, _mm512_mul_epu32(va, vb));
-        let mut out = [0u64; 8];
-        _mm512_storeu_si512(out.as_mut_ptr() as *mut __m512i, sum);
-        out
-    }
-
-    // See the MSRV note on `fma32_avx512`.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(phi_avx512_intrinsics)]
-    #[target_feature(enable = "avx512ifma")]
-    pub unsafe fn fma32_ifma(acc: &[u64; 8], a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
-        // Mask operands to their low 32 bits so the 52-bit IFMA lanes see
-        // exactly the values the modeled fma32 multiplies. The 32×32
-        // product spans up to 64 bits — beyond one 52-bit lane — so the
-        // exact value is reassembled as lo52 + (hi52 << 52).
-        let mask32 = _mm512_set1_epi64(0xFFFF_FFFF);
-        let va = _mm512_and_epi64(_mm512_loadu_si512(a.as_ptr() as *const __m512i), mask32);
-        let vb = _mm512_and_epi64(_mm512_loadu_si512(b.as_ptr() as *const __m512i), mask32);
-        let vacc = _mm512_loadu_si512(acc.as_ptr() as *const __m512i);
-        let lo = _mm512_madd52lo_epu64(vacc, va, vb);
-        let hi = _mm512_madd52hi_epu64(_mm512_setzero_si512(), va, vb);
-        let sum = _mm512_add_epi64(lo, _mm512_slli_epi64(hi, 52));
-        let mut out = [0u64; 8];
-        _mm512_storeu_si512(out.as_mut_ptr() as *mut __m512i, sum);
-        out
-    }
-}
-
-/// `fma32` through the best *runtime-detected* intrinsic tier (clamped
-/// by `PHI_NATIVE_TIER`). This is the validation surface for the
-/// hand-written lowerings — the hot path itself uses the auto-vectorized
-/// lane loop (see the module docs) — so differential tests can prove
-/// each tier bit-identical to [`Vector64::fma32`] semantics.
-#[inline]
-pub fn fma32_dispatch(acc: [u64; 8], a: [u64; 8], b: [u64; 8]) -> [u64; 8] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match native_tier() {
-            // SAFETY: each tier is only selected when its CPU feature was
-            // detected at runtime (see `detect_tier`).
-            #[cfg(phi_avx512_intrinsics)]
-            NativeTier::Avx512Ifma => unsafe { x86::fma32_ifma(&acc, &a, &b) },
-            #[cfg(phi_avx512_intrinsics)]
-            NativeTier::Avx512 => unsafe { x86::fma32_avx512(&acc, &a, &b) },
-            NativeTier::Avx2 => unsafe { x86::fma32_avx2(&acc, &a, &b) },
-            _ => fma32_scalar(acc, a, b),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        fma32_scalar(acc, a, b)
-    }
 }
 
 impl LaneMask8 for NMask8 {
@@ -339,10 +187,6 @@ impl Vector64 for NV64 {
     }
     #[inline(always)]
     fn fma32(self, a: Self, b: Self) -> Self {
-        // Deliberately the portable lane loop, NOT `fma32_dispatch`:
-        // LLVM auto-vectorizes it to the build's best SIMD with the
-        // lanes staying in registers, which measures 2–4x faster than
-        // any explicit intrinsic call here (see the module docs).
         NV64(fma32_scalar(self.0, a.0, b.0))
     }
     #[inline(always)]
@@ -412,63 +256,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_fma32_matches_contract() {
+    fn fma32_matches_contract() {
         let acc = [10u64; 8];
         let a = [(1u64 << 35) | 3; 8]; // low 32 bits = 3
         let b = [4u64; 8];
-        assert_eq!(fma32_scalar(acc, a, b), [22u64; 8]);
-    }
-
-    #[test]
-    fn dispatched_fma32_matches_scalar_on_adversarial_lanes() {
-        // Exercise whatever tier the host selects against the portable
-        // reference, including the 52-bit-boundary products the IFMA
-        // reassembly must get right.
-        let cases: [([u64; 8], [u64; 8], [u64; 8]); 4] = [
-            ([0; 8], [u32::MAX as u64; 8], [u32::MAX as u64; 8]),
-            (
-                [1u64 << 60; 8],
-                [(1u64 << 27) - 1; 8],
-                [(1u64 << 27) - 1; 8],
-            ),
-            (
-                [0x0123_4567_89AB_CDEF; 8],
-                [0xFFFF_FFFF_0000_0001; 8], // high garbage must be ignored
-                [0xDEAD_BEEF_CAFE_F00D; 8],
-            ),
-            (
-                [7, 1 << 52, (1 << 52) - 1, u64::MAX >> 1, 0, 3, 1 << 40, 99],
-                [1, 2, 3, 4, 5, 6, 7, 0xFFFF_FFFF],
-                [0xFFFF_FFFF, 1 << 31, 12345, 0, 1, 0x8000_0001, 2, 3],
-            ),
-        ];
-        for (acc, a, b) in cases {
-            assert_eq!(fma32_dispatch(acc, a, b), fma32_scalar(acc, a, b));
-        }
-    }
-
-    #[test]
-    fn every_compiled_tier_agrees_with_scalar() {
-        let acc = [0x10u64, 1 << 50, 0, 3, 1 << 63, 42, 7, 0];
-        let a = [0xFFFF_FFFFu64, 0x8000_0000, 12345, 1, 0, 2, 3, 0x7FFF_FFFF];
-        let b = [0xFFFF_FFFFu64, 2, 67890, 0xFFFF_FFFF, 5, 3, 1, 0x7FFF_FFFF];
-        let want = fma32_scalar(acc, a, b);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                assert_eq!(unsafe { x86::fma32_avx2(&acc, &a, &b) }, want, "avx2");
-            }
-            #[cfg(phi_avx512_intrinsics)]
-            {
-                if is_x86_feature_detected!("avx512f") {
-                    assert_eq!(unsafe { x86::fma32_avx512(&acc, &a, &b) }, want, "avx512");
-                }
-                if is_x86_feature_detected!("avx512ifma") {
-                    assert_eq!(unsafe { x86::fma32_ifma(&acc, &a, &b) }, want, "ifma");
-                }
-            }
-        }
-        let _ = want;
+        assert_eq!(NV64(acc).fma32(NV64(a), NV64(b)).0, [22u64; 8]);
     }
 
     #[test]
@@ -487,10 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn tier_reports_a_name() {
+    fn tier_labels_the_detected_features() {
         let t = native_tier();
         assert!(!t.name().is_empty());
-        // Detection is cached: a second call returns the same tier.
-        assert_eq!(native_tier(), t);
+        let features = crate::CpuFeatures::detect();
+        assert_eq!(t >= NativeTier::Avx2, features.avx2 || features.avx512f);
+        assert_eq!(t == NativeTier::Avx512Ifma, features.avx512ifma);
     }
 }

@@ -33,7 +33,7 @@ use phi_mont::{Libcrypto, MpssBaseline, OpensslBaseline};
 use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::ops::RsaOps;
 use phi_rsa::padding::pkcs1v15;
-use phiopenssl::{BatchCrtEngine, CrtKey, PhiLibrary};
+use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig, PhiLibrary};
 use rand::RngCore;
 
 /// A KAT message, either literal bytes or a repeated byte (so the
@@ -350,7 +350,8 @@ fn libraries() -> Vec<Box<dyn Libcrypto>> {
 fn engine_for(key: &RsaPrivateKey) -> BatchCrtEngine {
     let crt = CrtKey::from_components(key.p(), key.q(), key.dp(), key.dq(), key.qinv())
         .expect("corpus key builds a CRT context");
-    BatchCrtEngine::new(&crt).expect("corpus key builds a batch engine")
+    BatchCrtEngine::with_config(&crt, &PhiConfig::default())
+        .expect("corpus key builds a batch engine")
 }
 
 /// Run every RSA known-answer vector for keys up to `max_bits` through

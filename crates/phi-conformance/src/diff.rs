@@ -692,9 +692,11 @@ fn check_engine_masked(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let n = key.public().n();
         let crt = CrtKey::new(key.p(), key.q(), key.d()).expect("corpus primes");
         let window = 1 + (case % 7) as u32;
-        let engine = BatchCrtEngine::new(&crt)
-            .expect("corpus primes")
-            .with_window(window);
+        let config = phiopenssl::PhiConfig::builder()
+            .window(window)
+            .expect("window in 1..=7")
+            .build();
+        let engine = BatchCrtEngine::with_config(&crt, &config).expect("corpus primes");
         let k = 1 + (case as usize % 16);
         let cts: Vec<BigUint> = (0..k).map(|_| g.residue(n)).collect();
         let mut got = engine.private_op_masked(&cts);
@@ -1031,8 +1033,8 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
 /// of the elided triangle saturate), correction-boundary operands (0, 1,
 /// n-1: the shapes that pin `D̂ mod R` to zero or the conditional
 /// subtract to its edge), every window width, the scalar truncated
-/// kernel in `phi_mont`, the single-op SoA path, and — when the host has
-/// AVX2 — the native-backend truncated kernel lane for lane.
+/// kernel in `phi_mont`, and — when the host has AVX2 — the
+/// native-backend truncated kernel lane for lane.
 fn check_mont_truncated(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     const NAME: &str = "mont-truncated";
     use phiopenssl::MontVariant;
@@ -1133,28 +1135,6 @@ fn check_mont_truncated(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 detail: format!(
                     "mont_reduce_truncated != cios reduce: {}",
                     dump(&[("n", &n), ("t", &raw)])
-                ),
-            });
-        }
-
-        // The single-op SoA path (scalar-shaped call through the 16-lane
-        // engine) vs the ladder oracle.
-        let soa = phiopenssl::mod_exp_soa(&ctx, &a, &exp, window);
-        let want_exp = a.mod_exp(&exp, &n);
-        if soa != want_exp {
-            out.push(Divergence {
-                kernel: NAME,
-                seed: cfg.seed,
-                case,
-                detail: format!(
-                    "mod_exp_soa window={window}: {}",
-                    dump(&[
-                        ("n", &n),
-                        ("base", &a),
-                        ("exp", &exp),
-                        ("got", &soa),
-                        ("want", &want_exp)
-                    ])
                 ),
             });
         }

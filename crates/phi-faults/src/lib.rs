@@ -15,8 +15,8 @@
 //! sees is a pure function of a seed and the draw sequence, so a failing
 //! chaos run is reproducible from its printed seed.
 //!
-//! Nothing here is wired into a hot path by itself. The execution layers
-//! (`phi_rt::resilient`, `phi_rt::offload`) accept an
+//! Nothing here is wired into a hot path by itself. The execution layer
+//! (`phi_rt`'s card workers) accepts an
 //! `Option<Arc<dyn FaultSource>>`; `None` (the default everywhere) costs
 //! a single pointer check per flush, and the modeled operation counts
 //! are untouched either way.

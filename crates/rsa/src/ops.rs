@@ -71,25 +71,22 @@ pub struct RsaBatchService {
 }
 
 /// The 16-lane card executor for `key`. The engine's vector backend,
-/// window width, reduction variant and tuning policy all come from
-/// `phi` — under `Tuning::Table` the engine dispatches the committed
-/// generated kernel for this key size. Built from the key's parts rather
-/// than through [`BatchCrtEngine::with_config`], which would first build
-/// a [`phiopenssl::CrtKey`] and with it two Montgomery contexts per card
+/// window width and tuning policy all come from `phi` — under
+/// `Tuning::Table` the engine dispatches the committed generated kernel
+/// for this key size. Built from the key's parts rather than through
+/// [`BatchCrtEngine::with_config`], which would first build a
+/// [`phiopenssl::CrtKey`] and with it two Montgomery contexts per card
 /// that the engine never uses.
 fn card_engine(key: &RsaPrivateKey, phi: &PhiConfig) -> Result<BatchCrtEngine, RsaError> {
-    Ok(BatchCrtEngine::from_parts_with_backend(
+    Ok(BatchCrtEngine::from_parts(
         key.public().n().clone(),
         key.dp().clone(),
         key.dq().clone(),
         key.qinv().clone(),
         key.p().clone(),
         key.q().clone(),
-        phi.backend.resolve(),
-    )?
-    .with_window(phi.window)
-    .with_variant(phi.mont_variant)
-    .with_tuning(phi.tuning))
+        phi,
+    )?)
 }
 
 /// Host-scalar CRT over the host library's Montgomery sessions — the

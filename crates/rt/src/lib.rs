@@ -2,10 +2,9 @@
 //!
 //! The execution model of the Xeon Phi card for the PhiOpenSSL
 //! reproduction: a thread pool with *simulated* core/SMT placement
-//! ([`pool`]), the host↔device offload cost model ([`offload`]), and
-//! one offload service path — the deadline-driven batch collector
-//! ([`service`]), the fault-tolerant flush ladder every flush runs
-//! through ([`resilient`]), its verify-on-release hooks ([`verify`]),
+//! ([`pool`]) and one offload service path — the deadline-driven batch
+//! collector ([`service`]), the fault-tolerant flush ladder every flush
+//! runs through ([`resilient`]), its verify-on-release hooks ([`verify`]),
 //! and the card workers that own both ([`fleet`], one card or many) —
 //! plus latency/throughput aggregation ([`stats`]).
 //!
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod fleet;
-pub mod offload;
 pub mod pool;
 pub mod resilient;
 pub mod service;
@@ -32,7 +30,6 @@ pub use fleet::{
     key_fingerprint, CardSetup, FleetConfig, FleetReport, FleetRouter, FleetScheduler,
     RoutingPolicy,
 };
-pub use offload::{OffloadBatcher, OffloadModel};
 pub use pool::{AffinityPolicy, BatchReport, PhiPool};
 pub use resilient::{OffloadError, ResilienceConfig, ResilientHandle};
 pub use service::{Batch, Collector, FlushReason, ServiceConfig, SubmitError, Ticket, BATCH_WIDTH};

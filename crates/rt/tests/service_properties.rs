@@ -10,7 +10,7 @@ use phi_bigint::BigUint;
 use phi_faults::{FaultKind, FaultScript, FaultSource};
 use phi_rt::service::{Collector, FlushReason, ServiceConfig, SubmitError, Ticket};
 use phi_rt::{CardSetup, FleetConfig, FleetScheduler, ResilienceConfig};
-use phiopenssl::{BatchCrtEngine, CrtKey};
+use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -257,8 +257,8 @@ proptest! {
         ms in proptest::collection::vec(1u64..u64::MAX, 1..=16),
     ) {
         let crt = test_crt_key();
-        let engine = BatchCrtEngine::new(&crt).unwrap();
-        let single = BatchCrtEngine::new(&crt).unwrap();
+        let engine = BatchCrtEngine::with_config(&crt, &PhiConfig::default()).unwrap();
+        let single = BatchCrtEngine::with_config(&crt, &PhiConfig::default()).unwrap();
         let n = crt.modulus().clone();
         let e = BigUint::from(65537u64);
         let config = ResilienceConfig {

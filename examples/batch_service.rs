@@ -154,7 +154,8 @@ fn main() {
     // bit-identical to the static default, just cheaper on the modeled
     // channel. `Tuning::Static` (the default) never reads the table.
     let crt = phiopenssl::CrtKey::new(key.p(), key.q(), key.d()).expect("CRT key");
-    let static_engine = phiopenssl::BatchCrtEngine::new(&crt).expect("engine");
+    let static_engine =
+        phiopenssl::BatchCrtEngine::with_config(&crt, &PhiConfig::default()).expect("engine");
     let tuned_engine = phiopenssl::BatchCrtEngine::with_config(
         &crt,
         &PhiConfig::builder()

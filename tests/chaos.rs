@@ -17,7 +17,7 @@ use phiopenssl_suite::rsa::key::RsaPrivateKey;
 use phiopenssl_suite::rsa::{RsaBatchService, RsaOps};
 use phiopenssl_suite::rt::service::ServiceConfig;
 use phiopenssl_suite::rt::{
-    AffinityPolicy, CardSetup, FleetScheduler, OffloadError, ResilienceConfig,
+    AffinityPolicy, CardSetup, FleetScheduler, OffloadError, ResilienceConfig, ResilienceReport,
 };
 use phiopenssl_suite::ssl::drive_concurrent_fleet;
 use phiopenssl_suite::Backend;
@@ -421,6 +421,68 @@ fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
     );
 }
 
+/// One point of the silent-fault sweep: four threads push 32 requests
+/// through the verified one-card service while the card silently
+/// corrupts lanes at `rate` (schedule seed `seed ^ point`). Every answer
+/// must be the right plaintext, every request must resolve, and every
+/// release must be accounted for: `verified_ops` counts every check,
+/// rejected ones included, so a released card result is a check that
+/// passed (`verified_ops - verify_failures`) and the rest of the
+/// requests resolved on the host.
+fn silent_sweep_point(seed: u64, point: u64, rate: f64) -> ResilienceReport {
+    let key = test_key();
+    let faults: Option<Arc<dyn FaultSource>> = if rate > 0.0 {
+        Some(Arc::new(FaultInjector::new(
+            seed ^ point,
+            FaultRates::silent(rate),
+        )))
+    } else {
+        None
+    };
+    let service = Arc::new(one_card(&key, &verified(), quick_config(), faults));
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 8;
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            let key = key.clone();
+            std::thread::spawn(move || {
+                let plain = RsaOps::new(Box::new(MpssBaseline));
+                for i in 0..PER_THREAD {
+                    let m = phiopenssl_suite::bigint::BigUint::from(t * 2_718_281 + i + 1);
+                    let c = plain.public_op(key.public(), &m).unwrap();
+                    match service.call(c) {
+                        Ok(got) => {
+                            assert_eq!(got, m, "seed {seed} rate {rate}: corrupted release")
+                        }
+                        Err(e) => panic!("seed {seed} rate {rate}: request errored: {e}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("worker panicked");
+    }
+    let report = unshare(service).shutdown_fleet().merged();
+    assert_eq!(
+        report.resolved_ops(),
+        THREADS * PER_THREAD,
+        "seed {seed} rate {rate}: conservation violated"
+    );
+    assert_eq!(report.errored_ops, 0, "seed {seed} rate {rate}");
+    assert_eq!(
+        report.faults_seen, 0,
+        "seed {seed} rate {rate}: silent faults must stay invisible"
+    );
+    assert_eq!(
+        report.verified_ops - report.verify_failures + report.host_fallback_ops,
+        report.resolved_ops(),
+        "seed {seed} rate {rate}: every card release passed a check, the rest went to the host"
+    );
+    report
+}
+
 /// The silent-corruption drill (the CI chaos-smoke shape): a seeded
 /// sweep over silent-fault rates from zero up through well past the
 /// 10⁻² design point. At every rate the verified service must release
@@ -431,58 +493,21 @@ fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
 #[test]
 fn silent_fault_sweep_releases_zero_corrupted_results() {
     let seed = chaos_seed(0x51_1E27);
-    let key = test_key();
-    for (r, rate) in [0.0, 1e-3, 1e-2, 0.25].into_iter().enumerate() {
-        let faults: Option<Arc<dyn FaultSource>> = if rate > 0.0 {
-            Some(Arc::new(FaultInjector::new(
-                seed ^ (r as u64),
-                FaultRates::silent(rate),
-            )))
-        } else {
-            None
-        };
-        let service = Arc::new(one_card(&key, &verified(), quick_config(), faults));
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 8;
-        let workers: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let service = Arc::clone(&service);
-                let key = key.clone();
-                std::thread::spawn(move || {
-                    let plain = RsaOps::new(Box::new(MpssBaseline));
-                    for i in 0..PER_THREAD {
-                        let m = phiopenssl_suite::bigint::BigUint::from(t * 2_718_281 + i + 1);
-                        let c = plain.public_op(key.public(), &m).unwrap();
-                        match service.call(c) {
-                            Ok(got) => {
-                                assert_eq!(got, m, "seed {seed} rate {rate}: corrupted release")
-                            }
-                            Err(e) => panic!("seed {seed} rate {rate}: request errored: {e}"),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("worker panicked");
-        }
-        let report = unshare(service).shutdown_fleet().merged();
-        assert_eq!(
-            report.resolved_ops(),
-            THREADS * PER_THREAD,
-            "seed {seed} rate {rate}: conservation violated"
-        );
-        assert_eq!(report.errored_ops, 0, "seed {seed} rate {rate}");
-        assert_eq!(
-            report.faults_seen, 0,
-            "seed {seed} rate {rate}: silent faults must stay invisible"
-        );
-        assert_eq!(
-            report.verified_ops as usize + report.host_fallback_ops as usize,
-            report.resolved_ops() as usize,
-            "seed {seed} rate {rate}: every non-host release was checked"
-        );
+    for (point, rate) in [0.0, 1e-3, 1e-2, 0.25].into_iter().enumerate() {
+        silent_sweep_point(seed, point as u64, rate);
     }
+}
+
+/// The sweep's 25% point at a fixed seed whose schedule corrupts lanes:
+/// the committed default seed draws no rejection there, so without this
+/// case the committed run never walks the verify ladder.
+#[test]
+fn silent_fault_sweep_at_seed_2_rejects_and_recovers() {
+    let report = silent_sweep_point(2, 3, 0.25);
+    assert!(
+        report.verify_failures > 0,
+        "seed 2 at 25% must draw rejections"
+    );
 }
 
 /// Mixed chaos — detected faults (retries, breaker, host fallback) and

@@ -109,10 +109,10 @@ fn mixed_workload_soak() {
 #[test]
 fn batch_engine_soak() {
     // The batched CRT engine against the generic path over many batches.
-    use phiopenssl::{BatchCrtEngine, CrtKey};
+    use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig};
     let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0x50B), 512).unwrap();
     let crt = CrtKey::from_components(key.p(), key.q(), key.dp(), key.dq(), key.qinv()).unwrap();
-    let engine = BatchCrtEngine::new(&crt).unwrap();
+    let engine = BatchCrtEngine::with_config(&crt, &PhiConfig::default()).unwrap();
     let ops = RsaOps::new(Box::new(MpssBaseline));
     let mut rng = StdRng::seed_from_u64(0x50C);
     let cts: Vec<BigUint> = (0..35)
