@@ -17,6 +17,7 @@ use phi_rt::service::{Collector, FlushReason, ServiceConfig};
 use phi_rt::{FleetConfig, FleetRouter, ResilienceConfig, RoutingPolicy};
 use phi_simd::CostModel;
 use phiopenssl::batch::{Batch16, BatchMont, BATCH_WIDTH};
+use phiopenssl::engine::SINGLE_OP_MAX_LIVE;
 use phiopenssl::vexp::{mod_exp_vec, TableLookup};
 use phiopenssl::{PhiConfig, PhiLibrary, VMontCtx};
 use rand::rngs::StdRng;
@@ -664,12 +665,16 @@ fn poisson_arrivals(rate: f64, count: usize, seed: u64) -> Vec<f64> {
 /// For each library the sweep offers Poisson request arrivals at a
 /// multiple of that library's own batched capacity and simulates the
 /// service layer's collector (the real `phi_rt` state machine) on a
-/// virtual clock. Execution times come from the modeled KNC channel: a
-/// PhiOpenSSL batch costs one full-width
-/// [`BatchCrtEngine`](phiopenssl::BatchCrtEngine) pass no matter its
-/// occupancy (masked lanes still run), while the scalar
+/// virtual clock. Execution times come from the modeled KNC channel and
+/// follow [`BatchCrtEngine::private_op_masked`]: a PhiOpenSSL flush of
+/// `k` ≤ [`SINGLE_OP_MAX_LIVE`] lanes costs `k` sequential private ops
+/// (`T1`, which runs the engine's single-op `vmont` CRT ladder, within
+/// 0.4% of its modeled cycles at 512–2048 bits), a fuller one a
+/// full-width pass (`T16`) whatever its occupancy, while the scalar
 /// baselines execute a batch as `occupancy` sequential private
 /// operations — batching buys them nothing, which is the point.
+///
+/// [`BatchCrtEngine::private_op_masked`]: phiopenssl::BatchCrtEngine::private_op_masked
 pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) -> Table {
     let mut t = Table::new(
         format!(
@@ -696,10 +701,12 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
         "width {}, max_wait {:.1} ms, Poisson arrivals, {} ops per point; \
          wait = latency the aggregation policy adds (arrival to batch due, \
          bounded by max_wait); seq = one-at-a-time server, closed form \
-         min(offered, 1/T1)",
+         min(offered, 1/T1); a flush of k live lanes costs k·T1, except a \
+         PhiOpenSSL flush of k > {} lanes, which costs one 16-lane pass T16",
         config.width,
         config.max_wait * 1e3,
-        ops_per_point
+        ops_per_point,
+        SINGLE_OP_MAX_LIVE
     ));
     let key = workload::rsa_key(key_bits);
     let cts: Vec<phi_bigint::BigUint> = (0..BATCH_WIDTH as u64)
@@ -740,8 +747,8 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
             let arrivals = poisson_arrivals(offered, ops_per_point, 0xE14 + (fi * 8 + li) as u64);
             let phi = name == "PhiOpenSSL";
             let point = simulate_service(&arrivals, config, |k| {
-                if phi {
-                    t16 // masked pass: full width regardless of occupancy
+                if phi && k > SINGLE_OP_MAX_LIVE {
+                    t16 // padded pass: full width regardless of occupancy
                 } else {
                     k as f64 * t1
                 }

@@ -11,7 +11,8 @@
 //! vector backend and [`Tuning`] all come from the config. The batch
 //! ladders run the truncated kernel (`MontVariant::Auto`), or the
 //! committed generated kernel under [`Tuning::Table`]; single operations
-//! run the intra-operand [`VMontCtx`] ladder.
+//! run the intra-operand [`VMontCtx`] ladder, as do masked calls with at
+//! most [`SINGLE_OP_MAX_LIVE`] live lanes: lanes pay only when enough are.
 
 use crate::batch::{BatchMont, MontVariant, BATCH_WIDTH};
 use crate::crt::CrtKey;
@@ -24,6 +25,16 @@ use crate::vmont::VMontCtx;
 use crate::vmul::big_mul_with_backend;
 use phi_backend::ResolvedBackend;
 use phi_bigint::{BigIntError, BigUint};
+
+/// The most live lanes [`BatchCrtEngine::private_op_masked`] serves as
+/// that many single operations instead of one padded 16-lane pass.
+///
+/// Two, because a pass costs at least 2.68× a single op: on the modeled
+/// KNC channel at least 3.98× under `Tuning::Static` and 2.68× under
+/// `Tuning::Table` (tightest at 384 bits), at every key size from 127 to
+/// 4096 bits, and 5.9–7.3× on the native backend at 256–2048 bits (one
+/// AVX2 Xeon core). Two singles always undercut it; three would not.
+pub const SINGLE_OP_MAX_LIVE: usize = 2;
 
 /// A reusable engine executing RSA private operations sixteen at a time.
 pub struct BatchCrtEngine {
@@ -147,21 +158,22 @@ impl BatchCrtEngine {
             .collect()
     }
 
-    /// Execute 1..=[`BATCH_WIDTH`] operations through one full-width
-    /// batch pass, masking the dead lanes.
+    /// Execute 1..=[`BATCH_WIDTH`] operations, each result in input order.
     ///
-    /// Dead lanes are padded with the ciphertext 1 (whose private op is
-    /// again 1, a valid residue for every key) and their results
-    /// discarded. The pass costs the same as a full batch regardless of
-    /// occupancy — the lane ladder always runs all sixteen lanes — which
-    /// is exactly the trade the deadline-driven service layer makes: pay
-    /// full width now rather than park the requests longer.
+    /// Up to [`SINGLE_OP_MAX_LIVE`] run one by one through
+    /// [`private_op_single`](Self::private_op_single). More run as one
+    /// full-width pass whose dead lanes are padded with the ciphertext 1
+    /// (whose private op is again 1, a valid residue for every key) and
+    /// discarded; that pass costs a full batch whatever its occupancy.
     pub fn private_op_masked(&self, cts: &[BigUint]) -> Vec<BigUint> {
         assert!(
             !cts.is_empty() && cts.len() <= BATCH_WIDTH,
             "need 1..={BATCH_WIDTH} inputs, got {}",
             cts.len()
         );
+        if cts.len() <= SINGLE_OP_MAX_LIVE {
+            return cts.iter().map(|c| self.private_op_single(c)).collect();
+        }
         if cts.len() == BATCH_WIDTH {
             return self.private_op_16(cts);
         }
@@ -169,20 +181,6 @@ impl BatchCrtEngine {
         padded.resize(BATCH_WIDTH, BigUint::one());
         let mut out = self.private_op_16(&padded);
         out.truncate(cts.len());
-        out
-    }
-
-    /// Execute an arbitrary number of operations, running full batches
-    /// through the lane engine and the remainder through single-lane CRT.
-    pub fn private_op_many(&self, cts: &[BigUint]) -> Vec<BigUint> {
-        let mut out = Vec::with_capacity(cts.len());
-        let mut chunks = cts.chunks_exact(BATCH_WIDTH);
-        for chunk in &mut chunks {
-            out.extend(self.private_op_16(chunk));
-        }
-        for c in chunks.remainder() {
-            out.push(self.private_op_single(c));
-        }
         out
     }
 
@@ -306,16 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn many_handles_partial_batches() {
-        let (engine, _, e, _) = demo();
-        for count in [1usize, 15, 16, 17, 40] {
-            let (msgs, cts) = ciphertexts(engine.modulus(), &e, count);
-            assert_eq!(engine.private_op_many(&cts), msgs, "count {count}");
-        }
-        assert!(engine.private_op_many(&[]).is_empty());
-    }
-
-    #[test]
     fn batch_is_cheaper_per_op_than_singles() {
         let (engine, _, e, _) = demo();
         let (_, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
@@ -359,6 +347,70 @@ mod tests {
         // vector work as a full one (ciphertext values change the windowed
         // multiply pattern slightly; vector multiplies dominate and match).
         assert_eq!(masked.get(OpClass::VMul), full.get(OpClass::VMul));
+    }
+
+    /// One and two live lanes run as exactly that many single ops, op for
+    /// op, and issue fewer cycles than the padded pass they replace.
+    #[test]
+    fn sparse_masked_calls_cost_exactly_their_singles() {
+        let (engine, _, e, _) = demo();
+        let (msgs, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
+        let model = phi_simd::CostModel::knc();
+        count::reset();
+        let (_, pass) = count::measure(|| engine.private_op_16(&cts));
+        for live in [1usize, 2] {
+            let (got, masked) = count::measure(|| engine.private_op_masked(&cts[..live]));
+            let (_, singles) = count::measure(|| {
+                cts[..live]
+                    .iter()
+                    .map(|c| engine.private_op_single(c))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got, msgs[..live], "live {live}");
+            assert_eq!(masked, singles, "live {live}: not the single-op path");
+            assert!(
+                model.issue_cycles(&masked) < model.issue_cycles(&pass),
+                "live {live}: {} !< pass {}",
+                model.issue_cycles(&masked),
+                model.issue_cycles(&pass)
+            );
+        }
+    }
+
+    /// The crossover on the modeled channel: [`SINGLE_OP_MAX_LIVE`] single
+    /// ops undercut one 16-lane pass under both tunings, at the demo key
+    /// and at 256-, 384- and 512-bit keys. A kernel change that lets a
+    /// pass undercut two singles fails here.
+    #[test]
+    fn single_ops_undercut_a_pass_up_to_the_crossover() {
+        let e = BigUint::from(65537u64);
+        // 2^b − k is prime for each (b, k) below.
+        let below = |b: u32, k: u64| &BigUint::power_of_two(b) - &BigUint::from(k);
+        let mut keys = vec![demo().1];
+        for (b, kp, kq) in [(128, 159, 173), (192, 237, 333), (256, 189, 357)] {
+            let (p, q) = (below(b, kp), below(b, kq));
+            let phi = &(&p - &BigUint::one()) * &(&q - &BigUint::one());
+            keys.push(CrtKey::new(&p, &q, &e.mod_inverse(&phi).unwrap()).unwrap());
+        }
+        let model = phi_simd::CostModel::knc();
+        for key in &keys {
+            let (msgs, cts) = ciphertexts(key.modulus(), &e, BATCH_WIDTH);
+            for config in [PhiConfig::default(), table()] {
+                let engine = BatchCrtEngine::with_config(key, &config).unwrap();
+                let (out, pass) = count::measure(|| engine.private_op_16(&cts));
+                let (one, single) = count::measure(|| engine.private_op_single(&cts[0]));
+                assert_eq!(out, msgs);
+                assert_eq!(one, msgs[0]);
+                let (pass, single) = (model.issue_cycles(&pass), model.issue_cycles(&single));
+                assert!(
+                    SINGLE_OP_MAX_LIVE as f64 * single < pass,
+                    "{}-bit key, {}: pass/single {:.2}",
+                    key.modulus().bit_length(),
+                    config.tuning,
+                    pass / single
+                );
+            }
+        }
     }
 
     #[test]

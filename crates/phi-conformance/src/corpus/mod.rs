@@ -33,6 +33,7 @@ use phi_mont::{Libcrypto, MpssBaseline, OpensslBaseline};
 use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::ops::RsaOps;
 use phi_rsa::padding::pkcs1v15;
+use phiopenssl::engine::SINGLE_OP_MAX_LIVE;
 use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig, PhiLibrary};
 use rand::RngCore;
 
@@ -494,14 +495,15 @@ pub fn verify_rsa(max_bits: u32) -> Vec<Divergence> {
         }
 
         // The batch CRT engine answers the raw vectors too — through the
-        // single-lane path and through a masked one-lane batch. `k` keeps
-        // the byte width handy for operand dumps.
+        // single-lane path and through a padded pass (the fewest live
+        // lanes that still take one). `k` keeps the byte width handy for
+        // operand dumps.
         for (i, kat) in raw_kats_for(kat_key.bits).enumerate() {
             let m = BigUint::from_hex(kat.m).expect("corpus m");
             let c = BigUint::from_hex(kat.c).expect("corpus c");
             let single = engine.private_op_single(&c);
-            let masked = engine.private_op_masked(std::slice::from_ref(&c));
-            if single != m || masked.len() != 1 || masked[0] != m {
+            let masked = engine.private_op_masked(&vec![c.clone(); SINGLE_OP_MAX_LIVE + 1]);
+            if single != m || masked.iter().any(|lane| *lane != m) {
                 out.push(kat_divergence(
                     "kat-raw",
                     i as u64,

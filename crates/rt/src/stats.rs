@@ -27,8 +27,10 @@ pub struct FlushRecord {
 }
 
 impl FlushRecord {
-    /// Fraction of lanes doing live work (a masked partial batch still
-    /// pays the full-width pass, so this is the efficiency of the flush).
+    /// Fraction of the batch's lanes that carried a live request. When
+    /// the card pads the batch to a full-width pass (the RSA engine does
+    /// above two live lanes) this is the efficiency of the flush; a
+    /// sparser flush the engine runs as single ops pays no dead lanes.
     pub fn occupancy_fraction(&self) -> f64 {
         self.occupancy as f64 / self.width as f64
     }

@@ -95,8 +95,8 @@ fn main() {
     );
     println!("every batched plaintext matches the sequential CRT result");
 
-    // A lone request can't fill a batch: the deadline fires instead and
-    // the pass runs with masked (dummy) lanes.
+    // A lone request can't fill a batch: the deadline fires instead, and
+    // the engine runs its one live lane as a single op, not a padded pass.
     let lone = RsaBatchService::new_fleet(
         &key,
         &PhiConfig::default(),

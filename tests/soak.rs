@@ -108,7 +108,9 @@ fn mixed_workload_soak() {
 
 #[test]
 fn batch_engine_soak() {
-    // The batched CRT engine against the generic path over many batches.
+    // The batched CRT engine against the generic path over many batches:
+    // 35 ciphertexts flush as 16 + 16 + 3 live lanes.
+    use phiopenssl::batch::BATCH_WIDTH;
     use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig};
     let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0x50B), 512).unwrap();
     let crt = CrtKey::from_components(key.p(), key.q(), key.dp(), key.dq(), key.qinv()).unwrap();
@@ -118,7 +120,10 @@ fn batch_engine_soak() {
     let cts: Vec<BigUint> = (0..35)
         .map(|_| &BigUint::from(rng.gen::<u64>()) % key.public().n())
         .collect();
-    let batched = engine.private_op_many(&cts);
+    let batched: Vec<BigUint> = cts
+        .chunks(BATCH_WIDTH)
+        .flat_map(|chunk| engine.private_op_masked(chunk))
+        .collect();
     for (i, c) in cts.iter().enumerate() {
         assert_eq!(batched[i], ops.private_op(&key, c).unwrap(), "index {i}");
     }
