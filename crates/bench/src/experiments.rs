@@ -884,10 +884,7 @@ pub fn e17_backend_validation(sizes: &[u32], iters: u32) -> Table {
         t.note("host has no AVX2 — native tier unavailable, sweep skipped");
         return t;
     }
-    t.note(format!(
-        "native tier: {}",
-        phi_backend::native_tier().name()
-    ));
+    t.note(native_tier_note());
     for &bits in sizes {
         let n = workload::modulus(bits);
         let a = &workload::operand(bits, 17) % &n;
@@ -927,6 +924,16 @@ pub fn e17_backend_validation(sizes: &[u32], iters: u32) -> Table {
     t
 }
 
+/// The note naming the SIMD level the native lane loops ran at, beside
+/// the host's: `native tier: avx2 (host avx512-ifma)`.
+fn native_tier_note() -> String {
+    format!(
+        "native tier: {} (host {})",
+        phi_backend::native_tier().name(),
+        phi_backend::NativeTier::detected().name()
+    )
+}
+
 /// E18 — Table: classic CIOS vs truncated-separated Montgomery reduction
 /// (DESIGN.md §3.12), 16-lane batch exponentiation per key size.
 ///
@@ -947,10 +954,8 @@ pub fn e18_truncated(sizes: &[u32]) -> Table {
     t.note("bit-identical by construction; `agree` checks both variants vs the scalar oracle");
     let native = phiopenssl::CpuFeatures::detect().avx2;
     if native {
-        t.note(format!(
-            "native parity included in `agree` (tier: {})",
-            phi_backend::native_tier().name()
-        ));
+        t.note("native parity included in `agree`");
+        t.note(native_tier_note());
     } else {
         t.note("host has no AVX2 — native parity not checked");
     }
@@ -1499,7 +1504,9 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
     t.note("tuned = committed bench/tuning.json winner (generated radix/window kernel)");
     t.note("bit-identical by construction; `agree` also checks lane 0 vs the scalar oracle");
     let native = phiopenssl::CpuFeatures::detect().avx2;
-    if !native {
+    if native {
+        t.note(native_tier_note());
+    } else {
         t.note("host has no AVX2 — native wall-clock pass skipped");
     }
     for &bits in key_sizes {

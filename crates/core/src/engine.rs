@@ -32,8 +32,9 @@ use phi_bigint::{BigIntError, BigUint};
 /// Two, because a pass costs at least 2.68× a single op: on the modeled
 /// KNC channel at least 3.98× under `Tuning::Static` and 2.68× under
 /// `Tuning::Table` (tightest at 384 bits), at every key size from 127 to
-/// 4096 bits, and 5.9–7.3× on the native backend at 256–2048 bits (one
-/// AVX2 Xeon core). Two singles always undercut it; three would not.
+/// 4096 bits, and 5.4–5.9× on the native backend at 256–2048 bits (the
+/// default `x86-64-v3` build on one Xeon core). Two singles always
+/// undercut it; three would not.
 pub const SINGLE_OP_MAX_LIVE: usize = 2;
 
 /// A reusable engine executing RSA private operations sixteen at a time.

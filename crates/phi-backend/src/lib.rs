@@ -10,7 +10,8 @@
 //!   trait indirection is count- and bit-identical to the pre-trait code.
 //! * [`NativeX86`] — real host SIMD: plain lane loops the compiler
 //!   auto-vectorizes to whatever the build targets, with no accounting.
-//!   [`native_tier`] labels the host's SIMD level for logs.
+//!   [`native_tier`] labels the SIMD level those loops run at (the
+//!   lesser of the build's and the host's) for logs.
 //!
 //! Callers pick a backend with [`Backend`] (usually via
 //! `PhiConfig::builder().backend(...)` in the core crate; the

@@ -3,17 +3,21 @@
 //! Lane types are plain arrays and every lane operation, the widening
 //! 32×32→64 multiply-accumulate [`fma32`](crate::Vector64::fma32)
 //! included, is a plain lane loop. LLVM lowers those loops to the best
-//! SIMD the build targets (`vpmuludq`/`vpaddq` on zmm under
-//! `RUSTFLAGS="-C target-cpu=native"`) and keeps all eight lanes in
-//! registers across the surrounding vector ops. Hand-written
-//! `core::arch` lowerings measured 0.4–0.9× of this loop end to end (a
-//! `#[target_feature]` function cannot inline into callers built without
-//! that feature, and inlined intrinsics fence the lanes through memory at
-//! each op boundary), so the backend has none and the crate forbids
-//! `unsafe`.
+//! SIMD the build targets and keeps all eight lanes in registers across
+//! the surrounding vector ops: `vpmuludq`/`vpaddq` on ymm in the default
+//! x86-64 build (`x86-64-v3`, set in the repository's
+//! `.cargo/config.toml`), on zmm under `RUSTFLAGS="-C target-cpu=native"`
+//! on an AVX-512 host. Hand-written `core::arch` lowerings measured
+//! 0.4–0.9× of this loop end to end (a `#[target_feature]` function
+//! cannot inline into callers built without that feature, and inlined
+//! intrinsics fence the lanes through memory at each op boundary), so
+//! the backend has none and the crate forbids `unsafe`.
 //!
-//! [`native_tier`] names the best SIMD the host offers, as a label for
-//! logs and reports; it selects nothing.
+//! [`native_tier`] names the SIMD level the lane loops actually run at:
+//! the lesser of what the build compiled them for
+//! ([`NativeTier::compiled`]) and what the host offers
+//! ([`NativeTier::detected`]). It is a label for logs and reports; it
+//! selects nothing.
 
 #![allow(clippy::needless_range_loop)] // explicit lane indices read as lane semantics
 
@@ -36,8 +40,8 @@ pub struct NV32(pub [u32; 16]);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NMask8(pub u8);
 
-/// The best SIMD level the host offers, best last: a host label for
-/// logs and reports (see [`native_tier`]).
+/// A SIMD level, best last: a label for logs and reports (see
+/// [`native_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NativeTier {
     /// No AVX2 (or not x86-64).
@@ -60,20 +64,41 @@ impl NativeTier {
             NativeTier::Avx512Ifma => "avx512-ifma",
         }
     }
+
+    /// The best tier a feature set reaches.
+    fn of(features: &crate::CpuFeatures) -> NativeTier {
+        if features.avx512ifma {
+            NativeTier::Avx512Ifma
+        } else if features.avx512f {
+            NativeTier::Avx512
+        } else if features.avx2 {
+            NativeTier::Avx2
+        } else {
+            NativeTier::Scalar
+        }
+    }
+
+    /// The tier this build compiles the lane loops for: the
+    /// `target_feature`s its flags enable, not the host's.
+    pub fn compiled() -> NativeTier {
+        NativeTier::of(&crate::CpuFeatures {
+            x86_64: cfg!(target_arch = "x86_64"),
+            avx2: cfg!(target_feature = "avx2"),
+            avx512f: cfg!(target_feature = "avx512f"),
+            avx512ifma: cfg!(target_feature = "avx512ifma"),
+        })
+    }
+
+    /// The host's tier, from [`CpuFeatures::detect`](crate::CpuFeatures::detect).
+    pub fn detected() -> NativeTier {
+        NativeTier::of(&crate::CpuFeatures::detect())
+    }
 }
 
-/// The host's SIMD level, derived from [`CpuFeatures::detect`](crate::CpuFeatures::detect).
+/// The tier the native lane loops run at: the lesser of the build's
+/// ([`NativeTier::compiled`]) and the host's ([`NativeTier::detected`]).
 pub fn native_tier() -> NativeTier {
-    let features = crate::CpuFeatures::detect();
-    if features.avx512ifma {
-        NativeTier::Avx512Ifma
-    } else if features.avx512f {
-        NativeTier::Avx512
-    } else if features.avx2 {
-        NativeTier::Avx2
-    } else {
-        NativeTier::Scalar
-    }
+    NativeTier::compiled().min(NativeTier::detected())
 }
 
 #[inline]
@@ -279,11 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn tier_labels_the_detected_features() {
+    fn tier_is_the_lesser_of_build_and_host() {
         let t = native_tier();
-        assert!(!t.name().is_empty());
+        let (built, host) = (NativeTier::compiled(), NativeTier::detected());
+        assert!(t <= built && t <= host);
+        assert_eq!(t, built.min(host));
+        assert_eq!(built >= NativeTier::Avx2, cfg!(target_feature = "avx2"));
         let features = crate::CpuFeatures::detect();
-        assert_eq!(t >= NativeTier::Avx2, features.avx2 || features.avx512f);
-        assert_eq!(t == NativeTier::Avx512Ifma, features.avx512ifma);
+        assert_eq!(host >= NativeTier::Avx2, features.avx2 || features.avx512f);
+        assert_eq!(host == NativeTier::Avx512Ifma, features.avx512ifma);
     }
 }

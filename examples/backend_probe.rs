@@ -1,24 +1,27 @@
-//! Backend probe: report what the host CPU supports, how `Backend::Auto`
-//! resolves, and check native-vs-modeled agreement on a quick mod-exp.
+//! Backend probe: report what the host CPU supports, which SIMD tier the
+//! build compiled for and which one the native lane loops run at, how
+//! `Backend::Auto` resolves, and check native-vs-modeled agreement on a
+//! quick mod-exp.
 //!
 //! ```text
 //! cargo run --release --example backend_probe
 //! ```
 //!
-//! CI's `native-backend` job runs this to log the detected feature set
-//! before exercising the native tier.
+//! CI's `test` job runs this and fails unless the `build tier` line names
+//! `avx2` or better (the repository's `.cargo/config.toml` baseline); the
+//! `native-backend` job runs it to log the feature set of its
+//! `-C target-cpu=native` build.
 
 use phi_bigint::BigUint;
 use phiopenssl::{Backend, CpuFeatures, PhiConfig, PhiLibrary, ResolvedBackend};
+use phiopenssl_suite::backend::{native_tier, NativeTier};
 use phiopenssl_suite::mont::Libcrypto;
 
 fn main() {
     let features = CpuFeatures::detect();
     println!("cpu features : {features}");
-    println!(
-        "native tier  : {}",
-        phiopenssl_suite::backend::native_tier().name()
-    );
+    println!("build tier   : {}", NativeTier::compiled().name());
+    println!("native tier  : {}", native_tier().name());
 
     let auto = Backend::Auto.resolve();
     println!("Backend::Auto: resolves to {auto}");
