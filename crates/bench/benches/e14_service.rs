@@ -1,9 +1,10 @@
-//! E14 wall-clock: the live deadline-driven batch service vs sequential
+//! E14 wall-clock: the live work-conserving batch service vs sequential
 //! private operations, same 16-request burst.
 //!
 //! The modeled-channel load sweep lives in the harness (`harness e14`);
 //! this bench sanity-checks the real threaded offload service (a one-card
-//! `RsaBatchService::new_fleet`) end to end: submit a full burst, redeem
+//! `RsaBatchService::new_fleet`) end to end: park a full burst at once
+//! with `submit_many` (one full flush), redeem
 //! every ticket, and compare against the same sixteen decryptions run one
 //! at a time on a warm session cache.
 
@@ -41,7 +42,6 @@ fn bench(c: &mut Criterion) {
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: BATCH_WIDTH,
-            max_wait: 2e-3,
             queue_cap: 4 * BATCH_WIDTH,
         },
         ..ResilienceConfig::default()
@@ -50,10 +50,7 @@ fn bench(c: &mut Criterion) {
         RsaBatchService::new_fleet(&key, &PhiConfig::default(), config, Vec::new()).unwrap();
     g.bench_with_input(BenchmarkId::new("batched_burst", bits), &bits, |b, _| {
         b.iter(|| {
-            let handles: Vec<_> = cts
-                .iter()
-                .map(|ct| service.submit(black_box(ct.clone())).unwrap())
-                .collect();
+            let handles = service.submit_many(black_box(cts.clone())).unwrap();
             handles.into_iter().map(|h| h.wait()).collect::<Vec<_>>()
         })
     });

@@ -236,7 +236,6 @@ pub fn measure_verify_overhead() -> VerifyOverhead {
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: phiopenssl::batch::BATCH_WIDTH,
-            max_wait: ServiceConfig::default().max_wait,
             queue_cap: ops.max(phiopenssl::batch::BATCH_WIDTH),
         },
         ..ResilienceConfig::default()
@@ -244,12 +243,12 @@ pub fn measure_verify_overhead() -> VerifyOverhead {
     let phi = phiopenssl::PhiConfig::builder().verified().build();
     let service =
         RsaBatchService::new_fleet(&key, &phi, config, Vec::new()).expect("verified service");
-    let handles: Vec<_> = (0..ops as u64)
-        .map(|j| {
-            let c = &crate::workload::operand(bits, 7000 + j) % key.public().n();
-            service.submit(c).expect("queue sized for the burst")
-        })
+    // Parked whole, the burst leaves in full-width flushes: the shape
+    // the gate prices.
+    let cts = (0..ops as u64)
+        .map(|j| &crate::workload::operand(bits, 7000 + j) % key.public().n())
         .collect();
+    let handles = service.submit_many(cts).expect("queue sized for the burst");
     for h in handles {
         h.wait().expect("fault-free run resolves every lane");
     }

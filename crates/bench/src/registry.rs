@@ -133,7 +133,7 @@ pub static EXPERIMENTS: [Experiment; 20] = [
     },
     Experiment {
         id: "e14",
-        title: "deadline-driven batch RSA service",
+        title: "work-conserving batch RSA service",
         run: profile_run!(
             ex::e14_service(1024, &[0.2, 0.5, 0.9, 1.5, 3.0], 512),
             ex::e14_service(512, &[0.2, 3.0], 96)

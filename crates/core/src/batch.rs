@@ -16,6 +16,7 @@
 
 #![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
 
+use crate::engine::SINGLE_OP_MAX_LIVE;
 use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::VMontCtx;
 use phi_backend::{with_backend, Vector32, Vector64, VectorBackend};
@@ -429,6 +430,44 @@ impl<'c> BatchMont<'c> {
             .collect()
     }
 
+    /// Power-equality checks for 1..=[`BATCH_WIDTH`] pairs, each verdict
+    /// in input order: the release check sized to a flush's live lanes,
+    /// as [`BatchCrtEngine::private_op_masked`] sizes the private op.
+    ///
+    /// Up to [`SINGLE_OP_MAX_LIVE`] pairs run one by one through
+    /// [`VMontCtx::pow_eq`]; more run as one [`Self::pow_eq_16`] whose
+    /// dead lanes are padded with `base = expected = 0` and discarded.
+    ///
+    /// [`BatchCrtEngine::private_op_masked`]: crate::BatchCrtEngine::private_op_masked
+    pub fn pow_eq_masked(
+        &self,
+        bases: &[BigUint],
+        exp: &BigUint,
+        expected: &[BigUint],
+    ) -> Vec<bool> {
+        assert!(
+            !bases.is_empty() && bases.len() <= BATCH_WIDTH,
+            "need 1..={BATCH_WIDTH} pairs, got {}",
+            bases.len()
+        );
+        assert_eq!(bases.len(), expected.len(), "one expected value per base");
+        if bases.len() <= SINGLE_OP_MAX_LIVE {
+            return bases
+                .iter()
+                .zip(expected)
+                .map(|(b, c)| self.ctx.pow_eq(b, exp, c))
+                .collect();
+        }
+        let pad = |xs: &[BigUint]| {
+            let mut v = xs.to_vec();
+            v.resize(BATCH_WIDTH, BigUint::zero());
+            v
+        };
+        let mut verdicts = self.pow_eq_16(&pad(bases), exp, &pad(expected));
+        verdicts.truncate(bases.len());
+        verdicts
+    }
+
     fn n_vecnum(&self) -> VecNum {
         let mut v = VecNum::zero(self.ctx.padded_digits());
         v.digits_mut().copy_from_slice(&self.n_cols);
@@ -534,6 +573,51 @@ mod tests {
             expected[lane] = bases[lane].mod_exp(&e, &n);
         }
         assert_eq!(bm.pow_eq_16(&bases, &e, &expected), vec![true; BATCH_WIDTH]);
+    }
+
+    #[test]
+    fn pow_eq_masked_agrees_with_pow_eq_16_lane_for_lane() {
+        let ctx = ctx256();
+        let bm = BatchMont::with_variant(&ctx, MontVariant::Auto);
+        let n = ctx.modulus().clone();
+        let e = BigUint::from(65537u64);
+        let (bases, _) = sixteen_values(&ctx, 13);
+        let mut expected: Vec<BigUint> = bases.iter().map(|b| b.mod_exp(&e, &n)).collect();
+        // Every third lane carries a wrong result.
+        for lane in (0..BATCH_WIDTH).step_by(3) {
+            expected[lane] = &(&expected[lane] + &BigUint::one()) % &n;
+        }
+        let full = bm.pow_eq_16(&bases, &e, &expected);
+        for live in [1usize, 2, 3, 16] {
+            assert_eq!(
+                bm.pow_eq_masked(&bases[..live], &e, &expected[..live]),
+                full[..live],
+                "occupancy {live}"
+            );
+        }
+        // A flipped result is rejected at the single-lane occupancies too.
+        for live in [1usize, 2] {
+            let honest: Vec<BigUint> = bases[..live].iter().map(|b| b.mod_exp(&e, &n)).collect();
+            assert_eq!(
+                bm.pow_eq_masked(&bases[..live], &e, &honest),
+                vec![true; live]
+            );
+            let mut flipped = honest.clone();
+            flipped[live - 1] = &(&flipped[live - 1] + &BigUint::one()) % &n;
+            let verdicts = bm.pow_eq_masked(&bases[..live], &e, &flipped);
+            assert!(!verdicts[live - 1], "occupancy {live}: flip released");
+            assert!(
+                verdicts[..live - 1].iter().all(|&ok| ok),
+                "occupancy {live}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need 1..=16")]
+    fn pow_eq_masked_rejects_an_empty_check() {
+        let ctx = ctx256();
+        BatchMont::new(&ctx).pow_eq_masked(&[], &BigUint::from(3u64), &[]);
     }
 
     #[test]

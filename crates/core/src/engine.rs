@@ -13,6 +13,8 @@
 //! committed generated kernel under [`Tuning::Table`]; single operations
 //! run the intra-operand [`VMontCtx`] ladder, as do masked calls with at
 //! most [`SINGLE_OP_MAX_LIVE`] live lanes: lanes pay only when enough are.
+//! The release check of a flush crosses over at the same occupancy
+//! ([`BatchMont::pow_eq_masked`]).
 
 use crate::batch::{BatchMont, MontVariant, BATCH_WIDTH};
 use crate::crt::CrtKey;
@@ -27,14 +29,18 @@ use phi_backend::ResolvedBackend;
 use phi_bigint::{BigIntError, BigUint};
 
 /// The most live lanes [`BatchCrtEngine::private_op_masked`] serves as
-/// that many single operations instead of one padded 16-lane pass.
+/// that many single operations instead of one padded 16-lane pass, and
+/// [`BatchMont::pow_eq_masked`] checks as that many single-lane checks
+/// instead of one padded [`BatchMont::pow_eq_16`].
 ///
 /// Two, because a pass costs at least 2.68× a single op: on the modeled
 /// KNC channel at least 3.98× under `Tuning::Static` and 2.68× under
 /// `Tuning::Table` (tightest at 384 bits), at every key size from 127 to
 /// 4096 bits, and 5.4–5.9× on the native backend at 256–2048 bits (the
 /// default `x86-64-v3` build on one Xeon core). Two singles always
-/// undercut it; three would not.
+/// undercut it; three would not. The check clears the same bar with
+/// room: one `pow_eq_16` costs 4.3–6.1× a single-lane `pow_eq` on the
+/// modeled channel at 256–2048-bit moduli (5.3× at 1024 bits).
 pub const SINGLE_OP_MAX_LIVE: usize = 2;
 
 /// A reusable engine executing RSA private operations sixteen at a time.
@@ -411,6 +417,34 @@ mod tests {
                     pass / single
                 );
             }
+        }
+    }
+
+    /// The release check's crossover on the modeled channel:
+    /// [`SINGLE_OP_MAX_LIVE`] single-lane checks undercut one `pow_eq_16`
+    /// at 256- to 2048-bit moduli. A kernel change that lets the 16-lane
+    /// check undercut two singles fails here.
+    #[test]
+    fn single_checks_undercut_a_pow_eq_16_up_to_the_crossover() {
+        let e = BigUint::from(65537u64);
+        let model = phi_simd::CostModel::knc();
+        for bits in [256u32, 512, 1024, 2048] {
+            let n = &BigUint::power_of_two(bits) - &BigUint::from(0x61u64);
+            let ctx = VMontCtx::with_backend(&n, ResolvedBackend::ModeledKnc).unwrap();
+            let bases: Vec<BigUint> = (1..=BATCH_WIDTH as u64)
+                .map(|j| &BigUint::from(j * 0x9E37_79B9) % &n)
+                .collect();
+            let expected: Vec<BigUint> = bases.iter().map(|b| b.mod_exp(&e, &n)).collect();
+            let mont = BatchMont::with_variant(&ctx, MontVariant::Auto);
+            let (all, wide) = count::measure(|| mont.pow_eq_16(&bases, &e, &expected));
+            let (one, single) = count::measure(|| ctx.pow_eq(&bases[0], &e, &expected[0]));
+            assert!(all.iter().all(|&ok| ok) && one);
+            let (wide, single) = (model.issue_cycles(&wide), model.issue_cycles(&single));
+            assert!(
+                SINGLE_OP_MAX_LIVE as f64 * single < wide,
+                "{bits}-bit modulus: pow_eq_16/single {:.2}",
+                wide / single
+            );
         }
     }
 

@@ -260,6 +260,38 @@ impl VMontCtx {
     pub fn mont_sqr_vec(&self, a: &VecNum) -> VecNum {
         self.mont_mul_vec(a, a)
     }
+
+    /// One power-equality check: `base^exp ≡ expected (mod n)`.
+    ///
+    /// The single-lane form of
+    /// [`BatchMont::pow_eq_16`](crate::BatchMont::pow_eq_16), checking
+    /// the same way: square-and-multiply over the exponent's actual bits
+    /// (16 squarings and one multiplication at e = 65537), and the
+    /// comparison in the Montgomery domain (x ↦ x·R is injective mod n),
+    /// so there is no domain exit. The release check of a sparse flush
+    /// runs one per live lane. No span is opened here.
+    pub fn pow_eq(&self, base: &BigUint, exp: &BigUint, expected: &BigUint) -> bool {
+        with_backend!(self.backend, B => self.pow_eq_generic::<B>(base, exp, expected))
+    }
+
+    fn pow_eq_generic<B: VectorBackend>(
+        &self,
+        base: &BigUint,
+        exp: &BigUint,
+        expected: &BigUint,
+    ) -> bool {
+        assert!(!exp.is_zero(), "a power check needs a nonzero exponent");
+        let base_m = self.mont_mul_generic::<B>(&self.to_vec_form(base), &self.rr_vec);
+        let mut acc = base_m.clone();
+        for i in (0..exp.bit_length() - 1).rev() {
+            acc = self.mont_mul_generic::<B>(&acc, &acc);
+            if exp.extract_bits(i, 1) == 1 {
+                acc = self.mont_mul_generic::<B>(&acc, &base_m);
+            }
+        }
+        let want = self.mont_mul_generic::<B>(&self.to_vec_form(expected), &self.rr_vec);
+        want.cmp_digits(&acc) == std::cmp::Ordering::Equal
+    }
 }
 
 impl MontEngine for VMontCtx {
@@ -434,6 +466,36 @@ mod tests {
         let (_, d) = count::measure(|| native.mont_mul_vec(&am, &am));
         assert_eq!(d.get(OpClass::VMul), 0);
         assert_eq!(d.get(OpClass::SMul32), 0);
+    }
+
+    #[test]
+    fn pow_eq_accepts_true_powers_and_rejects_anything_else() {
+        let n = n256();
+        let e = BigUint::from(65537u64);
+        for backend in [ResolvedBackend::ModeledKnc, ResolvedBackend::NativeX86] {
+            if backend == ResolvedBackend::NativeX86 && !phi_backend::CpuFeatures::detect().avx2 {
+                continue;
+            }
+            let ctx = VMontCtx::with_backend(&n, backend).unwrap();
+            for base in [
+                BigUint::zero(),
+                BigUint::one(),
+                &n - &BigUint::one(),
+                BigUint::from_hex("123456789abcdef0123456789abcdef0123456789abcdef").unwrap(),
+            ] {
+                let want = base.mod_exp(&e, &n);
+                assert!(ctx.pow_eq(&base, &e, &want), "{backend:?}: honest power");
+                let flipped = &(&want + &BigUint::one()) % &n;
+                assert!(!ctx.pow_eq(&base, &e, &flipped), "{backend:?}: flip");
+                // Any exponent, not only 65537.
+                assert!(ctx.pow_eq(
+                    &base,
+                    &BigUint::from(3u64),
+                    &base.mod_exp(&BigUint::from(3u64), &n)
+                ));
+                assert!(ctx.pow_eq(&base, &BigUint::one(), &base));
+            }
+        }
     }
 
     #[test]

@@ -837,7 +837,6 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 200e-6,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()
@@ -910,7 +909,6 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 200e-6,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()
@@ -964,18 +962,16 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 });
             }
         }
-        // Burst shape: queue a batch at once so multi-card fleets see
+        // Burst shape: park a batch at once so multi-card fleets see
         // imbalance (and, at threshold 1, steal) — every handle must
         // still resolve to the oracle answer exactly once.
-        let burst: Vec<(BigUint, _)> = (0..6u64)
-            .map(|_| {
-                let m = g.residue(n);
-                let c = m.mod_exp(key.public().e(), n);
-                let handle = fleet.submit(c).expect("fleet accepts the burst");
-                (m, handle)
-            })
+        let wants: Vec<BigUint> = (0..6u64).map(|_| g.residue(n)).collect();
+        let cts = wants
+            .iter()
+            .map(|m| m.mod_exp(key.public().e(), n))
             .collect();
-        for (want, handle) in burst {
+        let handles = fleet.submit_many(cts).expect("fleet accepts the burst");
+        for (want, handle) in wants.into_iter().zip(handles) {
             let got = handle.wait().expect("burst request answers");
             if got != want {
                 out.push(Divergence {
@@ -1309,7 +1305,6 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 200e-6,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()

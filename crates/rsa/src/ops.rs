@@ -39,8 +39,7 @@ use phi_rt::{
     key_fingerprint, CardSetup, FleetReport, FleetScheduler, IntegrityHooks, ResilienceConfig,
     ResilientHandle,
 };
-use phiopenssl::batch::{BatchMont, BATCH_WIDTH};
-use phiopenssl::{BatchCrtEngine, PhiConfig, VMontCtx};
+use phiopenssl::{BatchCrtEngine, BatchMont, PhiConfig, VMontCtx};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
 
@@ -56,7 +55,7 @@ impl RsaTicket {
     }
 }
 
-/// A shared deadline-driven batch executor for one private key.
+/// A shared work-conserving batch executor for one private key.
 ///
 /// Holds `phi_rt`'s [`FleetScheduler`] — one modeled card or several —
 /// with a [`BatchCrtEngine`] built from the key's CRT material on every
@@ -112,17 +111,17 @@ fn host_crt(key: &RsaPrivateKey) -> Result<HostFn<BigUint, BigUint>, RsaError> {
 /// fault applies to one lane's plaintext (`(m + 1) mod n` — with `e`
 /// coprime to `λ(n)` the e-th root of `c` is unique, so *any* change to
 /// `m` is guaranteed to fail the check), and the release check itself —
-/// the cheap public-exponent test `m^e ≡ c (mod n)`, batched: the whole
-/// flush is checked in masked 16-lane vector passes sharing the public
-/// exponent (~17 vector multiplications at e = 65537, amortized over
-/// every released lane). The check runs on the same vector backend as
-/// the card (`phi.backend`). A vector pass costs the same at any
-/// occupancy, so checking sixteen results together is what keeps
-/// verification under the `perfgate --verify-overhead` bound — a scalar
-/// exponentiation per result would cost ~40% of the batched CRT work it
-/// guards, the batch check a few percent. Without this check a silently
-/// faulted CRT half leaks the private key via `gcd(s − ŝ, n)` (the
-/// Bellcore attack).
+/// the cheap public-exponent test `m^e ≡ c (mod n)` over the whole
+/// flush in one [`BatchMont::pow_eq_masked`] call (~17 Montgomery
+/// multiplications at e = 65537). The check is sized to the live lanes
+/// the way the card pass is: a flush of at most
+/// [`SINGLE_OP_MAX_LIVE`](phiopenssl::engine::SINGLE_OP_MAX_LIVE) lanes
+/// gets one single-lane check per lane, a fuller one a 16-lane check
+/// whose cost amortizes over every released lane, which is what keeps
+/// verification under the `perfgate --verify-overhead` bound. It runs
+/// on the same vector backend as the card (`phi.backend`). Without this
+/// check a silently faulted CRT half leaks the private key via
+/// `gcd(s − ŝ, n)` (the Bellcore attack).
 fn integrity_hooks(
     key: &RsaPrivateKey,
     phi: &PhiConfig,
@@ -133,18 +132,10 @@ fn integrity_hooks(
     Ok(IntegrityHooks::verified_batch(
         move |_c: &BigUint, m: &BigUint| (m + 1u64).rem_ref(&n).expect("public modulus is nonzero"),
         move |pairs: &[(&BigUint, &BigUint)]| {
-            let mont = BatchMont::with_variant(&ctx, phiopenssl::MontVariant::Auto);
-            let mut verdicts = Vec::with_capacity(pairs.len());
-            for chunk in pairs.chunks(BATCH_WIDTH) {
-                let mut bases = vec![BigUint::zero(); BATCH_WIDTH];
-                let mut expected = vec![BigUint::zero(); BATCH_WIDTH];
-                for (lane, (c, m)) in chunk.iter().enumerate() {
-                    bases[lane] = (*m).clone();
-                    expected[lane] = (*c).clone();
-                }
-                verdicts.extend_from_slice(&mont.pow_eq_16(&bases, &e, &expected)[..chunk.len()]);
-            }
-            verdicts
+            let (expected, bases): (Vec<BigUint>, Vec<BigUint>) =
+                pairs.iter().map(|&(c, m)| (c.clone(), m.clone())).unzip();
+            BatchMont::with_variant(&ctx, phiopenssl::MontVariant::Auto)
+                .pow_eq_masked(&bases, &e, &expected)
         },
     ))
 }
@@ -161,8 +152,8 @@ impl RsaBatchService {
     /// Submissions carry the key's modulus fingerprint, so affinity
     /// routing keeps one key's stream on the card whose sessions are
     /// warm; work stealing and whole-card migration rebalance when a card
-    /// lags or trips. `resilience.service` sets the batch width, the
-    /// collection deadline and the queue cap.
+    /// lags or trips. `resilience.service` sets the batch width and the
+    /// queue cap. An idle card flushes whatever is parked at once.
     ///
     /// With `phi.verified` set (`PhiConfig::builder().verified()`) every
     /// card plaintext is checked against `m^e ≡ c (mod n)` before it
@@ -216,6 +207,16 @@ impl RsaBatchService {
     /// keeps this key's stream on its warm card.
     pub fn submit(&self, c: BigUint) -> Result<RsaTicket, SubmitError> {
         Ok(RsaTicket(self.fleet.submit_keyed(Some(self.fp), c)?))
+    }
+
+    /// Submit a burst of ciphertexts at once, all or nothing: the burst
+    /// is parked whole, so an idle card flushes `min(burst, width)` of
+    /// them together, and a burst that does not fit parks nothing and
+    /// fails with [`SubmitError::QueueFull`]. See
+    /// [`FleetScheduler::submit_many_keyed`].
+    pub fn submit_many(&self, cts: Vec<BigUint>) -> Result<Vec<RsaTicket>, SubmitError> {
+        let handles = self.fleet.submit_many_keyed(Some(self.fp), cts)?;
+        Ok(handles.into_iter().map(RsaTicket).collect())
     }
 
     /// Submit and block until the flush carrying this request resolved.
@@ -611,19 +612,6 @@ mod tests {
         assert_eq!(setups, 1, "public and full-ladder paths share n's session");
     }
 
-    /// A service config whose flushes are full 16-lane batches (the
-    /// collection deadline never fires inside a test).
-    fn full_width() -> ResilienceConfig {
-        ResilienceConfig {
-            service: ServiceConfig {
-                width: 16,
-                max_wait: 10.0,
-                ..ServiceConfig::default()
-            },
-            ..ResilienceConfig::default()
-        }
-    }
-
     fn service(key: &RsaPrivateKey, phi: &PhiConfig) -> RsaBatchService {
         RsaBatchService::new_fleet(key, phi, ResilienceConfig::default(), Vec::new())
             .expect("offload service")
@@ -742,7 +730,6 @@ mod tests {
         let config = ResilienceConfig {
             service: ServiceConfig {
                 width: 4,
-                max_wait: 200e-6,
                 ..ServiceConfig::default()
             },
             ..ResilienceConfig::default()
@@ -842,22 +829,22 @@ mod tests {
         assert_eq!(report.resolved_ops(), 5);
     }
 
-    /// Push one full 16-lane flush of honest ciphertexts through `service`
+    /// Push one flush of `lanes` honest ciphertexts through `service`
     /// and return its merged report.
-    fn one_full_flush(key: &RsaPrivateKey, service: RsaBatchService) -> ResilienceReport {
+    fn one_flush(key: &RsaPrivateKey, service: RsaBatchService, lanes: u64) -> ResilienceReport {
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let plaintexts: Vec<BigUint> = (1u64..=16).map(|i| BigUint::from(i * 5_555_551)).collect();
-        let tickets: Vec<RsaTicket> = plaintexts
+        let plaintexts: Vec<BigUint> = (1..=lanes).map(|i| BigUint::from(i * 5_555_551)).collect();
+        let cts = plaintexts
             .iter()
-            .map(|m| {
-                let c = ops.public_op(key.public(), m).unwrap();
-                service.submit(c).unwrap()
-            })
+            .map(|m| ops.public_op(key.public(), m).unwrap())
             .collect();
+        let tickets = service.submit_many(cts).unwrap();
         for (ticket, m) in tickets.into_iter().zip(&plaintexts) {
             assert_eq!(&ticket.wait().unwrap(), m);
         }
-        service.shutdown_fleet().merged()
+        let report = service.shutdown_fleet().merged();
+        assert_eq!(report.service.flush_count(), 1, "the burst is one flush");
+        report
     }
 
     #[test]
@@ -870,8 +857,9 @@ mod tests {
         // size) — the bound below is about the batch shape the service is
         // built for.
         let service =
-            RsaBatchService::new_fleet(&key, &verified(), full_width(), Vec::new()).unwrap();
-        let report = one_full_flush(&key, service);
+            RsaBatchService::new_fleet(&key, &verified(), ResilienceConfig::default(), Vec::new())
+                .unwrap();
+        let report = one_flush(&key, service, 16);
         assert_eq!(report.verified_ops, 16, "every released result checked");
         assert_eq!(report.verify_failures, 0, "honest results never rejected");
         assert!(
@@ -894,6 +882,36 @@ mod tests {
         );
     }
 
+    /// The release check is sized to the live lanes, like the card pass:
+    /// a one- or two-lane flush pays one single-lane check per lane, and
+    /// two of those undercut the 16-lane check a fuller flush pays.
+    #[test]
+    fn release_check_is_sized_to_the_live_lanes() {
+        let key = key256();
+        let check = |lanes: u64| {
+            let service = RsaBatchService::new_fleet(
+                &key,
+                &verified(),
+                ResilienceConfig::default(),
+                Vec::new(),
+            )
+            .unwrap();
+            let report = one_flush(&key, service, lanes);
+            assert_eq!(report.verified_ops, lanes);
+            report.verify_modeled_seconds
+        };
+        let (one, two, full) = (check(1), check(2), check(16));
+        assert!(one > 0.0, "a one-lane check is still priced");
+        assert!(
+            (two - 2.0 * one).abs() <= 1e-9 * two,
+            "two lanes, two single-lane checks: {two} vs 2 × {one}"
+        );
+        assert!(
+            two < full,
+            "two single-lane checks {two}s !< one 16-lane {full}s"
+        );
+    }
+
     /// The release check runs on the card's configured backend, not the
     /// process default: over the same full flush, a native verified
     /// service spends less on the check than a modeled one (skipped on
@@ -910,8 +928,10 @@ mod tests {
                 .expect("AVX2 detected")
                 .verified()
                 .build();
-            let service = RsaBatchService::new_fleet(&key, &phi, full_width(), Vec::new()).unwrap();
-            one_full_flush(&key, service).verify_modeled_seconds
+            let service =
+                RsaBatchService::new_fleet(&key, &phi, ResilienceConfig::default(), Vec::new())
+                    .unwrap();
+            one_flush(&key, service, 16).verify_modeled_seconds
         };
         let modeled = run(phiopenssl::Backend::ModeledKnc);
         let native = run(phiopenssl::Backend::NativeX86);

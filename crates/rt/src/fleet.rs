@@ -32,8 +32,8 @@
 //! * **Work stealing** — an idle card pulls the *newest* parked requests
 //!   from the most-loaded card once the imbalance crosses
 //!   [`FleetConfig::steal_threshold`]. Stolen entries keep their tickets
-//!   and arrival stamps, so exactly-once resolution and deadline
-//!   ordering survive the move.
+//!   and arrival stamps, so exactly-once resolution and arrival ordering
+//!   survive the move.
 //! * **Graceful capacity loss** — when a card's breaker trips open, its
 //!   parked lanes migrate wholesale (reply channels intact) onto the
 //!   surviving online cards and the router stops targeting it. The
@@ -43,6 +43,12 @@
 //!   online. With no online survivor the parked lanes stay where they
 //!   are; no migration happens while draining, so shutdown always
 //!   terminates.
+//!
+//! Every card worker is work-conserving: whenever its card is idle and
+//! anything is parked it takes a batch of up to `width` lanes at once,
+//! so requests that arrive during a flush form the next batch and none
+//! waits on a timer. A caller that needs a burst to share flushes parks
+//! it whole with [`FleetScheduler::submit_many_keyed`].
 
 use crate::resilient::{
     run_flush, FlushStats, HostFn, OffloadError, RJob, ResilienceConfig, ResilientHandle,
@@ -129,7 +135,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// (queue depths, online flags) at each decision point, so the
 /// virtual-clock simulations of E19 and the fleet proptests exercise the
 /// exact production routing code.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FleetRouter {
     config: FleetConfig,
     /// Key fingerprint → home card, insertion-ordered (the map is small:
@@ -249,6 +255,17 @@ impl FleetRouter {
         }
         best
     }
+}
+
+/// The card a submission routed to `primary` lands on: the primary first,
+/// then the other cards by ascending depth — a full home card sheds to
+/// the emptiest queue before rejecting. `None` when every card is at the
+/// high-water mark `cap`.
+fn spill_target(primary: usize, depths: &[usize], cap: usize) -> Option<usize> {
+    let mut order: Vec<usize> = (0..depths.len()).filter(|&c| c != primary).collect();
+    order.sort_by_key(|&c| depths[c]);
+    order.insert(0, primary);
+    order.into_iter().find(|&c| depths[c] < cap)
 }
 
 fn least_loaded(depths: &[usize], eligible: impl Fn(usize) -> bool) -> usize {
@@ -460,40 +477,73 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         key: Option<u64>,
         payload: T,
     ) -> Result<ResilientHandle<R>, SubmitError> {
-        let (reply, rx) = mpsc::channel();
+        let mut handles = self.submit_many_keyed(key, vec![payload])?;
+        Ok(handles.pop().expect("one handle per payload"))
+    }
+
+    /// Submit a burst of keyed requests at once, all or nothing.
+    ///
+    /// The whole burst is parked under one state lock, each payload
+    /// routed as [`submit_keyed`](Self::submit_keyed) routes it with the
+    /// burst's earlier payloads already parked, and every card the burst
+    /// touched is woken once afterwards. An idle card therefore sees the
+    /// burst whole and flushes its `min(burst, width)` oldest lanes
+    /// together, where a loop of single submissions would lose its first
+    /// lane to an immediate flush.
+    ///
+    /// When some payload finds every card at its high-water mark, the
+    /// call fails with [`SubmitError::QueueFull`]: nothing is parked, the
+    /// router is left as it was, and the whole burst counts as rejected
+    /// on the card that payload was routed to.
+    pub fn submit_many_keyed(
+        &self,
+        key: Option<u64>,
+        payloads: Vec<T>,
+    ) -> Result<Vec<ResilientHandle<R>>, SubmitError> {
         let now = self.shared.now();
         let mut state = lock(&self.shared.state);
         if state.shutdown {
             return Err(SubmitError::ServiceShutdown);
         }
-        let depths: Vec<usize> = state.cards.iter().map(|c| c.collector.depth()).collect();
+        let cap = state.cards[0].collector.config().queue_cap;
+        let mut depths: Vec<usize> = state.cards.iter().map(|c| c.collector.depth()).collect();
         let online: Vec<bool> = state.cards.iter().map(|c| c.online).collect();
-        let primary = state.router.route(key, &depths, &online);
-        // Primary first, then the other cards by ascending depth — a full
-        // home card sheds to the emptiest queue before rejecting.
-        let mut order: Vec<usize> = (0..depths.len()).filter(|&c| c != primary).collect();
-        order.sort_by_key(|&c| depths[c]);
-        order.insert(0, primary);
-        let target = order
+        // Route on a copy, committed only once the whole burst fits.
+        let mut router = state.router.clone();
+        let mut targets = Vec::with_capacity(payloads.len());
+        for _ in &payloads {
+            let primary = router.route(key, &depths, &online);
+            let Some(card) = spill_target(primary, &depths, cap) else {
+                return Err(state.cards[primary].collector.reject(payloads.len()));
+            };
+            depths[card] += 1;
+            targets.push(card);
+        }
+        state.router = router;
+        let mut touched = vec![false; depths.len()];
+        let handles = payloads
             .into_iter()
-            .find(|&c| depths[c] < state.cards[c].collector.config().queue_cap);
-        let card = match target {
-            Some(c) => c,
-            // Everything full: submit to the primary anyway so the
-            // rejection is accounted exactly like the single-card path.
-            None => primary,
-        };
-        let ticket = state.cards[card].collector.submit(
-            RJob {
-                payload,
-                reply,
-                requeues: 0,
-            },
-            now,
-        )?;
+            .zip(targets)
+            .map(|(payload, card)| {
+                let (reply, rx) = mpsc::channel();
+                let job = RJob {
+                    payload,
+                    reply,
+                    requeues: 0,
+                };
+                let ticket = state.cards[card]
+                    .collector
+                    .submit(job, now)
+                    .expect("the burst was routed within capacity");
+                touched[card] = true;
+                ResilientHandle::from_parts(ticket, rx)
+            })
+            .collect();
         drop(state);
-        self.shared.wakes[card].notify_one();
-        Ok(ResilientHandle::from_parts(ticket, rx))
+        for (card, _) in touched.iter().enumerate().filter(|&(_, &t)| t) {
+            self.shared.wakes[card].notify_one();
+        }
+        Ok(handles)
     }
 
     /// Submit an unkeyed request (routed by load/policy alone).
@@ -549,14 +599,20 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         }
     }
 
-    fn stop_workers(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
+    /// Stop admitting work and wake every card to drain its queue,
+    /// without waiting for the workers.
+    pub(crate) fn begin_shutdown(&self) {
         lock(&self.shared.state).shutdown = true;
         for wake in &self.shared.wakes {
             wake.notify_all();
         }
+    }
+
+    fn stop_workers(&mut self) {
+        if self.workers.is_empty() {
+            return;
+        }
+        self.begin_shutdown();
         for worker in self.workers.drain(..) {
             worker.join().expect("fleet card worker panicked");
         }
@@ -597,15 +653,15 @@ fn fleet_worker<T, R>(
     let mut state = lock(&shared.state);
     loop {
         let now = shared.now();
-        let mut due = state.cards[card].collector.ready(now);
-        let draining = state.shutdown && !state.cards[card].collector.is_empty();
+        // Work-conserving: an idle card takes whatever is parked.
+        let mut due = state.cards[card].collector.ready();
 
         // Work stealing: idle and not shutting down, pull the newest
         // entries from the most-loaded card once the imbalance crosses
         // the threshold. A tripped card steals too — the stolen work
         // advances its virtual clock through the breaker cooldown (via
         // host fallback), which is how it earns its way back online.
-        if due.is_none() && !draining && !state.shutdown {
+        if due.is_none() && !state.shutdown {
             let depths: Vec<usize> = state.cards.iter().map(|c| c.collector.depth()).collect();
             if let Some(victim) = state.router.steal_victim(card, &depths) {
                 let take = (depths[victim] - depths[card]) / 2;
@@ -616,16 +672,18 @@ fn fleet_worker<T, R>(
                         phi_trace::registry().counter_add("fleet.steals", stolen.len() as u64);
                     }
                     state.cards[card].collector.adopt(stolen);
-                    due = state.cards[card].collector.ready(now);
+                    due = state.cards[card].collector.ready();
                 }
             }
         }
 
-        if let Some(reason) = due.or(if draining {
-            Some(FlushReason::Drain)
-        } else {
-            None
-        }) {
+        if let Some(due) = due {
+            // Shutdown drains: a partial batch taken now is the drain.
+            let draining = state.shutdown;
+            let reason = match due {
+                FlushReason::Deadline if draining => FlushReason::Drain,
+                reason => reason,
+            };
             let batch = state.cards[card].collector.take_batch(reason, now);
             drop(state);
 
@@ -752,23 +810,20 @@ fn fleet_worker<T, R>(
         if state.shutdown {
             return;
         }
-        state = match state.cards[card].collector.next_deadline() {
-            Some(deadline) => {
-                let timeout = (deadline - shared.now()).max(0.0);
-                shared.wakes[card]
-                    .wait_timeout(state, std::time::Duration::from_secs_f64(timeout))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => {
-                // Idle: wake on submit/steal/migration/shutdown, and poll
-                // periodically so this card can notice a stealable
-                // imbalance even when nothing is routed to it.
-                shared.wakes[card]
-                    .wait_timeout(state, std::time::Duration::from_millis(1))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
+        state = if state.cards.len() == 1 {
+            // Idle with nothing to steal from: sleep until a submit or
+            // shutdown wakes this card.
+            shared.wakes[card]
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner())
+        } else {
+            // Idle: wake on submit/steal/migration/shutdown, and poll
+            // periodically so this card can notice a stealable imbalance
+            // even when nothing is routed to it.
+            shared.wakes[card]
+                .wait_timeout(state, std::time::Duration::from_millis(1))
+                .unwrap_or_else(|e| e.into_inner())
+                .0
         };
     }
 }
@@ -779,13 +834,9 @@ mod tests {
     use crate::service::ServiceConfig;
     use phi_faults::{FaultInjector, FaultKind, FaultRates, FaultScript};
 
-    fn config(width: usize, max_wait: f64, queue_cap: usize) -> ResilienceConfig {
+    fn config(width: usize, queue_cap: usize) -> ResilienceConfig {
         ResilienceConfig {
-            service: ServiceConfig {
-                width,
-                max_wait,
-                queue_cap,
-            },
+            service: ServiceConfig { width, queue_cap },
             ..ResilienceConfig::default()
         }
     }
@@ -805,6 +856,35 @@ mod tests {
                     .with_host(|x: &u64| x * 2)
             })
             .collect()
+    }
+
+    /// `n` doubling cards whose first flush blocks inside the card until
+    /// the returned sender releases it; the receiver hears each card
+    /// enter that flush. Work submitted meanwhile stays parked.
+    fn gated_setup(
+        n: usize,
+    ) -> (
+        Vec<CardSetup<u64, u64>>,
+        mpsc::Receiver<()>,
+        mpsc::Sender<()>,
+    ) {
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let setups = (0..n)
+            .map(|_| {
+                let (entered, release) = (entered_tx.clone(), Arc::clone(&release_rx));
+                let gate = Mutex::new(true);
+                CardSetup::new(move |xs: &[u64]| {
+                    if std::mem::take(&mut *gate.lock().unwrap()) {
+                        let _ = entered.send(());
+                        let _ = release.lock().unwrap().recv();
+                    }
+                    xs.iter().map(|x| x * 2).collect()
+                })
+            })
+            .collect();
+        (setups, entered_rx, release_tx)
     }
 
     #[test]
@@ -877,10 +957,10 @@ mod tests {
     fn single_card_fleet_runs_full_batches() {
         let scheduler = FleetScheduler::new(
             fleet(1, RoutingPolicy::Affinity),
-            config(4, 10.0, 64),
+            config(4, 64),
             doubler_setup(1),
         );
-        let handles: Vec<_> = (0..8).map(|i| scheduler.submit(i).unwrap()).collect();
+        let handles = scheduler.submit_many_keyed(None, (0..8).collect()).unwrap();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
@@ -902,19 +982,76 @@ mod tests {
     }
 
     #[test]
-    fn deadline_completes_a_partial_batch() {
-        // Deadline far below the test timeout but long enough to batch:
-        // the lone submission can only complete via the deadline path.
+    fn idle_card_flushes_a_partial_batch_at_once() {
+        // Nothing else will ever arrive: the lone submission completes
+        // because an idle card flushes whatever is parked, as a partial
+        // batch.
         let scheduler = FleetScheduler::new(
             fleet(1, RoutingPolicy::Affinity),
-            config(16, 5e-3, 64),
+            config(16, 64),
             doubler_setup(1),
         );
         assert_eq!(scheduler.call_keyed(None, 21).unwrap(), Ok(42));
         let report = scheduler.shutdown().merged();
         assert_eq!(report.service.ops(), 1);
         assert_eq!(report.service.flushes_by(FlushReason::Deadline), 1);
-        assert!(report.service.flushes[0].occupancy < 16);
+        assert_eq!(report.service.flushes[0].occupancy, 1);
+    }
+
+    #[test]
+    fn burst_admission_is_all_or_nothing() {
+        // The card is held inside its first flush, so the queue only
+        // grows: a burst that does not fit parks nothing.
+        let cap = 4usize;
+        let (setups, entered, release) = gated_setup(1);
+        let scheduler =
+            FleetScheduler::new(fleet(1, RoutingPolicy::Affinity), config(4, cap), setups);
+        let first = scheduler.submit(0).unwrap();
+        entered.recv().unwrap();
+        let parked = scheduler.submit_many_keyed(None, vec![1, 2, 3]).unwrap();
+        match scheduler.submit_many_keyed(None, vec![4, 5]).map(|_| ()) {
+            Err(SubmitError::QueueFull { depth }) => assert_eq!(depth, 3),
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        let last = scheduler.submit_many_keyed(None, vec![6]).unwrap();
+        assert!(scheduler
+            .submit_many_keyed(None, Vec::new())
+            .unwrap()
+            .is_empty());
+        release.send(()).unwrap();
+        assert_eq!(first.wait(), Ok(0));
+        for (h, x) in parked.into_iter().chain(last).zip([1, 2, 3, 6]) {
+            assert_eq!(h.wait(), Ok(x * 2));
+        }
+        let report = scheduler.shutdown();
+        let card = &report.cards[0];
+        assert_eq!(card.service.rejected, 2, "each payload of the burst");
+        assert_eq!(card.resolved_ops(), 5, "the rejected burst parked nothing");
+        // The four parked requests left as one full batch.
+        assert_eq!(card.service.flushes_by(FlushReason::Full), 1);
+    }
+
+    #[test]
+    fn burst_routes_and_spills_like_single_submissions() {
+        // A keyed burst homes its key on the least-loaded card, fills it
+        // to the high-water mark, then spills to the other card.
+        let scheduler = FleetScheduler::new(
+            fleet(2, RoutingPolicy::Affinity),
+            config(4, 4),
+            doubler_setup(2),
+        );
+        let key = key_fingerprint(b"burst-key");
+        let handles = scheduler
+            .submit_many_keyed(Some(key), (0..6).collect())
+            .unwrap();
+        for (i, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.wait(), Ok(i as u64 * 2));
+        }
+        let report = scheduler.shutdown();
+        assert_eq!((report.affinity_misses, report.affinity_hits), (1, 5));
+        assert_eq!(report.steals, 0);
+        assert_eq!(report.cards[0].resolved_ops(), 4);
+        assert_eq!(report.cards[1].resolved_ops(), 2);
     }
 
     #[test]
@@ -939,10 +1076,10 @@ mod tests {
                 })
                 .with_faults(Arc::new(FaultScript::new(vec![Some(FaultKind::CardReset)]))),
         ];
-        let mut cfg = config(2, 10.0, 64);
+        let mut cfg = config(2, 64);
         cfg.breaker.cooldown_s = 1e9;
         let scheduler = FleetScheduler::new(fleet(1, RoutingPolicy::Affinity), cfg, setups);
-        let mut handles: Vec<_> = (0..2).map(|i| scheduler.submit(i).unwrap()).collect();
+        let mut handles = scheduler.submit_many_keyed(None, vec![0, 1]).unwrap();
         entered_rx.recv().unwrap(); // the degraded flush is on the host
         handles.extend((2..6).map(|i| scheduler.submit(i).unwrap()));
         release_tx.send(()).unwrap();
@@ -961,7 +1098,7 @@ mod tests {
     fn keyed_submissions_stick_to_one_card() {
         let scheduler = FleetScheduler::new(
             fleet(4, RoutingPolicy::Affinity),
-            config(4, 1e-3, 64),
+            config(4, 64),
             doubler_setup(4),
         );
         let key = key_fingerprint(b"tenant-key");
@@ -991,7 +1128,7 @@ mod tests {
                     )) as Arc<dyn FaultSource>)
             })
             .collect();
-        let mut cfg = config(4, 1e-3, 256);
+        let mut cfg = config(4, 256);
         cfg.breaker.cooldown_s = 0.0;
         let scheduler = FleetScheduler::new(fleet(3, RoutingPolicy::RoundRobin), cfg, setups);
         let handles: Vec<_> = (0..300).map(|i| scheduler.submit(i).unwrap()).collect();
@@ -1022,7 +1159,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut cfg = config(4, 5e-3, 256);
+        let mut cfg = config(4, 256);
         cfg.breaker.cooldown_s = 1e9;
         let scheduler = FleetScheduler::new(fleet(3, RoutingPolicy::RoundRobin), cfg, setups);
         let handles: Vec<_> = (0..120).map(|i| scheduler.submit(i).unwrap()).collect();
@@ -1037,17 +1174,27 @@ mod tests {
 
     #[test]
     fn shutdown_drains_every_card() {
-        let scheduler = FleetScheduler::new(
-            fleet(2, RoutingPolicy::RoundRobin),
-            config(16, 3600.0, 64),
-            doubler_setup(2),
-        );
+        // Both cards are held inside their first flush while 24 requests
+        // park behind them; shutdown begins before the cards let go, so
+        // the parked work leaves as one drain flush per card.
+        let (setups, entered, release) = gated_setup(2);
+        let scheduler =
+            FleetScheduler::new(fleet(2, RoutingPolicy::RoundRobin), config(16, 64), setups);
+        let gates: Vec<_> = (100..102).map(|i| scheduler.submit(i).unwrap()).collect();
+        entered.recv().unwrap();
+        entered.recv().unwrap();
         let handles: Vec<_> = (0..24).map(|i| scheduler.submit(i).unwrap()).collect();
+        scheduler.begin_shutdown();
+        release.send(()).unwrap();
+        release.send(()).unwrap();
         let report = scheduler.shutdown();
-        assert_eq!(report.resolved_ops(), 24, "drain resolves parked work");
+        assert_eq!(report.resolved_ops(), 26, "drain resolves parked work");
         assert_eq!(report.merged().service.flushes_by(FlushReason::Drain), 2);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
+        }
+        for (h, x) in gates.into_iter().zip(100..) {
+            assert_eq!(h.wait(), Ok(x * 2));
         }
     }
 
@@ -1055,13 +1202,16 @@ mod tests {
     fn dropped_fleet_drains_instead_of_stranding_tickets() {
         // A ticket that outlives its scheduler still resolves: dropping
         // the scheduler drains the queues exactly like `shutdown`.
-        let scheduler = FleetScheduler::new(
-            fleet(1, RoutingPolicy::Affinity),
-            config(16, 3600.0, 64),
-            doubler_setup(1),
-        );
+        let (setups, entered, release) = gated_setup(1);
+        let scheduler =
+            FleetScheduler::new(fleet(1, RoutingPolicy::Affinity), config(16, 64), setups);
+        let gate = scheduler.submit(1).unwrap();
+        entered.recv().unwrap();
         let h = scheduler.submit(9).unwrap();
+        scheduler.begin_shutdown();
+        release.send(()).unwrap();
         drop(scheduler);
+        assert_eq!(gate.wait(), Ok(2));
         assert_eq!(h.wait(), Ok(18));
     }
 
@@ -1069,7 +1219,7 @@ mod tests {
     fn submit_after_shutdown_is_rejected() {
         let scheduler: FleetScheduler<u64, u64> = FleetScheduler::new(
             fleet(2, RoutingPolicy::Affinity),
-            config(4, 10.0, 64),
+            config(4, 64),
             doubler_setup(2),
         );
         lock(&scheduler.shared.state).shutdown = true;
@@ -1094,11 +1244,8 @@ mod tests {
             let _ = release_rx.recv();
             xs.iter().map(|x| x * 2).collect()
         })];
-        let scheduler = FleetScheduler::new(
-            fleet(1, RoutingPolicy::Affinity),
-            config(1, 3600.0, cap),
-            setups,
-        );
+        let scheduler =
+            FleetScheduler::new(fleet(1, RoutingPolicy::Affinity), config(1, cap), setups);
         let first = scheduler.submit(0).unwrap();
         entered_rx.recv().unwrap(); // the worker is inside the flush, queue empty
         let parked: Vec<_> = (1..=cap as u64)
@@ -1123,7 +1270,7 @@ mod tests {
     fn fleet_report_merges_into_one() {
         let scheduler = FleetScheduler::new(
             fleet(2, RoutingPolicy::RoundRobin),
-            config(2, 1e-3, 64),
+            config(2, 64),
             doubler_setup(2),
         );
         for i in 0..8u64 {

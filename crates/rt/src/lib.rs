@@ -2,7 +2,7 @@
 //!
 //! The execution model of the Xeon Phi card for the PhiOpenSSL
 //! reproduction: a thread pool with *simulated* core/SMT placement
-//! ([`pool`]) and one offload service path — the deadline-driven batch
+//! ([`pool`]) and one offload service path — the work-conserving batch
 //! collector ([`service`]), the fault-tolerant flush ladder every flush
 //! runs through ([`resilient`]), its verify-on-release hooks ([`verify`]),
 //! and the card workers that own both ([`fleet`], one card or many) —

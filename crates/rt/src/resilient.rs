@@ -2,7 +2,7 @@
 //! breaker-gated batch execution with host-fallback degradation.
 //!
 //! Every card worker of [`FleetScheduler`](crate::fleet::FleetScheduler)
-//! takes its batches from a deadline-driven
+//! takes its batches from a work-conserving
 //! [`Collector`](crate::service::Collector) and executes each flush
 //! through one fault-aware loop:
 //!
@@ -57,7 +57,7 @@ use std::sync::mpsc;
 /// Tunables of the flush ladder, over and above the collector's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
-    /// Collector tunables (width, max wait, queue cap).
+    /// Collector tunables (width, queue cap).
     pub service: ServiceConfig,
     /// Modeled-time budget per flush: attempts, fault penalties and
     /// backoff must fit inside it or the flush is cancelled and its live
@@ -762,13 +762,9 @@ mod tests {
     use phi_faults::{FaultInjector, FaultRates, FaultScript};
     use std::sync::Arc;
 
-    fn config(width: usize, max_wait: f64, queue_cap: usize) -> ResilienceConfig {
+    fn config(width: usize, queue_cap: usize) -> ResilienceConfig {
         ResilienceConfig {
-            service: ServiceConfig {
-                width,
-                max_wait,
-                queue_cap,
-            },
+            service: ServiceConfig { width, queue_cap },
             ..ResilienceConfig::default()
         }
     }
@@ -798,6 +794,15 @@ mod tests {
         service.shutdown().merged()
     }
 
+    /// Park `xs` at once, so an idle card flushes them together.
+    fn burst<const N: usize>(
+        service: &FleetScheduler<u64, u64>,
+        xs: [u64; N],
+    ) -> [ResilientHandle<u64>; N] {
+        let handles = service.submit_many_keyed(None, xs.to_vec()).unwrap();
+        handles.try_into().unwrap()
+    }
+
     /// Redeem a handle, giving up after a few seconds, so a dead card
     /// worker fails a test instead of hanging it.
     fn wait_bounded(h: ResilientHandle<u64>) -> Option<Result<u64, OffloadError>> {
@@ -816,15 +821,13 @@ mod tests {
             }
             doubler(xs)
         });
-        let service = FleetScheduler::new(FleetConfig::default(), config(2, 10.0, 16), vec![setup]);
+        let service = FleetScheduler::new(FleetConfig::default(), config(2, 16), vec![setup]);
         // This pair flushes together and poisons its flush.
-        let a = service.submit(13).unwrap();
-        let b = service.submit(1).unwrap();
+        let [a, b] = burst(&service, [13, 1]);
         assert_eq!(wait_bounded(a), Some(Err(OffloadError::ServiceShutdown)));
         assert_eq!(wait_bounded(b), Some(Err(OffloadError::ServiceShutdown)));
         // The card survived: a clean pair still completes.
-        let c = service.submit(2).unwrap();
-        let d = service.submit(3).unwrap();
+        let [c, d] = burst(&service, [2, 3]);
         let (c, d) = (wait_bounded(c), wait_bounded(d));
         let report = shutdown(service);
         assert_eq!(c, Some(Ok(4)), "the card worker died with its flush");
@@ -839,8 +842,8 @@ mod tests {
         // the card after a single retry.
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::new(vec![Some(FaultKind::PcieTimeout)]));
-        let service = one_card(config(4, 10.0, 64), true, Some(script), None);
-        let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
+        let service = one_card(config(4, 64), true, Some(script), None);
+        let handles = burst(&service, [0, 1, 2, 3]);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
@@ -859,8 +862,8 @@ mod tests {
             Arc::new(FaultScript::new(vec![Some(FaultKind::EccLaneFault {
                 lane: 2,
             })]));
-        let service = one_card(config(4, 10.0, 64), true, Some(script), None);
-        let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
+        let service = one_card(config(4, 64), true, Some(script), None);
+        let handles = burst(&service, [0, 1, 2, 3]);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
@@ -878,7 +881,7 @@ mod tests {
         // fault) and degrades to the host; later batches skip the card
         // outright while the breaker is open.
         let script: Arc<dyn FaultSource> = Arc::new(FaultScript::repeat(FaultKind::CardReset, 64));
-        let mut cfg = config(4, 10.0, 64);
+        let mut cfg = config(4, 64);
         cfg.breaker.cooldown_s = 1e9; // never recovers inside the test
         let service = one_card(cfg, true, Some(script), None);
         let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
@@ -900,7 +903,7 @@ mod tests {
         // clean probes the breaker closes again.
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::new(vec![Some(FaultKind::CardReset)]));
-        let mut cfg = config(1, 10.0, 64);
+        let mut cfg = config(1, 64);
         cfg.breaker.cooldown_s = 0.0;
         cfg.breaker.probe_successes = 2;
         let service = one_card(cfg, true, Some(script), None);
@@ -920,7 +923,7 @@ mod tests {
     fn no_fallback_yields_typed_errors() {
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::repeat(FaultKind::PcieTimeout, 64));
-        let mut cfg = config(2, 10.0, 64);
+        let mut cfg = config(2, 64);
         cfg.breaker.trip_threshold = u32::MAX; // isolate the retry-exhaustion path
         let service = one_card(cfg, false, Some(script), None);
         let a = service.submit(1).unwrap();
@@ -940,8 +943,9 @@ mod tests {
 
     #[test]
     fn shutdown_drain_terminates_under_total_fault_rate() {
-        // 100% batch-wide faults and an hour-long max_wait: everything
-        // resolves via the drain path, which must not requeue (else
+        // 100% batch-wide faults, and 32 requests parked behind a first
+        // flush whose host fallback is held until shutdown has begun:
+        // they resolve via the drain path, which must not requeue (else
         // shutdown would never terminate).
         let inj: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(
             9,
@@ -950,12 +954,33 @@ mod tests {
                 ..FaultRates::none()
             },
         ));
-        let mut cfg = config(16, 3600.0, 64);
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(Some((entered_tx, release_rx)));
+        let host = move |x: &u64| {
+            let held = gate.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some((entered, release)) = held {
+                let _ = entered.send(());
+                let _ = release.recv();
+            }
+            x * 2
+        };
+        let mut cfg = config(16, 64);
         cfg.breaker.cooldown_s = 0.0;
-        let service = one_card(cfg, true, Some(inj), None);
+        let setup = CardSetup::new(doubler).with_host(host).with_faults(inj);
+        let service = FleetScheduler::new(FleetConfig::default(), cfg, vec![setup]);
+        let first = service.submit(100).unwrap();
+        entered_rx.recv().unwrap();
         let handles: Vec<_> = (0..32).map(|i| service.submit(i).unwrap()).collect();
+        service.begin_shutdown();
+        release_tx.send(()).unwrap();
         let report = shutdown(service);
-        assert_eq!(report.resolved_ops(), 32);
+        assert_eq!(report.resolved_ops(), 33);
+        assert!(
+            report.service.flushes.is_empty(),
+            "every card attempt faulted"
+        );
+        assert_eq!(first.wait(), Ok(200));
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
@@ -973,7 +998,7 @@ mod tests {
                 ..FaultRates::none()
             },
         ));
-        let mut cfg = config(2, 1e-3, 64);
+        let mut cfg = config(2, 64);
         cfg.flush_deadline_s = 1e-9; // any fault penalty blows it
         cfg.max_requeues = 2;
         cfg.breaker.trip_threshold = u32::MAX; // isolate the deadline path
@@ -1003,7 +1028,7 @@ mod tests {
 
     #[test]
     fn verified_clean_path_checks_everything_and_rejects_nothing() {
-        let service = verified_service(config(4, 10.0, 64), None);
+        let service = verified_service(config(4, 64), None);
         let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
@@ -1028,8 +1053,8 @@ mod tests {
             Arc::new(FaultScript::new(vec![Some(FaultKind::SilentLaneFlip {
                 lane: 2,
             })]));
-        let service = verified_service(config(4, 10.0, 64), Some(script));
-        let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
+        let service = verified_service(config(4, 64), Some(script));
+        let handles = burst(&service, [0, 1, 2, 3]);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2), "no corrupted result escapes");
         }
@@ -1047,8 +1072,8 @@ mod tests {
         let script: Arc<dyn FaultSource> = Arc::new(FaultScript::new(vec![Some(
             FaultKind::SilentBatchCorruption,
         )]));
-        let service = verified_service(config(4, 10.0, 64), Some(script));
-        let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
+        let service = verified_service(config(4, 64), Some(script));
+        let handles = burst(&service, [0, 1, 2, 3]);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
@@ -1068,12 +1093,12 @@ mod tests {
                 lane: 1,
             })]));
         let service = one_card(
-            config(4, 10.0, 64),
+            config(4, 64),
             true,
             Some(script),
             Some(IntegrityHooks::corrupt_only(|_, r| r + 1)),
         );
-        let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
+        let handles = burst(&service, [0, 1, 2, 3]);
         let results: Vec<u64> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
         assert_eq!(results, vec![0, 3, 4, 6], "lane 1 leaked 2*1 + 1");
         let report = shutdown(service);
@@ -1090,12 +1115,10 @@ mod tests {
             FaultKind::SilentLaneFlip { lane: 1 },
             64,
         ));
-        let service = verified_service(config(4, 1e-3, 64), Some(script));
+        let service = verified_service(config(4, 64), Some(script));
         let mut quarantined = false;
         for round in 0..4u64 {
-            let handles: Vec<_> = (0..4)
-                .map(|i| service.submit(round * 4 + i).unwrap())
-                .collect();
+            let handles = burst(&service, [0, 1, 2, 3].map(|i| round * 4 + i));
             for (i, h) in handles.into_iter().enumerate() {
                 assert_eq!(
                     h.wait(),
@@ -1120,12 +1143,7 @@ mod tests {
     fn verify_failure_without_host_is_a_typed_error() {
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::repeat(FaultKind::SilentBatchCorruption, 64));
-        let service = one_card(
-            config(2, 1e-3, 64),
-            false,
-            Some(script),
-            Some(doubler_hooks()),
-        );
+        let service = one_card(config(2, 64), false, Some(script), Some(doubler_hooks()));
         let h = service.submit(5).unwrap();
         let err = h.wait().unwrap_err();
         assert_eq!(err, OffloadError::IntegrityFailure { rejections: 2 });
@@ -1143,8 +1161,8 @@ mod tests {
             Some(FaultKind::EccLaneFault { lane: 0 }),
             Some(FaultKind::SilentLaneFlip { lane: 0 }),
         ]));
-        let service = verified_service(config(4, 10.0, 64), Some(script));
-        let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
+        let service = verified_service(config(4, 64), Some(script));
+        let handles = burst(&service, [0, 1, 2, 3]);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
@@ -1161,7 +1179,7 @@ mod tests {
         // Two cards without hooks must produce identical virtual clocks —
         // verification must cost nothing when off.
         let run = || {
-            let service = one_card(config(4, 10.0, 64), true, None, None);
+            let service = one_card(config(4, 64), true, None, None);
             let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
             handles.into_iter().for_each(|h| {
                 h.wait().unwrap();

@@ -1,24 +1,25 @@
-//! Deadline-driven batch aggregation: the collector that turns a
-//! stream of independent requests into full-width batch passes.
+//! Work-conserving batch aggregation: the collector that turns a stream
+//! of independent requests into batch passes.
 //!
-//! The PhiOpenSSL batch engine only pays off when all sixteen lanes carry
-//! live work, but server requests arrive one at a time. [`Collector`]
-//! supplies the missing piece: requests are
-//! [`submit`](Collector::submit)ted individually and parked; a batch is
-//! due as soon as it fills ([`FlushReason::Full`]) or as soon as the
-//! oldest parked request has waited `max_wait`
-//! ([`FlushReason::Deadline`]) — so latency is bounded by configuration,
-//! not by traffic. A bounded queue pushes back on overload:
-//! [`submit`](Collector::submit) fails fast with
-//! [`SubmitError::QueueFull`] instead of letting latency grow without
-//! bound.
+//! The PhiOpenSSL batch engine pays off when all sixteen lanes carry live
+//! work, but server requests arrive one at a time. [`Collector`] parks
+//! [`submit`](Collector::submit)ted requests, and a batch is due whenever
+//! anything is parked: it carries the `min(depth, width)` oldest
+//! requests, [`FlushReason::Full`] when all lanes are live and
+//! [`FlushReason::Deadline`] otherwise. A card worker takes a batch the
+//! moment it is idle, so a request on an idle card starts at once and the
+//! requests that arrive during a flush form the next batch: lanes fill
+//! from the queue the card's own work builds, never from a timer. A
+//! bounded queue pushes back on overload: [`submit`](Collector::submit)
+//! fails fast with [`SubmitError::QueueFull`] instead of letting latency
+//! grow without bound.
 //!
 //! The collector is a pure state machine over an abstract clock (`f64`
-//! seconds): deterministic, single-threaded, and directly drivable by
-//! tests and by the virtual-clock load simulation of experiment E14. The
-//! threaded service around it is
+//! seconds) that only stamps arrivals: deterministic, single-threaded,
+//! and directly drivable by tests and by the virtual-clock load
+//! simulation of experiment E14. The threaded service around it is
 //! [`FleetScheduler`](crate::fleet::FleetScheduler): each card worker
-//! owns one collector, watches its deadline, and executes its flushes.
+//! owns one collector and executes its flushes.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -27,23 +28,20 @@ use std::fmt;
 pub const BATCH_WIDTH: usize = 16;
 
 /// Tunables of the batch service.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Lanes per batch pass (flush fires when this many are parked).
+    /// Lanes per batch pass: a batch carries at most this many requests.
     pub width: usize,
-    /// Longest a request may wait for lane-mates, in seconds.
-    pub max_wait: f64,
     /// High-water mark: submissions beyond this many parked requests are
     /// rejected with [`SubmitError::QueueFull`].
     pub queue_cap: usize,
 }
 
 impl Default for ServiceConfig {
-    /// Full engine width, 2 ms deadline, four batches of headroom.
+    /// Full engine width, four batches of headroom.
     fn default() -> Self {
         ServiceConfig {
             width: BATCH_WIDTH,
-            max_wait: 2e-3,
             queue_cap: 4 * BATCH_WIDTH,
         }
     }
@@ -52,7 +50,6 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     fn validate(&self) {
         assert!(self.width >= 1, "batch width must be at least 1");
-        assert!(self.max_wait >= 0.0, "max_wait must be non-negative");
         assert!(
             self.queue_cap >= self.width,
             "queue capacity below batch width could never fill a batch"
@@ -102,7 +99,7 @@ impl std::error::Error for SubmitError {}
 pub enum FlushReason {
     /// All lanes filled.
     Full,
-    /// The oldest parked request reached `max_wait`.
+    /// Fewer than `width` lanes parked when the card went idle.
     Deadline,
     /// Service shutdown drained the remainder.
     Drain,
@@ -160,7 +157,7 @@ pub struct Collector<T> {
 
 impl<T> Collector<T> {
     /// An empty collector. Panics on a nonsensical configuration
-    /// (zero width, negative wait, capacity below width).
+    /// (zero width, capacity below width).
     pub fn new(config: ServiceConfig) -> Self {
         config.validate();
         Collector {
@@ -180,13 +177,7 @@ impl<T> Collector<T> {
     /// is at its high-water mark.
     pub fn submit(&mut self, payload: T, now: f64) -> Result<Ticket, SubmitError> {
         if self.queue.len() >= self.config.queue_cap {
-            self.rejected += 1;
-            if phi_trace::is_enabled() {
-                phi_trace::registry().counter_add("service.rejected", 1);
-            }
-            return Err(SubmitError::QueueFull {
-                depth: self.queue.len(),
-            });
+            return Err(self.reject(1));
         }
         if phi_trace::is_enabled() {
             phi_trace::registry().counter_add("service.submitted", 1);
@@ -199,6 +190,18 @@ impl<T> Collector<T> {
             submitted_at: now,
         });
         Ok(ticket)
+    }
+
+    /// Count `n` submissions turned away for backpressure, parking none
+    /// of them, and return the rejection they see.
+    pub(crate) fn reject(&mut self, n: usize) -> SubmitError {
+        self.rejected += n as u64;
+        if phi_trace::is_enabled() {
+            phi_trace::registry().counter_add("service.rejected", n as u64);
+        }
+        SubmitError::QueueFull {
+            depth: self.queue.len(),
+        }
     }
 
     /// Parked request count.
@@ -216,29 +219,20 @@ impl<T> Collector<T> {
         self.rejected
     }
 
-    /// Clock reading at which the oldest parked request must flush, if
-    /// anything is parked.
-    pub fn next_deadline(&self) -> Option<f64> {
-        self.queue
-            .front()
-            .map(|p| p.submitted_at + self.config.max_wait)
-    }
-
-    /// Whether a batch is due at clock reading `now`, and why.
-    pub fn ready(&self, now: f64) -> Option<FlushReason> {
-        if self.queue.len() >= self.config.width {
-            return Some(FlushReason::Full);
-        }
-        match self.next_deadline() {
-            Some(deadline) if now >= deadline => Some(FlushReason::Deadline),
-            _ => None,
+    /// Whether a batch is due, and why: one is due whenever anything is
+    /// parked, [`FlushReason::Full`] when it would fill every lane.
+    pub fn ready(&self) -> Option<FlushReason> {
+        match self.queue.len() {
+            0 => None,
+            d if d >= self.config.width => Some(FlushReason::Full),
+            _ => Some(FlushReason::Deadline),
         }
     }
 
     /// Put already-admitted requests back at the head of the queue, in
     /// their original order — the cancellation path of a flush whose
     /// deadline expired mid-retry. Requeued entries keep their original
-    /// `submitted_at`, so they stay first in deadline order, and they
+    /// `submitted_at`, so they stay first in arrival order, and they
     /// bypass the high-water mark: admission was already granted once.
     pub fn requeue_front(&mut self, entries: Vec<Pending<T>>) {
         if phi_trace::is_enabled() && !entries.is_empty() {
@@ -251,7 +245,7 @@ impl<T> Collector<T> {
 
     /// Remove and return up to `n` of the *newest* parked requests — the
     /// work-stealing donor path of the fleet scheduler. The oldest
-    /// requests keep their place (and therefore their deadline); returned
+    /// requests keep their place at the head of the queue; returned
     /// entries are in arrival order, keeping their tickets and stamps.
     pub fn steal_back(&mut self, n: usize) -> Vec<Pending<T>> {
         let take = n.min(self.queue.len());
@@ -273,9 +267,9 @@ impl<T> Collector<T> {
         self.queue.extend(entries);
     }
 
-    /// Remove and return the oldest `width`-or-fewer requests as a batch.
-    /// Panics if nothing is parked — callers gate on [`Collector::ready`]
-    /// or [`Collector::is_empty`].
+    /// Remove and return the oldest `min(depth, width)` requests as a
+    /// batch. Panics if nothing is parked — callers gate on
+    /// [`Collector::ready`] or [`Collector::is_empty`].
     pub fn take_batch(&mut self, reason: FlushReason, now: f64) -> Batch<T> {
         assert!(!self.queue.is_empty(), "take_batch on an empty collector");
         let take = self.queue.len().min(self.config.width);
@@ -308,23 +302,20 @@ impl<T> Collector<T> {
 mod tests {
     use super::*;
 
-    fn config(width: usize, max_wait: f64, queue_cap: usize) -> ServiceConfig {
-        ServiceConfig {
-            width,
-            max_wait,
-            queue_cap,
-        }
+    fn config(width: usize, queue_cap: usize) -> ServiceConfig {
+        ServiceConfig { width, queue_cap }
     }
 
     #[test]
     fn collector_flushes_when_full() {
-        let mut c = Collector::new(config(4, 1.0, 16));
+        let mut c = Collector::new(config(4, 16));
+        assert_eq!(c.ready(), None, "nothing parked, nothing due");
         for i in 0..3 {
             c.submit(i, 0.0).unwrap();
-            assert_eq!(c.ready(0.0), None);
+            assert_eq!(c.ready(), Some(FlushReason::Deadline));
         }
         c.submit(3, 0.0).unwrap();
-        assert_eq!(c.ready(0.0), Some(FlushReason::Full));
+        assert_eq!(c.ready(), Some(FlushReason::Full));
         let batch = c.take_batch(FlushReason::Full, 0.0);
         assert_eq!(batch.occupancy(), 4);
         assert_eq!(batch.depth_after, 0);
@@ -334,20 +325,21 @@ mod tests {
     }
 
     #[test]
-    fn collector_flushes_on_deadline() {
-        let mut c = Collector::new(config(16, 0.5, 64));
+    fn collector_hands_out_a_partial_batch_at_once() {
+        // A lone request is due the moment it is parked: no clock reading
+        // makes it wait for lane-mates.
+        let mut c = Collector::new(config(16, 64));
         c.submit("a", 1.0).unwrap();
-        assert_eq!(c.ready(1.49), None);
-        assert_eq!(c.next_deadline(), Some(1.5));
-        assert_eq!(c.ready(1.5), Some(FlushReason::Deadline));
+        assert_eq!(c.ready(), Some(FlushReason::Deadline));
         let batch = c.take_batch(FlushReason::Deadline, 1.6);
         assert_eq!(batch.occupancy(), 1);
         assert!((batch.oldest_wait() - 0.6).abs() < 1e-12);
+        assert_eq!(c.ready(), None);
     }
 
     #[test]
     fn collector_backpressure_counts_rejects() {
-        let mut c = Collector::new(config(2, 1.0, 2));
+        let mut c = Collector::new(config(2, 2));
         c.submit(0, 0.0).unwrap();
         c.submit(1, 0.0).unwrap();
         assert_eq!(
@@ -362,7 +354,7 @@ mod tests {
 
     #[test]
     fn collector_tickets_are_unique_and_ordered() {
-        let mut c = Collector::new(config(4, 1.0, 4));
+        let mut c = Collector::new(config(4, 4));
         let t0 = c.submit("x", 0.0).unwrap();
         let t1 = c.submit("y", 0.0).unwrap();
         assert!(t1 > t0);
@@ -378,7 +370,7 @@ mod tests {
 
     #[test]
     fn oversized_queue_drains_in_width_sized_batches() {
-        let mut c = Collector::new(config(4, 1.0, 16));
+        let mut c = Collector::new(config(4, 16));
         for i in 0..10 {
             c.submit(i, 0.0).unwrap();
         }
@@ -395,12 +387,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue capacity below batch width")]
     fn nonsensical_config_is_rejected() {
-        Collector::<u8>::new(config(16, 1.0, 8));
+        Collector::<u8>::new(config(16, 8));
     }
 
     #[test]
     fn collector_requeue_front_restores_order() {
-        let mut c = Collector::new(config(4, 1.0, 4));
+        let mut c = Collector::new(config(4, 4));
         for i in 0..4 {
             c.submit(i, 0.0).unwrap();
         }
@@ -419,7 +411,7 @@ mod tests {
 
     #[test]
     fn collector_requeue_interleaves_before_new_arrivals() {
-        let mut c = Collector::new(config(4, 1.0, 16));
+        let mut c = Collector::new(config(4, 16));
         c.submit("old", 0.0).unwrap();
         let batch = c.take_batch(FlushReason::Deadline, 2.0);
         c.submit("new", 3.0).unwrap();

@@ -203,7 +203,7 @@ impl ResilienceReport {
     }
 
     /// Completed (non-errored) operations per modeled virtual second —
-    /// the throughput a deadline-driven client actually observes,
+    /// the throughput a client actually observes,
     /// including time lost to faults, backoff and degraded batches.
     pub fn effective_throughput(&self) -> f64 {
         let done = self.service.ops() as u64 + self.host_fallback_ops;

@@ -1,10 +1,11 @@
-//! Property tests for the deadline-driven batch collector: under any
-//! arrival schedule, every accepted ticket is delivered in exactly one
-//! flushed batch — nothing lost, nothing duplicated — and no flush
-//! violates the width bound or fires before it is due. The offload
-//! service (a one-card fleet) extends the invariant to fault schedules:
-//! whatever the injected faults, deadline budget and fallback
-//! configuration, every submitted request resolves exactly once.
+//! Property tests for the work-conserving batch collector: under any
+//! arrival schedule, a batch is due whenever something is parked, every
+//! batch takes the `min(depth, width)` oldest parked requests, and every
+//! accepted ticket is delivered in exactly one flushed batch — nothing
+//! lost, nothing duplicated. The offload service (a one-card fleet)
+//! extends the invariant to fault schedules: whatever the injected
+//! faults, deadline budget and fallback configuration, every submitted
+//! request resolves exactly once.
 
 use phi_bigint::BigUint;
 use phi_faults::{FaultKind, FaultScript, FaultSource};
@@ -15,62 +16,87 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Drive a collector through an arrival schedule on a virtual clock.
-///
-/// `gaps_us` are inter-arrival times in microseconds. Between arrivals the
-/// driver flushes whatever the collector says is due (checking at the
-/// flush deadline itself when it falls inside a gap, as the worker's
-/// condvar timeout does), and drains the remainder at the end.
-type Flush = (FlushReason, Vec<Ticket>, f64);
+/// One flushed batch: its reason, its tickets, the depth it was taken
+/// from, and the wait of its oldest request.
+struct Flush {
+    reason: FlushReason,
+    tickets: Vec<Ticket>,
+    depth: usize,
+    oldest_wait: f64,
+}
 
-fn run_schedule(config: ServiceConfig, gaps_us: &[u32]) -> (Vec<Ticket>, Vec<Flush>, u64) {
-    let mut collector: Collector<u64> = Collector::new(config);
-    let mut accepted = Vec::new();
-    let mut flushes: Vec<Flush> = Vec::new();
-    let mut now = 0.0f64;
-    for (i, &gap) in gaps_us.iter().enumerate() {
-        // Advance virtual time, firing any deadline that expires en route.
-        let target = now + gap as f64 * 1e-6;
-        while let Some(deadline) = collector.next_deadline() {
-            if deadline > target {
+/// A single virtual-clock server over a collector, behaving like a card
+/// worker: whenever it is free and anything is parked it takes a batch,
+/// and every flush takes `flush_s` seconds.
+struct Server {
+    collector: Collector<u64>,
+    free_at: f64,
+    flush_s: f64,
+    flushes: Vec<Flush>,
+}
+
+impl Server {
+    /// Take batches from `now` on while the server comes free no later
+    /// than `until`.
+    fn serve(&mut self, now: f64, until: f64) {
+        while let Some(reason) = self.collector.ready() {
+            let at = self.free_at.max(now);
+            if at > until {
                 break;
             }
-            now = deadline.max(now);
-            if let Some(reason) = collector.ready(now) {
-                let batch = collector.take_batch(reason, now);
-                flushes.push((
-                    reason,
-                    batch.entries.iter().map(|p| p.ticket).collect(),
-                    now,
-                ));
-            }
+            let depth = self.collector.depth();
+            let batch = self.collector.take_batch(reason, at);
+            self.flushes.push(Flush {
+                reason,
+                tickets: batch.entries.iter().map(|p| p.ticket).collect(),
+                depth,
+                oldest_wait: batch.oldest_wait(),
+            });
+            self.free_at = at + self.flush_s;
         }
+    }
+}
+
+/// Drive a collector through an arrival schedule on a virtual clock, the
+/// way a card worker does (see [`Server`]). `gaps_us` are inter-arrival
+/// times in microseconds; after the last arrival the server keeps
+/// flushing until the queue is empty.
+fn run_schedule(
+    config: ServiceConfig,
+    gaps_us: &[u32],
+    flush_us: u32,
+) -> (Vec<Ticket>, Vec<Flush>, u64) {
+    let mut server = Server {
+        collector: Collector::new(config),
+        free_at: 0.0,
+        flush_s: flush_us as f64 * 1e-6,
+        flushes: Vec::new(),
+    };
+    let mut accepted = Vec::new();
+    let mut now = 0.0f64;
+    for (i, &gap) in gaps_us.iter().enumerate() {
+        let target = now + gap as f64 * 1e-6;
+        server.serve(now, target);
         now = target;
-        match collector.submit(i as u64, now) {
+        match server.collector.submit(i as u64, now) {
             Ok(ticket) => accepted.push(ticket),
             Err(SubmitError::QueueFull { .. }) => {}
             Err(e) => panic!("collector can only reject for backpressure: {e}"),
         }
-        // Width-triggered flush is checked immediately, like the worker.
-        while let Some(reason) = collector.ready(now) {
-            let batch = collector.take_batch(reason, now);
-            flushes.push((
-                reason,
-                batch.entries.iter().map(|p| p.ticket).collect(),
-                now,
-            ));
-        }
+        server.serve(now, now);
+        // A batch is due whenever anything is parked, and nothing parked
+        // is left waiting on an idle server.
+        let parked = !server.collector.is_empty();
+        assert_eq!(server.collector.ready().is_some(), parked);
+        assert!(
+            !parked || server.free_at > now,
+            "work parked on an idle server"
+        );
     }
-    while !collector.is_empty() {
-        let reason = collector.ready(now).unwrap_or(FlushReason::Drain);
-        let batch = collector.take_batch(reason, now);
-        flushes.push((
-            reason,
-            batch.entries.iter().map(|p| p.ticket).collect(),
-            now,
-        ));
-    }
-    (accepted, flushes, collector.rejected())
+    server.serve(now, f64::INFINITY);
+    assert!(server.collector.is_empty());
+    let rejected = server.collector.rejected();
+    (accepted, server.flushes, rejected)
 }
 
 proptest! {
@@ -80,19 +106,19 @@ proptest! {
     fn no_ticket_lost_or_duplicated(
         gaps_us in proptest::collection::vec(0u32..3000, 1..200),
         width in 1usize..=16,
-        max_wait_us in 1u32..5000,
+        flush_us in 0u32..5000,
         cap_batches in 1usize..=4,
     ) {
         let config = ServiceConfig {
             width,
-            max_wait: max_wait_us as f64 * 1e-6,
             queue_cap: width * cap_batches,
         };
-        let (accepted, flushes, rejected) = run_schedule(config, &gaps_us);
+        let (accepted, flushes, rejected) = run_schedule(config, &gaps_us, flush_us);
 
         // Conservation: the flushed tickets are exactly the accepted
-        // tickets, each exactly once, in submission order.
-        let delivered: Vec<Ticket> = flushes.iter().flat_map(|(_, t, _)| t.clone()).collect();
+        // tickets, each exactly once, in submission order — so every
+        // batch took the oldest parked requests.
+        let delivered: Vec<Ticket> = flushes.iter().flat_map(|f| f.tickets.clone()).collect();
         prop_assert_eq!(&delivered, &accepted, "delivery must preserve order");
         let unique: HashSet<Ticket> = delivered.iter().copied().collect();
         prop_assert_eq!(unique.len(), delivered.len(), "duplicated ticket");
@@ -102,52 +128,30 @@ proptest! {
             "every submission either accepted or rejected"
         );
 
-        // Every flush respects the width bound and its stated trigger.
-        for (reason, tickets, _at) in &flushes {
-            prop_assert!(!tickets.is_empty(), "empty flush");
-            prop_assert!(tickets.len() <= width, "flush wider than engine");
-            if *reason == FlushReason::Full {
-                prop_assert_eq!(tickets.len(), width, "Full flush not full");
-            }
+        // Every batch takes min(depth, width) requests, and says why.
+        for f in &flushes {
+            prop_assert_eq!(f.tickets.len(), f.depth.min(width), "batch size");
+            let full = f.tickets.len() == width;
+            let want = if full { FlushReason::Full } else { FlushReason::Deadline };
+            prop_assert_eq!(f.reason, want);
         }
     }
 
     #[test]
-    fn deadline_bounds_every_wait(
+    fn an_idle_server_takes_each_request_on_arrival(
         gaps_us in proptest::collection::vec(0u32..2000, 1..120),
-        max_wait_us in 10u32..2000,
+        width in 1usize..=16,
     ) {
-        let config = ServiceConfig {
-            width: 16,
-            max_wait: max_wait_us as f64 * 1e-6,
-            queue_cap: 64,
-        };
-        let mut collector: Collector<u64> = Collector::new(config);
-        let mut now = 0.0f64;
-        for (i, &gap) in gaps_us.iter().enumerate() {
-            let target = now + gap as f64 * 1e-6;
-            while let Some(deadline) = collector.next_deadline() {
-                if deadline > target {
-                    break;
-                }
-                now = deadline.max(now);
-                if let Some(reason) = collector.ready(now) {
-                    let batch = collector.take_batch(reason, now);
-                    // The driver flushes at the deadline, so no request in
-                    // the batch waited longer than max_wait (plus float fuzz).
-                    prop_assert!(
-                        batch.oldest_wait() <= config.max_wait + 1e-12,
-                        "oldest waited {} > max_wait {}",
-                        batch.oldest_wait(),
-                        config.max_wait
-                    );
-                }
-            }
-            now = target;
-            let _ = collector.submit(i as u64, now);
-            while let Some(reason) = collector.ready(now) {
-                collector.take_batch(reason, now);
-            }
+        // Flushes that take no time keep the server idle at every
+        // arrival: each request is due the moment it is parked, so it
+        // leaves alone and waits for nothing.
+        let config = ServiceConfig { width, queue_cap: 64 };
+        let (accepted, flushes, rejected) = run_schedule(config, &gaps_us, 0);
+        prop_assert_eq!(rejected, 0);
+        prop_assert_eq!(flushes.len(), accepted.len());
+        for f in &flushes {
+            prop_assert_eq!(f.tickets.len(), 1);
+            prop_assert_eq!(f.oldest_wait, 0.0);
         }
     }
 }
@@ -186,7 +190,6 @@ proptest! {
         let config = ResilienceConfig {
             service: ServiceConfig {
                 width,
-                max_wait: 50e-6,
                 queue_cap: 64,
             },
             // A sub-backoff deadline cancels every faulted flush, forcing
@@ -248,10 +251,10 @@ proptest! {
 
     /// Masked-partial-batch equivalence end to end through the service
     /// machinery: a width-16 service whose batch function is the masked
-    /// CRT engine, flushed with only `k` active lanes (the drain after
-    /// `k < 16` submissions), must answer each request exactly as `k`
-    /// independent single-lane calls of the same engine do. The dead
-    /// lanes the mask pads in must be invisible in every answer.
+    /// CRT engine, flushed with only `k` active lanes (`k` requests
+    /// parked at once on an idle card), must answer each request exactly
+    /// as `k` independent single-lane calls of the same engine do. The
+    /// dead lanes the mask pads in must be invisible in every answer.
     #[test]
     fn masked_partial_flush_matches_single_submissions(
         ms in proptest::collection::vec(1u64..u64::MAX, 1..=16),
@@ -264,10 +267,6 @@ proptest! {
         let config = ResilienceConfig {
             service: ServiceConfig {
                 width: 16,
-                // Far beyond the test's real runtime: the flush that
-                // carries k < 16 requests is the shutdown drain, so the
-                // batch genuinely runs with dead lanes masked in.
-                max_wait: 10.0,
                 queue_cap: 64,
             },
             ..ResilienceConfig::default()
@@ -278,17 +277,16 @@ proptest! {
             .iter()
             .map(|&m| BigUint::from(m).mod_exp(&e, &n))
             .collect();
-        let handles: Vec<_> = cts
-            .iter()
-            .map(|c| service.submit(c.clone()).expect("queue has room"))
-            .collect();
-        // Shutdown first: the drain is the flush that runs the partial
-        // batch (the 10 s deadline never fires), and it resolves every
-        // handle before returning.
+        // Parked at once, the k requests leave as one k-lane flush.
+        let handles = service
+            .submit_many_keyed(None, cts.clone())
+            .expect("queue has room");
         let k = ms.len();
         let report = service.shutdown().merged();
         prop_assert_eq!(report.resolved_ops(), k as u64);
         prop_assert_eq!(report.errored_ops, 0);
+        prop_assert_eq!(report.service.flush_count(), 1);
+        prop_assert_eq!(report.service.flushes[0].occupancy, k);
         for (i, (h, c)) in handles.into_iter().zip(&cts).enumerate() {
             let got = h.wait().expect("healthy card resolves every lane");
             prop_assert_eq!(

@@ -208,7 +208,6 @@ mod tests {
         ResilienceConfig {
             service: ServiceConfig {
                 width: 4,
-                max_wait: 500e-6,
                 queue_cap: 16,
             },
             ..ResilienceConfig::default()

@@ -1,7 +1,7 @@
 //! The service-layer surface in one sitting: validated configuration,
-//! cached Montgomery sessions, the deadline-driven batch RSA service
-//! shared by a burst of concurrent decryptors, the N-card fleet, and
-//! table-tuned kernel dispatch.
+//! cached Montgomery sessions, the work-conserving batch RSA service
+//! shared by a burst of concurrent decryptors, burst admission, the
+//! N-card fleet, and table-tuned kernel dispatch.
 //!
 //! ```text
 //! cargo run --release --example batch_service
@@ -52,12 +52,13 @@ fn main() {
     println!("8 public ops through one session -> {setups} context setup(s)");
     assert_eq!(setups, 1, "session must cache its Montgomery context");
 
-    // --- the deadline-driven batch service ---------------------------
-    // One modeled card (the default fleet shape) with 4-lane batches.
+    // --- the work-conserving batch service ---------------------------
+    // One modeled card (the default fleet shape) with 4-lane batches. An
+    // idle card flushes whatever is parked at once; requests arriving
+    // while it is busy share the next flush.
     let narrow = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 2e-3,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()
@@ -86,7 +87,7 @@ fn main() {
         .merged()
         .service;
     println!(
-        "batch service: {} ops in {} flushes (full: {}, deadline: {}), mean lane occupancy {:.0}%",
+        "batch service: {} ops in {} flushes (full: {}, partial: {}), mean lane occupancy {:.0}%",
         report.ops(),
         report.flush_count(),
         report.flushes_by(FlushReason::Full),
@@ -95,8 +96,26 @@ fn main() {
     );
     println!("every batched plaintext matches the sequential CRT result");
 
-    // A lone request can't fill a batch: the deadline fires instead, and
-    // the engine runs its one live lane as a single op, not a padded pass.
+    // A burst parked at once with `submit_many` leaves in full flushes:
+    // eight ciphertexts on 4-lane batches are two full flushes.
+    let burst = RsaBatchService::new_fleet(&key, &PhiConfig::default(), narrow, Vec::new())
+        .expect("CRT service");
+    let tickets = burst
+        .submit_many(vec![ct.clone(); 8])
+        .expect("queue has room for the burst");
+    for t in tickets {
+        assert_eq!(t.wait().expect("burst op"), expected);
+    }
+    let report = burst.shutdown_fleet().merged().service;
+    assert_eq!(report.flushes_by(FlushReason::Full), 2);
+    println!(
+        "burst of 8 via submit_many: {} full flushes of 4 lanes",
+        report.flushes_by(FlushReason::Full)
+    );
+
+    // A lone request can't fill a batch: the idle card flushes it at
+    // once, and the engine runs its one live lane as a single op, not a
+    // padded pass.
     let lone = RsaBatchService::new_fleet(
         &key,
         &PhiConfig::default(),
@@ -108,7 +127,7 @@ fn main() {
     let report = lone.shutdown_fleet().merged().service;
     let flush = &report.flushes[0];
     println!(
-        "lone request: flushed by {:?} after {:.1} ms with {}/{} lanes live",
+        "lone request: flushed ({:?}) after {:.3} ms with {}/{} lanes live",
         flush.reason,
         1e3 * flush.oldest_wait,
         flush.occupancy,

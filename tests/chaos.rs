@@ -71,7 +71,6 @@ fn quick_config() -> ResilienceConfig {
     ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 200e-6,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()
@@ -349,13 +348,11 @@ fn fleet_correlated_card_resets_resolve_every_request_exactly_once() {
 #[test]
 fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
     let key = test_key();
-    // Full-width batches with an effectively-infinite collection window
-    // make the flush composition deterministic: each round of 4
-    // submissions is exactly one occupancy-4 flush.
+    // Each round of 4 submissions is parked at once, so it is exactly
+    // one occupancy-4 flush: the flush composition is deterministic.
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 10.0,
             queue_cap: 64,
         },
         breaker: BreakerConfig {
@@ -389,10 +386,9 @@ fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
                 (m, c)
             })
             .collect();
-        let tickets: Vec<_> = batch
-            .iter()
-            .map(|(_, c)| fleet.submit(c.clone()).unwrap())
-            .collect();
+        let tickets = fleet
+            .submit_many(batch.iter().map(|(_, c)| c.clone()).collect())
+            .unwrap();
         for ((m, c), t) in batch.iter().zip(tickets) {
             let got = t.wait().unwrap();
             assert_eq!(&got, m, "round {round}: wrong plaintext");
@@ -563,12 +559,12 @@ fn mixed_detected_and_silent_chaos_conserves_every_request() {
 fn silent_fault_chaos_replays_bit_for_bit() {
     let seed = chaos_seed(0x2E7_A11);
     let key = test_key();
-    // Full-width batches with a huge collection window make the flush
-    // composition deterministic (same shape as the fleet identity test).
+    // Each round is parked at once as one full-width flush, which makes
+    // the flush composition deterministic (same shape as the fleet
+    // identity test).
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 10.0,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()
@@ -586,10 +582,9 @@ fn silent_fault_chaos_replays_bit_for_bit() {
                     (m, c)
                 })
                 .collect();
-            let tickets: Vec<_> = batch
-                .iter()
-                .map(|(_, c)| service.submit(c.clone()).unwrap())
-                .collect();
+            let tickets = service
+                .submit_many(batch.iter().map(|(_, c)| c.clone()).collect())
+                .unwrap();
             for ((m, _), t) in batch.iter().zip(tickets) {
                 assert_eq!(&t.wait().unwrap(), m, "seed {seed}: round {round}");
             }
@@ -621,7 +616,6 @@ fn faulted_card_without_fallback_errors_rather_than_hangs() {
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
-            max_wait: 100e-6,
             queue_cap: 64,
         },
         ..ResilienceConfig::default()

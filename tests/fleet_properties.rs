@@ -67,7 +67,7 @@ proptest! {
         submitted in 1usize..40,
         steal in any::<usize>(),
     ) {
-        let config = ServiceConfig { width: 16, max_wait: 1.0, queue_cap: 64 };
+        let config = ServiceConfig { width: 16, queue_cap: 64 };
         let mut victim = Collector::<u64>::new(config);
         let mut thief = Collector::<u64>::new(config);
         let mut all = Vec::new();
@@ -106,7 +106,7 @@ proptest! {
             ..FleetConfig::default()
         };
         let resilience = ResilienceConfig {
-            service: ServiceConfig { width: 4, max_wait: 200e-6, queue_cap: 64 },
+            service: ServiceConfig { width: 4, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
         let setups = (0..cards)

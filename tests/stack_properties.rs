@@ -125,7 +125,7 @@ proptest! {
     ) {
         let key = key_for(seed);
         let config = ResilienceConfig {
-            service: ServiceConfig { width: 16, max_wait: 10.0, queue_cap: 64 },
+            service: ServiceConfig { width: 16, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
         let phi = PhiConfig::builder().verified().build();
@@ -138,14 +138,15 @@ proptest! {
                 (m, c)
             })
             .collect();
-        let tickets: Vec<_> = batch
-            .iter()
-            .map(|(_, c)| service.submit(c.clone()).unwrap())
-            .collect();
+        // Parked at once, the batch is one flush of `occupancy` lanes.
+        let tickets = service
+            .submit_many(batch.iter().map(|(_, c)| c.clone()).collect())
+            .unwrap();
         for ((m, _), t) in batch.iter().zip(tickets) {
             prop_assert_eq!(&t.wait().unwrap(), m);
         }
         let report = service.shutdown_fleet().merged();
+        prop_assert_eq!(report.service.flush_count(), 1);
         prop_assert_eq!(report.verified_ops, occupancy as u64);
         prop_assert_eq!(report.verify_failures, 0);
         prop_assert_eq!(report.host_fallback_ops, 0);
@@ -167,7 +168,7 @@ proptest! {
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::repeat(FaultKind::SilentLaneFlip { lane }, 64));
         let config = ResilienceConfig {
-            service: ServiceConfig { width: 4, max_wait: 10.0, queue_cap: 64 },
+            service: ServiceConfig { width: 4, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
         let phi = PhiConfig::builder().verified().build();
@@ -180,10 +181,9 @@ proptest! {
                 (m, c)
             })
             .collect();
-        let tickets: Vec<_> = batch
-            .iter()
-            .map(|(_, c)| service.submit(c.clone()).unwrap())
-            .collect();
+        let tickets = service
+            .submit_many(batch.iter().map(|(_, c)| c.clone()).collect())
+            .unwrap();
         for ((m, _), t) in batch.iter().zip(tickets) {
             prop_assert_eq!(&t.wait().unwrap(), m, "lane {} occupancy {}", lane, occupancy);
         }
