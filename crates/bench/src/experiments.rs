@@ -1661,7 +1661,7 @@ mod tests {
     fn e14_smoke_batching_pays_at_saturation() {
         let t = e14_service(512, &[0.2, 3.0], 96);
         assert_eq!(t.rows.len(), 6, "two load points x three libraries");
-        let t16_us = service_costs(512)[0].2 * 1e6;
+        let costs = service_costs(512);
         for row in &t.rows {
             let factor: f64 = row[0].parse().unwrap();
             let gain: f64 = row[5].trim_end_matches('x').parse().unwrap();
@@ -1671,9 +1671,11 @@ mod tests {
                 // service beats the sequential server by >= 1.3x.
                 assert!(gain >= 1.3, "saturated batch gain too small: {row:?}");
             }
-            if row[1] == "PhiOpenSSL" && factor < 1.0 {
+            if factor < 1.0 {
                 // Below saturation the policy adds no wait of its own: a
-                // request queues at most behind the pass already running.
+                // request queues at most behind the pass already running,
+                // which costs the library's own T16 (16·T1 when scalar).
+                let t16_us = costs.iter().find(|c| c.0 == row[1]).unwrap().2 * 1e6;
                 assert!(
                     p99_us < t16_us,
                     "low-load p99 wait above one pass ({t16_us} µs): {row:?}"

@@ -135,7 +135,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// (queue depths, online flags) at each decision point, so the
 /// virtual-clock simulations of E19 and the fleet proptests exercise the
 /// exact production routing code.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FleetRouter {
     config: FleetConfig,
     /// Key fingerprint → home card, insertion-ordered (the map is small:
@@ -397,6 +397,19 @@ struct FleetShared<T, R> {
     epoch: Instant,
 }
 
+impl<T, R> FleetState<T, R> {
+    /// Route one submission for `key` and pick the card it parks on: the
+    /// routed card, or the emptiest other card when that one is full.
+    /// `Err(primary)` when every card is at its high-water mark.
+    fn place(&mut self, key: Option<u64>) -> Result<usize, usize> {
+        let depths: Vec<usize> = self.cards.iter().map(|c| c.collector.depth()).collect();
+        let online: Vec<bool> = self.cards.iter().map(|c| c.online).collect();
+        let primary = self.router.route(key, &depths, &online);
+        let cap = self.cards[primary].collector.config().queue_cap;
+        spill_target(primary, &depths, cap).ok_or(primary)
+    }
+}
+
 impl<T, R> FleetShared<T, R> {
     fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
@@ -477,8 +490,26 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         key: Option<u64>,
         payload: T,
     ) -> Result<ResilientHandle<R>, SubmitError> {
-        let mut handles = self.submit_many_keyed(key, vec![payload])?;
-        Ok(handles.pop().expect("one handle per payload"))
+        let (reply, rx) = mpsc::channel();
+        let now = self.shared.now();
+        let mut state = lock(&self.shared.state);
+        if state.shutdown {
+            return Err(SubmitError::ServiceShutdown);
+        }
+        // Everything full: submit to the primary anyway so the rejection
+        // is accounted exactly like the single-card path.
+        let card = state.place(key).unwrap_or_else(|primary| primary);
+        let ticket = state.cards[card].collector.submit(
+            RJob {
+                payload,
+                reply,
+                requeues: 0,
+            },
+            now,
+        )?;
+        drop(state);
+        self.shared.wakes[card].notify_one();
+        Ok(ResilientHandle::from_parts(ticket, rx))
     }
 
     /// Submit a burst of keyed requests at once, all or nothing.
@@ -491,10 +522,11 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
     /// together, where a loop of single submissions would lose its first
     /// lane to an immediate flush.
     ///
-    /// When some payload finds every card at its high-water mark, the
-    /// call fails with [`SubmitError::QueueFull`]: nothing is parked, the
-    /// router is left as it was, and the whole burst counts as rejected
-    /// on the card that payload was routed to.
+    /// A full card spills to the others, so the burst fits exactly when
+    /// the fleet's free slots, Σ max(cap − depth, 0), cover it. When they
+    /// do not, the call fails with [`SubmitError::QueueFull`]: nothing is
+    /// parked, nothing is routed, and the whole burst counts as rejected
+    /// on the least-loaded card.
     pub fn submit_many_keyed(
         &self,
         key: Option<u64>,
@@ -505,26 +537,19 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         if state.shutdown {
             return Err(SubmitError::ServiceShutdown);
         }
+        // Every card runs the one service config, so shares one cap.
         let cap = state.cards[0].collector.config().queue_cap;
-        let mut depths: Vec<usize> = state.cards.iter().map(|c| c.collector.depth()).collect();
-        let online: Vec<bool> = state.cards.iter().map(|c| c.online).collect();
-        // Route on a copy, committed only once the whole burst fits.
-        let mut router = state.router.clone();
-        let mut targets = Vec::with_capacity(payloads.len());
-        for _ in &payloads {
-            let primary = router.route(key, &depths, &online);
-            let Some(card) = spill_target(primary, &depths, cap) else {
-                return Err(state.cards[primary].collector.reject(payloads.len()));
-            };
-            depths[card] += 1;
-            targets.push(card);
+        let depths: Vec<usize> = state.cards.iter().map(|c| c.collector.depth()).collect();
+        let free: usize = depths.iter().map(|&d| cap.saturating_sub(d)).sum();
+        if payloads.len() > free {
+            let card = least_loaded(&depths, |_| true);
+            return Err(state.cards[card].collector.reject(payloads.len()));
         }
-        state.router = router;
-        let mut touched = vec![false; depths.len()];
+        let mut touched = vec![false; state.cards.len()];
         let handles = payloads
             .into_iter()
-            .zip(targets)
-            .map(|(payload, card)| {
+            .map(|payload| {
+                let card = state.place(key).expect("the burst fits the free slots");
                 let (reply, rx) = mpsc::channel();
                 let job = RJob {
                     payload,
@@ -534,7 +559,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
                 let ticket = state.cards[card]
                     .collector
                     .submit(job, now)
-                    .expect("the burst was routed within capacity");
+                    .expect("the burst fits the free slots");
                 touched[card] = true;
                 ResilientHandle::from_parts(ticket, rx)
             })
@@ -810,21 +835,13 @@ fn fleet_worker<T, R>(
         if state.shutdown {
             return;
         }
-        state = if state.cards.len() == 1 {
-            // Idle with nothing to steal from: sleep until a submit or
-            // shutdown wakes this card.
-            shared.wakes[card]
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner())
-        } else {
-            // Idle: wake on submit/steal/migration/shutdown, and poll
-            // periodically so this card can notice a stealable imbalance
-            // even when nothing is routed to it.
-            shared.wakes[card]
-                .wait_timeout(state, std::time::Duration::from_millis(1))
-                .unwrap_or_else(|e| e.into_inner())
-                .0
-        };
+        // Idle: wake on submit/steal/migration/shutdown, and poll
+        // periodically so this card can notice a stealable imbalance even
+        // when nothing is routed to it.
+        state = shared.wakes[card]
+            .wait_timeout(state, std::time::Duration::from_millis(1))
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
     }
 }
 
@@ -1029,6 +1046,48 @@ mod tests {
         assert_eq!(card.resolved_ops(), 5, "the rejected burst parked nothing");
         // The four parked requests left as one full batch.
         assert_eq!(card.service.flushes_by(FlushReason::Full), 1);
+    }
+
+    #[test]
+    fn burst_fits_exactly_when_the_fleet_has_the_free_slots() {
+        // Both cards are held inside their first flush, each with room
+        // for 4: a burst of 9 is refused without routing anything, a
+        // burst of 8 fills both queues.
+        let (setups, entered, release) = gated_setup(2);
+        let scheduler =
+            FleetScheduler::new(fleet(2, RoutingPolicy::Affinity), config(4, 4), setups);
+        let first = scheduler.submit_many_keyed(None, vec![0, 1]).unwrap();
+        entered.recv().unwrap();
+        entered.recv().unwrap();
+        let key = key_fingerprint(b"burst-key");
+        match scheduler
+            .submit_many_keyed(Some(key), (0..9).collect())
+            .map(|_| ())
+        {
+            Err(SubmitError::QueueFull { depth }) => assert_eq!(depth, 0),
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        let burst = scheduler
+            .submit_many_keyed(Some(key), (2..10).collect())
+            .unwrap();
+        assert!(matches!(
+            scheduler.submit(10),
+            Err(SubmitError::QueueFull { depth: 4 })
+        ));
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        for (h, x) in first.into_iter().chain(burst).zip(0..10) {
+            assert_eq!(h.wait(), Ok(x * 2));
+        }
+        let report = scheduler.shutdown();
+        assert_eq!(
+            (report.affinity_misses, report.affinity_hits),
+            (1, 7),
+            "the refused burst routed nothing"
+        );
+        let rejected: Vec<u64> = report.cards.iter().map(|c| c.service.rejected).collect();
+        assert_eq!(rejected, [10, 0], "both refusals on the least-loaded card");
+        assert_eq!(report.resolved_ops(), 10);
     }
 
     #[test]
