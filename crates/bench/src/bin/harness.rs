@@ -11,17 +11,17 @@
 //! Flags:
 //!
 //! * `--smoke` — run the reduced CI-scale sweeps instead of paper scale.
-//! * `--backend NAME` — vector backend for the kernels (`modeled`,
-//!   `native`, `auto`; default `modeled`). Non-modeled runs have no
-//!   meaningful cycle counts and the perf gate rejects their reports;
-//!   the wall-clock column is the comparable number there.
 //! * `--json PATH` — where to write the report (default `BENCH_PR2.json`).
 //! * `--no-json` — print tables only, write no report.
 //! * `--no-trace` — leave span tracing disabled (implies `--no-json`);
 //!   the tables are unchanged either way, since spans never touch the
 //!   modeled-op channel.
+//!
+//! The harness is the modeled channel only: every kernel it prices runs
+//! on the modeled-KNC backend. Host wall clock is measured by the
+//! repository benchmark (`python3 perfbench/run.py`), pinned and
+//! reference-scaled.
 
-use phi_backend::Backend;
 use phi_bench::registry::{self, Experiment, Profile};
 use phi_simd::{count, CostModel};
 use phi_trace::{ExperimentReport, FlushTelemetry, Report};
@@ -33,14 +33,12 @@ struct Options {
     profile: Profile,
     trace: bool,
     json: Option<String>,
-    backend: Backend,
     experiments: Vec<&'static Experiment>,
 }
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage: harness [--smoke] [--backend modeled|native|auto] [--json PATH] \
-         [--no-json] [--no-trace] [IDS|all]\n\
+        "usage: harness [--smoke] [--json PATH] [--no-json] [--no-trace] [IDS|all]\n\
          experiment ids: {}",
         registry::ids().join(" ")
     );
@@ -52,7 +50,6 @@ fn parse(args: &[String]) -> Options {
     let mut trace = true;
     let mut json_path: Option<String> = None;
     let mut no_json = false;
-    let mut backend = Backend::ModeledKnc;
     let mut experiments: Vec<&'static Experiment> = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -67,23 +64,13 @@ fn parse(args: &[String]) -> Options {
                     usage(2);
                 }
             },
-            "--backend" => match args.next().map(|s| s.parse::<Backend>()) {
-                Some(Ok(b)) => backend = b,
-                Some(Err(e)) => {
-                    eprintln!("--backend: {e}");
-                    usage(2);
-                }
-                None => {
-                    eprintln!("--backend needs a name (modeled, native, auto)");
-                    usage(2);
-                }
-            },
             "--help" | "-h" => usage(0),
             "all" => experiments.extend(registry::EXPERIMENTS.iter()),
             id => match registry::find(id) {
                 Some(e) => experiments.push(e),
                 None => {
-                    eprintln!("unknown experiment id: {id} (expected e1..e17 or all)");
+                    // usage() lists the registered ids.
+                    eprintln!("unknown experiment id: {id}");
                     usage(2);
                 }
             },
@@ -101,7 +88,6 @@ fn parse(args: &[String]) -> Options {
         profile,
         trace,
         json,
-        backend,
         experiments,
     }
 }
@@ -131,26 +117,13 @@ fn flush_telemetry() -> Option<FlushTelemetry> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args);
-    if let Err(e) = opts
-        .backend
-        .ensure_available(&phi_backend::CpuFeatures::detect())
-    {
-        eprintln!("--backend: {e}");
-        std::process::exit(2);
-    }
-    // Every PhiLibrary/engine the experiments construct without an
-    // explicit config follows the process default.
-    phi_backend::set_process_default(opts.backend);
-    let resolved = opts.backend.resolve();
     if opts.trace {
         phi_trace::enable();
     }
     let model = CostModel::knc();
     let mut report = Report::new(opts.profile.name());
-    report.backend = resolved.name().to_owned();
     println!(
-        "# PhiOpenSSL evaluation harness ({} backend, {} profile)\n",
-        resolved.name(),
+        "# PhiOpenSSL evaluation harness (modeled KNC channel, {} profile)\n",
         opts.profile.name()
     );
     for exp in &opts.experiments {

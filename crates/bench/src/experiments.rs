@@ -1,10 +1,11 @@
-//! The paper's experiments, E1–E9 (index in DESIGN.md §4).
+//! The paper's experiments, E1–E9, and the extensions E10–E21 (index in
+//! DESIGN.md §4).
 //!
 //! Every function takes its sweep parameters explicitly so tests can run
 //! reduced sweeps; the harness binary passes the full paper-scale lists.
 //! All numbers in the returned tables come from the **modeled KNC
-//! channel** (single-thread latency unless stated otherwise); host
-//! wall-clock for the same kernels is produced by the criterion benches.
+//! channel** (single-thread latency unless stated otherwise); host wall
+//! clock is measured by the repository benchmark (`perfbench/`).
 
 use crate::measure::{modeled, Modeled};
 use crate::table::{fmt_rate, fmt_us, fmt_x, Table};
@@ -699,7 +700,9 @@ fn service_costs(key_bits: u32) -> Vec<(&'static str, f64, f64)> {
 /// 0.4% of its modeled cycles at 512–2048 bits), a fuller one a
 /// full-width pass (`T16`) whatever its occupancy, while the scalar
 /// baselines execute a batch as `occupancy` sequential private
-/// operations — batching buys them nothing, which is the point.
+/// operations — batching buys them nothing, which is the point. The
+/// sequential server is the same simulation at width 1 on the same
+/// arrivals, so a scalar baseline's gain reads exactly 1.
 ///
 /// [`BatchCrtEngine::private_op_masked`]: phiopenssl::BatchCrtEngine::private_op_masked
 pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) -> Table {
@@ -728,9 +731,9 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
          whatever is parked at once; wait = arrival to flush start, the \
          queueing behind flushes already running (above 1x load the open-loop \
          backlog makes it grow with the ops per point); seq = one-at-a-time \
-         server, closed form min(offered, 1/T1); a flush of k live lanes costs \
-         k·T1, except a PhiOpenSSL flush of k > {} lanes, which costs one \
-         16-lane pass T16",
+         server (T1 per op) simulated on the same arrivals; a flush of k live \
+         lanes costs k·T1, except a PhiOpenSSL flush of k > {} lanes, which \
+         costs one 16-lane pass T16",
         config.width, ops_per_point, SINGLE_OP_MAX_LIVE
     ));
     let libs = service_costs(key_bits);
@@ -748,7 +751,8 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
                     k as f64 * t1
                 }
             });
-            let seq = offered.min(1.0 / t1);
+            let seq = simulate_service(&arrivals, ServiceConfig { width: 1, ..config }, |_| t1)
+                .throughput;
             t.row(vec![
                 format!("{factor:.2}"),
                 name.to_string(),
@@ -842,73 +846,6 @@ pub fn e15_fault_resilience(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             report.breaker_trips.to_string(),
             fmt_rate(thr),
             fmt_x(thr / baseline),
-        ]);
-    }
-    t
-}
-
-/// E17 — native-backend validation: the same Montgomery-multiply kernel
-/// on the modeled-KNC backend (interpreter + cycle accounting) and the
-/// native AVX-512/AVX2 backend, checked bit-for-bit and compared on host
-/// wall-clock. The modeled channel only prices the modeled backend; the
-/// native column is real host time, so the ratio answers "what does the
-/// modeling overhead cost, and does the native tier actually pay off?".
-pub fn e17_backend_validation(sizes: &[u32], iters: u32) -> Table {
-    use phiopenssl::ResolvedBackend;
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    let mut t = Table::new(
-        "E17: modeled vs native backend, Montgomery multiplication",
-        &[
-            "bits",
-            "modeled µs (KNC)",
-            "modeled wall µs",
-            "native wall µs",
-            "wall speedup",
-            "agree",
-        ],
-    );
-    t.note("wall-clock is host-dependent; the KNC column prices the modeled backend only");
-    if !phiopenssl::CpuFeatures::detect().avx2 {
-        t.note("host has no AVX2 — native tier unavailable, sweep skipped");
-        return t;
-    }
-    t.note(native_tier_note());
-    for &bits in sizes {
-        let n = workload::modulus(bits);
-        let a = &workload::operand(bits, 17) % &n;
-        let b = &workload::operand(bits, 18) % &n;
-        let ctx_m = VMontCtx::with_backend(&n, ResolvedBackend::ModeledKnc).expect("odd modulus");
-        let ctx_n = VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
-        let (am, bm) = (ctx_m.to_mont_vec(&a), ctx_m.to_mont_vec(&b));
-        let (an, bn) = (ctx_n.to_mont_vec(&a), ctx_n.to_mont_vec(&b));
-
-        // One accounted run for the modeled price, and the parity check.
-        let (r_modeled, m) = modeled(|| ctx_m.mont_mul_vec(&am, &bm));
-        let r_native = ctx_n.mont_mul_vec(&an, &bn);
-        let agree = ctx_m.from_mont_vec(&r_modeled) == ctx_n.from_mont_vec(&r_native)
-            && ctx_m.from_mont_vec(&r_modeled) == a.mod_mul(&b, &n);
-
-        // Wall-clock loops, warm (the accounted run above was the warm-up).
-        let started = Instant::now();
-        for _ in 0..iters {
-            black_box(ctx_m.mont_mul_vec(black_box(&am), black_box(&bm)));
-        }
-        let wall_m = started.elapsed().as_secs_f64() / iters as f64;
-        let started = Instant::now();
-        for _ in 0..iters {
-            black_box(ctx_n.mont_mul_vec(black_box(&an), black_box(&bn)));
-        }
-        let wall_n = started.elapsed().as_secs_f64() / iters as f64;
-
-        t.row(vec![
-            bits.to_string(),
-            fmt_us(m.us()),
-            fmt_us(wall_m * 1e6),
-            fmt_us(wall_n * 1e6),
-            fmt_x(wall_m / wall_n),
-            if agree { "yes".into() } else { "NO".into() },
         ]);
     }
     t
@@ -1460,12 +1397,10 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
 /// static engine keeps the hand-written kernels. The results must stay
 /// bit-identical — tuning only ever moves the modeled cycle count — and
 /// `agree` additionally checks lane 0 against the scalar private-op
-/// oracle. When the host has AVX2 the same comparison is repeated on the
-/// native backend (parity asserted, wall clock reported in the notes).
+/// oracle. When the host has AVX2 both engines are rebuilt on the native
+/// backend and asserted bit-identical to the modeled static result.
 pub fn e21_tuned(key_sizes: &[u32]) -> Table {
     use phiopenssl::{Backend, Tuning, TuningTable};
-    use std::hint::black_box;
-    use std::time::Instant;
 
     let mut t = Table::new(
         "E21: static vs table-tuned batch CRT private op, modeled KNC latency",
@@ -1484,7 +1419,7 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
     if native {
         t.note(native_tier_note());
     } else {
-        t.note("host has no AVX2 — native wall-clock pass skipped");
+        t.note("host has no AVX2 — native parity not checked");
     }
     for &bits in key_sizes {
         let key = workload::rsa_key(bits);
@@ -1512,21 +1447,10 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
             .entry_for_modulus(key.public().n().bit_length(), "modeled-knc")
             .expect("committed table covers every supported size");
         if native {
-            let eng_n = build(Backend::NativeX86, Tuning::Static);
-            let tun_n = build(Backend::NativeX86, Tuning::Table);
-            let started = Instant::now();
-            let r_n = black_box(eng_n.private_op_16(black_box(&cts)));
-            let wall_s = started.elapsed().as_secs_f64();
-            let started = Instant::now();
-            let r_tn = black_box(tun_n.private_op_16(black_box(&cts)));
-            let wall_t = started.elapsed().as_secs_f64();
+            let r_n = build(Backend::NativeX86, Tuning::Static).private_op_16(&cts);
+            let r_tn = build(Backend::NativeX86, Tuning::Table).private_op_16(&cts);
             assert_eq!(r_n, r_s, "native static diverged at {bits} bits");
             assert_eq!(r_tn, r_s, "native tuned diverged at {bits} bits");
-            t.note(format!(
-                "{bits}-bit native wall clock: static {:.0} µs, tuned {:.0} µs",
-                wall_s * 1e6,
-                wall_t * 1e6
-            ));
         }
         t.row(vec![
             bits.to_string(),
@@ -1558,6 +1482,7 @@ fn fmt_fault_rate(rate: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{self, Profile};
 
     // Smoke tests run the reduced sweeps (small sizes) so the full suite
     // stays fast in debug mode; the harness binary runs paper scale.
@@ -1684,6 +1609,19 @@ mod tests {
         }
     }
 
+    /// The sequential server runs on the same arrivals as the batched
+    /// one, so a library without a lane engine gains exactly nothing at
+    /// any load.
+    #[test]
+    fn e14_smoke_batching_buys_scalar_libraries_nothing() {
+        let t = (registry::find("e14").unwrap().run)(Profile::Smoke);
+        let scalar: Vec<_> = t.rows.iter().filter(|r| r[1] != "PhiOpenSSL").collect();
+        assert!(!scalar.is_empty());
+        for row in scalar {
+            assert_eq!(row[5], "1.00x", "{row:?}");
+        }
+    }
+
     #[test]
     fn e14_simulator_conserves_ops() {
         let arrivals = poisson_arrivals(5_000.0, 64, 7);
@@ -1702,20 +1640,6 @@ mod tests {
         let point = simulate_service(&sparse, config, |k| k as f64 * 1e-6);
         assert_eq!(point.p99_wait, 0.0);
         assert_eq!(point.mean_occupancy, 1.0);
-    }
-
-    #[test]
-    fn e17_smoke_backends_agree() {
-        let t = e17_backend_validation(&[512], 4);
-        if !phiopenssl::CpuFeatures::detect().avx2 {
-            assert!(t.rows.is_empty(), "no AVX2: sweep must be skipped");
-            return;
-        }
-        assert_eq!(t.rows.len(), 1);
-        let row = &t.rows[0];
-        assert_eq!(row[5], "yes", "backends disagree: {row:?}");
-        let x: f64 = row[4].trim_end_matches('x').parse().unwrap();
-        assert!(x > 0.0, "speedup must be finite positive: {row:?}");
     }
 
     #[test]
@@ -1820,13 +1744,28 @@ mod tests {
     }
 
     /// The bursts are parked whole, so flush composition, and with it
-    /// every modeled figure, repeats exactly from run to run.
+    /// every modeled figure, repeats exactly from run to run. Every
+    /// faulted smoke row must also draw a fault, or the smoke run never
+    /// exercises the ladder its table reports.
     #[test]
     fn e15_and_e20_smoke_rows_are_deterministic() {
-        let e15 = || e15_fault_resilience(512, &[0.0, 0.20, 0.50], 48).rows;
-        assert_eq!(e15(), e15());
-        let e20 = || e20_verified_offload(512, &[0.0, 1e-2, 0.25], 48).rows;
-        assert_eq!(e20(), e20());
+        let smoke = |id| (registry::find(id).unwrap().run)(Profile::Smoke).rows;
+        let e15 = smoke("e15");
+        assert_eq!(e15, smoke("e15"));
+        for row in e15.iter().filter(|r| r[0] != "0%") {
+            assert!(
+                row[4].parse::<u64>().unwrap() > 0,
+                "no fault drawn: {row:?}"
+            );
+        }
+        let e20 = smoke("e20");
+        assert_eq!(e20, smoke("e20"));
+        for row in e20.iter().filter(|r| r[0] != "0") {
+            assert!(
+                row[3].parse::<u64>().unwrap() > 0,
+                "nothing rejected: {row:?}"
+            );
+        }
     }
 
     #[test]

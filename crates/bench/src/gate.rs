@@ -296,8 +296,8 @@ pub fn compare(baseline: &Report, fresh: &Report) -> Result<Vec<GateLine>, Strin
     if baseline.backend != fresh.backend {
         return Err(format!(
             "backend mismatch: baseline ran on '{}', fresh run on '{}' — \
-             modeled cycle counts only gate the modeled backend; rerun the \
-             harness without --backend (or regenerate the baseline)",
+             modeled cycle counts only gate the modeled backend; regenerate \
+             the baseline with the harness",
             baseline.backend, fresh.backend
         ));
     }

@@ -3,16 +3,13 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! PhiOpenSSL evaluation (experiment index in `DESIGN.md §4`).
 //!
-//! Two measurement channels:
-//!
-//! * **Modeled KNC cycles** — deterministic instruction counts through
-//!   `phi-simd`'s counters, weighted by the frozen KNC cost model. This is
-//!   the channel expected to reproduce the paper's *ratios* (the hardware
-//!   is gone; see DESIGN.md §1).
-//! * **Host wall-clock** — the criterion benches under `benches/` time the
-//!   same code on the host for honesty; a lane-at-a-time software SIMD
-//!   cannot beat native 64-bit scalar code on an out-of-order host, so
-//!   wall-clock ratios are *not* expected to match the paper.
+//! Every table comes from the **modeled KNC channel**: deterministic
+//! instruction counts through `phi-simd`'s counters, weighted by the
+//! frozen KNC cost model. This is the channel expected to reproduce the
+//! paper's *ratios* (the hardware is gone; see DESIGN.md §1). Host wall
+//! clock has its own home, the repository benchmark under `perfbench/`
+//! (`python3 perfbench/run.py`), which pins its runs to one CPU and
+//! scales them by a reference kernel.
 //!
 //! Run `cargo run --release -p phi-bench --bin harness -- all` to print
 //! every table.

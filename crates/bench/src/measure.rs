@@ -1,17 +1,13 @@
-//! The measurement wrapper: modeled KNC cycles + host wall-clock for one
-//! operation.
+//! The measurement wrapper: the modeled KNC cycles of one operation.
 
 use phi_simd::count;
 use phi_simd::{CostModel, CycleReport};
-use std::time::Instant;
 
-/// One measured operation: the modeled-channel report plus host seconds.
+/// One measured operation: its modeled-channel report.
 #[derive(Debug, Clone, Copy)]
 pub struct Modeled {
     /// Modeled KNC report (counts, cycles, single-thread latency).
     pub knc: CycleReport,
-    /// Host wall-clock seconds for the same single run.
-    pub host_seconds: f64,
 }
 
 impl Modeled {
@@ -26,18 +22,14 @@ impl Modeled {
     }
 }
 
-/// Run `f` once, measuring its instruction counts (this thread) and host
-/// time, and convert through the frozen KNC model.
+/// Run `f` once, measuring its instruction counts (this thread), and
+/// convert through the frozen KNC model.
 pub fn modeled<R>(f: impl FnOnce() -> R) -> (R, Modeled) {
-    let model = CostModel::knc();
-    let started = Instant::now();
     let (out, counts) = count::measure(f);
-    let host_seconds = started.elapsed().as_secs_f64();
     (
         out,
         Modeled {
-            knc: model.report(&counts),
-            host_seconds,
+            knc: CostModel::knc().report(&counts),
         },
     )
 }
@@ -51,7 +43,6 @@ mod tests {
     fn modeled_reports_counts_and_time() {
         let ((), m) = modeled(|| record(OpClass::VMul, 500));
         assert_eq!(m.knc.issue_cycles, 500.0);
-        assert!(m.host_seconds >= 0.0);
         assert!(m.us() > 0.0);
     }
 

@@ -53,7 +53,7 @@ macro_rules! profile_run {
 }
 
 /// Every experiment of the evaluation, in id order.
-pub static EXPERIMENTS: [Experiment; 20] = [
+pub static EXPERIMENTS: [Experiment; 19] = [
     Experiment {
         id: "e1",
         title: "big-integer multiplication latency",
@@ -144,15 +144,7 @@ pub static EXPERIMENTS: [Experiment; 20] = [
         title: "fault-injected offload resilience",
         run: profile_run!(
             ex::e15_fault_resilience(1024, &[0.0, 0.01, 0.05, 0.20, 0.50], 256),
-            ex::e15_fault_resilience(512, &[0.0, 0.20, 0.50], 48)
-        ),
-    },
-    Experiment {
-        id: "e17",
-        title: "native backend validation",
-        run: profile_run!(
-            ex::e17_backend_validation(&[512, 1024, 2048], 64),
-            ex::e17_backend_validation(&[512], 8)
+            ex::e15_fault_resilience(512, &[0.0, 0.20, 0.50], 256)
         ),
     },
     Experiment {
@@ -176,7 +168,7 @@ pub static EXPERIMENTS: [Experiment; 20] = [
         title: "verified offload under silent faults",
         run: profile_run!(
             ex::e20_verified_offload(1024, &[0.0, 1e-4, 1e-3, 1e-2, 0.10, 0.25], 256),
-            ex::e20_verified_offload(512, &[0.0, 1e-2, 0.25], 48)
+            ex::e20_verified_offload(512, &[0.0, 0.10, 0.25], 256)
         ),
     },
     Experiment {
@@ -210,7 +202,8 @@ mod tests {
     #[test]
     fn all_covers_every_registered_experiment() {
         let mut expected: Vec<String> = (1..=15).map(|i| format!("e{i}")).collect();
-        expected.push("e17".into()); // e16 was never assigned
+        // e16 and e17 are unassigned: E16 is the conformance harness's
+        // record, and E17's native wall clock is perfbench's channel.
         expected.push("e18".into());
         expected.push("e19".into());
         expected.push("e20".into());

@@ -1,10 +1,9 @@
-//! Deterministic workload generation shared by the harness and the
-//! criterion benches: moduli, operands, exponents and cached RSA keys.
+//! Deterministic workload generation shared by the harness experiments
+//! and the perf gates: moduli, operands, exponents and cached RSA keys.
 
 use phi_bigint::BigUint;
-use phi_mont::Libcrypto;
 use phi_rsa::key::RsaPrivateKey;
-use phiopenssl::{BatchCrtEngine, PhiConfig, PhiLibrary};
+use phiopenssl::{BatchCrtEngine, PhiConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -66,18 +65,6 @@ pub fn batch_engine(key: &RsaPrivateKey, config: &PhiConfig) -> BatchCrtEngine {
     .expect("odd CRT halves")
 }
 
-/// The three compared libraries: short label + implementation.
-pub fn libraries() -> Vec<(&'static str, Box<dyn Libcrypto>)> {
-    vec![
-        (
-            "PhiOpenSSL",
-            Box::new(PhiLibrary::default()) as Box<dyn Libcrypto>,
-        ),
-        ("MPSS", Box::new(phi_mont::MpssBaseline)),
-        ("OpenSSL", Box::new(phi_mont::OpensslBaseline)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +92,5 @@ mod tests {
         let b = rsa_key(128);
         assert_eq!(a, b);
         assert_eq!(a.public().bits(), 128);
-    }
-
-    #[test]
-    fn three_libraries() {
-        let libs = libraries();
-        assert_eq!(libs.len(), 3);
-        assert_eq!(libs[0].0, "PhiOpenSSL");
     }
 }

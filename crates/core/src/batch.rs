@@ -19,7 +19,7 @@
 use crate::engine::SINGLE_OP_MAX_LIVE;
 use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::VMontCtx;
-use phi_backend::{with_backend, Vector32, Vector64, VectorBackend};
+use phi_backend::{with_backend, ModeledKnc, Vector32, Vector64, VectorBackend};
 use phi_bigint::BigUint;
 use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
@@ -73,8 +73,7 @@ impl Batch16 {
     /// Charged as the in-register 16×16 transpose networks the real kernel
     /// runs at batch boundaries (~4 swizzles per produced vector).
     pub fn transpose_from(values: &[VecNum]) -> Self {
-        with_backend!(phi_backend::process_default().resolve(),
-            B => Self::transpose_from_impl::<B>(values))
+        Self::transpose_from_impl::<ModeledKnc>(values)
     }
 
     pub(crate) fn transpose_from_impl<B: VectorBackend>(values: &[VecNum]) -> Self {
@@ -99,8 +98,7 @@ impl Batch16 {
 
     /// Transpose back to sixteen individual values.
     pub fn transpose_out(&self) -> Vec<VecNum> {
-        with_backend!(phi_backend::process_default().resolve(),
-            B => self.transpose_out_impl::<B>())
+        self.transpose_out_impl::<ModeledKnc>()
     }
 
     pub(crate) fn transpose_out_impl<B: VectorBackend>(&self) -> Vec<VecNum> {

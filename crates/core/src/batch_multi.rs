@@ -48,9 +48,9 @@ pub struct MultiBatchMont {
 }
 
 impl MultiBatchMont {
-    /// Build for sixteen odd moduli on the process-default backend.
+    /// Build for sixteen odd moduli on the modeled-KNC backend.
     pub fn new(moduli: &[BigUint]) -> Result<Self, BigIntError> {
-        Self::with_backend(moduli, phi_backend::process_default().resolve())
+        Self::with_backend(moduli, ResolvedBackend::ModeledKnc)
     }
 
     /// Build for sixteen odd moduli on an explicit backend.

@@ -102,10 +102,7 @@ impl Default for PhiConfig {
         PhiConfig {
             window: DEFAULT_WINDOW,
             lookup: TableLookup::Direct,
-            // The process default is ModeledKnc unless overridden via
-            // PHI_BACKEND or phi_backend::set_process_default (the bench
-            // harness's --backend flag).
-            backend: phi_backend::process_default(),
+            backend: Backend::ModeledKnc,
             fleet: FleetConfig::default(),
             verified: false,
             tuning: Tuning::Static,

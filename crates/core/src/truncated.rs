@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn truncated_beats_classic_in_weighted_vector_ops() {
-        // The acceptance criterion at kernel granularity: the truncated
+        // The acceptance bar at kernel granularity: the truncated
         // exponentiation ladder (squarings dominate) must record fewer
         // modeled cycles than the classic one.
         let n = &BigUint::power_of_two(1024) - &BigUint::from(0x11Du64);

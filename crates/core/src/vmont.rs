@@ -65,11 +65,10 @@ pub struct VMontCtx {
 }
 
 impl VMontCtx {
-    /// Build a context for the odd modulus `n` on the process-default
-    /// backend (the modeled-KNC backend unless overridden; see
-    /// [`phi_backend::process_default`]).
+    /// Build a context for the odd modulus `n` on the modeled-KNC
+    /// backend.
     pub fn new(n: &BigUint) -> Result<Self, BigIntError> {
-        Self::with_backend(n, phi_backend::process_default().resolve())
+        Self::with_backend(n, ResolvedBackend::ModeledKnc)
     }
 
     /// Build a context for the odd modulus `n` on an explicit backend.

@@ -11,8 +11,8 @@
 //! without carrying; a final scalar pass normalizes.
 //!
 //! The kernels are generic over [`VectorBackend`]; the public entry
-//! points dispatch on the process-default backend (see
-//! [`phi_backend::process_default`]) or an explicit [`ResolvedBackend`].
+//! points run on the modeled-KNC backend, and their `_backend` forms on
+//! an explicit [`ResolvedBackend`].
 
 #![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
 
@@ -29,7 +29,7 @@ use phi_simd::count::OpClass;
 /// load and store around the FMA (the `B` operand still folds into the
 /// FMA).
 pub fn vec_mul(a: &VecNum, b: &VecNum) -> VecNum {
-    vec_mul_backend(a, b, phi_backend::process_default().resolve())
+    vec_mul_backend(a, b, ResolvedBackend::ModeledKnc)
 }
 
 /// [`vec_mul`] on an explicitly chosen backend.
@@ -78,7 +78,7 @@ pub(crate) fn vec_mul_generic<B: VectorBackend>(a: &VecNum, b: &VecNum) -> VecNu
 /// Vectorized squaring. Computes the off-diagonal strip once and doubles it
 /// (the classic half-product trick), then adds the diagonal terms.
 pub fn vec_sqr(a: &VecNum) -> VecNum {
-    vec_sqr_backend(a, phi_backend::process_default().resolve())
+    vec_sqr_backend(a, ResolvedBackend::ModeledKnc)
 }
 
 /// [`vec_sqr`] on an explicitly chosen backend.
@@ -153,7 +153,7 @@ pub(crate) fn vec_sqr_generic<B: VectorBackend>(a: &VecNum) -> VecNum {
 
 /// Convenience: vectorized product of two big integers.
 pub fn big_mul_vectorized(a: &BigUint, b: &BigUint) -> BigUint {
-    big_mul_with_backend(a, b, phi_backend::process_default().resolve())
+    big_mul_with_backend(a, b, ResolvedBackend::ModeledKnc)
 }
 
 /// [`big_mul_vectorized`] on an explicitly chosen backend.

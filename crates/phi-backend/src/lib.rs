@@ -13,11 +13,11 @@
 //!   [`native_tier`] labels the SIMD level those loops run at (the
 //!   lesser of the build's and the host's) for logs.
 //!
-//! Callers pick a backend with [`Backend`] (usually via
-//! `PhiConfig::builder().backend(...)` in the core crate; the
-//! `PHI_BACKEND` environment variable sets the process default) and
-//! kernels dispatch through the [`with_backend!`] macro, which
-//! monomorphizes the generic body per backend.
+//! Callers pick a backend with [`Backend`], through
+//! `PhiConfig::builder().backend(...)` in the core crate (the default is
+//! [`Backend::ModeledKnc`]), and kernels dispatch through the
+//! [`with_backend!`] macro, which monomorphizes the generic body per
+//! backend.
 
 #![forbid(unsafe_code)]
 
@@ -30,8 +30,6 @@ pub use native::{native_tier, NMask8, NativeTier, NativeX86, NV32, NV64};
 pub use traits::{LaneMask8, Vector32, Vector64, VectorBackend};
 
 use std::fmt;
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// SIMD capabilities of the host, as probed at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,69 +211,6 @@ impl fmt::Display for Backend {
     }
 }
 
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Backend::Auto),
-            "modeled" | "modeled-knc" => Ok(Backend::ModeledKnc),
-            "native" | "native-x86" => Ok(Backend::NativeX86),
-            other => Err(format!(
-                "unknown backend {other:?} (expected auto, modeled, or native)"
-            )),
-        }
-    }
-}
-
-// Process-wide default backend: what `PhiConfig::default()` picks up, so
-// the bench harness's `--backend` flag (and the PHI_BACKEND env var)
-// reach every engine built through `PhiLibrary::default()`.
-const DEFAULT_UNSET: u8 = u8::MAX;
-static PROCESS_DEFAULT: AtomicU8 = AtomicU8::new(DEFAULT_UNSET);
-
-fn backend_to_u8(b: Backend) -> u8 {
-    match b {
-        Backend::Auto => 0,
-        Backend::ModeledKnc => 1,
-        Backend::NativeX86 => 2,
-    }
-}
-
-fn backend_from_u8(v: u8) -> Backend {
-    match v {
-        0 => Backend::Auto,
-        2 => Backend::NativeX86,
-        _ => Backend::ModeledKnc,
-    }
-}
-
-/// The process-wide default backend request.
-///
-/// Starts as [`Backend::ModeledKnc`] (keeping the repo's deterministic
-/// instruction accounting byte-identical by default), unless the
-/// `PHI_BACKEND` environment variable (`auto` | `modeled` | `native`) is
-/// set at first use, or [`set_process_default`] has been called.
-pub fn process_default() -> Backend {
-    match PROCESS_DEFAULT.load(Ordering::Relaxed) {
-        DEFAULT_UNSET => {
-            let b = std::env::var("PHI_BACKEND")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(Backend::ModeledKnc);
-            PROCESS_DEFAULT.store(backend_to_u8(b), Ordering::Relaxed);
-            b
-        }
-        v => backend_from_u8(v),
-    }
-}
-
-/// Override the process-wide default backend (used by the bench
-/// harness's `--backend` flag before any engines are built).
-pub fn set_process_default(b: Backend) {
-    PROCESS_DEFAULT.store(backend_to_u8(b), Ordering::Relaxed);
-}
-
 /// Monomorphize a generic kernel body over a [`ResolvedBackend`] value.
 ///
 /// ```
@@ -349,19 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_parses_all_spellings() {
-        assert_eq!("auto".parse(), Ok(Backend::Auto));
-        assert_eq!("modeled".parse(), Ok(Backend::ModeledKnc));
-        assert_eq!("modeled-knc".parse(), Ok(Backend::ModeledKnc));
-        assert_eq!("native".parse(), Ok(Backend::NativeX86));
-        assert_eq!("native-x86".parse(), Ok(Backend::NativeX86));
-        assert!("knl".parse::<Backend>().is_err());
-    }
-
-    #[test]
     fn names_round_trip_through_display() {
         for b in [Backend::Auto, Backend::ModeledKnc, Backend::NativeX86] {
-            assert_eq!(b.to_string().parse::<Backend>(), Ok(b));
+            assert_eq!(b.to_string(), b.name());
         }
         assert_eq!(ResolvedBackend::ModeledKnc.name(), ModeledKnc::NAME);
         assert_eq!(ResolvedBackend::NativeX86.name(), NativeX86::NAME);

@@ -16,8 +16,9 @@
 //!    published KNC micro-architecture parameters (in-order core, one
 //!    512-bit vector op per cycle, a single thread can issue a vector op
 //!    only every other cycle, 1.053 GHz). The benchmark harness reports
-//!    modeled cycles next to host wall-clock; the paper's speedup *ratios*
-//!    are expected to reproduce in the modeled channel.
+//!    modeled cycles, and the paper's speedup *ratios* are expected to
+//!    reproduce in that channel; host wall clock is the repository
+//!    benchmark's (`perfbench/`).
 //!
 //! The scalar operation classes ([`count::OpClass::SMul64`] etc.) are used
 //! by the scalar baseline libraries in `phi-mont` so that all three

@@ -27,11 +27,11 @@
 //!
 //! Both backend columns of the table share the modeled cost oracle: the
 //! native backend executes identical lane semantics, so the modeled
-//! cycle ordering is the committable prediction (E21 reports native
-//! wall-clock alongside it). Occupancy is recorded at 16 — a batch pass
-//! costs the same at any fill level, so cost *per op* is maximized at
-//! full occupancy by construction; the `tuned` conformance family sweeps
-//! occupancies 1–16 for correctness instead.
+//! cycle ordering is the committable prediction (E21 asserts the native
+//! engines bit-identical to the modeled ones). Occupancy is recorded at
+//! 16 — a batch pass costs the same at any fill level, so cost *per op*
+//! is maximized at full occupancy by construction; the `tuned`
+//! conformance family sweeps occupancies 1–16 for correctness instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -913,7 +913,7 @@ mod tests {
     }
 
     /// The release check runs on the card's configured backend, not the
-    /// process default: over the same full flush, a native verified
+    /// modeled default: over the same full flush, a native verified
     /// service spends less on the check than a modeled one (skipped on
     /// hosts without AVX2).
     #[test]

@@ -371,7 +371,7 @@ fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
         None,
     ]);
     // The pinned clock is a modeled-channel figure: name the backend
-    // rather than inherit the process default.
+    // rather than rely on the default.
     let phi = PhiConfig::builder()
         .backend(Backend::ModeledKnc)
         .expect("the model runs anywhere")
