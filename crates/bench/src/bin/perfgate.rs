@@ -16,8 +16,8 @@
 //! # modeled cycles by at least the given fraction at every key size
 //! perfgate --min-improvement 0.10
 //!
-//! # tuned-kernel gate: run the deterministic static-vs-tuned batch CRT
-//! # comparison in-process and fail unless the committed tuning table
+//! # tuned-kernel gate: run both CRT half ladders at the static point and
+//! # at the committed table point in-process and fail unless the table
 //! # cuts modeled cycles by at least the given fraction at every gated
 //! # key size
 //! perfgate --tuned-improvement 0.05
@@ -170,14 +170,14 @@ fn run_tuned_improvement(arg: &str) -> i32 {
     let lines = gate::measure_tuned_improvement(&gate::TUNED_GATE_SIZES);
     let mut failed = false;
     println!(
-        "perfgate: table-tuned vs static batch CRT private op, modeled cycles \
+        "perfgate: table vs static point, both CRT half ladders, modeled cycles \
          (required cut >= {:.0}%)",
         min * 100.0
     );
     for l in &lines {
         let ok = l.improvement >= min;
         println!(
-            "  {:>5} bits  static {:>14.0}  tuned {:>14.0}  cut {:>6.2}%  {}",
+            "  {:>5} bits  static {:>14.0}  table {:>14.0}  cut {:>6.2}%  {}",
             l.bits,
             l.static_cycles,
             l.tuned_cycles,

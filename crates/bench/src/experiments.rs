@@ -865,7 +865,8 @@ fn native_tier_note() -> String {
 /// (DESIGN.md §3.12), 16-lane batch exponentiation per key size.
 ///
 /// Both variants run the same ladder over the same operands; the
-/// truncated kernel elides the low partial products of `m·n`, squares
+/// truncated kernel (the generated one at the static point, radix 2^27,
+/// window 5, unroll 8) elides the low partial products of `m·n`, squares
 /// through a half-triangle, and keeps its comba accumulators
 /// register-resident, so the modeled `mont_reduce` bill drops while the
 /// results stay bit-identical. The `agree` column checks classic,
@@ -877,7 +878,8 @@ pub fn e18_truncated(sizes: &[u32]) -> Table {
         "E18: classic vs truncated Montgomery reduction, 16-lane batch ladder",
         &["bits", "classic µs", "truncated µs", "speedup", "agree"],
     );
-    t.note("same 16-lane batch exponentiation (w=5); truncated = §3.12 separated reduction");
+    t.note("same 16-lane batch exponentiation (w=5); truncated = §3.12 separated reduction,");
+    t.note("the generated kernel at the static point (r27 u8, loop control charged)");
     t.note("bit-identical by construction; `agree` checks both variants vs the scalar oracle");
     let native = phiopenssl::CpuFeatures::detect().avx2;
     if native {
@@ -1387,33 +1389,37 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
     t
 }
 
-/// E21 — Table: static vs table-tuned batch CRT private op (DESIGN.md
-/// §3.15), per key size.
+/// E21 — Table: the static point vs the committed table point (DESIGN.md
+/// §3.15), both CRT half ladders of one 16-lane pass, per key size.
 ///
-/// Both columns run the same full-width `private_op_16` over the same
-/// deterministic ciphertexts. The tuned engine dispatches to the
-/// generated Montgomery kernel the committed `bench/tuning.json` winner
-/// selected for the key size (radix / window / variant / unroll); the
-/// static engine keeps the hand-written kernels. The results must stay
-/// bit-identical — tuning only ever moves the modeled cycle count — and
-/// `agree` additionally checks lane 0 against the scalar private-op
-/// oracle. When the host has AVX2 both engines are rebuilt on the native
-/// backend and asserted bit-identical to the modeled static result.
+/// Both columns run the generated kernel's two half ladders over the same
+/// deterministic ciphertexts: at [`KernelParams::static_defaults`] and at
+/// the point the committed `bench/tuning.json` names for the key size
+/// (radix / window / variant / unroll), which the batch engine runs. The
+/// results must stay bit-identical — the point only ever moves the
+/// modeled cycle count — and `agree` additionally checks the engine's
+/// lane 0 against the scalar private-op oracle. When the host has AVX2
+/// the engine and the static ladders are rebuilt on the native backend
+/// and asserted bit-identical to the modeled ones.
+///
+/// [`KernelParams::static_defaults`]: phiopenssl::KernelParams::static_defaults
 pub fn e21_tuned(key_sizes: &[u32]) -> Table {
-    use phiopenssl::{Backend, Tuning, TuningTable};
+    use phiopenssl::{Backend, KernelParams, ResolvedBackend, TuningTable};
 
     let mut t = Table::new(
-        "E21: static vs table-tuned batch CRT private op, modeled KNC latency",
+        "E21: static vs table point, both CRT half ladders of a 16-lane pass, modeled KNC latency",
         &[
             "key bits",
             "static µs",
-            "tuned µs",
+            "table µs",
             "speedup",
-            "tuned kernel",
+            "table point",
             "agree",
         ],
     );
-    t.note("tuned = committed bench/tuning.json winner (generated radix/window kernel)");
+    t.note(
+        "static = r27 w5 u8 truncated; table = committed bench/tuning.json point (the engine's)",
+    );
     t.note("bit-identical by construction; `agree` also checks lane 0 vs the scalar oracle");
     let native = phiopenssl::CpuFeatures::detect().avx2;
     if native {
@@ -1426,31 +1432,29 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
         let cts: Vec<phi_bigint::BigUint> = (0..BATCH_WIDTH as u64)
             .map(|j| &workload::operand(bits, 2100 + j) % key.public().n())
             .collect();
-        let build = |backend, tuning| {
+        let engine = |backend| {
             let config = PhiConfig::builder()
                 .backend(backend)
                 .expect("backend checked against the host")
-                .tuning(tuning)
                 .build();
             workload::batch_engine(&key, &config)
         };
-        let engine = build(Backend::ModeledKnc, Tuning::Static);
-        let tuned = build(Backend::ModeledKnc, Tuning::Table);
-        assert!(
-            tuned.tuned_kernel_active(),
-            "committed table must cover {bits}-bit keys"
-        );
-        let (r_s, ms) = modeled(|| engine.private_op_16(&cts));
-        let (r_t, mt) = modeled(|| tuned.private_op_16(&cts));
-        let agree = r_s == r_t && r_s[0] == cts[0].mod_exp(key.d(), key.public().n());
         let entry = TuningTable::committed()
             .entry_for_modulus(key.public().n().bit_length(), "modeled-knc")
             .expect("committed table covers every supported size");
+        let static_point = KernelParams::static_defaults();
+        let (r_s, ms) =
+            workload::half_ladders(&key, &cts, static_point, ResolvedBackend::ModeledKnc);
+        let (r_t, mt) =
+            workload::half_ladders(&key, &cts, entry.params, ResolvedBackend::ModeledKnc);
+        let pass = engine(Backend::ModeledKnc).private_op_16(&cts);
+        let agree = r_s == r_t && pass[0] == cts[0].mod_exp(key.d(), key.public().n());
         if native {
-            let r_n = build(Backend::NativeX86, Tuning::Static).private_op_16(&cts);
-            let r_tn = build(Backend::NativeX86, Tuning::Table).private_op_16(&cts);
-            assert_eq!(r_n, r_s, "native static diverged at {bits} bits");
-            assert_eq!(r_tn, r_s, "native tuned diverged at {bits} bits");
+            let (r_n, _) =
+                workload::half_ladders(&key, &cts, static_point, ResolvedBackend::NativeX86);
+            assert_eq!(r_n, r_s, "native static point diverged at {bits} bits");
+            let pass_n = engine(Backend::NativeX86).private_op_16(&cts);
+            assert_eq!(pass_n, pass, "native engine diverged at {bits} bits");
         }
         t.row(vec![
             bits.to_string(),
@@ -1732,7 +1736,7 @@ mod tests {
         let row = &t.rows[0];
         assert_eq!(
             row[5], "yes",
-            "tuned engine must stay bit-identical: {row:?}"
+            "table point must stay bit-identical: {row:?}"
         );
         let x: f64 = row[3].trim_end_matches('x').parse().unwrap();
         assert!(

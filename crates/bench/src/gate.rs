@@ -85,12 +85,10 @@ pub fn measure_truncated_improvement(sizes: &[u32]) -> Vec<ImprovementLine> {
             let bases: Vec<phi_bigint::BigUint> = (0..phiopenssl::batch::BATCH_WIDTH as u64)
                 .map(|j| &crate::workload::operand(bits, 400 + j) % &n)
                 .collect();
-            let (r_c, classic) = crate::measure::modeled(|| {
-                BatchMont::with_variant(&ctx, MontVariant::Classic).mod_exp_16(&bases, &e, 5)
-            });
-            let (r_t, truncated) = crate::measure::modeled(|| {
-                BatchMont::with_variant(&ctx, MontVariant::Truncated).mod_exp_16(&bases, &e, 5)
-            });
+            let classic = BatchMont::with_variant(&ctx, MontVariant::Classic);
+            let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
+            let (r_c, classic) = crate::measure::modeled(|| classic.mod_exp_16(&bases, &e, 5));
+            let (r_t, truncated) = crate::measure::modeled(|| truncated.mod_exp_16(&bases, &e, 5));
             assert_eq!(r_c, r_t, "variants disagree at {bits} bits");
             ImprovementLine {
                 bits,
@@ -103,35 +101,39 @@ pub fn measure_truncated_improvement(sizes: &[u32]) -> Vec<ImprovementLine> {
 }
 
 /// Key sizes `perfgate --tuned-improvement` sweeps: the sizes where the
-/// committed tuning table must keep a clear win over the static kernels.
-/// (The 2048/4096 cells win by only ~1%; E21 reports them but the gate
+/// committed tuning table must keep a clear win over the static point.
+/// (The 2048/4096 cells win by only ~4–6%; E21 reports them but the gate
 /// does not hold them to the threshold.)
 pub const TUNED_GATE_SIZES: [u32; 2] = [512, 1024];
 
-/// One key size's static-vs-tuned comparison on the modeled channel.
+/// One key size's static-vs-table comparison on the modeled channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedLine {
     /// RSA key width in bits.
     pub bits: u32,
-    /// Modeled issue cycles of the static-kernel batch private op.
+    /// Modeled issue cycles of the two CRT half ladders at the static
+    /// point.
     pub static_cycles: f64,
-    /// Modeled issue cycles of the table-tuned batch private op.
+    /// Modeled issue cycles of the same ladders at the committed table
+    /// point, which the batch engine runs.
     pub tuned_cycles: f64,
     /// Fractional cycle reduction: `1 - tuned / static`.
     pub improvement: f64,
 }
 
-/// Run the deterministic static-vs-tuned comparison in-process: one
-/// full-width batch CRT private op per policy per key size, priced on
-/// the modeled KNC channel. Panics if the tuned engine fails to activate
-/// a generated kernel or its results diverge from the static path — the
-/// committed table is only admissible while it stays bit-identical.
+/// Run the deterministic static-vs-table comparison in-process: both CRT
+/// half ladders of one full-width pass at the static point and at the
+/// committed table point for the key size, priced on the modeled KNC
+/// channel. Panics if the table has no point for the key size or the two
+/// points' results diverge — the committed table is only admissible
+/// while it stays bit-identical.
 ///
 /// This is what `perfgate --tuned-improvement` gates on: the modeled
 /// channel is deterministic, so "the committed tuning table stopped
 /// paying for itself" is a code (or stale-table) change, never noise.
 pub fn measure_tuned_improvement(sizes: &[u32]) -> Vec<TunedLine> {
-    use phiopenssl::{Backend, PhiConfig, Tuning};
+    use crate::workload::half_ladders;
+    use phiopenssl::{KernelParams, ResolvedBackend, TuningTable};
     sizes
         .iter()
         .map(|&bits| {
@@ -139,23 +141,13 @@ pub fn measure_tuned_improvement(sizes: &[u32]) -> Vec<TunedLine> {
             let cts: Vec<phi_bigint::BigUint> = (0..phiopenssl::batch::BATCH_WIDTH as u64)
                 .map(|j| &crate::workload::operand(bits, 2200 + j) % key.public().n())
                 .collect();
-            let build = |tuning| {
-                let config = PhiConfig::builder()
-                    .backend(Backend::ModeledKnc)
-                    .expect("the model runs anywhere")
-                    .tuning(tuning)
-                    .build();
-                crate::workload::batch_engine(&key, &config)
-            };
-            let engine = build(Tuning::Static);
-            let tuned = build(Tuning::Table);
-            assert!(
-                tuned.tuned_kernel_active(),
-                "committed table must cover {bits}-bit keys"
-            );
-            let (r_s, st) = crate::measure::modeled(|| engine.private_op_16(&cts));
-            let (r_t, tn) = crate::measure::modeled(|| tuned.private_op_16(&cts));
-            assert_eq!(r_s, r_t, "tuned engine diverged at {bits} bits");
+            let table = TuningTable::committed()
+                .params_for_modulus(key.public().n().bit_length(), "modeled-knc")
+                .unwrap_or_else(|| panic!("committed table must cover {bits}-bit keys"));
+            let backend = ResolvedBackend::ModeledKnc;
+            let (r_s, st) = half_ladders(&key, &cts, KernelParams::static_defaults(), backend);
+            let (r_t, tn) = half_ladders(&key, &cts, table, backend);
+            assert_eq!(r_s, r_t, "table point diverged at {bits} bits");
             TunedLine {
                 bits,
                 static_cycles: st.knc.issue_cycles,

@@ -1,9 +1,10 @@
 //! Deterministic workload generation shared by the harness experiments
 //! and the perf gates: moduli, operands, exponents and cached RSA keys.
 
+use crate::measure::{modeled, Modeled};
 use phi_bigint::BigUint;
 use phi_rsa::key::RsaPrivateKey;
-use phiopenssl::{BatchCrtEngine, PhiConfig};
+use phiopenssl::{BatchCrtEngine, GenMontCtx, KernelParams, PhiConfig, ResolvedBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -63,6 +64,22 @@ pub fn batch_engine(key: &RsaPrivateKey, config: &PhiConfig) -> BatchCrtEngine {
         config,
     )
     .expect("odd CRT halves")
+}
+
+/// Both CRT half ladders of one 16-lane pass over `cts` under `key`, run
+/// by the generated kernel at `params` on `backend` and measured on the
+/// modeled channel: the batch engine's ladders without its
+/// recombination, at any point. Panics if `params` does not admit the
+/// key's halves.
+pub fn half_ladders(
+    key: &RsaPrivateKey,
+    cts: &[BigUint],
+    params: KernelParams,
+    backend: ResolvedBackend,
+) -> ((Vec<BigUint>, Vec<BigUint>), Modeled) {
+    let ctx = |half| GenMontCtx::new(half, params, backend).expect("point admits the halves");
+    let (gp, gq) = (ctx(key.p()), ctx(key.q()));
+    modeled(|| (gp.mod_exp_16(cts, key.dp()), gq.mod_exp_16(cts, key.dq())))
 }
 
 #[cfg(test)]

@@ -13,10 +13,18 @@
 //! no broadcast and no scalar multiply on the critical path. The cost is a
 //! transpose at the batch boundary and a memory-resident accumulator.
 //! Experiment E8 quantifies the trade.
+//!
+//! This module's own kernel is the classic interleaved CIOS one, the
+//! E8/E18 reference. Under `MontVariant::{Truncated, Auto}` a
+//! [`BatchMont`] runs its ladders and release checks through the
+//! generated truncated kernel ([`GenMontCtx`] at
+//! [`KernelParams::static_defaults`]) instead.
 
 #![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
 
 use crate::engine::SINGLE_OP_MAX_LIVE;
+use crate::genmont::GenMontCtx;
+use crate::params::KernelParams;
 use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::VMontCtx;
 use phi_backend::{with_backend, ModeledKnc, Vector32, Vector64, VectorBackend};
@@ -29,35 +37,25 @@ use phi_simd::U32x16;
 pub const BATCH_WIDTH: usize = 16;
 
 /// Which Montgomery reduction kernel a [`BatchMont`] (or a generated
-/// [`KernelParams`](crate::KernelParams) point) runs.
+/// [`KernelParams`] point) runs.
 ///
 /// Every variant produces **bit-identical** results (the phi-conformance
-/// `mont-truncated` family proves it continuously); the choice is purely
+/// `batch-kernel` family proves it continuously); the choice is purely
 /// a cost trade documented in DESIGN.md §3.12 and measured by E8/E18.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MontVariant {
-    /// The classic interleaved-CIOS batch kernel: the E8/E18 reference
-    /// and the fallback for single-digit moduli.
+    /// The classic reduction: for a [`BatchMont`], its interleaved-CIOS
+    /// kernel (the E8/E18 reference and the fallback for single-digit
+    /// moduli); for a generated point, the separated full reduction.
     Classic,
-    /// The truncated-separated kernel (the `truncated` module).
+    /// The truncated-separated reduction, which only the generated
+    /// kernels ([`GenMontCtx`]) implement.
     Truncated,
     /// The engines' choice, which is the truncated kernel wherever it
     /// applies. A dispatch policy, not a concrete kernel: generated
     /// parameter points must name `Classic` or `Truncated`.
     #[default]
     Auto,
-}
-
-impl MontVariant {
-    /// Whether 16-lane batch multiplies take the truncated kernel for a
-    /// `k`-digit modulus. Single-digit moduli always run classic: the
-    /// truncation boundary column `s_{k-2}` does not exist for `k < 2`.
-    fn batch_truncated(self, k: usize) -> bool {
-        match self {
-            MontVariant::Classic => false,
-            MontVariant::Truncated | MontVariant::Auto => k >= 2,
-        }
-    }
 }
 
 /// Sixteen same-shaped values in transposed (digit-major) layout:
@@ -123,12 +121,6 @@ impl Batch16 {
         &self.cols
     }
 
-    /// Assemble a batch directly from transposed columns (kernel internal;
-    /// the truncated kernel packs its vectorized epilogue output here).
-    pub(crate) fn from_cols(cols: Vec<U32x16>) -> Self {
-        Batch16 { cols }
-    }
-
     /// True if the batch has no digit slots.
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
@@ -137,82 +129,62 @@ impl Batch16 {
 
 /// The batched Montgomery engine for one shared modulus.
 #[derive(Debug, Clone)]
-pub struct BatchMont<'c> {
-    ctx: &'c VMontCtx,
+pub struct BatchMont {
+    ctx: VMontCtx,
     /// Modulus digits, broadcast per column (shared by all lanes).
     n_cols: Vec<u64>,
-    /// Which reduction kernel the 16-lane multiplies run.
-    variant: MontVariant,
+    /// The generated truncated kernel at the static point, which the
+    /// ladders and the 16-lane check run when present: under
+    /// `Truncated`/`Auto` for moduli of at least two digits.
+    generated: Option<GenMontCtx>,
 }
 
-impl<'c> BatchMont<'c> {
+impl BatchMont {
     /// Wrap a vector context for batched use with the classic interleaved
-    /// CIOS kernel (the historical default; E8 and the conformance batch
-    /// family measure this path explicitly).
-    pub fn new(ctx: &'c VMontCtx) -> Self {
+    /// CIOS kernel (E8 and the conformance `batch-kernel` family measure
+    /// this path explicitly).
+    pub fn new(ctx: &VMontCtx) -> Self {
         Self::with_variant(ctx, MontVariant::Classic)
     }
 
     /// Wrap a vector context with an explicit reduction variant.
-    /// `Truncated` and `Auto` route batch multiplies through the
-    /// truncated-separated kernel (bit-identical results); moduli of a
-    /// single digit always fall back to classic.
-    pub fn with_variant(ctx: &'c VMontCtx, variant: MontVariant) -> Self {
+    /// `Truncated` and `Auto` build the generated kernel at
+    /// [`KernelParams::static_defaults`] on the context's backend (one
+    /// more Montgomery context) and run [`mod_exp_16`](Self::mod_exp_16)
+    /// and [`pow_eq_16`](Self::pow_eq_16) through it, bit-identical to
+    /// the classic kernel; moduli of a single digit stay classic. Build
+    /// one per modulus and reuse it, as the verified service does.
+    pub fn with_variant(ctx: &VMontCtx, variant: MontVariant) -> Self {
+        let generated = match variant {
+            MontVariant::Classic => None,
+            MontVariant::Truncated | MontVariant::Auto => GenMontCtx::new(
+                ctx.modulus(),
+                KernelParams::static_defaults(),
+                ctx.backend(),
+            )
+            .ok(),
+        };
         BatchMont {
-            ctx,
+            ctx: ctx.clone(),
             n_cols: ctx.n_digits().to_vec(),
-            variant,
+            generated,
         }
     }
 
     /// The underlying context.
     pub fn ctx(&self) -> &VMontCtx {
-        self.ctx
+        &self.ctx
     }
 
-    /// The reduction variant batch multiplies dispatch on.
-    pub fn variant(&self) -> MontVariant {
-        self.variant
-    }
-
-    fn use_truncated(&self) -> bool {
-        self.variant.batch_truncated(self.ctx.digits())
-    }
-
-    /// Sixteen Montgomery products at once: `out[j] = a[j]·b[j]·R⁻¹ mod n`.
+    /// Sixteen Montgomery products at once through the classic kernel:
+    /// `out[j] = a[j]·b[j]·R⁻¹ mod n`.
     ///
     /// All operands must be context-shaped and `< n`.
     pub fn mont_mul_16(&self, a: &Batch16, b: &Batch16) -> Batch16 {
         with_backend!(self.ctx.backend(), B => self.mont_mul_16_generic::<B>(a, b))
     }
 
-    /// Sixteen Montgomery squarings; under the truncated variant the
-    /// product triangle is halved via the `2·aᵢ·aⱼ` symmetry.
-    pub fn mont_sqr_16(&self, a: &Batch16) -> Batch16 {
-        with_backend!(self.ctx.backend(), B => self.mont_sqr_16_generic::<B>(a))
-    }
-
-    pub(crate) fn mont_mul_16_generic<B: VectorBackend>(
-        &self,
-        a: &Batch16,
-        b: &Batch16,
-    ) -> Batch16 {
-        if self.use_truncated() {
-            crate::truncated::mont_mul_16_truncated::<B>(self.ctx, a, b)
-        } else {
-            self.mont_mul_16_classic::<B>(a, b)
-        }
-    }
-
-    pub(crate) fn mont_sqr_16_generic<B: VectorBackend>(&self, a: &Batch16) -> Batch16 {
-        if self.use_truncated() {
-            crate::truncated::mont_sqr_16_truncated::<B>(self.ctx, a)
-        } else {
-            self.mont_mul_16_classic::<B>(a, a)
-        }
-    }
-
-    fn mont_mul_16_classic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
+    fn mont_mul_16_generic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
         let _span = phi_trace::span(phi_trace::Scope::BatchMont);
         let kk = self.ctx.padded_digits();
         let k = self.ctx.digits();
@@ -310,7 +282,12 @@ impl<'c> BatchMont<'c> {
     /// (the RSA-server shape: one private key, many ciphertexts), using the
     /// fixed-window ladder.
     pub fn mod_exp_16(&self, bases: &[BigUint], exp: &BigUint, window: u32) -> Vec<BigUint> {
-        with_backend!(self.ctx.backend(), B => self.mod_exp_16_generic::<B>(bases, exp, window))
+        match &self.generated {
+            Some(g) => g.mod_exp_16_window(bases, exp, window),
+            None => with_backend!(self.ctx.backend(), B => {
+                self.mod_exp_16_generic::<B>(bases, exp, window)
+            }),
+        }
     }
 
     fn mod_exp_16_generic<B: VectorBackend>(
@@ -347,7 +324,7 @@ impl<'c> BatchMont<'c> {
         let mut acc = table[0].clone();
         for win in (0..windows).rev() {
             for _ in 0..window {
-                acc = self.mont_sqr_16_generic::<B>(&acc);
+                acc = self.mont_mul_16_generic::<B>(&acc, &acc);
             }
             let lo = win * window;
             let width = window.min(bits - lo);
@@ -371,28 +348,18 @@ impl<'c> BatchMont<'c> {
     }
 
     /// Sixteen power-equality checks at once: `out[j] = (base[j]^exp ≡
-    /// expected[j] (mod n))`, with one shared exponent.
-    ///
-    /// This is the release check of the verified offload path (DESIGN.md
-    /// §3.14): `m^e ≡ c (mod n)` over a whole flush in one batched
-    /// ladder. Three things keep it cheap where [`Self::mod_exp_16`]
-    /// would not be:
-    ///
-    /// * plain square-and-multiply over the exponent's actual bits — for
-    ///   a sparse public exponent like 65537 that is 16 squarings plus
-    ///   one multiplication, where a fixed-window ladder would multiply
-    ///   on every window;
-    /// * batched domain entry: both `base` and `expected` enter the
-    ///   Montgomery domain via one 16-lane multiplication by R² each,
-    ///   instead of sixteen single-lane conversions;
-    /// * the comparison happens *in* the Montgomery domain (x ↦ x·R is
-    ///   injective mod n), so there is no domain exit at all.
-    ///
-    /// Lanes padded with `base = expected = 0` compare equal. The caller
-    /// wraps the call in whatever trace scope fits (the resilient
-    /// runtime uses `Scope::Verify`); no span is opened here.
+    /// expected[j] (mod n))`, with one shared exponent — the release
+    /// check of the verified offload path, checked the way
+    /// [`GenMontCtx::pow_eq_16`] documents (which runs it under
+    /// `Truncated`/`Auto`). Lanes padded with `base = expected = 0`
+    /// compare equal; no span is opened here.
     pub fn pow_eq_16(&self, bases: &[BigUint], exp: &BigUint, expected: &[BigUint]) -> Vec<bool> {
-        with_backend!(self.ctx.backend(), B => self.pow_eq_16_generic::<B>(bases, exp, expected))
+        match &self.generated {
+            Some(g) => g.pow_eq_16(bases, exp, expected),
+            None => with_backend!(self.ctx.backend(), B => {
+                self.pow_eq_16_generic::<B>(bases, exp, expected)
+            }),
+        }
     }
 
     fn pow_eq_16_generic<B: VectorBackend>(
@@ -411,7 +378,7 @@ impl<'c> BatchMont<'c> {
         let mut acc = base_m.clone();
         let bits = exp.bit_length();
         for i in (0..bits - 1).rev() {
-            acc = self.mont_sqr_16_generic::<B>(&acc);
+            acc = self.mont_mul_16_generic::<B>(&acc, &acc);
             if exp.extract_bits(i, 1) == 1 {
                 acc = self.mont_mul_16_generic::<B>(&acc, &base_m);
             }
@@ -535,31 +502,55 @@ mod tests {
 
     #[test]
     fn pow_eq_16_accepts_true_powers_and_rejects_flips() {
-        let ctx = ctx256();
-        let bm = BatchMont::with_variant(&ctx, MontVariant::Auto);
-        let n = ctx.modulus().clone();
-        let e = BigUint::from(65537u64);
-        let (bases, _) = sixteen_values(&ctx, 7);
-        let mut expected: Vec<BigUint> = bases.iter().map(|b| b.mod_exp(&e, &n)).collect();
-        assert_eq!(
-            bm.pow_eq_16(&bases, &e, &expected),
-            vec![true; BATCH_WIDTH],
-            "honest powers accepted"
-        );
-        // Flip three lanes; only those verdicts flip with them.
-        for lane in [0usize, 7, 15] {
-            expected[lane] = &(&expected[lane] + &BigUint::one()) % &n;
+        let (bases, _) = sixteen_values(&ctx256(), 7);
+        for backend in [
+            phi_backend::ResolvedBackend::ModeledKnc,
+            phi_backend::ResolvedBackend::NativeX86,
+        ] {
+            let ctx = VMontCtx::with_backend(ctx256().modulus(), backend).unwrap();
+            let bm = BatchMont::with_variant(&ctx, MontVariant::Auto);
+            let n = ctx.modulus().clone();
+            let e = BigUint::from(65537u64);
+            let mut expected: Vec<BigUint> = bases.iter().map(|b| b.mod_exp(&e, &n)).collect();
+            assert_eq!(
+                bm.pow_eq_16(&bases, &e, &expected),
+                vec![true; BATCH_WIDTH],
+                "{backend:?}: honest powers accepted"
+            );
+            // Flip three lanes; only those verdicts flip with them.
+            for lane in [0usize, 7, 15] {
+                expected[lane] = &(&expected[lane] + &BigUint::one()) % &n;
+            }
+            let verdicts = bm.pow_eq_16(&bases, &e, &expected);
+            for (lane, ok) in verdicts.iter().enumerate() {
+                assert_eq!(*ok, ![0, 7, 15].contains(&lane), "{backend:?} lane {lane}");
+            }
         }
-        let verdicts = bm.pow_eq_16(&bases, &e, &expected);
-        for (lane, ok) in verdicts.iter().enumerate() {
-            assert_eq!(*ok, ![0, 7, 15].contains(&lane), "lane {lane}");
+    }
+
+    /// A single-digit modulus has no truncation boundary columns: the
+    /// truncated variant keeps the classic kernel, op for op.
+    #[test]
+    fn single_digit_moduli_stay_classic() {
+        let n = BigUint::from(97u64);
+        let ctx = VMontCtx::new(&n).unwrap();
+        let bases: Vec<BigUint> = (0..BATCH_WIDTH as u64)
+            .map(|j| BigUint::from(j * 7 % 97))
+            .collect();
+        let exp = BigUint::from(0xBEEFu64);
+        let (want, classic) = count::measure(|| BatchMont::new(&ctx).mod_exp_16(&bases, &exp, 3));
+        let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
+        let (got, counts) = count::measure(|| truncated.mod_exp_16(&bases, &exp, 3));
+        assert_eq!(got, want);
+        assert_eq!(counts, classic);
+        for (b, g) in bases.iter().zip(&got) {
+            assert_eq!(*g, b.mod_exp(&exp, &n));
         }
     }
 
     #[test]
     fn pow_eq_16_padding_lanes_compare_equal() {
         let ctx = ctx256();
-        let bm = BatchMont::new(&ctx);
         let n = ctx.modulus().clone();
         let e = BigUint::from(65537u64);
         // A partially occupied flush: three live lanes, thirteen padded
@@ -570,7 +561,14 @@ mod tests {
             bases[lane] = &BigUint::from(seed) % &n;
             expected[lane] = bases[lane].mod_exp(&e, &n);
         }
-        assert_eq!(bm.pow_eq_16(&bases, &e, &expected), vec![true; BATCH_WIDTH]);
+        for variant in [MontVariant::Classic, MontVariant::Auto] {
+            let bm = BatchMont::with_variant(&ctx, variant);
+            assert_eq!(
+                bm.pow_eq_16(&bases, &e, &expected),
+                vec![true; BATCH_WIDTH],
+                "{variant:?}"
+            );
+        }
     }
 
     #[test]

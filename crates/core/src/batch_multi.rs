@@ -14,18 +14,10 @@
 
 use crate::batch::{Batch16, BATCH_WIDTH};
 use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
+use crate::vmont::inv_mod_digit;
 use phi_backend::{with_backend, ResolvedBackend, Vector32, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};
 use phi_simd::count::OpClass;
-
-fn inv_mod_digit(x: u64) -> u64 {
-    debug_assert!(x & 1 == 1);
-    let mut inv = x;
-    for _ in 0..4 {
-        inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv))) & DIGIT_MASK;
-    }
-    inv
-}
 
 /// Batched Montgomery arithmetic over sixteen independent odd moduli.
 pub struct MultiBatchMont {

@@ -3,25 +3,29 @@
 //! CRT running through the 16-way lane-batched Montgomery ladder.
 //!
 //! For a server with one private key, every request shares `(p, q, dp,
-//! dq, qInv)`, so a batch of ciphertexts is exactly the shape
-//! [`BatchMont`] wants: the two half-size exponentiations run with one
+//! dq, qInv)`, so a batch of ciphertexts is exactly the 16-lane
+//! shared-modulus shape: the two half-size exponentiations run with one
 //! shared exponent each, and only the Garner recombination is per-lane.
 //!
-//! An engine is built one way, from a [`PhiConfig`]: window width,
-//! vector backend and [`Tuning`] all come from the config. The batch
-//! ladders run the truncated kernel (`MontVariant::Auto`), or the
-//! committed generated kernel under [`Tuning::Table`]; single operations
-//! run the intra-operand [`VMontCtx`] ladder, as do masked calls with at
-//! most [`SINGLE_OP_MAX_LIVE`] live lanes: lanes pay only when enough are.
+//! An engine is built one way, from a [`PhiConfig`], which supplies the
+//! vector backend and the single-op window width. The batch ladders run
+//! the generated kernel ([`GenMontCtx`]) at the committed
+//! [`TuningTable`] point for the key size and backend, or at
+//! [`KernelParams::static_defaults`] where no cell admits both halves
+//! (keys over 4096 bits); only halves of a single radix-2^27 digit run
+//! [`BatchMont`]'s classic kernel. Single operations run the
+//! intra-operand [`VMontCtx`] ladder, as do masked calls with at most
+//! [`SINGLE_OP_MAX_LIVE`] live lanes: lanes pay only when enough are.
 //! The release check of a flush crosses over at the same occupancy
 //! ([`BatchMont::pow_eq_masked`]).
 
-use crate::batch::{BatchMont, MontVariant, BATCH_WIDTH};
+use crate::batch::{BatchMont, BATCH_WIDTH};
 use crate::crt::CrtKey;
 use crate::genmont::GenMontCtx;
 use crate::library::PhiConfig;
+use crate::params::KernelParams;
 use crate::radix::VecNum;
-use crate::tuning::{Tuning, TuningTable};
+use crate::tuning::TuningTable;
 use crate::vexp::{exp_fixed_window_vec, TableLookup};
 use crate::vmont::VMontCtx;
 use crate::vmul::big_mul_with_backend;
@@ -33,14 +37,13 @@ use phi_bigint::{BigIntError, BigUint};
 /// [`BatchMont::pow_eq_masked`] checks as that many single-lane checks
 /// instead of one padded [`BatchMont::pow_eq_16`].
 ///
-/// Two, because a pass costs at least 2.68× a single op: on the modeled
-/// KNC channel at least 3.98× under `Tuning::Static` and 2.68× under
-/// `Tuning::Table` (tightest at 384 bits), at every key size from 127 to
-/// 4096 bits, and 5.4–5.9× on the native backend at 256–2048 bits (the
-/// default `x86-64-v3` build on one Xeon core). Two singles always
-/// undercut it; three would not. The check clears the same bar with
-/// room: one `pow_eq_16` costs 4.3–6.1× a single-lane `pow_eq` on the
-/// modeled channel at 256–2048-bit moduli (5.3× at 1024 bits).
+/// Two, because a pass costs at least 2.68× a single op on the modeled
+/// KNC channel (tightest at 384 bits), at every key size from 127 to
+/// 4096 bits, and 3.6–5.3× on the native backend at 256–2048-bit keys
+/// (the default `x86-64-v3` build on one Xeon core). Two singles always
+/// undercut it; three would not. The check clears the same bar: one
+/// `pow_eq_16` costs 3.8–6.4× a single-lane `pow_eq` on the modeled
+/// channel at 256–2048-bit moduli (5.5× at 1024 bits).
 pub const SINGLE_OP_MAX_LIVE: usize = 2;
 
 /// A reusable engine executing RSA private operations sixteen at a time.
@@ -54,10 +57,8 @@ pub struct BatchCrtEngine {
     qinv: BigUint,
     n: BigUint,
     window: u32,
-    tuning: Tuning,
-    /// Generated half-size contexts `(p, q)`, present only when the
-    /// tuning policy selected a committed `generated` winner applicable
-    /// to both halves.
+    /// Generated half-size contexts `(p, q)` the batch ladders run:
+    /// absent only for halves of a single radix-2^27 digit.
     generated: Option<(GenMontCtx, GenMontCtx)>,
 }
 
@@ -78,14 +79,14 @@ impl BatchCrtEngine {
     }
 
     /// Build from raw CRT components (`n = p·q` is trusted, not
-    /// recomputed); window width, backend and tuning come from `config`.
+    /// recomputed); window width and backend come from `config`.
     ///
-    /// Builds exactly one [`VMontCtx`] per half, plus one [`GenMontCtx`]
-    /// per half when `config.tuning` selects a generated kernel for this
-    /// key size, and never a [`CrtKey`]. Callers that hold a key's parts
-    /// (the offload service builds one engine per card) use this rather
-    /// than [`with_config`](Self::with_config), whose `CrtKey` costs two
-    /// more Montgomery contexts the engine never uses.
+    /// Builds exactly one [`VMontCtx`] and one [`GenMontCtx`] per half
+    /// (no `GenMontCtx` for single-digit halves), and never a [`CrtKey`].
+    /// Callers that hold a key's parts (the offload service builds one
+    /// engine per card) use this rather than
+    /// [`with_config`](Self::with_config), whose `CrtKey` costs two more
+    /// Montgomery contexts the engine never uses.
     pub fn from_parts(
         n: BigUint,
         dp: BigUint,
@@ -103,7 +104,7 @@ impl BatchCrtEngine {
         let backend = config.backend.resolve();
         let ctx_p = VMontCtx::with_backend(&p, backend)?;
         let ctx_q = VMontCtx::with_backend(&q, backend)?;
-        let generated = generated_halves(&n, &p, &q, config.tuning, backend);
+        let generated = generated_halves(&n, &p, &q, backend);
         Ok(BatchCrtEngine {
             ctx_p,
             ctx_q,
@@ -114,20 +115,8 @@ impl BatchCrtEngine {
             qinv,
             n,
             window: config.window,
-            tuning: config.tuning,
             generated,
         })
-    }
-
-    /// The active tuning policy.
-    pub fn tuning(&self) -> Tuning {
-        self.tuning
-    }
-
-    /// Whether the batch ladders currently dispatch to a generated
-    /// (table-selected) kernel rather than the static ones.
-    pub fn tuned_kernel_active(&self) -> bool {
-        self.generated.is_some()
     }
 
     /// The backend this engine's kernels run on.
@@ -143,20 +132,23 @@ impl BatchCrtEngine {
     /// Execute `c^d mod n` for exactly [`BATCH_WIDTH`] ciphertexts.
     pub fn private_op_16(&self, cts: &[BigUint]) -> Vec<BigUint> {
         assert_eq!(cts.len(), BATCH_WIDTH, "need exactly {BATCH_WIDTH} inputs");
-        // Two shared-exponent batched ladders, through the generated
-        // kernel when the tuning table selected one (bit-identical —
-        // only the modeled cycle count moves)…
-        let (m1, m2) = if let Some((gp, gq)) = &self.generated {
-            (gp.mod_exp_16(cts, &self.dp), gq.mod_exp_16(cts, &self.dq))
-        } else {
-            let bp = BatchMont::with_variant(&self.ctx_p, MontVariant::Auto);
-            let bq = BatchMont::with_variant(&self.ctx_q, MontVariant::Auto);
-            (
-                bp.mod_exp_16(cts, &self.dp, self.window),
-                bq.mod_exp_16(cts, &self.dq, self.window),
-            )
-        };
-        // …then per-lane Garner recombination.
+        let (m1, m2) = self.half_ladders(cts);
+        self.recombine_16(&m1, &m2)
+    }
+
+    /// The two shared-exponent batched CRT ladders.
+    fn half_ladders(&self, cts: &[BigUint]) -> (Vec<BigUint>, Vec<BigUint>) {
+        match &self.generated {
+            Some((gp, gq)) => (gp.mod_exp_16(cts, &self.dp), gq.mod_exp_16(cts, &self.dq)),
+            None => (
+                BatchMont::new(&self.ctx_p).mod_exp_16(cts, &self.dp, self.window),
+                BatchMont::new(&self.ctx_q).mod_exp_16(cts, &self.dq, self.window),
+            ),
+        }
+    }
+
+    /// Per-lane Garner recombination of the two ladders' results.
+    fn recombine_16(&self, m1: &[BigUint], m2: &[BigUint]) -> Vec<BigUint> {
         let _span = phi_trace::span(phi_trace::Scope::CrtRecombine);
         let qinv_mont = self.ctx_p.to_mont_vec(&self.qinv);
         m1.iter()
@@ -221,34 +213,37 @@ impl BatchCrtEngine {
     }
 }
 
-/// The generated half-size contexts the committed table selects for an
-/// `n`-sized key under `tuning`, or `None` to stay on the static kernels
-/// (`Static` never reads the table). Both halves must admit the point,
-/// so the two CRT ladders always run the same kernel; a point
-/// inapplicable to either half falls back.
+/// The generated half-size contexts for an `n`-sized key: the committed
+/// table point when it admits both halves, else the static point, else
+/// `None` (single-digit halves, which run the classic kernel). Both
+/// halves run one point, so the two CRT ladders always run the same
+/// kernel.
 fn generated_halves(
     n: &BigUint,
     p: &BigUint,
     q: &BigUint,
-    tuning: Tuning,
     backend: ResolvedBackend,
 ) -> Option<(GenMontCtx, GenMontCtx)> {
-    if tuning == Tuning::Static {
-        return None;
-    }
-    let params = TuningTable::committed().params_for_modulus(n.bit_length(), backend.name())?;
-    match (
-        GenMontCtx::new(p, params, backend),
-        GenMontCtx::new(q, params, backend),
-    ) {
-        (Ok(gp), Ok(gq)) => Some((gp, gq)),
-        _ => None,
-    }
+    let admits = |params: &KernelParams| {
+        [p, q]
+            .iter()
+            .all(|half| params.validate(half.bit_length()).is_ok())
+    };
+    let params = TuningTable::committed()
+        .params_for_modulus(n.bit_length(), backend.name())
+        .into_iter()
+        .chain([KernelParams::static_defaults()])
+        .find(admits)?;
+    Some((
+        GenMontCtx::new(p, params, backend).ok()?,
+        GenMontCtx::new(q, params, backend).ok()?,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::MontVariant;
     use phi_simd::count::{self, OpClass};
 
     fn demo() -> (BatchCrtEngine, CrtKey, BigUint, BigUint) {
@@ -274,10 +269,6 @@ mod tests {
             config,
         )
         .unwrap()
-    }
-
-    fn table() -> PhiConfig {
-        PhiConfig::builder().tuning(Tuning::Table).build()
     }
 
     fn ciphertexts(n: &BigUint, e: &BigUint, count: usize) -> (Vec<BigUint>, Vec<BigUint>) {
@@ -385,9 +376,9 @@ mod tests {
     }
 
     /// The crossover on the modeled channel: [`SINGLE_OP_MAX_LIVE`] single
-    /// ops undercut one 16-lane pass under both tunings, at the demo key
-    /// and at 256-, 384- and 512-bit keys. A kernel change that lets a
-    /// pass undercut two singles fails here.
+    /// ops undercut one 16-lane pass at the demo key and at 256-, 384-
+    /// and 512-bit keys. A kernel change that lets a pass undercut two
+    /// singles fails here.
     #[test]
     fn single_ops_undercut_a_pass_up_to_the_crossover() {
         let e = BigUint::from(65537u64);
@@ -402,21 +393,18 @@ mod tests {
         let model = phi_simd::CostModel::knc();
         for key in &keys {
             let (msgs, cts) = ciphertexts(key.modulus(), &e, BATCH_WIDTH);
-            for config in [PhiConfig::default(), table()] {
-                let engine = BatchCrtEngine::with_config(key, &config).unwrap();
-                let (out, pass) = count::measure(|| engine.private_op_16(&cts));
-                let (one, single) = count::measure(|| engine.private_op_single(&cts[0]));
-                assert_eq!(out, msgs);
-                assert_eq!(one, msgs[0]);
-                let (pass, single) = (model.issue_cycles(&pass), model.issue_cycles(&single));
-                assert!(
-                    SINGLE_OP_MAX_LIVE as f64 * single < pass,
-                    "{}-bit key, {}: pass/single {:.2}",
-                    key.modulus().bit_length(),
-                    config.tuning,
-                    pass / single
-                );
-            }
+            let engine = BatchCrtEngine::with_config(key, &PhiConfig::default()).unwrap();
+            let (out, pass) = count::measure(|| engine.private_op_16(&cts));
+            let (one, single) = count::measure(|| engine.private_op_single(&cts[0]));
+            assert_eq!(out, msgs);
+            assert_eq!(one, msgs[0]);
+            let (pass, single) = (model.issue_cycles(&pass), model.issue_cycles(&single));
+            assert!(
+                SINGLE_OP_MAX_LIVE as f64 * single < pass,
+                "{}-bit key: pass/single {:.2}",
+                key.modulus().bit_length(),
+                pass / single
+            );
         }
     }
 
@@ -472,44 +460,115 @@ mod tests {
         }
     }
 
+    /// The demo key rounds up to the 512-bit table cell, whose generated
+    /// point admits its tiny halves: both constructors run it and stay
+    /// bit-identical to the classic kernel's ladders and the oracle.
     #[test]
     fn tuned_table_dispatch_stays_bit_identical() {
         let (engine, key, e, _) = demo();
         let (msgs, cts) = ciphertexts(engine.modulus(), &e, BATCH_WIDTH);
-        let want = engine.private_op_16(&cts);
-        assert_eq!(want, msgs);
-        // Static never consults the table.
-        assert_eq!(engine.tuning(), Tuning::Static);
-        assert!(!engine.tuned_kernel_active());
-        // The demo key rounds up to the 512-bit table cell, whose
-        // generated winner admits the tiny halves — the tuned engine
-        // must dispatch it and stay bit-identical, through either
-        // constructor.
-        for tuned in [
-            BatchCrtEngine::with_config(&key, &table()).unwrap(),
-            from_key(&key, &table()),
-        ] {
-            assert_eq!(tuned.tuning(), Tuning::Table);
-            assert!(tuned.tuned_kernel_active());
-            assert_eq!(tuned.private_op_16(&cts), want);
+        let classic = |ctx: &VMontCtx, d: &BigUint| BatchMont::new(ctx).mod_exp_16(&cts, d, 5);
+        let (m1, m2) = (
+            classic(&engine.ctx_p, key.dp()),
+            classic(&engine.ctx_q, key.dq()),
+        );
+        for tuned in [engine, from_key(&key, &PhiConfig::default())] {
+            let (gp, _) = tuned.generated.as_ref().expect("the 512-bit cell applies");
+            assert_eq!(
+                *gp.params(),
+                TuningTable::committed()
+                    .params_for_modulus(512, "modeled-knc")
+                    .unwrap()
+            );
+            assert_eq!(tuned.half_ladders(&cts), (m1.clone(), m2.clone()));
+            assert_eq!(tuned.private_op_16(&cts), msgs);
             assert_eq!(tuned.private_op_masked(&cts[..5]), msgs[..5]);
         }
     }
 
-    /// The setup bill the one raw-parts constructor must keep: one
-    /// context per CRT half, two more only when the table selects a
-    /// generated kernel, and none for a `CrtKey` — building the key is
-    /// what would cost an offload card two unused contexts.
+    /// The pass is op for op the table point's ladders at 512- to
+    /// 4096-bit keys, the static point's above 4096 bits, and the classic
+    /// kernel's (at the config's window) for single-digit halves, plus
+    /// the recombination.
+    #[test]
+    fn pass_runs_the_table_point_else_static_else_classic() {
+        // Odd halves 2^b − k: the ladders' op counts need no primes.
+        let half = |b: u32, k: u64| &BigUint::power_of_two(b) - &BigUint::from(k);
+        let table = TuningTable::committed();
+        let static_point = KernelParams::static_defaults();
+        let config = PhiConfig::builder().window(3).unwrap().build();
+        let cases = [
+            (256, table.params_for_modulus(512, "modeled-knc")),
+            (512, table.params_for_modulus(1024, "modeled-knc")),
+            (1024, table.params_for_modulus(2048, "modeled-knc")),
+            (2048, table.params_for_modulus(4096, "modeled-knc")),
+            (2050, Some(static_point)),
+            (27, None),
+        ];
+        for (bits, want) in cases {
+            let (p, q) = (half(bits, 39), half(bits, 117));
+            let n = &p * &q;
+            let exp = half(64, 59);
+            let engine = BatchCrtEngine::from_parts(
+                n.clone(),
+                exp.clone(),
+                exp.clone(),
+                BigUint::one(),
+                p.clone(),
+                q.clone(),
+                &config,
+            )
+            .unwrap();
+            let cts: Vec<BigUint> = (1..=BATCH_WIDTH as u64)
+                .map(|j| &BigUint::from(j * 0x9E37_79B9) % &n)
+                .collect();
+            let (_, pass) = count::measure(|| engine.private_op_16(&cts));
+            let gens = want.map(|params| {
+                let gen = |h| GenMontCtx::new(h, params, ResolvedBackend::ModeledKnc).unwrap();
+                (gen(&p), gen(&q))
+            });
+            let (bp, bq) = (BatchMont::new(&engine.ctx_p), BatchMont::new(&engine.ctx_q));
+            let ((m1, m2), mut bill) = count::measure(|| match &gens {
+                Some((gp, gq)) => (gp.mod_exp_16(&cts, &exp), gq.mod_exp_16(&cts, &exp)),
+                None => (bp.mod_exp_16(&cts, &exp, 3), bq.mod_exp_16(&cts, &exp, 3)),
+            });
+            let (_, recombine) = count::measure(|| engine.recombine_16(&m1, &m2));
+            bill.accumulate(&recombine);
+            assert_eq!(pass, bill, "{bits}-bit halves");
+        }
+    }
+
+    /// The setup bill the one raw-parts constructor must keep: one vector
+    /// and one generated context per CRT half (no generated one for
+    /// single-digit halves), and none for a `CrtKey` — building the key
+    /// is what would cost an offload card two unused contexts.
     #[test]
     fn constructors_build_only_the_contexts_the_engine_runs() {
         let (_, key, _, d) = demo();
         let parts = |config: PhiConfig| count::measure_ctx_setups(|| from_key(&key, &config)).1;
-        assert_eq!(parts(PhiConfig::default()), 2, "static: one per half");
-        assert_eq!(parts(table()), 4, "table: plus one generated per half");
+        assert_eq!(
+            parts(PhiConfig::default()),
+            4,
+            "a vector and a generated context per half"
+        );
         let (_, with_config) = count::measure_ctx_setups(|| {
             BatchCrtEngine::with_config(&key, &PhiConfig::default()).unwrap()
         });
-        assert_eq!(with_config, 2, "a prebuilt CrtKey adds nothing");
+        assert_eq!(with_config, 4, "a prebuilt CrtKey adds nothing");
+        let (p, q) = (BigUint::from(0x7ff_ffd9u64), BigUint::from(0x7ff_ffc7u64));
+        let (_, tiny) = count::measure_ctx_setups(|| {
+            BatchCrtEngine::from_parts(
+                &p * &q,
+                BigUint::from(3u64),
+                BigUint::from(3u64),
+                BigUint::one(),
+                p.clone(),
+                q.clone(),
+                &PhiConfig::default(),
+            )
+            .unwrap()
+        });
+        assert_eq!(tiny, 2, "single-digit halves build no generated context");
         let (_, crt_key) = count::measure_ctx_setups(|| {
             CrtKey::new(key.p_modulus(), key.q_modulus(), &d).unwrap()
         });

@@ -1,33 +1,37 @@
 //! Generated Montgomery kernels: the executable form of a
-//! [`KernelParams`] point.
+//! [`KernelParams`] point, and the one 16-lane shared-modulus kernel
+//! family.
 //!
-//! The hand-written kernels ([`crate::vmont`], [`crate::truncated`])
-//! hard-code radix 2^27, full unrolling and the truncated reduction. This
-//! module is the *generator* those kernels are one point of: given a
-//! [`KernelParams`], [`GenMontCtx`] builds a Montgomery context in radix
-//! `2^r` and runs the 16-lane batched fixed-window ladder with either the
-//! classic separated full reduction or the truncated-separated reduction
-//! (Didier et al., arXiv 2410.18129), at a parameterized column-loop
-//! unroll factor.
+//! Given a [`KernelParams`], [`GenMontCtx`] builds a Montgomery context in
+//! radix `2^r` and runs the 16-lane batched fixed-window ladder with
+//! either the classic separated full reduction or the truncated-separated
+//! reduction (Didier et al., arXiv 2410.18129), at a parameterized
+//! column-loop unroll factor. Every shared-modulus batch ladder and
+//! release check runs here: [`BatchCrtEngine`](crate::BatchCrtEngine)
+//! runs the committed table point for its key size (or
+//! [`KernelParams::static_defaults`] where no cell admits its halves),
+//! and [`GenMontCtx::pow_eq_16`] at the static point is the verified
+//! service's check, which [`BatchMont`](crate::BatchMont) reaches under
+//! `MontVariant::{Truncated, Auto}`. Only `BatchMont`'s classic CIOS
+//! kernel (the E8/E18 reference and the fallback for single-digit
+//! moduli) and the per-lane-modulus `MultiBatchMont` stay outside.
 //!
-//! Two modeling conventions differ from the hand-written kernels, both
-//! deliberate:
+//! Two modeling conventions:
 //!
 //! * **Loop control is charged.** Generated code is emitted as
 //!   parameterized loops, not straight-line code; every column loop
 //!   charges one scalar op per `unroll`-sized block
-//!   (`ceil(iters/unroll)` [`OpClass::SAlu`]). The hand-written kernels
-//!   model fully unrolled straight-line code and charge none — so a
-//!   generated variant must *earn* its radix win over that overhead,
-//!   which is exactly the trade `phi-tune` searches.
+//!   (`ceil(iters/unroll)` [`OpClass::SAlu`]). The unroll factor is
+//!   capped at 8 by register budget, so even the static point pays it: a
+//!   wider radix must *earn* its win over that overhead, which is exactly
+//!   the trade `phi-tune` searches.
 //! * **Batched domain entry/exit.** The ladder enters the Montgomery
-//!   domain through one 16-lane multiplication by a broadcast R² (the
-//!   [`crate::BatchMont::pow_eq_16`] trick) instead of sixteen
-//!   single-lane conversions, and exits the same way.
+//!   domain through one 16-lane multiplication by a broadcast R² instead
+//!   of sixteen single-lane conversions, and exits the same way.
 //!
 //! Every admissible parameter point is **bit-identical** to the classic
-//! batch kernel and the scalar oracle; the `tuned` conformance family and
-//! the tests below prove it across adversarial moduli, and the
+//! batch kernel and the scalar oracle; the `batch-kernel` conformance
+//! family and the tests below prove it across adversarial moduli, and the
 //! column-sum bound justifying each radix is enforced by
 //! [`KernelParams::validate`] before a kernel ever runs.
 
@@ -219,6 +223,15 @@ impl GenMontCtx {
     }
 
     fn unbatch_impl<B: VectorBackend>(&self, b: &GenBatch) -> Vec<BigUint> {
+        self.lane_digits::<B>(b)
+            .iter()
+            .map(|dv| recompose(dv, self.r))
+            .collect()
+    }
+
+    /// Transpose a batch back to sixteen digit vectors, charged like
+    /// [`crate::batch::Batch16`]'s boundary transpose.
+    fn lane_digits<B: VectorBackend>(&self, b: &GenBatch) -> Vec<Vec<u64>> {
         debug_assert_eq!(b.len(), self.k);
         let mut lanes_digits = vec![vec![0u64; self.k]; BATCH_WIDTH];
         for (d, col) in b.cols.iter().enumerate() {
@@ -228,9 +241,6 @@ impl GenMontCtx {
             }
         }
         lanes_digits
-            .iter()
-            .map(|dv| recompose(dv, self.r))
-            .collect()
     }
 
     /// Broadcast one digit vector to all sixteen lanes (one `vpbroadcast`
@@ -402,11 +412,25 @@ impl GenMontCtx {
         }
     }
 
-    /// Truncated separated reduction, generalized over the radix: the
-    /// exact structure of [`crate::truncated`]'s `reduce_truncated` with
-    /// `2^27` replaced by `2^r` throughout (the correction's validity
-    /// needs only `k - 1 < 2^r`, trivially true at every admissible
-    /// point).
+    /// Truncated separated reduction of the raw product columns. Where
+    /// the classic form adds every column of `m·n`, including the low
+    /// ones the division by `R` discards, this one computes
+    ///
+    /// 1. `m = (T mod R)·N' mod R` from the low `k(k+1)/2` product
+    ///    triangle,
+    /// 2. only the **high** anti-triangle of `m·n` (`k(k-1)/2` products)
+    ///    plus the two boundary columns `s_{k-2}, s_{k-1}` — the low
+    ///    columns `s_0..s_{k-3}` are never formed,
+    /// 3. a correction recovering the elided low part exactly: with
+    ///    `D̂ = T_lo + s_{k-2}β^{k-2} + s_{k-1}β^{k-1}`, the elided
+    ///    remainder `E = Σ_{c≤k-3} s_c β^c` satisfies `E < (k-1)β^{k-1}
+    ///    < R` (for `k-1 < β = 2^r`, true at every admissible point), and
+    ///    the exact low half `D = D̂ + E` is divisible by `R`, so
+    ///    `D/R = floor(D̂/R) + [D̂ mod R ≠ 0]`.
+    ///
+    /// `U = T_hi + S_hi + D/R = (T + m·n)/R < 2n`, and the shared
+    /// conditional subtraction makes it bit-identical to the classic
+    /// answer.
     fn reduce_truncated<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
         let k = self.k;
         let kk = k + 1;
@@ -419,7 +443,13 @@ impl GenMontCtx {
         let m = self.m_digits::<B>(&t, maskv);
 
         // Boundary columns s_{k-2}, s_{k-1} of m·n and the correction
-        // C = floor(D̂/R) + [D̂ mod R ≠ 0], fully lane-parallel.
+        // C = floor(D̂/R) + [D̂ mod R ≠ 0], fully lane-parallel. With
+        // x = t_{k-2} + s_{k-2} and z = (t_{k-1} + s_{k-1}) + (x >> r),
+        // floor(D̂/R) = z >> r exactly (the rest of D̂ is strictly below
+        // R), and D̂ mod R ≠ 0 iff (x mod 2^r) + (z mod 2^r) +
+        // Σ t_0..t_{k-3} ≠ 0 — a bounded sum standing in for the OR the
+        // lane ISA doesn't have, tested via the carry-out of adding
+        // 2^63 - 1.
         let ns: Vec<B::V64> = self.n_digits.iter().map(|&d| B::V64::splat(d)).collect();
         let s_km2 = self.boundary_column::<B>(&m, &ns, k - 2);
         let s_km1 = self.boundary_column::<B>(&m, &ns, k - 1);
@@ -583,31 +613,42 @@ impl GenMontCtx {
 
     /// Sixteen exponentiations `base[j]^exp mod n` with one shared
     /// exponent through the generated fixed-window ladder, at this
-    /// context's window width. Bit-identical to
+    /// context's window width. Bit-identical to the classic
     /// [`crate::BatchMont::mod_exp_16`] and the scalar oracle.
     pub fn mod_exp_16(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        with_backend!(self.backend, B => self.mod_exp_16_generic::<B>(bases, exp))
+        self.mod_exp_16_window(bases, exp, self.params.window)
+    }
+
+    /// [`mod_exp_16`](Self::mod_exp_16) at an explicit window width (the
+    /// window builds no state, so one context serves every width).
+    pub(crate) fn mod_exp_16_window(
+        &self,
+        bases: &[BigUint],
+        exp: &BigUint,
+        window: u32,
+    ) -> Vec<BigUint> {
+        with_backend!(self.backend, B => self.mod_exp_16_generic::<B>(bases, exp, window))
     }
 
     fn mod_exp_16_generic<B: VectorBackend>(
         &self,
         bases: &[BigUint],
         exp: &BigUint,
+        window: u32,
     ) -> Vec<BigUint> {
         let _span = phi_trace::span(phi_trace::Scope::BatchExp);
         assert_eq!(bases.len(), BATCH_WIDTH);
+        assert!((1..=7).contains(&window), "window {window} outside 1..=7");
         if self.n.is_one() {
             return vec![BigUint::zero(); BATCH_WIDTH];
         }
         if exp.is_zero() {
             return vec![BigUint::one(); BATCH_WIDTH];
         }
-        let window = self.params.window;
 
         // Batched domain entry: one 16-lane multiply by the broadcast R².
-        let raw = self.to_batch_impl::<B>(bases);
         let rr_b = self.splat_batch::<B>(&self.rr_digits);
-        let base_m = self.mont_mul_16_generic::<B>(&raw, &rr_b);
+        let base_m = self.mont_mul_16_generic::<B>(&self.to_batch_impl::<B>(bases), &rr_b);
 
         // table[v] = batch of base^v in the Montgomery domain.
         let one_b = self.splat_batch::<B>(&self.one_mont_digits);
@@ -640,6 +681,53 @@ impl GenMontCtx {
         let one_raw = self.splat_batch::<B>(&one_digits);
         let out = self.mont_mul_16_generic::<B>(&acc, &one_raw);
         self.unbatch_impl::<B>(&out)
+    }
+
+    /// Sixteen power-equality checks at once: `out[j] = (base[j]^exp ≡
+    /// expected[j] (mod n))`, with one shared exponent.
+    ///
+    /// This is the release check of the verified offload path (DESIGN.md
+    /// §3.14): `m^e ≡ c (mod n)` over a whole flush in one batched
+    /// ladder. Three things keep it cheap where
+    /// [`mod_exp_16`](Self::mod_exp_16) would not be:
+    ///
+    /// * plain square-and-multiply over the exponent's actual bits — for
+    ///   a sparse public exponent like 65537 that is 16 squarings plus
+    ///   one multiplication, where a fixed-window ladder would multiply
+    ///   on every window;
+    /// * batched domain entry: both `base` and `expected` enter the
+    ///   Montgomery domain via one 16-lane multiplication by R² each;
+    /// * the comparison happens *in* the Montgomery domain (x ↦ x·R is
+    ///   injective mod n), so there is no domain exit at all.
+    ///
+    /// Lanes padded with `base = expected = 0` compare equal. The caller
+    /// wraps the call in whatever trace scope fits (the resilient
+    /// runtime uses `Scope::Verify`); no span is opened here.
+    pub fn pow_eq_16(&self, bases: &[BigUint], exp: &BigUint, expected: &[BigUint]) -> Vec<bool> {
+        with_backend!(self.backend, B => self.pow_eq_16_generic::<B>(bases, exp, expected))
+    }
+
+    fn pow_eq_16_generic<B: VectorBackend>(
+        &self,
+        bases: &[BigUint],
+        exp: &BigUint,
+        expected: &[BigUint],
+    ) -> Vec<bool> {
+        assert_eq!(bases.len(), BATCH_WIDTH);
+        assert_eq!(expected.len(), BATCH_WIDTH);
+        assert!(!exp.is_zero(), "a power check needs a nonzero exponent");
+        let rr_b = self.splat_batch::<B>(&self.rr_digits);
+        let base_m = self.mont_mul_16_generic::<B>(&self.to_batch_impl::<B>(bases), &rr_b);
+        let mut acc = base_m.clone();
+        for i in (0..exp.bit_length() - 1).rev() {
+            acc = self.mont_sqr_16_generic::<B>(&acc);
+            if exp.extract_bits(i, 1) == 1 {
+                acc = self.mont_mul_16_generic::<B>(&acc, &base_m);
+            }
+        }
+        let want = self.mont_mul_16_generic::<B>(&self.to_batch_impl::<B>(expected), &rr_b);
+        let (want, got) = (self.lane_digits::<B>(&want), self.lane_digits::<B>(&acc));
+        want.iter().zip(&got).map(|(w, g)| w == g).collect()
     }
 }
 
@@ -819,10 +907,16 @@ mod tests {
             })
             .collect();
         let want: Vec<BigUint> = vals.iter().map(|b| b.mod_exp(&exp, &n)).collect();
-        for variant in [MontVariant::Classic, MontVariant::Truncated] {
-            let p = params(29, variant, 2, 3);
-            let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
-            assert_eq!(ctx.mod_exp_16(&vals, &exp), want, "{variant:?}");
+        for radix in [27, 29] {
+            for variant in [MontVariant::Classic, MontVariant::Truncated] {
+                let p = params(radix, variant, 2, 3);
+                let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
+                assert_eq!(
+                    ctx.mod_exp_16(&vals, &exp),
+                    want,
+                    "radix {radix}, {variant:?}"
+                );
+            }
         }
     }
 
@@ -875,10 +969,14 @@ mod tests {
         let n = n256();
         let exp = BigUint::from_hex("0123456789abcdef").unwrap();
         let bases = sixteen(&n, 21);
-        let p = params(29, MontVariant::Truncated, 8, 5);
-        let m = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
-        let nat = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::NativeX86).unwrap();
-        assert_eq!(m.mod_exp_16(&bases, &exp), nat.mod_exp_16(&bases, &exp));
+        for p in [
+            KernelParams::static_defaults(),
+            params(29, MontVariant::Truncated, 8, 5),
+        ] {
+            let m = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
+            let nat = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::NativeX86).unwrap();
+            assert_eq!(m.mod_exp_16(&bases, &exp), nat.mod_exp_16(&bases, &exp));
+        }
     }
 
     #[test]
@@ -912,8 +1010,8 @@ mod tests {
     fn wider_radix_beats_the_static_defaults_at_256_bits() {
         // The headline claim the tuner banks on: at a 256-bit modulus
         // (the 512-bit key's CRT half), radix 2^29 needs 9 digits where
-        // 2^27 needs 10, and the generated ladder at unroll 8 beats the
-        // hand-written truncated ladder even while paying loop control.
+        // 2^27 needs 10, so the radix-29 ladder beats the static point
+        // (which `BatchMont`'s truncated variant runs) at equal unroll.
         let n = n256();
         let exp = BigUint::from_hex("ffffffffffffffffffffffffffffffff").unwrap();
         let bases = sixteen(&n, 13);

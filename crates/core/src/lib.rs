@@ -20,22 +20,22 @@
 //!   kernel, with an optional constant-time table gather.
 //! * [`batch`] — the second vectorization axis: sixteen *independent*
 //!   Montgomery multiplications, one per 32-bit lane (for batch-shaped
-//!   server loads), with the reduction kernel named by [`MontVariant`].
-//! * [`truncated`] — the truncated-separated Montgomery reduction over
-//!   the same 16-lane SoA layout (elided low partial products plus an
-//!   exact correction; bit-identical, fewer modeled cycles): the batch
-//!   engines' kernel, and the E8/E18 rival of the classic one.
+//!   server loads). Its classic CIOS kernel is the E8/E18 reference;
+//!   [`MontVariant`] routes its ladders and checks to the generated
+//!   truncated kernel instead.
 //! * [`crt`] — CRT decomposition/recombination for private-key operations.
 //! * [`params`] — [`KernelParams`]: the kernel design space (radix,
 //!   window, reduction variant, unroll, occupancy) with overflow-derived
 //!   admissibility rules.
 //! * [`genmont`] — [`GenMontCtx`]: generated batch Montgomery kernels
 //!   executing any admissible parameter point, bit-identical to the
-//!   static kernels across the whole space.
+//!   classic kernel across the whole space; the truncated-separated
+//!   reduction (elided low partial products plus an exact correction)
+//!   lives only here, and every shared-modulus batch ladder and release
+//!   check runs it.
 //! * [`tuning`] — [`TuningTable`]: the committed autotuner result
 //!   (`bench/tuning.json`, searched by the `phi-tune` crate on the
-//!   deterministic modeled channel), dispatched via [`PhiConfig`]'s
-//!   [`Tuning`], the one kernel choice the config carries.
+//!   deterministic modeled channel), the point each batch engine runs.
 //! * [`engine`] — [`BatchCrtEngine`]: sixteen CRT private operations per
 //!   pass, built from a [`PhiConfig`] (with or without a [`CrtKey`]).
 //! * [`library`] — [`PhiLibrary`], packaging everything behind the same
@@ -80,7 +80,6 @@ pub mod genmont;
 pub mod library;
 pub mod params;
 pub mod radix;
-pub mod truncated;
 pub mod tuning;
 pub mod vexp;
 pub mod vmont;
@@ -99,6 +98,6 @@ pub use phi_backend::{
 };
 pub use phi_rt::{FleetConfig, RoutingPolicy};
 pub use radix::{VecNum, DIGIT_BITS, DIGIT_MASK};
-pub use tuning::{TunedEntry, Tuning, TuningTable};
+pub use tuning::{TunedEntry, TuningTable};
 pub use vexp::TableLookup;
 pub use vmont::VMontCtx;

@@ -4,10 +4,10 @@
 //! built from.
 //!
 //! The library's scalar-shaped calls (engines, sessions, mod-exp) run the
-//! intra-operand [`VMontCtx`] kernel. The only kernel option in the
-//! config is [`PhiConfig::tuning`], which the 16-lane batch engines read.
+//! intra-operand [`VMontCtx`] kernel. The config carries no kernel
+//! choice: the 16-lane batch engines run the committed tuning table's
+//! point for their key size.
 
-use crate::tuning::Tuning;
 use crate::vexp::{mod_exp_vec, TableLookup, DEFAULT_WINDOW};
 use crate::vmont::VMontCtx;
 use crate::vmul::big_mul_with_backend;
@@ -74,7 +74,9 @@ impl From<BackendUnavailable> for ConfigError {
 /// into a typed [`ConfigError::BackendUnavailable`] instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhiConfig {
-    /// Fixed-window width for exponentiation (the paper uses 5).
+    /// Fixed-window width for exponentiation (the paper uses 5): every
+    /// single-op ladder's. The batch engines' 16-lane ladders run the
+    /// window of their tuning-table point instead.
     pub window: u32,
     /// Window-table lookup policy.
     pub lookup: TableLookup,
@@ -90,11 +92,6 @@ pub struct PhiConfig {
     /// Bellcore key-leak channel at a small modeled cost. Off by
     /// default; see DESIGN.md §3.14.
     pub verified: bool,
-    /// The one kernel choice: the batch engines' hand-written kernels at
-    /// the paper's point (the default, bit- and cycle-identical to the
-    /// pre-tuning stack) or the committed `bench/tuning.json` winner for
-    /// the key size. See DESIGN.md §3.15.
-    pub tuning: Tuning,
 }
 
 impl Default for PhiConfig {
@@ -105,7 +102,6 @@ impl Default for PhiConfig {
             backend: Backend::ModeledKnc,
             fleet: FleetConfig::default(),
             verified: false,
-            tuning: Tuning::Static,
         }
     }
 }
@@ -205,16 +201,6 @@ impl PhiConfigBuilder {
     /// lane quarantine → breaker escalation → host fallback.
     pub fn verified(mut self) -> Self {
         self.config.verified = true;
-        self
-    }
-
-    /// Select how kernel parameters are picked per modulus size (default
-    /// [`Tuning::Static`] — the pre-tuning behavior, bit- and
-    /// cycle-identical). [`Tuning::Table`] applies the committed
-    /// `bench/tuning.json` winners; every table entry is bit-identical
-    /// to the static kernels (the `tuned` conformance family proves it).
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.config.tuning = tuning;
         self
     }
 

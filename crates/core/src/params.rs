@@ -2,13 +2,13 @@
 //! variants (`phi-tune` searches this space, [`crate::genmont`] executes a
 //! point of it).
 //!
-//! The hand-written kernels hard-code the choices the paper made: radix
-//! 2^27, window 5, full 16-lane occupancy, fully unrolled column loops.
-//! [`KernelParams`] lifts each of those into data so the autotuner can
-//! sweep them per key size and backend on the deterministic modeled
+//! The paper hard-codes its choices: radix 2^27, window 5, full 16-lane
+//! occupancy. [`KernelParams`] lifts each of those, plus the reduction
+//! variant and the column-loop unroll factor, into data so the autotuner
+//! can sweep them per key size and backend on the deterministic modeled
 //! channel. Every admissible parameter point is **bit-identical** to the
-//! classic kernel (the `tuned` conformance family proves it continuously);
-//! the parameters only move modeled cycles.
+//! classic kernel (the `batch-kernel` conformance family proves it
+//! continuously); the parameters only move modeled cycles.
 
 use crate::batch::MontVariant;
 use std::fmt;
@@ -84,7 +84,8 @@ impl std::error::Error for ParamError {}
 /// sweeps to prove masking correctness at every fill level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelParams {
-    /// Bits per reduced-radix digit (the hand-written kernels use 27).
+    /// Bits per reduced-radix digit (the paper's, and the other
+    /// kernels', is 27).
     pub radix_bits: u32,
     /// Fixed-window width for the exponentiation ladder.
     pub window: u32,
@@ -93,16 +94,19 @@ pub struct KernelParams {
     /// `m·n` columns and recovers them with the exact correction.
     pub variant: MontVariant,
     /// Column-loop unroll factor; loop control is charged as one scalar
-    /// op per unrolled block (the hand-written kernels model fully
-    /// unrolled straight-line code and charge none).
+    /// op per unrolled block.
     pub unroll: u32,
     /// Live lanes per 16-lane batch pass (workload axis, see above).
     pub occupancy: u32,
 }
 
 impl KernelParams {
-    /// The hand-picked defaults of the static kernels: radix 2^27,
-    /// window 5, truncated reduction, fully occupied batches.
+    /// The static point, the paper's choices: radix 2^27, window 5,
+    /// truncated reduction, unroll 8 (the register-budget cap), fully
+    /// occupied batches. The batch engines fall back to it where no
+    /// tuning-table cell admits their CRT halves (keys over 4096 bits),
+    /// the verified service's release check runs it, and `phi-tune`
+    /// prices every cell against it.
     pub fn static_defaults() -> Self {
         KernelParams {
             radix_bits: crate::radix::DIGIT_BITS,

@@ -1,4 +1,4 @@
-//! The committed tuning table and the [`Tuning`] dispatch policy.
+//! The committed tuning table.
 //!
 //! `phi-tune --emit` searches the [`crate::params::KernelParams`] space
 //! per key size and backend on the deterministic modeled channel and
@@ -9,12 +9,10 @@
 //! measurement — `phi-tune --check` re-derives it in CI and fails on
 //! staleness.
 //!
-//! [`Tuning`] is the one kernel choice a [`PhiConfig`](crate::PhiConfig)
-//! carries. [`Tuning::Static`] (the default) never consults the table and
-//! is bit- and cycle-identical to the pre-tuning stack; [`Tuning::Table`]
-//! applies the committed winner for the key size, and falls back to the
-//! static kernels where a cell's winner is static or its point does not
-//! admit the concrete CRT halves.
+//! Every [`BatchCrtEngine`](crate::BatchCrtEngine) runs the committed
+//! point for its key size, and the static point
+//! ([`KernelParams::static_defaults`]) where a cell's winner is static or
+//! no cell admits its CRT halves.
 
 use crate::batch::MontVariant;
 use crate::params::KernelParams;
@@ -27,29 +25,6 @@ pub const TUNING_SCHEMA: &str = "phi-tuning/v1";
 
 /// The committed table, embedded at compile time.
 const COMMITTED_TABLE: &str = include_str!("../../../bench/tuning.json");
-
-/// How the library picks kernel parameters per modulus size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tuning {
-    /// Never consult the table: always the hand-written kernels with
-    /// their hand-picked parameters. Bit- and cycle-identical to the
-    /// pre-tuning stack (the perfgate baseline is pinned to this).
-    #[default]
-    Static,
-    /// Apply the committed table: a modulus whose size maps to a
-    /// `generated` winner runs that generated variant. Supported key
-    /// sizes are expected to have entries (debug-asserted).
-    Table,
-}
-
-impl fmt::Display for Tuning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Tuning::Static => "static",
-            Tuning::Table => "table",
-        })
-    }
-}
 
 /// A malformed tuning table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,11 +55,10 @@ impl std::error::Error for TuningError {}
 /// Which kernel won the search for one (key size, backend) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Winner {
-    /// A generated [`KernelParams`] point beat the static kernels.
+    /// The searched [`KernelParams`] point beat the static point.
     Generated,
-    /// The hand-written kernels won; `params` records the searched
-    /// best-generated point for the staleness check, but dispatch stays
-    /// on the static path.
+    /// The static point won; `params` records the searched best point
+    /// for the staleness check, but dispatch stays on the static point.
     Static,
 }
 
@@ -100,8 +74,8 @@ pub struct TunedEntry {
     pub winner: Winner,
     /// The best generated parameter point found by the search.
     pub params: KernelParams,
-    /// Modeled cycles of one full-occupancy batch ladder pass on the
-    /// static kernels (per CRT half).
+    /// Modeled cycles of one full-occupancy batch ladder pass at the
+    /// static point (per CRT half).
     pub cycles_static: f64,
     /// Modeled cycles of the same pass on the winning generated point.
     pub cycles_tuned: f64,
@@ -109,7 +83,7 @@ pub struct TunedEntry {
 
 impl TunedEntry {
     /// The generated parameter point to run, or `None` when the static
-    /// kernels won this cell.
+    /// point won this cell.
     pub fn generated_params(&self) -> Option<KernelParams> {
         match self.winner {
             Winner::Generated => Some(self.params),
@@ -234,14 +208,14 @@ impl TuningTable {
             .min_by_key(|e| e.key_bits)
     }
 
-    /// The generated parameter point a modulus runs under
-    /// [`Tuning::Table`], already re-validated against the *actual*
-    /// modulus size — `None` means "stay on the static kernels".
+    /// The generated parameter point a modulus's CRT halves run,
+    /// already re-validated against the *actual* modulus size — `None`
+    /// means "run the static point".
     pub fn params_for_modulus(&self, mod_bits: u32, backend: &str) -> Option<KernelParams> {
         let entry = self.entry_for_modulus(mod_bits, backend);
         debug_assert!(
             entry.is_some() || mod_bits > 4096,
-            "Tuning::Table expects a committed entry for {mod_bits}-bit moduli on {backend}"
+            "the table expects a committed entry for {mod_bits}-bit moduli on {backend}"
         );
         let params = entry?.generated_params()?;
         // The cell is keyed by the nominal RSA key size but its kernel
@@ -394,12 +368,5 @@ mod tests {
             "cycles_static": 1.0, "cycles_tuned": 1.0}]}"#;
         let err = TuningTable::parse(bad_params).unwrap_err();
         assert!(err.to_string().contains("inadmissible"));
-    }
-
-    #[test]
-    fn tuning_display_names() {
-        assert_eq!(Tuning::Static.to_string(), "static");
-        assert_eq!(Tuning::Table.to_string(), "table");
-        assert_eq!(Tuning::default(), Tuning::Static);
     }
 }

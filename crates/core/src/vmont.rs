@@ -26,7 +26,7 @@ use phi_simd::count::OpClass;
 pub const ROW_GLUE_SALU: u64 = 13;
 
 /// Inverse of odd `x` modulo 2^27 (Newton; 3 → 6 → 12 → 24 → 48 bits).
-fn inv_mod_digit(x: u64) -> u64 {
+pub(crate) fn inv_mod_digit(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x;
     for _ in 0..4 {
@@ -54,9 +54,6 @@ pub struct VMontCtx {
     n_vec: VecNum,
     /// `-n⁻¹ mod 2^27`.
     n0_inv: u64,
-    /// `N' = -n⁻¹ mod R` in padded digit form (the truncated kernel
-    /// multiplies by the full-width inverse instead of digit-by-digit).
-    nprime_digits: Vec<u64>,
     /// `R² mod n` in vector form, for entering the domain.
     rr_vec: VecNum,
     r_bits: u32,
@@ -86,14 +83,6 @@ impl VMontCtx {
         let n0_inv = (1u64 << DIGIT_BITS) - inv_mod_digit(n.limbs()[0] & DIGIT_MASK);
         let rr = &BigUint::power_of_two(2 * r_bits) % n;
         let rr_vec = VecNum::from_biguint(&rr, kk);
-        // N' = -n⁻¹ mod R for the truncated-reduction variant. n < R (it
-        // has exactly k digits) and is odd, so the inverse exists and is
-        // odd; R - inv never wraps.
-        let r = BigUint::power_of_two(r_bits);
-        let inv = n
-            .mod_inverse(&r)
-            .expect("odd modulus is invertible mod a power of two");
-        let nprime_digits = VecNum::from_biguint(&(&r - &inv), kk).digits().to_vec();
         Ok(VMontCtx {
             n: n.clone(),
             k,
@@ -102,7 +91,6 @@ impl VMontCtx {
             n_digits: n_vec.digits().to_vec(),
             n_vec,
             n0_inv,
-            nprime_digits,
             rr_vec,
             r_bits,
             backend,
@@ -132,11 +120,6 @@ impl VMontCtx {
     /// The modulus in padded digit form (shared with the batched kernel).
     pub fn n_digits(&self) -> &[u64] {
         &self.n_digits
-    }
-
-    /// `N' = -n⁻¹ mod R` in padded digit form (truncated kernel input).
-    pub(crate) fn nprime_digits(&self) -> &[u64] {
-        &self.nprime_digits
     }
 
     /// `R² mod n` in vector form (shared with the batch domain entry).

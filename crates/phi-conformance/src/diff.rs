@@ -580,44 +580,225 @@ fn check_crt(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// The shared-modulus 16-lane batch ladder vs sixteen scalar answers.
-fn check_batch(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
-    const NAME: &str = "batch";
-    let cases = (cfg.cases / 2).max(2) as u64;
+/// The shared-modulus 16-lane batch kernels — `BatchMont`'s classic
+/// CIOS kernel and the generated family (DESIGN.md §3.12, §3.15) — vs
+/// the scalar oracle on adversarial inputs.
+///
+/// The truncated reduction elides low partial products and repairs the
+/// carry-out with an exact correction, so its admissibility claim is
+/// strict bit-identity. Each case stresses where that claim could crack,
+/// in two sweeps. On the profile's bit ladder: the classic kernel and
+/// the generated truncated kernel at the static point (the release
+/// check's) at every window width 1–7, with correction-boundary lanes 0,
+/// 1 and n−1 (the shapes that pin `D̂ mod R` to zero or the conditional
+/// subtract to its edge); the scalar truncated kernels of `phi_mont`
+/// against CIOS; and, when the host has AVX2, the native backend lane for
+/// lane. Then one committed tuning-table cell's point at its CRT-half
+/// size, regardless of the profile's bit ladder (the table governs real
+/// key sizes, so that is where it must be proven), at occupancy 1–16
+/// with dead lanes padded with 1 as `private_op_masked` pads, against the
+/// classic kernel and the generated classic-reduction twin at the same
+/// radix. Every third case pins both moduli to the dense-top corner
+/// `2^bits − d`, every high digit saturated: the boundary columns of the
+/// correction and the carry paths at any radix reach their maxima there.
+fn check_batch_kernel(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
+    const NAME: &str = "batch-kernel";
+    use phiopenssl::{GenMontCtx, KernelParams, MontVariant, TunedEntry, TuningTable};
+    // One distinct cell per key size: the backend columns share the
+    // searched parameter point.
+    let mut entries: Vec<&TunedEntry> = Vec::new();
+    for e in &TuningTable::committed().entries {
+        if entries.iter().all(|seen| seen.key_bits != e.key_bits) {
+            entries.push(e);
+        }
+    }
+    let cases = ((cfg.cases / 2).max(entries.len())) as u64;
     let inj = cfg.injected_case(NAME, cases);
     let mut g = cfg.gen_for(NAME);
     let ladder = cfg.bits_ladder();
-    for case in 0..cases {
-        let bits = ladder[case as usize % ladder.len()].min(512);
-        let n = g.odd_modulus(bits);
-        let ctx = VMontCtx::new(&n).expect("odd modulus");
-        let bm = BatchMont::new(&ctx);
-        let bases: Vec<BigUint> = (0..16).map(|_| g.residue(&n)).collect();
-        let exp = g.exponent(bits);
-        let window = 1 + (case % 7) as u32;
-        let mut got = bm.mod_exp_16(&bases, &exp, window);
-        if let Some(i) = inj.filter(|&i| i == case) {
-            let lane = (i % 16) as usize;
-            got[lane] = &got[lane] + &BigUint::one();
+    let native = CpuFeatures::detect().avx2;
+    let modulus = |g: &mut CaseGen, case: u64, bits: u32| {
+        if case % 3 == 0 {
+            let d = 2 * g.below(1 << 20) + 1;
+            &(&BigUint::one() << bits) - &BigUint::from(d)
+        } else {
+            g.odd_modulus(bits)
         }
-        for (lane, (b, got)) in bases.iter().zip(&got).enumerate() {
-            let want = b.mod_exp(&exp, &n);
-            if *got != want {
+    };
+    // One divergence per lane where a ladder misses the oracle; true if
+    // any did.
+    let seed = cfg.seed;
+    let lanes_diverge = |out: &mut Vec<Divergence>,
+                         case: u64,
+                         at: String,
+                         n: &BigUint,
+                         bases: &[BigUint],
+                         exp: &BigUint,
+                         ladders: [(&str, &[BigUint]); 2]| {
+        let mut bad = false;
+        for (lane, base) in bases.iter().enumerate() {
+            let want = base.mod_exp(exp, n);
+            if ladders.iter().any(|(_, got)| got[lane] != want) {
+                bad = true;
+                let mut fields = vec![("n", n), ("base", base), ("exp", exp)];
+                fields.extend(ladders.iter().map(|&(name, got)| (name, &got[lane])));
+                fields.push(("want", &want));
                 out.push(Divergence {
                     kernel: NAME,
-                    seed: cfg.seed,
+                    seed,
                     case,
-                    detail: format!(
-                        "lane={lane} window={window}: {}",
-                        dump(&[
-                            ("n", &n),
-                            ("base", b),
-                            ("exp", &exp),
-                            ("got", got),
-                            ("want", &want)
-                        ])
-                    ),
+                    detail: format!("lane={lane} {at}: {}", dump(&fields)),
                 });
+            }
+        }
+        bad
+    };
+    let diverge = |case: u64, detail: String| Divergence {
+        kernel: NAME,
+        seed,
+        case,
+        detail,
+    };
+    for case in 0..cases {
+        // The bit-ladder sweep: classic vs the static point.
+        let bits = ladder[case as usize % ladder.len()].min(512);
+        let n = modulus(&mut g, case, bits);
+        let ctx = VMontCtx::new(&n).expect("odd modulus");
+        let mut bases: Vec<BigUint> = vec![BigUint::zero(), BigUint::one(), &n - &BigUint::one()];
+        while bases.len() < 16 {
+            bases.push(g.residue(&n));
+        }
+        let exp = g.exponent(bits);
+        let window = 1 + (case % 7) as u32;
+        let classic = BatchMont::new(&ctx).mod_exp_16(&bases, &exp, window);
+        let mut truncated =
+            BatchMont::with_variant(&ctx, MontVariant::Truncated).mod_exp_16(&bases, &exp, window);
+        if let Some(i) = inj.filter(|&i| i == case) {
+            let lane = (i % 16) as usize;
+            truncated[lane] = &truncated[lane] + &BigUint::one();
+        }
+        let ladders = [("truncated", &truncated[..]), ("classic", &classic[..])];
+        if lanes_diverge(
+            out,
+            case,
+            format!("window={window}"),
+            &n,
+            &bases,
+            &exp,
+            ladders,
+        ) {
+            continue;
+        }
+
+        // The scalar truncated kernel vs classic CIOS on the same ring,
+        // including the raw reduction of an un-multiplied product.
+        let m64 = MontCtx64::new(&n).expect("odd modulus");
+        let a = g.residue(&n);
+        let b = g.residue(&n);
+        let (am, bm) = (m64.to_mont(&a), m64.to_mont(&b));
+        let want = a.mod_mul(&b, &n);
+        let trunc_scalar = m64.from_mont(&m64.mont_mul_truncated(&am, &bm));
+        let cios_scalar = m64.from_mont(&m64.mont_mul(&am, &bm));
+        let raw = am.mul_ref(&bm);
+        if trunc_scalar != want
+            || cios_scalar != want
+            || m64.mont_reduce_truncated(&raw) != m64.mont_mul(&am, &bm)
+        {
+            out.push(diverge(
+                case,
+                format!(
+                    "scalar truncated split: {}",
+                    dump(&[
+                        ("n", &n),
+                        ("a", &a),
+                        ("b", &b),
+                        ("truncated", &trunc_scalar),
+                        ("cios", &cios_scalar),
+                        ("want", &want)
+                    ])
+                ),
+            ));
+            continue;
+        }
+
+        // Native backend, lane for lane, when the host offers one.
+        if native {
+            let ctx_n =
+                VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
+            let got_n = BatchMont::with_variant(&ctx_n, MontVariant::Truncated)
+                .mod_exp_16(&bases, &exp, window);
+            if got_n != classic {
+                out.push(diverge(
+                    case,
+                    format!(
+                        "native truncated batch disagrees, window={window}: {}",
+                        dump(&[("n", &n), ("exp", &exp)])
+                    ),
+                ));
+                continue;
+            }
+        }
+
+        // One committed cell's point at its half size.
+        let entry = entries[case as usize % entries.len()];
+        let bits = entry.key_bits / 2;
+        let n = modulus(&mut g, case, bits);
+        let params = entry.params;
+        let gctx = match GenMontCtx::new(&n, params, ResolvedBackend::ModeledKnc) {
+            Ok(c) => c,
+            Err(e) => {
+                out.push(diverge(
+                    case,
+                    format!(
+                        "committed entry for {} bits rejected its own half size: {e}",
+                        entry.key_bits
+                    ),
+                ));
+                continue;
+            }
+        };
+        // Occupancy sweep: `occ` live lanes (correction-boundary values
+        // first, then random residues), the rest padded with 1.
+        let occ = 1 + (case as usize % 16);
+        let mut bases: Vec<BigUint> = vec![&n - &BigUint::one(), BigUint::zero(), BigUint::one()];
+        bases.truncate(occ);
+        while bases.len() < occ {
+            bases.push(g.residue(&n));
+        }
+        bases.resize(16, BigUint::one());
+        // Exponent length scales down with the half size so that a run's
+        // total ladder work stays within the profile budget; the window
+        // table (the 2^w - 1 multiplies) runs in full either way.
+        let exp_bits = (bits.min(cfg.max_bits) / (bits / 256).max(1)).max(48);
+        let exp = g.exponent(exp_bits);
+        let ctx = VMontCtx::new(&n).expect("odd modulus");
+        let classic = BatchMont::new(&ctx).mod_exp_16(&bases, &exp, params.window);
+        let got = gctx.mod_exp_16(&bases, &exp);
+        let at = format!(
+            "entry {}b occ={occ} radix={} window={} unroll={}",
+            entry.key_bits, params.radix_bits, params.window, params.unroll
+        );
+        let ladders = [("generated", &got[..]), ("classic", &classic[..])];
+        if lanes_diverge(out, case, at, &n, &bases, &exp, ladders) {
+            continue;
+        }
+        // The generated *classic* reduction at the same radix must agree
+        // with the generated truncated one (both variants of the
+        // generator share everything but the reduction).
+        let twin = KernelParams {
+            variant: MontVariant::Classic,
+            ..params
+        };
+        if let Ok(cl) = GenMontCtx::new(&n, twin, ResolvedBackend::ModeledKnc) {
+            if cl.mod_exp_16(&bases, &exp) != classic {
+                out.push(diverge(
+                    case,
+                    format!(
+                        "generated classic reduction diverges at radix {}: {}",
+                        params.radix_bits,
+                        dump(&[("n", &n), ("exp", &exp)])
+                    ),
+                ));
             }
         }
     }
@@ -1002,144 +1183,6 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// The truncated-separated Montgomery reduction (DESIGN.md §3.12) vs
-/// the classic CIOS kernels, scalar and vector, on adversarial inputs.
-///
-/// The truncated variant elides low partial products and repairs the
-/// carry-out with an exact correction, so its admissibility claim is
-/// strict bit-identity. This family stresses exactly where that claim
-/// could crack: top-limb-dense moduli `2^bits - d` (the boundary columns
-/// of the elided triangle saturate), correction-boundary operands (0, 1,
-/// n-1: the shapes that pin `D̂ mod R` to zero or the conditional
-/// subtract to its edge), every window width, the scalar truncated
-/// kernel in `phi_mont`, and — when the host has AVX2 — the
-/// native-backend truncated kernel lane for lane.
-fn check_mont_truncated(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
-    const NAME: &str = "mont-truncated";
-    use phiopenssl::MontVariant;
-    let cases = (cfg.cases / 2).max(2) as u64;
-    let inj = cfg.injected_case(NAME, cases);
-    let mut g = cfg.gen_for(NAME);
-    let ladder = cfg.bits_ladder();
-    let native = CpuFeatures::detect().avx2;
-    for case in 0..cases {
-        let bits = ladder[case as usize % ladder.len()].min(512);
-        // Every third case pins the modulus to the dense-top-limb corner
-        // 2^bits - d: every high digit saturated, the shape that maxes
-        // out the boundary columns s_{k-2}, s_{k-1} of the correction.
-        let n = if case % 3 == 0 {
-            let d = 2 * g.below(1 << 20) + 1;
-            &(&BigUint::one() << bits) - &BigUint::from(d)
-        } else {
-            g.odd_modulus(bits)
-        };
-        let ctx = VMontCtx::new(&n).expect("odd modulus");
-        let classic = BatchMont::with_variant(&ctx, MontVariant::Classic);
-        let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
-
-        // Correction-boundary lanes (0, 1, n-1) alongside random residues.
-        let mut bases: Vec<BigUint> = vec![BigUint::zero(), BigUint::one(), &n - &BigUint::one()];
-        while bases.len() < 16 {
-            bases.push(g.residue(&n));
-        }
-        let exp = g.exponent(bits);
-        let window = 1 + (case % 7) as u32;
-        let got_c = classic.mod_exp_16(&bases, &exp, window);
-        let mut got_t = truncated.mod_exp_16(&bases, &exp, window);
-        if let Some(i) = inj.filter(|&i| i == case) {
-            let lane = (i % 16) as usize;
-            got_t[lane] = &got_t[lane] + &BigUint::one();
-        }
-        let mut bad = false;
-        for lane in 0..16usize {
-            let want = bases[lane].mod_exp(&exp, &n);
-            if got_t[lane] != want || got_c[lane] != want {
-                bad = true;
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "lane={lane} window={window}: {}",
-                        dump(&[
-                            ("n", &n),
-                            ("base", &bases[lane]),
-                            ("exp", &exp),
-                            ("truncated", &got_t[lane]),
-                            ("classic", &got_c[lane]),
-                            ("want", &want)
-                        ])
-                    ),
-                });
-            }
-        }
-        if bad {
-            continue;
-        }
-
-        // The scalar truncated kernel vs classic CIOS on the same ring,
-        // including the raw reduction of an un-multiplied product.
-        let m64 = MontCtx64::new(&n).expect("odd modulus");
-        let a = g.residue(&n);
-        let b = g.residue(&n);
-        let (am, bm) = (m64.to_mont(&a), m64.to_mont(&b));
-        let want = a.mod_mul(&b, &n);
-        let trunc_scalar = m64.from_mont(&m64.mont_mul_truncated(&am, &bm));
-        let cios_scalar = m64.from_mont(&m64.mont_mul(&am, &bm));
-        if trunc_scalar != want || cios_scalar != want {
-            out.push(Divergence {
-                kernel: NAME,
-                seed: cfg.seed,
-                case,
-                detail: format!(
-                    "scalar truncated split: {}",
-                    dump(&[
-                        ("n", &n),
-                        ("a", &a),
-                        ("b", &b),
-                        ("truncated", &trunc_scalar),
-                        ("cios", &cios_scalar),
-                        ("want", &want)
-                    ])
-                ),
-            });
-            continue;
-        }
-        let raw = am.mul_ref(&bm);
-        if m64.mont_reduce_truncated(&raw) != m64.mont_mul(&am, &bm) {
-            out.push(Divergence {
-                kernel: NAME,
-                seed: cfg.seed,
-                case,
-                detail: format!(
-                    "mont_reduce_truncated != cios reduce: {}",
-                    dump(&[("n", &n), ("t", &raw)])
-                ),
-            });
-        }
-
-        // Native tier, lane for lane, when the host offers one.
-        if native {
-            let ctx_n =
-                VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
-            let got_n = BatchMont::with_variant(&ctx_n, MontVariant::Truncated)
-                .mod_exp_16(&bases, &exp, window);
-            if got_n != got_c {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "native truncated batch disagrees, window={window}: {}",
-                        dump(&[("n", &n), ("exp", &exp)])
-                    ),
-                });
-            }
-        }
-    }
-    cases
-}
-
 /// The native x86 backend vs the modeled-KNC backend vs the word-level
 /// oracle, bit-for-bit on adversarial operands, across all four vector
 /// kernels (multiply, square, Montgomery multiply, mod-exp).
@@ -1373,139 +1416,6 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// Every committed tuning-table entry's generated kernel vs the scalar
-/// oracle and the classic 16-lane batch ladder, on adversarial moduli at
-/// the entry's CRT-half size across occupancies 1–16 (dead lanes padded
-/// with 1, the engine's masking value). Runs at the entries' true sizes
-/// regardless of the profile's bit ladder — the table governs real key
-/// sizes, so that is where it must be proven — with the exponent length
-/// scaled by the profile budget.
-fn check_tuned(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
-    const NAME: &str = "tuned";
-    use phiopenssl::{GenMontCtx, KernelParams, MontVariant, TuningTable};
-    // One distinct cell per key size: the backend columns share the
-    // searched parameter point.
-    let table = TuningTable::committed();
-    let mut entries = Vec::new();
-    let mut seen = Vec::new();
-    for e in &table.entries {
-        if !seen.contains(&e.key_bits) {
-            seen.push(e.key_bits);
-            entries.push(e);
-        }
-    }
-    let cases = ((cfg.cases / 2).max(entries.len())) as u64;
-    let inj = cfg.injected_case(NAME, cases);
-    let mut g = cfg.gen_for(NAME);
-    for case in 0..cases {
-        let entry = entries[case as usize % entries.len()];
-        let bits = entry.key_bits / 2;
-        // Every third case pins the modulus to the dense-top corner
-        // 2^bits - d (every high digit saturated — the worst case for
-        // the generated carry/correction paths at any radix).
-        let n = if case % 3 == 0 {
-            let d = 2 * g.below(1 << 20) + 1;
-            &(&BigUint::one() << bits) - &BigUint::from(d)
-        } else {
-            g.odd_modulus(bits)
-        };
-        let params = entry.params;
-        let gctx = match GenMontCtx::new(&n, params, ResolvedBackend::ModeledKnc) {
-            Ok(c) => c,
-            Err(e) => {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "committed entry for {} bits rejected its own half size: {e}",
-                        entry.key_bits
-                    ),
-                });
-                continue;
-            }
-        };
-        // Occupancy sweep: `occ` live lanes (correction-boundary values
-        // first, then random residues), the rest padded with 1 exactly
-        // like `private_op_masked`.
-        let occ = 1 + (case as usize % 16);
-        let mut bases: Vec<BigUint> = vec![&n - &BigUint::one(), BigUint::zero(), BigUint::one()];
-        bases.truncate(occ);
-        while bases.len() < occ {
-            bases.push(g.residue(&n));
-        }
-        bases.resize(16, BigUint::one());
-        // Exponent length scales down with the half size so that a run's
-        // total ladder work stays within the profile budget; the window
-        // table (the 2^w - 1 multiplies) runs in full either way.
-        let exp_bits = (bits.min(cfg.max_bits) / (bits / 256).max(1)).max(48);
-        let exp = g.exponent(exp_bits);
-        let ctx = VMontCtx::new(&n).expect("odd modulus");
-        let classic = BatchMont::with_variant(&ctx, MontVariant::Classic).mod_exp_16(
-            &bases,
-            &exp,
-            params.window,
-        );
-        let mut got = gctx.mod_exp_16(&bases, &exp);
-        if let Some(i) = inj.filter(|&i| i == case) {
-            let lane = (i % 16) as usize;
-            got[lane] = &got[lane] + &BigUint::one();
-        }
-        let mut bad = false;
-        for lane in 0..16usize {
-            let want = bases[lane].mod_exp(&exp, &n);
-            if got[lane] != want || classic[lane] != want {
-                bad = true;
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "entry {}b occ={occ} lane={lane} radix={} window={} unroll={}: {}",
-                        entry.key_bits,
-                        params.radix_bits,
-                        params.window,
-                        params.unroll,
-                        dump(&[
-                            ("n", &n),
-                            ("base", &bases[lane]),
-                            ("exp", &exp),
-                            ("generated", &got[lane]),
-                            ("classic", &classic[lane]),
-                            ("want", &want)
-                        ])
-                    ),
-                });
-            }
-        }
-        if bad {
-            continue;
-        }
-        // The generated *classic* reduction at the same radix must agree
-        // with the generated truncated one (both variants of the
-        // generator share everything but the reduction).
-        let cl_params = KernelParams {
-            variant: MontVariant::Classic,
-            ..params
-        };
-        if let Ok(cl) = GenMontCtx::new(&n, cl_params, ResolvedBackend::ModeledKnc) {
-            if cl.mod_exp_16(&bases, &exp) != classic {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "generated classic reduction diverges at radix {}: {}",
-                        params.radix_bits,
-                        dump(&[("n", &n), ("exp", &exp)])
-                    ),
-                });
-            }
-        }
-    }
-    cases
-}
-
 /// The family names [`DiffConfig::inject`] accepts.
 pub const FAMILIES: &[&str] = &[
     "vmul",
@@ -1515,16 +1425,14 @@ pub const FAMILIES: &[&str] = &[
     "mont-scalar",
     "session",
     "crt",
-    "batch",
+    "batch-kernel",
     "batch-multi",
     "engine-masked",
     "rsa-ops",
     "resilient",
     "fleet",
-    "mont-truncated",
     "backend-parity",
     "verified",
-    "tuned",
 ];
 
 /// Run every differential family under the given configuration.
@@ -1538,16 +1446,14 @@ pub fn run_all(cfg: &DiffConfig) -> DiffOutcome {
         check_mont_scalar,
         check_session,
         check_crt,
-        check_batch,
+        check_batch_kernel,
         check_batch_multi,
         check_engine_masked,
         check_rsa_ops,
         check_resilient,
         check_fleet,
-        check_mont_truncated,
         check_backend_parity,
         check_verified,
-        check_tuned,
     ];
     debug_assert_eq!(checks.len(), FAMILIES.len());
     let mut cases = 0;

@@ -21,16 +21,17 @@
 //!    `ceil(e/w)` window multiplies, `ceil(e/w)·w` squarings plus
 //!    per-window extraction glue — all in measured cycles.
 //! 3. **Validate by measurement**: the analytic argmin and the static
-//!    default both run one real full ladder; the winner is decided on
-//!    those measured numbers (and the tuner asserts the two ladders
-//!    agree bit-for-bit while it is at it).
+//!    point ([`KernelParams::static_defaults`]) both run one real full
+//!    generated ladder; the winner is decided on those measured numbers
+//!    (and the tuner asserts the two ladders agree bit-for-bit while it
+//!    is at it).
 //!
 //! Both backend columns of the table share the modeled cost oracle: the
 //! native backend executes identical lane semantics, so the modeled
 //! cycle ordering is the committable prediction (E21 asserts the native
 //! engines bit-identical to the modeled ones). Occupancy is recorded at
 //! 16 — a batch pass costs the same at any fill level, so cost *per op*
-//! is maximized at full occupancy by construction; the `tuned`
+//! is maximized at full occupancy by construction; the `batch-kernel`
 //! conformance family sweeps occupancies 1–16 for correctness instead.
 
 #![forbid(unsafe_code)]
@@ -41,7 +42,7 @@ use phi_bigint::BigUint;
 use phi_simd::count;
 use phi_simd::CostModel;
 use phiopenssl::tuning::{TunedEntry, TuningTable, Winner, TUNING_SCHEMA};
-use phiopenssl::{BatchMont, GenMontCtx, KernelParams, MontVariant, VMontCtx};
+use phiopenssl::{GenMontCtx, KernelParams, MontVariant};
 
 /// RSA key sizes the table is searched for (the paper's ladder).
 pub const SUPPORTED_KEY_SIZES: [u32; 4] = [512, 1024, 2048, 4096];
@@ -148,7 +149,7 @@ pub struct CellOutcome {
     pub key_bits: u32,
     /// Best generated parameter point found.
     pub params: KernelParams,
-    /// Measured full-ladder cycles of the static default kernels.
+    /// Measured full-ladder cycles of the static point.
     pub cycles_static: f64,
     /// Measured full-ladder cycles of the best generated point.
     pub cycles_tuned: f64,
@@ -158,8 +159,8 @@ pub struct CellOutcome {
 
 /// Search one key-size cell: micro-measure every (radix, variant,
 /// unroll) candidate, sweep windows analytically, then decide the winner
-/// on measured full ladders. Panics if any candidate ladder diverges
-/// from the static one bit-for-bit — the search doubles as a smoke
+/// on measured full ladders. Panics if the argmin ladder diverges from
+/// the static point's bit-for-bit — the search doubles as a smoke
 /// differential.
 pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     let n = half_modulus(key_bits, seed);
@@ -168,14 +169,10 @@ pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     let sd = KernelParams::static_defaults();
     let exp_bits = exp.bit_length();
 
-    // Measured static baseline: the hand-written truncated batch ladder
-    // at the hand-picked window (the engine's default dispatch).
-    let vctx = VMontCtx::new(&n).expect("odd half modulus");
-    let static_ladder = BatchMont::with_variant(&vctx, MontVariant::Truncated);
-    let mut static_out = Vec::new();
-    let cycles_static = cycles_of(|| {
-        static_out = static_ladder.mod_exp_16(&b16, &exp, sd.window);
-    });
+    // Measured baseline: the static point, which the engine runs where
+    // no cell admits its halves.
+    let (static_out, cycles_static) =
+        measure_point(key_bits, seed, sd).expect("the static point admits every half size");
 
     // Analytic sweep over the generated space.
     let mut best: Option<(f64, KernelParams)> = None;
@@ -205,15 +202,11 @@ pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     let (_, params) = best.expect("every key size admits at least one radix");
 
     // Measured validation of the analytic argmin.
-    let ctx = GenMontCtx::new(&n, params, ResolvedBackend::ModeledKnc)
-        .expect("argmin point validated during the sweep");
-    let mut tuned_out = Vec::new();
-    let cycles_tuned = cycles_of(|| {
-        tuned_out = ctx.mod_exp_16(&b16, &exp);
-    });
+    let (tuned_out, cycles_tuned) =
+        measure_point(key_bits, seed, params).expect("argmin point validated during the sweep");
     assert_eq!(
         tuned_out, static_out,
-        "generated ladder diverged from the static kernels at {key_bits} bits"
+        "generated ladder diverged from the static point at {key_bits} bits"
     );
 
     CellOutcome {
@@ -229,16 +222,21 @@ pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     }
 }
 
-/// Measure the full generated ladder of an explicit parameter point on
-/// the cell's deterministic workload (the `--check` re-measurement).
-pub fn measure_point(key_bits: u32, seed: u64, params: KernelParams) -> Option<f64> {
+/// Run the full generated ladder of an explicit parameter point on the
+/// cell's deterministic workload, returning its results and modeled
+/// cycles (the baseline, the argmin validation and the `--check`
+/// re-measurement); `None` when the point does not admit the half size.
+pub fn measure_point(
+    key_bits: u32,
+    seed: u64,
+    params: KernelParams,
+) -> Option<(Vec<BigUint>, f64)> {
     let n = half_modulus(key_bits, seed);
     let exp = half_exponent(key_bits, seed);
     let b16 = bases(&n, seed);
     let ctx = GenMontCtx::new(&n, params, ResolvedBackend::ModeledKnc).ok()?;
-    Some(cycles_of(|| {
-        ctx.mod_exp_16(&b16, &exp);
-    }))
+    let (out, counts) = count::measure(|| ctx.mod_exp_16(&b16, &exp));
+    Some((out, CostModel::knc().issue_cycles(&counts)))
 }
 
 /// Search every supported key size and assemble the committable table
@@ -295,7 +293,7 @@ pub fn check_table(committed: &TuningTable, tolerance: f64) -> Vec<String> {
                         fresh.cycles_tuned
                     } else {
                         match measure_point(key_bits, seed, entry.params) {
-                            Some(c) => c,
+                            Some((_, c)) => c,
                             None => {
                                 failures.push(format!(
                                     "{key_bits}/{backend}: committed params no longer valid"
@@ -366,8 +364,8 @@ mod tests {
     fn committed_winners_monotonically_improve_on_static() {
         // Table-wide invariant: a committed `generated` winner must have
         // measured strictly under the static kernels, and no cell may
-        // record a tuned cost above its static cost — `Tuning::Table`
-        // never makes dispatch slower than `Tuning::Static`.
+        // record a tuned cost above its static cost — the table never
+        // makes dispatch slower than the static point.
         let committed = TuningTable::committed();
         assert!(!committed.entries.is_empty());
         for e in &committed.entries {
@@ -389,12 +387,12 @@ mod tests {
             }
         }
         // Re-measure the 512 cell: the committed params must still beat
-        // the static ladder on today's kernels, not just historically.
+        // the static point on today's kernels, not just historically.
         let entry = committed
             .lookup(512, "modeled-knc")
             .expect("512 cell is committed");
         let cell = search_cell(512, committed.seed);
-        let replayed =
+        let (_, replayed) =
             measure_point(512, committed.seed, entry.params).expect("committed params stay valid");
         assert!(
             replayed < cell.cycles_static,

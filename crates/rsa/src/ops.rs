@@ -39,7 +39,7 @@ use phi_rt::{
     key_fingerprint, CardSetup, FleetReport, FleetScheduler, IntegrityHooks, ResilienceConfig,
     ResilientHandle,
 };
-use phiopenssl::{BatchCrtEngine, BatchMont, PhiConfig, VMontCtx};
+use phiopenssl::{BatchCrtEngine, BatchMont, MontVariant, PhiConfig, VMontCtx};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
 
@@ -69,10 +69,10 @@ pub struct RsaBatchService {
     fp: u64,
 }
 
-/// The 16-lane card executor for `key`. The engine's vector backend,
-/// window width and tuning policy all come from `phi` — under
-/// `Tuning::Table` the engine dispatches the committed generated kernel
-/// for this key size. Built from the key's parts rather than through
+/// The 16-lane card executor for `key`. The engine's vector backend and
+/// single-op window width come from `phi`; its batch ladders run the
+/// committed tuning table's point for this key size. Built from the
+/// key's parts rather than through
 /// [`BatchCrtEngine::with_config`], which would first build a
 /// [`phiopenssl::CrtKey`] and with it two Montgomery contexts per card
 /// that the engine never uses.
@@ -117,11 +117,13 @@ fn host_crt(key: &RsaPrivateKey) -> Result<HostFn<BigUint, BigUint>, RsaError> {
 /// the way the card pass is: a flush of at most
 /// [`SINGLE_OP_MAX_LIVE`](phiopenssl::engine::SINGLE_OP_MAX_LIVE) lanes
 /// gets one single-lane check per lane, a fuller one a 16-lane check
-/// whose cost amortizes over every released lane, which is what keeps
-/// verification under the `perfgate --verify-overhead` bound. It runs
-/// on the same vector backend as the card (`phi.backend`). Without this
-/// check a silently faulted CRT half leaks the private key via
-/// `gcd(s − ŝ, n)` (the Bellcore attack).
+/// (the generated kernel's `pow_eq_16` at the static point) whose cost
+/// amortizes over every released lane, which is what keeps verification
+/// under the `perfgate --verify-overhead` bound. Both contexts are built
+/// here, once per card, and run on the card's vector backend
+/// (`phi.backend`); no flush builds one. Without this check a silently
+/// faulted CRT half leaks the private key via `gcd(s − ŝ, n)` (the
+/// Bellcore attack).
 fn integrity_hooks(
     key: &RsaPrivateKey,
     phi: &PhiConfig,
@@ -129,13 +131,13 @@ fn integrity_hooks(
     let n = key.public().n().clone();
     let e = key.public().e().clone();
     let ctx = VMontCtx::with_backend(key.public().n(), phi.backend.resolve())?;
+    let check = BatchMont::with_variant(&ctx, MontVariant::Auto);
     Ok(IntegrityHooks::verified_batch(
         move |_c: &BigUint, m: &BigUint| (m + 1u64).rem_ref(&n).expect("public modulus is nonzero"),
         move |pairs: &[(&BigUint, &BigUint)]| {
             let (expected, bases): (Vec<BigUint>, Vec<BigUint>) =
                 pairs.iter().map(|&(c, m)| (c.clone(), m.clone())).unzip();
-            BatchMont::with_variant(&ctx, phiopenssl::MontVariant::Auto)
-                .pow_eq_masked(&bases, &e, &expected)
+            check.pow_eq_masked(&bases, &e, &expected)
         },
     ))
 }
@@ -910,6 +912,53 @@ mod tests {
             two < full,
             "two single-lane checks {two}s !< one 16-lane {full}s"
         );
+    }
+
+    /// `lanes` honest `(ciphertext, plaintext)` pairs under `key`.
+    fn honest_pairs(key: &RsaPrivateKey, lanes: u64) -> (Vec<BigUint>, Vec<BigUint>) {
+        let ms: Vec<BigUint> = (1..=lanes).map(|i| BigUint::from(i * 7_777_771)).collect();
+        let cts = ms
+            .iter()
+            .map(|m| m.mod_exp(key.public().e(), key.public().n()));
+        (cts.collect(), ms)
+    }
+
+    /// The verified service's check is what the benchmark's modeled probe
+    /// prices, `BatchMont::with_variant(&ctx, MontVariant::Auto)
+    /// .pow_eq_16`: the same verdicts and the same op counts on the same
+    /// 16 pairs.
+    #[test]
+    fn release_check_is_the_probed_pow_eq_16() {
+        let key = key256();
+        let hooks = integrity_hooks(&key, &verified()).unwrap();
+        let check = hooks.verify.as_ref().expect("verified hooks");
+        let (cts, ms) = honest_pairs(&key, 16);
+        let pairs: Vec<(&BigUint, &BigUint)> = cts.iter().zip(&ms).collect();
+        let (verdicts, service) = phi_simd::count::measure(|| check(&pairs));
+        let ctx = VMontCtx::new(key.public().n()).unwrap();
+        let probe = BatchMont::with_variant(&ctx, MontVariant::Auto);
+        let (probed, priced) =
+            phi_simd::count::measure(|| probe.pow_eq_16(&ms, key.public().e(), &cts));
+        assert_eq!(verdicts, vec![true; 16]);
+        assert_eq!(probed, verdicts);
+        assert_eq!(service, priced, "the service checks what the probe prices");
+    }
+
+    /// Every context the check runs is built with the service, once per
+    /// card: a check after setup builds none. A generated context built
+    /// per flush would add its `N'` inverse to every sparse flush.
+    #[test]
+    fn release_checks_build_no_context_after_setup() {
+        let key = key256();
+        let hooks = integrity_hooks(&key, &verified()).unwrap();
+        let check = hooks.verify.as_ref().expect("verified hooks");
+        let (cts, ms) = honest_pairs(&key, 16);
+        let pairs: Vec<(&BigUint, &BigUint)> = cts.iter().zip(&ms).collect();
+        for lanes in [1, 2, 16] {
+            let (verdicts, setups) = phi_simd::count::measure_ctx_setups(|| check(&pairs[..lanes]));
+            assert_eq!(verdicts, vec![true; lanes]);
+            assert_eq!(setups, 0, "a {lanes}-lane check built a context");
+        }
     }
 
     /// The release check runs on the card's configured backend, not the

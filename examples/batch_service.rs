@@ -1,7 +1,7 @@
 //! The service-layer surface in one sitting: validated configuration,
 //! cached Montgomery sessions, the work-conserving batch RSA service
 //! shared by a burst of concurrent decryptors, burst admission, the
-//! N-card fleet, and table-tuned kernel dispatch.
+//! N-card fleet, and the table-tuned batch kernel.
 //!
 //! ```text
 //! cargo run --release --example batch_service
@@ -167,36 +167,28 @@ fn main() {
         report.migrations,
     );
 
-    // --- table-tuned kernel dispatch ---------------------------------
-    // `Tuning::Table` consults the committed autotuner result
-    // (`bench/tuning.json`); the generated kernel it picks is
-    // bit-identical to the static default, just cheaper on the modeled
-    // channel. `Tuning::Static` (the default) never reads the table.
+    // --- table-tuned batch kernel -------------------------------------
+    // Every batch engine runs the committed autotuner result
+    // (`bench/tuning.json`) for its key size: a generated kernel
+    // bit-identical to sequential CRT, cheaper on the modeled channel
+    // than the static point (radix 2^27, window 5).
     let crt = phiopenssl::CrtKey::new(key.p(), key.q(), key.d()).expect("CRT key");
-    let static_engine =
+    let engine =
         phiopenssl::BatchCrtEngine::with_config(&crt, &PhiConfig::default()).expect("engine");
-    let tuned_engine = phiopenssl::BatchCrtEngine::with_config(
-        &crt,
-        &PhiConfig::builder()
-            .tuning(phiopenssl::Tuning::Table)
-            .build(),
-    )
-    .expect("engine");
-    assert!(
-        tuned_engine.tuned_kernel_active(),
-        "1024-bit keys are in the table"
-    );
     let cts: Vec<_> = (0..16).map(|i| BigUint::from(0x1234u64 + i)).collect();
-    assert_eq!(
-        static_engine.private_op_16(&cts),
-        tuned_engine.private_op_16(&cts),
-        "tuned dispatch must stay bit-identical"
-    );
+    let sequential = RsaOps::new(Box::new(PhiLibrary::default()));
+    for (c, m) in cts.iter().zip(engine.private_op_16(&cts)) {
+        assert_eq!(
+            sequential.private_op(&key, c).expect("c < n"),
+            m,
+            "batch pass disagrees with sequential CRT"
+        );
+    }
     let entry = phiopenssl::TuningTable::committed()
         .entry_for_modulus(n.bit_length(), "modeled-knc")
         .expect("committed cell");
     println!(
-        "tuned dispatch: 1024-bit key runs the generated r{} w{} kernel, bit-identical to static",
+        "batch engine: 1024-bit key runs the generated r{} w{} kernel, bit-identical to sequential CRT",
         entry.params.radix_bits, entry.params.window,
     );
 
