@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p phi-bench --bin harness -- all
 //! cargo run --release -p phi-bench --bin harness -- e3 e4
-//! cargo run --release -p phi-bench --bin harness -- --smoke e1 e5 e14
+//! cargo run --release -p phi-bench --bin harness -- --smoke e1 e5 e14 e18
 //! ```
 //!
 //! Flags:

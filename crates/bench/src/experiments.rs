@@ -866,7 +866,7 @@ fn native_tier_note() -> String {
 ///
 /// Both variants run the same ladder over the same operands; the
 /// truncated kernel (the generated one at the static point, radix 2^27,
-/// window 5, unroll 8) elides the low partial products of `m·n`, squares
+/// window 5) elides the low partial products of `m·n`, squares
 /// through a half-triangle, and keeps its comba accumulators
 /// register-resident, so the modeled `mont_reduce` bill drops while the
 /// results stay bit-identical. The `agree` column checks classic,
@@ -879,7 +879,7 @@ pub fn e18_truncated(sizes: &[u32]) -> Table {
         &["bits", "classic µs", "truncated µs", "speedup", "agree"],
     );
     t.note("same 16-lane batch exponentiation (w=5); truncated = §3.12 separated reduction,");
-    t.note("the generated kernel at the static point (r27 u8, loop control charged)");
+    t.note("the generated kernel at the static point (r27, loop control charged)");
     t.note("bit-identical by construction; `agree` checks both variants vs the scalar oracle");
     let native = phiopenssl::CpuFeatures::detect().avx2;
     if native {
@@ -899,7 +899,7 @@ pub fn e18_truncated(sizes: &[u32]) -> Table {
             .collect();
 
         let classic = BatchMont::with_variant(&ctx, MontVariant::Classic);
-        let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
+        let truncated = BatchMont::with_variant(&ctx, MontVariant::Auto);
         let (r_c, mc) = modeled(|| classic.mod_exp_16(&bases, &e, 5));
         let (r_t, mt) = modeled(|| truncated.mod_exp_16(&bases, &e, 5));
 
@@ -908,8 +908,7 @@ pub fn e18_truncated(sizes: &[u32]) -> Table {
         if native {
             let ctx_n =
                 VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
-            let r_n =
-                BatchMont::with_variant(&ctx_n, MontVariant::Truncated).mod_exp_16(&bases, &e, 5);
+            let r_n = BatchMont::with_variant(&ctx_n, MontVariant::Auto).mod_exp_16(&bases, &e, 5);
             agree &= r_n == expected;
         }
 
@@ -1395,7 +1394,7 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
 /// Both columns run the generated kernel's two half ladders over the same
 /// deterministic ciphertexts: at [`KernelParams::static_defaults`] and at
 /// the point the committed `bench/tuning.json` names for the key size
-/// (radix / window / variant / unroll), which the batch engine runs. The
+/// (radix / window), which the batch engine runs. The
 /// results must stay bit-identical — the point only ever moves the
 /// modeled cycle count — and `agree` additionally checks the engine's
 /// lane 0 against the scalar private-op oracle. When the host has AVX2
@@ -1417,9 +1416,7 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
             "agree",
         ],
     );
-    t.note(
-        "static = r27 w5 u8 truncated; table = committed bench/tuning.json point (the engine's)",
-    );
+    t.note("static = r27 w5; table = committed bench/tuning.json point (the engine's)");
     t.note("bit-identical by construction; `agree` also checks lane 0 vs the scalar oracle");
     let native = phiopenssl::CpuFeatures::detect().avx2;
     if native {
@@ -1440,7 +1437,7 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
             workload::batch_engine(&key, &config)
         };
         let entry = TuningTable::committed()
-            .entry_for_modulus(key.public().n().bit_length(), "modeled-knc")
+            .entry_for_modulus(key.public().n().bit_length())
             .expect("committed table covers every supported size");
         let static_point = KernelParams::static_defaults();
         let (r_s, ms) =
@@ -1461,10 +1458,7 @@ pub fn e21_tuned(key_sizes: &[u32]) -> Table {
             fmt_us(ms.us()),
             fmt_us(mt.us()),
             fmt_x(mt.speedup_over(&ms)),
-            format!(
-                "r{} w{} u{}",
-                entry.params.radix_bits, entry.params.window, entry.params.unroll
-            ),
+            format!("r{} w{}", entry.params.radix_bits, entry.params.window),
             if agree { "yes".into() } else { "NO".into() },
         ]);
     }
@@ -1743,8 +1737,8 @@ mod tests {
             x > 1.05,
             "committed table must cut >5% modeled cycles at 512 bits: {row:?}"
         );
-        // The committed 512-bit winner: the radix-29 window-4 kernel.
-        assert_eq!(row[4], "r29 w4 u8", "{row:?}");
+        // The committed 512-bit row: the radix-29 window-4 kernel.
+        assert_eq!(row[4], "r29 w4", "{row:?}");
     }
 
     /// The bursts are parked whole, so flush composition, and with it

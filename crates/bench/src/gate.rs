@@ -12,8 +12,10 @@ use phi_trace::Report;
 
 /// Experiments the gate compares. A representative slice of the
 /// evaluation: E1 (multiplication kernel), E5 (RSA private op feeding
-/// the thread-scaling figure), E14 (the batch service end to end).
-pub const GATED: [&str; 3] = ["e1", "e5", "e14"];
+/// the thread-scaling figure), E14 (the batch service end to end), E18
+/// (the 16-lane batch ladder at the static point, which runs every
+/// release check and every key over 4096 bits).
+pub const GATED: [&str; 4] = ["e1", "e5", "e14", "e18"];
 
 /// Maximum tolerated drop in modeled throughput (fraction of baseline).
 pub const REGRESSION_TOLERANCE: f64 = 0.15;
@@ -86,7 +88,7 @@ pub fn measure_truncated_improvement(sizes: &[u32]) -> Vec<ImprovementLine> {
                 .map(|j| &crate::workload::operand(bits, 400 + j) % &n)
                 .collect();
             let classic = BatchMont::with_variant(&ctx, MontVariant::Classic);
-            let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
+            let truncated = BatchMont::with_variant(&ctx, MontVariant::Auto);
             let (r_c, classic) = crate::measure::modeled(|| classic.mod_exp_16(&bases, &e, 5));
             let (r_t, truncated) = crate::measure::modeled(|| truncated.mod_exp_16(&bases, &e, 5));
             assert_eq!(r_c, r_t, "variants disagree at {bits} bits");
@@ -102,7 +104,7 @@ pub fn measure_truncated_improvement(sizes: &[u32]) -> Vec<ImprovementLine> {
 
 /// Key sizes `perfgate --tuned-improvement` sweeps: the sizes where the
 /// committed tuning table must keep a clear win over the static point.
-/// (The 2048/4096 cells win by only ~4–6%; E21 reports them but the gate
+/// (The 2048/4096 rows win by only ~4–6%; E21 reports them but the gate
 /// does not hold them to the threshold.)
 pub const TUNED_GATE_SIZES: [u32; 2] = [512, 1024];
 
@@ -142,7 +144,7 @@ pub fn measure_tuned_improvement(sizes: &[u32]) -> Vec<TunedLine> {
                 .map(|j| &crate::workload::operand(bits, 2200 + j) % key.public().n())
                 .collect();
             let table = TuningTable::committed()
-                .params_for_modulus(key.public().n().bit_length(), "modeled-knc")
+                .params_for_modulus(key.public().n().bit_length())
                 .unwrap_or_else(|| panic!("committed table must cover {bits}-bit keys"));
             let backend = ResolvedBackend::ModeledKnc;
             let (r_s, st) = half_ladders(&key, &cts, KernelParams::static_defaults(), backend);

@@ -15,10 +15,9 @@
 //! Experiment E8 quantifies the trade.
 //!
 //! This module's own kernel is the classic interleaved CIOS one, the
-//! E8/E18 reference. Under `MontVariant::{Truncated, Auto}` a
-//! [`BatchMont`] runs its ladders and release checks through the
-//! generated truncated kernel ([`GenMontCtx`] at
-//! [`KernelParams::static_defaults`]) instead.
+//! E8/E18 reference. Under `MontVariant::Auto` a [`BatchMont`] runs its
+//! ladders and release checks through the generated truncated kernel
+//! ([`GenMontCtx`] at [`KernelParams::static_defaults`]) instead.
 
 #![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
 
@@ -36,24 +35,19 @@ use phi_simd::U32x16;
 /// Operations per batch (one per 32-bit lane of a 512-bit register).
 pub const BATCH_WIDTH: usize = 16;
 
-/// Which Montgomery reduction kernel a [`BatchMont`] (or a generated
-/// [`KernelParams`] point) runs.
+/// Which Montgomery reduction kernel a [`BatchMont`] runs.
 ///
-/// Every variant produces **bit-identical** results (the phi-conformance
+/// Both produce **bit-identical** results (the phi-conformance
 /// `batch-kernel` family proves it continuously); the choice is purely
 /// a cost trade documented in DESIGN.md §3.12 and measured by E8/E18.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MontVariant {
-    /// The classic reduction: for a [`BatchMont`], its interleaved-CIOS
-    /// kernel (the E8/E18 reference and the fallback for single-digit
-    /// moduli); for a generated point, the separated full reduction.
+    /// The interleaved-CIOS kernel: the E8/E18 reference and the
+    /// fallback for single-digit moduli.
     Classic,
-    /// The truncated-separated reduction, which only the generated
-    /// kernels ([`GenMontCtx`]) implement.
-    Truncated,
-    /// The engines' choice, which is the truncated kernel wherever it
-    /// applies. A dispatch policy, not a concrete kernel: generated
-    /// parameter points must name `Classic` or `Truncated`.
+    /// The engines' choice: the generated truncated-separated kernel
+    /// ([`GenMontCtx`] at [`KernelParams::static_defaults`]) wherever
+    /// the modulus has at least two digits, else the classic kernel.
     #[default]
     Auto,
 }
@@ -134,8 +128,8 @@ pub struct BatchMont {
     /// Modulus digits, broadcast per column (shared by all lanes).
     n_cols: Vec<u64>,
     /// The generated truncated kernel at the static point, which the
-    /// ladders and the 16-lane check run when present: under
-    /// `Truncated`/`Auto` for moduli of at least two digits.
+    /// ladders and the 16-lane check run when present: under `Auto` for
+    /// moduli of at least two digits.
     generated: Option<GenMontCtx>,
 }
 
@@ -148,7 +142,7 @@ impl BatchMont {
     }
 
     /// Wrap a vector context with an explicit reduction variant.
-    /// `Truncated` and `Auto` build the generated kernel at
+    /// `Auto` builds the generated kernel at
     /// [`KernelParams::static_defaults`] on the context's backend (one
     /// more Montgomery context) and run [`mod_exp_16`](Self::mod_exp_16)
     /// and [`pow_eq_16`](Self::pow_eq_16) through it, bit-identical to
@@ -157,7 +151,7 @@ impl BatchMont {
     pub fn with_variant(ctx: &VMontCtx, variant: MontVariant) -> Self {
         let generated = match variant {
             MontVariant::Classic => None,
-            MontVariant::Truncated | MontVariant::Auto => GenMontCtx::new(
+            MontVariant::Auto => GenMontCtx::new(
                 ctx.modulus(),
                 KernelParams::static_defaults(),
                 ctx.backend(),
@@ -350,9 +344,9 @@ impl BatchMont {
     /// Sixteen power-equality checks at once: `out[j] = (base[j]^exp ≡
     /// expected[j] (mod n))`, with one shared exponent — the release
     /// check of the verified offload path, checked the way
-    /// [`GenMontCtx::pow_eq_16`] documents (which runs it under
-    /// `Truncated`/`Auto`). Lanes padded with `base = expected = 0`
-    /// compare equal; no span is opened here.
+    /// [`GenMontCtx::pow_eq_16`] documents (which runs it under `Auto`).
+    /// Lanes padded with `base = expected = 0` compare equal; no span is
+    /// opened here.
     pub fn pow_eq_16(&self, bases: &[BigUint], exp: &BigUint, expected: &[BigUint]) -> Vec<bool> {
         match &self.generated {
             Some(g) => g.pow_eq_16(bases, exp, expected),
@@ -528,8 +522,8 @@ mod tests {
         }
     }
 
-    /// A single-digit modulus has no truncation boundary columns: the
-    /// truncated variant keeps the classic kernel, op for op.
+    /// A single-digit modulus has no truncation boundary columns: `Auto`
+    /// keeps the classic kernel, op for op.
     #[test]
     fn single_digit_moduli_stay_classic() {
         let n = BigUint::from(97u64);
@@ -539,8 +533,8 @@ mod tests {
             .collect();
         let exp = BigUint::from(0xBEEFu64);
         let (want, classic) = count::measure(|| BatchMont::new(&ctx).mod_exp_16(&bases, &exp, 3));
-        let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
-        let (got, counts) = count::measure(|| truncated.mod_exp_16(&bases, &exp, 3));
+        let auto = BatchMont::with_variant(&ctx, MontVariant::Auto);
+        let (got, counts) = count::measure(|| auto.mod_exp_16(&bases, &exp, 3));
         assert_eq!(got, want);
         assert_eq!(counts, classic);
         for (b, g) in bases.iter().zip(&got) {

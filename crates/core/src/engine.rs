@@ -10,10 +10,10 @@
 //! An engine is built one way, from a [`PhiConfig`], which supplies the
 //! vector backend and the single-op window width. The batch ladders run
 //! the generated kernel ([`GenMontCtx`]) at the committed
-//! [`TuningTable`] point for the key size and backend, or at
-//! [`KernelParams::static_defaults`] where no cell admits both halves
-//! (keys over 4096 bits); only halves of a single radix-2^27 digit run
-//! [`BatchMont`]'s classic kernel. Single operations run the
+//! [`TuningTable`] point for the key size (one row serves every
+//! backend), or at [`KernelParams::static_defaults`] where no row admits
+//! both halves (keys over 4096 bits); only halves of a single radix-2^27
+//! digit run [`BatchMont`]'s classic kernel. Single operations run the
 //! intra-operand [`VMontCtx`] ladder, as do masked calls with at most
 //! [`SINGLE_OP_MAX_LIVE`] live lanes: lanes pay only when enough are.
 //! The release check of a flush crosses over at the same occupancy
@@ -230,7 +230,7 @@ fn generated_halves(
             .all(|half| params.validate(half.bit_length()).is_ok())
     };
     let params = TuningTable::committed()
-        .params_for_modulus(n.bit_length(), backend.name())
+        .params_for_modulus(n.bit_length())
         .into_iter()
         .chain([KernelParams::static_defaults()])
         .find(admits)?;
@@ -460,7 +460,7 @@ mod tests {
         }
     }
 
-    /// The demo key rounds up to the 512-bit table cell, whose generated
+    /// The demo key rounds up to the 512-bit table row, whose generated
     /// point admits its tiny halves: both constructors run it and stay
     /// bit-identical to the classic kernel's ladders and the oracle.
     #[test]
@@ -473,12 +473,10 @@ mod tests {
             classic(&engine.ctx_q, key.dq()),
         );
         for tuned in [engine, from_key(&key, &PhiConfig::default())] {
-            let (gp, _) = tuned.generated.as_ref().expect("the 512-bit cell applies");
+            let (gp, _) = tuned.generated.as_ref().expect("the 512-bit row applies");
             assert_eq!(
                 *gp.params(),
-                TuningTable::committed()
-                    .params_for_modulus(512, "modeled-knc")
-                    .unwrap()
+                TuningTable::committed().params_for_modulus(512).unwrap()
             );
             assert_eq!(tuned.half_ladders(&cts), (m1.clone(), m2.clone()));
             assert_eq!(tuned.private_op_16(&cts), msgs);
@@ -498,10 +496,10 @@ mod tests {
         let static_point = KernelParams::static_defaults();
         let config = PhiConfig::builder().window(3).unwrap().build();
         let cases = [
-            (256, table.params_for_modulus(512, "modeled-knc")),
-            (512, table.params_for_modulus(1024, "modeled-knc")),
-            (1024, table.params_for_modulus(2048, "modeled-knc")),
-            (2048, table.params_for_modulus(4096, "modeled-knc")),
+            (256, table.params_for_modulus(512)),
+            (512, table.params_for_modulus(1024)),
+            (1024, table.params_for_modulus(2048)),
+            (2048, table.params_for_modulus(4096)),
             (2050, Some(static_point)),
             (27, None),
         ];
@@ -576,6 +574,45 @@ mod tests {
             crt_key, 2,
             "building the CrtKey is the cost from_parts avoids"
         );
+    }
+
+    /// One table row serves both backends: a native engine runs the
+    /// same point as the modeled one at 512- and 2048-bit keys.
+    #[test]
+    fn native_and_modeled_engines_run_one_table_row() {
+        if !phi_backend::CpuFeatures::detect().avx2 {
+            return; // no native backend on this host
+        }
+        let half = |b: u32, k: u64| &BigUint::power_of_two(b) - &BigUint::from(k);
+        let native_config = PhiConfig::builder()
+            .backend(phi_backend::Backend::NativeX86)
+            .unwrap()
+            .build();
+        for key_bits in [512u32, 2048] {
+            let (p, q) = (half(key_bits / 2, 39), half(key_bits / 2, 117));
+            let engine = |config: &PhiConfig| {
+                let (d, n) = (half(64, 59), &p * &q);
+                BatchCrtEngine::from_parts(
+                    n,
+                    d.clone(),
+                    d,
+                    BigUint::one(),
+                    p.clone(),
+                    q.clone(),
+                    config,
+                )
+                .unwrap()
+            };
+            let points = |e: &BatchCrtEngine| {
+                let (gp, gq) = e.generated.as_ref().expect("the table row applies");
+                (*gp.params(), *gq.params())
+            };
+            let (modeled, native) = (engine(&PhiConfig::default()), engine(&native_config));
+            assert_eq!(native.backend(), ResolvedBackend::NativeX86);
+            let row = TuningTable::committed().lookup(key_bits).unwrap().params;
+            assert_eq!(points(&modeled), (row, row), "{key_bits}-bit modeled");
+            assert_eq!(points(&native), points(&modeled), "{key_bits}-bit native");
+        }
     }
 
     #[test]

@@ -3,28 +3,26 @@
 //! family.
 //!
 //! Given a [`KernelParams`], [`GenMontCtx`] builds a Montgomery context in
-//! radix `2^r` and runs the 16-lane batched fixed-window ladder with
-//! either the classic separated full reduction or the truncated-separated
-//! reduction (Didier et al., arXiv 2410.18129), at a parameterized
-//! column-loop unroll factor. Every shared-modulus batch ladder and
-//! release check runs here: [`BatchCrtEngine`](crate::BatchCrtEngine)
-//! runs the committed table point for its key size (or
-//! [`KernelParams::static_defaults`] where no cell admits its halves),
-//! and [`GenMontCtx::pow_eq_16`] at the static point is the verified
-//! service's check, which [`BatchMont`](crate::BatchMont) reaches under
-//! `MontVariant::{Truncated, Auto}`. Only `BatchMont`'s classic CIOS
-//! kernel (the E8/E18 reference and the fallback for single-digit
-//! moduli) and the per-lane-modulus `MultiBatchMont` stay outside.
+//! radix `2^r` and runs the 16-lane batched fixed-window ladder with the
+//! truncated-separated reduction (Didier et al., arXiv 2410.18129), which
+//! lives only here. Every shared-modulus batch ladder and release check
+//! runs here: [`BatchCrtEngine`](crate::BatchCrtEngine) runs the committed
+//! table point for its key size (or [`KernelParams::static_defaults`]
+//! where no row admits its halves), and [`GenMontCtx::pow_eq_16`] at the
+//! static point is the verified service's check, which
+//! [`BatchMont`](crate::BatchMont) reaches under `MontVariant::Auto`. Only
+//! `BatchMont`'s classic CIOS kernel (the E8/E18 reference and the
+//! fallback for single-digit moduli) and the per-lane-modulus
+//! `MultiBatchMont` stay outside.
 //!
 //! Two modeling conventions:
 //!
-//! * **Loop control is charged.** Generated code is emitted as
-//!   parameterized loops, not straight-line code; every column loop
-//!   charges one scalar op per `unroll`-sized block
-//!   (`ceil(iters/unroll)` [`OpClass::SAlu`]). The unroll factor is
-//!   capped at 8 by register budget, so even the static point pays it: a
-//!   wider radix must *earn* its win over that overhead, which is exactly
-//!   the trade `phi-tune` searches.
+//! * **Loop control is charged.** Generated code is emitted as loops
+//!   unrolled by 8, not straight-line code; every column loop charges
+//!   one scalar op per unrolled block (`ceil(iters/8)`
+//!   [`OpClass::SAlu`]). The unroll is capped at 8 by register budget,
+//!   so even the static point pays it: a wider radix must *earn* its win
+//!   over that overhead, which is exactly the trade `phi-tune` searches.
 //! * **Batched domain entry/exit.** The ladder enters the Montgomery
 //!   domain through one 16-lane multiplication by a broadcast R² instead
 //!   of sixteen single-lane conversions, and exits the same way.
@@ -33,19 +31,27 @@
 //! batch kernel and the scalar oracle; the `batch-kernel` conformance
 //! family and the tests below prove it across adversarial moduli, and the
 //! column-sum bound justifying each radix is enforced by
-//! [`KernelParams::validate`] before a kernel ever runs.
+//! [`KernelParams::validate`] before a kernel ever runs. The context's
+//! full-width `N′` is lifted from a one-word inverse (Newton–Hensel), so
+//! building one costs no extended-Euclid inverse.
 
 #![allow(clippy::needless_range_loop)] // explicit column indices read as kernel semantics
 
-use crate::batch::MontVariant;
 use crate::params::{KernelParams, ParamError};
 use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};
+use phi_mont::ctx64::inv_mod_2_64;
 use phi_simd::count::{record, OpClass};
 use std::fmt;
 
 /// Operations per batch (one per 32-bit lane of a 512-bit register).
 use crate::batch::BATCH_WIDTH;
+
+/// Column-loop unroll factor. The cap is register budget: one unrolled
+/// block keeps the two u64x8 column accumulators plus one operand
+/// register per unrolled iteration live, and 8 is the largest power of
+/// two that fits the 32-register file alongside the modulus splats.
+const UNROLL: u64 = 8;
 
 /// A 16-lane column as two 8-lane u64 halves (lanes 0..8 and 8..16).
 type Pair<B> = (<B as VectorBackend>::V64, <B as VectorBackend>::V64);
@@ -137,13 +143,9 @@ impl GenMontCtx {
         let r = params.radix_bits;
         let k = n.bit_length().div_ceil(r) as usize;
         let r_bits = k as u32 * r;
-        let big_r = BigUint::power_of_two(r_bits);
-        let inv = n
-            .mod_inverse(&big_r)
-            .expect("odd modulus is invertible mod a power of two");
-        let nprime = &big_r - &inv;
+        let nprime = neg_inv_mod_pow2(n, r_bits);
         let rr = &BigUint::power_of_two(2 * r_bits) % n;
-        let one_mont = &big_r % n;
+        let one_mont = &BigUint::power_of_two(r_bits) % n;
         let mask = (1u64 << r) - 1;
         Ok(GenMontCtx {
             n_digits: decompose(n, r, k),
@@ -180,12 +182,9 @@ impl GenMontCtx {
     }
 
     /// Loop-control charge for one generated loop of `iters` iterations:
-    /// one scalar test-and-branch per `unroll`-sized block.
+    /// one scalar test-and-branch per [`UNROLL`]-sized block.
     fn ctl<B: VectorBackend>(&self, iters: usize) {
-        B::record(
-            OpClass::SAlu,
-            (iters as u64).div_ceil(self.params.unroll as u64),
-        );
+        B::record(OpClass::SAlu, (iters as u64).div_ceil(UNROLL));
     }
 
     /// Transpose sixteen residues (reduced mod `n` if needed) into the
@@ -378,8 +377,7 @@ impl GenMontCtx {
     }
 
     /// `m = (T_lo · N') mod R`: the low product triangle of the
-    /// normalized digits of `T` against the full-width `N'`, shared by
-    /// both reduction variants.
+    /// normalized digits of `T` against the full-width `N'`.
     fn m_digits<B: VectorBackend>(&self, t: &[Pair<B>], maskv: B::V64) -> Vec<Pair<B>> {
         let k = self.k;
         let np: Vec<B::V64> = self
@@ -404,17 +402,9 @@ impl GenMontCtx {
         m
     }
 
-    fn reduce<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
-        match self.params.variant {
-            MontVariant::Truncated => self.reduce_truncated::<B>(traw),
-            MontVariant::Classic => self.reduce_classic::<B>(traw),
-            MontVariant::Auto => unreachable!("validate() rejects Auto"),
-        }
-    }
-
     /// Truncated separated reduction of the raw product columns. Where
-    /// the classic form adds every column of `m·n`, including the low
-    /// ones the division by `R` discards, this one computes
+    /// a full separated reduction adds every column of `m·n`, including
+    /// the low ones the division by `R` discards, this one computes
     ///
     /// 1. `m = (T mod R)·N' mod R` from the low `k(k+1)/2` product
     ///    triangle,
@@ -428,10 +418,9 @@ impl GenMontCtx {
     ///    the exact low half `D = D̂ + E` is divisible by `R`, so
     ///    `D/R = floor(D̂/R) + [D̂ mod R ≠ 0]`.
     ///
-    /// `U = T_hi + S_hi + D/R = (T + m·n)/R < 2n`, and the shared
-    /// conditional subtraction makes it bit-identical to the classic
-    /// answer.
-    fn reduce_truncated<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
+    /// `U = T_hi + S_hi + D/R = (T + m·n)/R < 2n`, and the conditional
+    /// subtraction makes it bit-identical to the classic answer.
+    fn reduce<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
         let k = self.k;
         let kk = k + 1;
         let r = self.r;
@@ -502,53 +491,6 @@ impl GenMontCtx {
         self.cond_sub_pack::<B>(&ud)
     }
 
-    /// Classic *separated* reduction: the full product `S = m·n` (every
-    /// column, no truncation), then `U = (T + S) / R` — the division is
-    /// exact, so the low `k` columns of the normalized sum are zero and
-    /// `U` is simply the high digits. Costs ~`k²/2` more lane products
-    /// than the truncated form; the tuner keeps it in the space as the
-    /// honest baseline shape (and the search should discover it losing).
-    fn reduce_classic<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
-        let k = self.k;
-        let maskv = B::V64::splat(self.mask);
-
-        let (t, t_carry) = self.normalize::<B>(traw, 2 * k, maskv);
-        assert_zero_pair::<B>(&t_carry, "carry out of T normalization");
-
-        let m = self.m_digits::<B>(&t, maskv);
-
-        // Full comba scan of S = m·n, summed column-wise with the digits
-        // of T. Column sums stay below 2(k+1)·2^(2r) < 2^64 under the
-        // admissibility bound.
-        let ns: Vec<B::V64> = self.n_digits.iter().map(|&d| B::V64::splat(d)).collect();
-        let mut ucols = Vec::with_capacity(2 * k);
-        self.ctl::<B>(2 * k - 1);
-        for c in 0..(2 * k - 1) {
-            let mut lo = t[c].0;
-            let mut hi = t[c].1;
-            let first = (c + 1).saturating_sub(k);
-            let last = c.min(k - 1);
-            self.ctl::<B>(last + 1 - first);
-            for i in first..=last {
-                let j = c - i;
-                lo = lo.fma32(m[i].0, ns[j]);
-                hi = hi.fma32(m[i].1, ns[j]);
-            }
-            B::record(OpClass::VMem, 2);
-            ucols.push((lo, hi));
-        }
-        ucols.push(t[2 * k - 1]);
-
-        // T + m·n is divisible by R: normalize over 2k+1 digits, check
-        // the low k digits vanish, and keep the high k+1 as U < 2n.
-        let (full, f_carry) = self.normalize::<B>(&ucols, 2 * k + 1, maskv);
-        assert_zero_pair::<B>(&f_carry, "carry out of T+S normalization");
-        for low in &full[..k] {
-            assert_zero_pair::<B>(low, "low digits of the exact division");
-        }
-        self.cond_sub_pack::<B>(&full[k..])
-    }
-
     /// Exact raw column sum `s_c` of `m·n` for one boundary column.
     fn boundary_column<B: VectorBackend>(&self, m: &[Pair<B>], ns: &[B::V64], c: usize) -> Pair<B> {
         let mut lo = B::V64::zero();
@@ -563,7 +505,7 @@ impl GenMontCtx {
 
     /// Lane-parallel conditional subtraction of `n` from the `k+1`
     /// normalized digits `ud` (value `< 2n`), packed back into the
-    /// `k`-column batch layout. Shared epilogue of both reductions.
+    /// `k`-column batch layout.
     fn cond_sub_pack<B: VectorBackend>(&self, ud: &[Pair<B>]) -> GenBatch {
         let k = self.k;
         let kk = k + 1;
@@ -755,6 +697,25 @@ fn assert_zero_pair<B: VectorBackend>(p: &Pair<B>, what: &str) {
 #[cfg(not(debug_assertions))]
 fn assert_zero_pair<B: VectorBackend>(_p: &Pair<B>, _what: &str) {}
 
+/// `N' = −n⁻¹ mod 2^bits` for odd `n`, by Newton–Hensel lifting: the
+/// 64-bit inverse [`inv_mod_2_64`] lifted with `y ← y·(2 + n·y) mod 2^b`,
+/// which doubles the correct low bits each step (`n·y ≡ −1 + e·2^b`
+/// gives `n·y·(2 + n·y) ≡ −1 mod 2^2b`). Truncation is masking, not
+/// division, and `BigUint` arithmetic records no modeled ops.
+fn neg_inv_mod_pow2(n: &BigUint, bits: u32) -> BigUint {
+    let mut y = BigUint::from(inv_mod_2_64(n.limbs()[0]).wrapping_neg());
+    let mut b = 64;
+    while b < bits {
+        b = (2 * b).min(bits);
+        let mut ny = n * &y;
+        ny.mask_low_bits(b);
+        y = &y * &(&ny + 2u64);
+        y.mask_low_bits(b);
+    }
+    y.mask_low_bits(bits);
+    y
+}
+
 /// Slice a value into `len` radix-`2^r` digits (host-side entry pass,
 /// charged like [`crate::radix::VecNum::from_biguint`]).
 fn decompose(a: &BigUint, r: u32, len: usize) -> Vec<u64> {
@@ -793,23 +754,18 @@ fn recompose(digits: &[u64], r: u32) -> BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchMont;
+    use crate::batch::{BatchMont, MontVariant};
     use crate::vmont::VMontCtx;
     use phi_simd::count;
+    use proptest::prelude::*;
 
     fn n256() -> BigUint {
         BigUint::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff61")
             .unwrap()
     }
 
-    fn params(radix: u32, variant: MontVariant, unroll: u32, window: u32) -> KernelParams {
-        KernelParams {
-            radix_bits: radix,
-            window,
-            variant,
-            unroll,
-            occupancy: 16,
-        }
+    fn params(radix_bits: u32, window: u32) -> KernelParams {
+        KernelParams { radix_bits, window }
     }
 
     fn sixteen(n: &BigUint, seed: u64) -> Vec<BigUint> {
@@ -822,6 +778,79 @@ mod tests {
                 &(&BigUint::from(state) * &BigUint::from(state ^ 0xF00D)) % n
             })
             .collect()
+    }
+
+    /// An odd modulus of about `bits` bits in one of four shapes:
+    /// dense-top `2^bits − d`, sparse `2^(bits−1) + s`, `2^bits − s` for
+    /// tiny `s` (`2^bits − 1` included), and random with the top bit set.
+    fn shaped_modulus(bits: u32, shape: u8, seed: u64) -> BigUint {
+        let pow = BigUint::power_of_two;
+        match shape {
+            0 => &pow(bits) - &BigUint::from(2 * (seed % (1 << 19)) + 1),
+            1 => &pow(bits - 1) + &BigUint::from(2 * (seed % 128) + 1),
+            2 => &pow(bits) - &BigUint::from(2 * (seed % 8) + 1),
+            _ => {
+                let mut state = seed;
+                let limbs = (0..bits.div_ceil(64))
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        state ^ (state >> 29)
+                    })
+                    .collect();
+                let mut n = BigUint::from_limbs(limbs);
+                n.mask_low_bits(bits);
+                n.set_bit(bits - 1, true);
+                n.set_bit(0, true);
+                n
+            }
+        }
+    }
+
+    /// The lifted `N'` a context holds, against the extended-Euclid
+    /// `R − n⁻¹ mod R` it replaces.
+    fn assert_lifted_nprime(n: &BigUint) {
+        for radix in KernelParams::admissible_radices(n.bit_length()) {
+            let ctx = GenMontCtx::new(n, params(radix, 5), ResolvedBackend::ModeledKnc).unwrap();
+            let big_r = BigUint::power_of_two(ctx.digits() as u32 * radix);
+            let want = &big_r - &n.mod_inverse(&big_r).unwrap();
+            assert_eq!(
+                ctx.nprime_digits,
+                decompose(&want, radix, ctx.digits()),
+                "{}-bit n = {n:?}, radix {radix}",
+                n.bit_length()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn lifted_nprime_matches_mod_inverse(
+            bits in 256u32..=4096,
+            shape in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            assert_lifted_nprime(&shaped_modulus(bits, shape, seed));
+        }
+    }
+
+    /// The lift at each paper half size and below one 64-bit word (two
+    /// radix-2^26 digits, where only the final mask runs).
+    #[test]
+    fn lifted_nprime_at_fixed_sizes_and_below_one_word() {
+        for bits in [256u32, 512, 1024, 2048, 4096] {
+            for shape in 0..4 {
+                assert_lifted_nprime(&shaped_modulus(bits, shape, u64::from(bits)));
+            }
+        }
+        for bits in [28u32, 40, 52] {
+            for shape in 0..4 {
+                assert_lifted_nprime(&shaped_modulus(bits, shape, 7));
+            }
+        }
     }
 
     #[test]
@@ -842,17 +871,14 @@ mod tests {
         let bases = sixteen(&n, 7);
         let want: Vec<BigUint> = bases.iter().map(|b| b.mod_exp(&exp, &n)).collect();
         for radix in KernelParams::admissible_radices(n.bit_length()) {
-            for variant in [MontVariant::Classic, MontVariant::Truncated] {
-                for unroll in [1u32, 8] {
-                    let p = params(radix, variant, unroll, 5);
-                    let ctx =
-                        GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
-                    assert_eq!(
-                        ctx.mod_exp_16(&bases, &exp),
-                        want,
-                        "radix {radix}, {variant:?}, unroll {unroll}"
-                    );
-                }
+            for window in [1u32, 5, 7] {
+                let ctx = GenMontCtx::new(&n, params(radix, window), ResolvedBackend::ModeledKnc)
+                    .unwrap();
+                assert_eq!(
+                    ctx.mod_exp_16(&bases, &exp),
+                    want,
+                    "radix {radix}, window {window}"
+                );
             }
         }
     }
@@ -872,8 +898,8 @@ mod tests {
             let exp = BigUint::from_hex("f00dface").unwrap();
             let want = classic.mod_exp_16(&a, &exp, 4);
             for radix in KernelParams::admissible_radices(n.bit_length()) {
-                let p = params(radix, MontVariant::Truncated, 4, 4);
-                let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
+                let ctx =
+                    GenMontCtx::new(&n, params(radix, 4), ResolvedBackend::ModeledKnc).unwrap();
                 assert_eq!(ctx.mod_exp_16(&a, &exp), want, "radix {radix}");
                 // Kernel-level cross-check through the batched entry.
                 let am = ctx.enter_mont_16(&a);
@@ -908,23 +934,15 @@ mod tests {
             .collect();
         let want: Vec<BigUint> = vals.iter().map(|b| b.mod_exp(&exp, &n)).collect();
         for radix in [27, 29] {
-            for variant in [MontVariant::Classic, MontVariant::Truncated] {
-                let p = params(radix, variant, 2, 3);
-                let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
-                assert_eq!(
-                    ctx.mod_exp_16(&vals, &exp),
-                    want,
-                    "radix {radix}, {variant:?}"
-                );
-            }
+            let ctx = GenMontCtx::new(&n, params(radix, 3), ResolvedBackend::ModeledKnc).unwrap();
+            assert_eq!(ctx.mod_exp_16(&vals, &exp), want, "radix {radix}");
         }
     }
 
     #[test]
     fn edge_exponents_and_modulus_one() {
         let n = n256();
-        let p = params(28, MontVariant::Truncated, 4, 5);
-        let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
+        let ctx = GenMontCtx::new(&n, params(28, 5), ResolvedBackend::ModeledKnc).unwrap();
         let bases = sixteen(&n, 9);
         let zeros = ctx.mod_exp_16(&bases, &BigUint::zero());
         assert!(zeros.iter().all(|v| v.is_one()));
@@ -935,28 +953,17 @@ mod tests {
     #[test]
     fn rejects_inadmissible_points_and_bad_moduli() {
         let n = n256();
+        let modeled = ResolvedBackend::ModeledKnc;
         assert!(matches!(
-            GenMontCtx::new(
-                &n,
-                params(30, MontVariant::Truncated, 1, 5),
-                phi_backend::ResolvedBackend::ModeledKnc
-            ),
+            GenMontCtx::new(&n, params(30, 5), modeled),
             Err(GenMontError::Params(ParamError::RadixInadmissible { .. }))
         ));
         assert!(matches!(
-            GenMontCtx::new(
-                &BigUint::power_of_two(256),
-                params(27, MontVariant::Truncated, 1, 5),
-                phi_backend::ResolvedBackend::ModeledKnc
-            ),
+            GenMontCtx::new(&BigUint::power_of_two(256), params(27, 5), modeled),
             Err(GenMontError::Modulus(BigIntError::EvenModulus))
         ));
         assert!(matches!(
-            GenMontCtx::new(
-                &BigUint::from(101u64),
-                params(27, MontVariant::Truncated, 1, 5),
-                phi_backend::ResolvedBackend::ModeledKnc
-            ),
+            GenMontCtx::new(&BigUint::from(101u64), params(27, 5), modeled),
             Err(GenMontError::Params(ParamError::ModulusTooSmall(7)))
         ));
         assert!(GenMontError::Params(ParamError::Window(9))
@@ -969,40 +976,10 @@ mod tests {
         let n = n256();
         let exp = BigUint::from_hex("0123456789abcdef").unwrap();
         let bases = sixteen(&n, 21);
-        for p in [
-            KernelParams::static_defaults(),
-            params(29, MontVariant::Truncated, 8, 5),
-        ] {
-            let m = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
-            let nat = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::NativeX86).unwrap();
+        for p in [KernelParams::static_defaults(), params(29, 5)] {
+            let m = GenMontCtx::new(&n, p, ResolvedBackend::ModeledKnc).unwrap();
+            let nat = GenMontCtx::new(&n, p, ResolvedBackend::NativeX86).unwrap();
             assert_eq!(m.mod_exp_16(&bases, &exp), nat.mod_exp_16(&bases, &exp));
-        }
-    }
-
-    #[test]
-    fn unroll_reduces_loop_control_cost_monotonically() {
-        let n = n256();
-        let exp = BigUint::from_hex("ffffffffffffffff").unwrap();
-        let bases = sixteen(&n, 3);
-        let model = phi_simd::CostModel::knc();
-        let mut prev = f64::INFINITY;
-        let mut results = None;
-        for unroll in crate::params::UNROLL_FACTORS {
-            let p = params(29, MontVariant::Truncated, unroll, 5);
-            let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
-            count::reset();
-            let (got, d) = count::measure(|| ctx.mod_exp_16(&bases, &exp));
-            let cycles = model.issue_cycles(&d);
-            assert!(
-                cycles < prev,
-                "unroll {unroll} must cost less than the previous factor"
-            );
-            prev = cycles;
-            if let Some(ref want) = results {
-                assert_eq!(&got, want, "unroll changes cost, never bits");
-            } else {
-                results = Some(got);
-            }
         }
     }
 
@@ -1011,14 +988,13 @@ mod tests {
         // The headline claim the tuner banks on: at a 256-bit modulus
         // (the 512-bit key's CRT half), radix 2^29 needs 9 digits where
         // 2^27 needs 10, so the radix-29 ladder beats the static point
-        // (which `BatchMont`'s truncated variant runs) at equal unroll.
+        // (which `BatchMont` runs under `Auto`).
         let n = n256();
         let exp = BigUint::from_hex("ffffffffffffffffffffffffffffffff").unwrap();
         let bases = sixteen(&n, 13);
         let vctx = VMontCtx::new(&n).unwrap();
-        let static_ladder = BatchMont::with_variant(&vctx, MontVariant::Truncated);
-        let p = params(29, MontVariant::Truncated, 8, 5);
-        let gctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
+        let static_ladder = BatchMont::with_variant(&vctx, MontVariant::Auto);
+        let gctx = GenMontCtx::new(&n, params(29, 5), ResolvedBackend::ModeledKnc).unwrap();
         count::reset();
         let (ws, ds) = count::measure(|| static_ladder.mod_exp_16(&bases, &exp, 5));
         let (wg, dg) = count::measure(|| gctx.mod_exp_16(&bases, &exp));
@@ -1034,8 +1010,7 @@ mod tests {
     #[test]
     fn counts_are_deterministic() {
         let n = n256();
-        let p = params(28, MontVariant::Truncated, 2, 4);
-        let ctx = GenMontCtx::new(&n, p, phi_backend::ResolvedBackend::ModeledKnc).unwrap();
+        let ctx = GenMontCtx::new(&n, params(28, 4), ResolvedBackend::ModeledKnc).unwrap();
         let bases = sixteen(&n, 5);
         let exp = BigUint::from_hex("abcdef").unwrap();
         count::reset();

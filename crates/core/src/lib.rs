@@ -24,9 +24,8 @@
 //!   [`MontVariant`] routes its ladders and checks to the generated
 //!   truncated kernel instead.
 //! * [`crt`] — CRT decomposition/recombination for private-key operations.
-//! * [`params`] — [`KernelParams`]: the kernel design space (radix,
-//!   window, reduction variant, unroll, occupancy) with overflow-derived
-//!   admissibility rules.
+//! * [`params`] — [`KernelParams`]: the kernel design space (radix and
+//!   window) with overflow-derived admissibility rules.
 //! * [`genmont`] — [`GenMontCtx`]: generated batch Montgomery kernels
 //!   executing any admissible parameter point, bit-identical to the
 //!   classic kernel across the whole space; the truncated-separated

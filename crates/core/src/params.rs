@@ -1,23 +1,15 @@
-//! Kernel parameterization: the tunable axes of the generated Montgomery
-//! variants (`phi-tune` searches this space, [`crate::genmont`] executes a
-//! point of it).
+//! Kernel parameterization: the two tunable axes of the generated
+//! Montgomery kernel (`phi-tune` searches this space, [`crate::genmont`]
+//! executes a point of it).
 //!
-//! The paper hard-codes its choices: radix 2^27, window 5, full 16-lane
-//! occupancy. [`KernelParams`] lifts each of those, plus the reduction
-//! variant and the column-loop unroll factor, into data so the autotuner
-//! can sweep them per key size and backend on the deterministic modeled
-//! channel. Every admissible parameter point is **bit-identical** to the
-//! classic kernel (the `batch-kernel` conformance family proves it
-//! continuously); the parameters only move modeled cycles.
+//! The paper hard-codes radix 2^27 and window 5. [`KernelParams`] lifts
+//! both into data so the autotuner can sweep them per key size on the
+//! deterministic modeled channel. Every admissible point is
+//! **bit-identical** to the classic kernel (the `batch-kernel`
+//! conformance family proves it continuously); the parameters only move
+//! modeled cycles.
 
-use crate::batch::MontVariant;
 use std::fmt;
-
-/// Unroll factors the generator can emit. The cap is register budget: one
-/// unrolled block keeps the two u64x8 column accumulators plus one operand
-/// register per unrolled iteration live, and 8 is the largest power of two
-/// that fits the 32-register file alongside the modulus splats.
-pub const UNROLL_FACTORS: [u32; 4] = [1, 2, 4, 8];
 
 /// Radix widths the generator considers (bits per reduced-radix digit).
 /// Below 26 the digit count only grows; above 30 no key size admits the
@@ -29,10 +21,6 @@ pub const RADIX_CANDIDATES: [u32; 5] = [26, 27, 28, 29, 30];
 pub enum ParamError {
     /// Window width outside the supported `1..=7` range.
     Window(u32),
-    /// Unroll factor not in [`UNROLL_FACTORS`].
-    Unroll(u32),
-    /// Occupancy outside `1..=16`.
-    Occupancy(u32),
     /// The radix violates the no-overflow column-sum bound for this
     /// modulus size (or is outside the generator's `2..=31` range).
     RadixInadmissible {
@@ -44,17 +32,12 @@ pub enum ParamError {
     /// Generated kernels need at least two digits (the truncation
     /// boundary column `s_{k-2}` must exist).
     ModulusTooSmall(u32),
-    /// `MontVariant::Auto` names a dispatch policy, not a concrete
-    /// kernel; a generated variant must be Classic or Truncated.
-    AutoVariant,
 }
 
 impl fmt::Display for ParamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParamError::Window(w) => write!(f, "window {w} outside supported range 1..=7"),
-            ParamError::Unroll(u) => write!(f, "unroll factor {u} not one of {UNROLL_FACTORS:?}"),
-            ParamError::Occupancy(o) => write!(f, "occupancy {o} outside 1..=16"),
             ParamError::RadixInadmissible {
                 radix_bits,
                 mod_bits,
@@ -67,9 +50,6 @@ impl fmt::Display for ParamError {
                 f,
                 "modulus of {bits} bits too small for a generated kernel (needs k >= 2 digits)"
             ),
-            ParamError::AutoVariant => {
-                write!(f, "generated kernels need a concrete variant, not Auto")
-            }
         }
     }
 }
@@ -77,11 +57,6 @@ impl fmt::Display for ParamError {
 impl std::error::Error for ParamError {}
 
 /// One point of the kernel parameter space.
-///
-/// `occupancy` does not change the emitted kernel (the 16-lane ladder
-/// always runs all lanes); it is the *workload* axis the tuner sweeps to
-/// pick the cost-per-op-optimal batch fill, and the conformance family
-/// sweeps to prove masking correctness at every fill level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelParams {
     /// Bits per reduced-radix digit (the paper's, and the other
@@ -89,44 +64,30 @@ pub struct KernelParams {
     pub radix_bits: u32,
     /// Fixed-window width for the exponentiation ladder.
     pub window: u32,
-    /// Which reduction the generated kernel performs: `Classic` is the
-    /// separated full-product reduction, `Truncated` elides the low
-    /// `m·n` columns and recovers them with the exact correction.
-    pub variant: MontVariant,
-    /// Column-loop unroll factor; loop control is charged as one scalar
-    /// op per unrolled block.
-    pub unroll: u32,
-    /// Live lanes per 16-lane batch pass (workload axis, see above).
-    pub occupancy: u32,
 }
 
 impl KernelParams {
-    /// The static point, the paper's choices: radix 2^27, window 5,
-    /// truncated reduction, unroll 8 (the register-budget cap), fully
-    /// occupied batches. The batch engines fall back to it where no
-    /// tuning-table cell admits their CRT halves (keys over 4096 bits),
-    /// the verified service's release check runs it, and `phi-tune`
-    /// prices every cell against it.
+    /// The static point, the paper's choices: radix 2^27, window 5. The
+    /// batch engines fall back to it where no tuning-table row admits
+    /// their CRT halves (keys over 4096 bits), the verified service's
+    /// release check runs it, and `phi-tune` prices every row against it.
     pub fn static_defaults() -> Self {
         KernelParams {
             radix_bits: crate::radix::DIGIT_BITS,
             window: crate::vexp::DEFAULT_WINDOW,
-            variant: MontVariant::Truncated,
-            unroll: 8,
-            occupancy: 16,
         }
     }
 
     /// Whether a radix of `radix_bits` can run a `mod_bits`-bit modulus
     /// without overflowing the 64-bit lane accumulators.
     ///
-    /// The binding bound is the classic separated reduction, whose raw
-    /// `T + m·n` columns sum at most `2k` products of `(2^r - 1)^2` plus
-    /// a normalization carry: admissible iff `(k + 2) · 2^(2r) < 2^63`
-    /// with `k = ceil(mod_bits / r)`. (The truncated variant's columns
-    /// are strictly smaller; the squaring's doubled digits additionally
-    /// need `r + 1 <= 32` for the 32-bit FMA operand domain, satisfied
-    /// by the `r <= 31` range cap.)
+    /// The bound is the one a full separated reduction would need, whose
+    /// raw `T + m·n` columns sum at most `2k` products of `(2^r - 1)^2`
+    /// plus a normalization carry: admissible iff `(k + 2) · 2^(2r) <
+    /// 2^63` with `k = ceil(mod_bits / r)`. (The truncated reduction's
+    /// columns are strictly smaller; the squaring's doubled digits
+    /// additionally need `r + 1 <= 32` for the 32-bit FMA operand domain,
+    /// satisfied by the `r <= 31` range cap.)
     pub fn radix_admissible(radix_bits: u32, mod_bits: u32) -> bool {
         if !(2..=31).contains(&radix_bits) {
             return false;
@@ -140,15 +101,6 @@ impl KernelParams {
     pub fn validate(&self, mod_bits: u32) -> Result<(), ParamError> {
         if self.window == 0 || self.window > 7 {
             return Err(ParamError::Window(self.window));
-        }
-        if !UNROLL_FACTORS.contains(&self.unroll) {
-            return Err(ParamError::Unroll(self.unroll));
-        }
-        if self.occupancy == 0 || self.occupancy > 16 {
-            return Err(ParamError::Occupancy(self.occupancy));
-        }
-        if self.variant == MontVariant::Auto {
-            return Err(ParamError::AutoVariant);
         }
         if !Self::radix_admissible(self.radix_bits, mod_bits) {
             return Err(ParamError::RadixInadmissible {
@@ -221,30 +173,6 @@ mod tests {
             Err(ParamError::Window(8))
         );
         assert_eq!(
-            KernelParams { unroll: 3, ..ok }.validate(256),
-            Err(ParamError::Unroll(3))
-        );
-        assert_eq!(
-            KernelParams { occupancy: 0, ..ok }.validate(256),
-            Err(ParamError::Occupancy(0))
-        );
-        assert_eq!(
-            KernelParams {
-                occupancy: 17,
-                ..ok
-            }
-            .validate(256),
-            Err(ParamError::Occupancy(17))
-        );
-        assert_eq!(
-            KernelParams {
-                variant: MontVariant::Auto,
-                ..ok
-            }
-            .validate(256),
-            Err(ParamError::AutoVariant)
-        );
-        assert_eq!(
             KernelParams {
                 radix_bits: 30,
                 ..ok
@@ -261,6 +189,6 @@ mod tests {
             "single-digit moduli have no boundary column"
         );
         // Error messages carry the rejected value.
-        assert!(ParamError::Unroll(3).to_string().contains('3'));
+        assert!(ParamError::Window(9).to_string().contains('9'));
     }
 }

@@ -1,27 +1,27 @@
 //! The committed tuning table.
 //!
 //! `phi-tune --emit` searches the [`crate::params::KernelParams`] space
-//! per key size and backend on the deterministic modeled channel and
-//! writes `bench/tuning.json`; this module embeds that table at compile
-//! time and answers "which kernel should a modulus of this size run?".
-//! Because the search channel is noise-free, the committed table is a
-//! reproducible fact about the cost model, not a machine-local
-//! measurement — `phi-tune --check` re-derives it in CI and fails on
-//! staleness.
+//! (radix × window) per key size on the deterministic modeled channel
+//! and writes `bench/tuning.json`, one row per key size; this module
+//! embeds that table at compile time and answers "which point should a
+//! modulus of this size run?". Because the search channel is noise-free,
+//! the committed table is a reproducible fact about the cost model, not
+//! a machine-local measurement — `phi-tune --check` re-derives it in CI
+//! and fails on staleness.
 //!
-//! Every [`BatchCrtEngine`](crate::BatchCrtEngine) runs the committed
-//! point for its key size, and the static point
-//! ([`KernelParams::static_defaults`]) where a cell's winner is static or
-//! no cell admits its CRT halves.
+//! Every [`BatchCrtEngine`](crate::BatchCrtEngine) runs its key size's
+//! row on every backend, and the static point
+//! ([`KernelParams::static_defaults`]) where no row admits its CRT
+//! halves. A row always names the point to run: where the static point
+//! wins the search, the row records it.
 
-use crate::batch::MontVariant;
 use crate::params::KernelParams;
 use phi_trace::json::Value;
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Schema tag the embedded table must carry.
-pub const TUNING_SCHEMA: &str = "phi-tuning/v1";
+pub const TUNING_SCHEMA: &str = "phi-tuning/v2";
 
 /// The committed table, embedded at compile time.
 const COMMITTED_TABLE: &str = include_str!("../../../bench/tuning.json");
@@ -52,54 +52,29 @@ impl fmt::Display for TuningError {
 
 impl std::error::Error for TuningError {}
 
-/// Which kernel won the search for one (key size, backend) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Winner {
-    /// The searched [`KernelParams`] point beat the static point.
-    Generated,
-    /// The static point won; `params` records the searched best point
-    /// for the staleness check, but dispatch stays on the static point.
-    Static,
-}
-
-/// One searched cell of the tuning table.
+/// One searched row of the tuning table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedEntry {
-    /// RSA key size this cell was searched for (the modulus size; the
+    /// RSA key size this row was searched for (the modulus size; the
     /// CRT engine runs its kernels on the `key_bits / 2` halves).
     pub key_bits: u32,
-    /// Backend name (`modeled-knc` / `native-x86`).
-    pub backend: String,
-    /// Which kernel dispatches for this cell.
-    pub winner: Winner,
-    /// The best generated parameter point found by the search.
+    /// The parameter point the batch engine runs for this key size.
     pub params: KernelParams,
     /// Modeled cycles of one full-occupancy batch ladder pass at the
     /// static point (per CRT half).
     pub cycles_static: f64,
-    /// Modeled cycles of the same pass on the winning generated point.
+    /// Modeled cycles of the same pass at `params`.
     pub cycles_tuned: f64,
-}
-
-impl TunedEntry {
-    /// The generated parameter point to run, or `None` when the static
-    /// point won this cell.
-    pub fn generated_params(&self) -> Option<KernelParams> {
-        match self.winner {
-            Winner::Generated => Some(self.params),
-            Winner::Static => None,
-        }
-    }
 }
 
 /// A parsed tuning table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuningTable {
-    /// Schema tag (`phi-tuning/v1`).
+    /// Schema tag ([`TUNING_SCHEMA`]).
     pub schema: String,
     /// Search seed recorded for reproducibility.
     pub seed: u64,
-    /// One entry per searched (key size, backend) cell.
+    /// One entry per searched key size.
     pub entries: Vec<TunedEntry>,
 }
 
@@ -116,7 +91,8 @@ impl TuningTable {
         })
     }
 
-    /// Parse a table document, validating schema and every entry.
+    /// Parse a table document, validating the schema, every entry, and
+    /// that no key size has two rows.
     pub fn parse(text: &str) -> Result<TuningTable, TuningError> {
         let doc = Value::parse(text).map_err(|e| TuningError::Json(format!("{e:?}")))?;
         let schema = doc
@@ -131,11 +107,17 @@ impl TuningTable {
             .get("entries")
             .and_then(Value::as_array)
             .ok_or_else(|| TuningError::Entry("missing entries array".into()))?;
-        let mut entries = Vec::with_capacity(raw_entries.len());
+        let mut entries: Vec<TunedEntry> = Vec::with_capacity(raw_entries.len());
         for (i, e) in raw_entries.iter().enumerate() {
-            entries.push(
-                parse_entry(e).map_err(|msg| TuningError::Entry(format!("entry {i}: {msg}")))?,
-            );
+            let entry =
+                parse_entry(e).map_err(|msg| TuningError::Entry(format!("entry {i}: {msg}")))?;
+            if entries.iter().any(|seen| seen.key_bits == entry.key_bits) {
+                return Err(TuningError::Entry(format!(
+                    "entry {i}: a second row for {}-bit keys",
+                    entry.key_bits
+                )));
+            }
+            entries.push(entry);
         }
         Ok(TuningTable {
             schema: schema.into(),
@@ -152,28 +134,11 @@ impl TuningTable {
             .map(|e| {
                 Value::Object(vec![
                     ("key_bits".into(), Value::Num(e.key_bits as f64)),
-                    ("backend".into(), Value::Str(e.backend.clone())),
-                    (
-                        "winner".into(),
-                        Value::Str(
-                            match e.winner {
-                                Winner::Generated => "generated",
-                                Winner::Static => "static",
-                            }
-                            .into(),
-                        ),
-                    ),
                     (
                         "params".into(),
                         Value::Object(vec![
                             ("radix_bits".into(), Value::Num(e.params.radix_bits as f64)),
                             ("window".into(), Value::Num(e.params.window as f64)),
-                            (
-                                "variant".into(),
-                                Value::Str(variant_name(e.params.variant).into()),
-                            ),
-                            ("unroll".into(), Value::Num(e.params.unroll as f64)),
-                            ("occupancy".into(), Value::Num(e.params.occupancy as f64)),
                         ]),
                     ),
                     ("cycles_static".into(), Value::Num(e.cycles_static)),
@@ -190,48 +155,38 @@ impl TuningTable {
         .to_string_pretty()
     }
 
-    /// The entry for an exact (key size, backend) cell.
-    pub fn lookup(&self, key_bits: u32, backend: &str) -> Option<&TunedEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.key_bits == key_bits && e.backend == backend)
+    /// The row for an exact key size.
+    pub fn lookup(&self, key_bits: u32) -> Option<&TunedEntry> {
+        self.entries.iter().find(|e| e.key_bits == key_bits)
     }
 
-    /// The entry governing a modulus of `mod_bits` bits on `backend`:
-    /// the smallest searched key size that accommodates it (an RSA
-    /// modulus of a `k`-bit key has `k` or `k - 1` significant bits, so
-    /// exact matching alone would miss half of real keys).
-    pub fn entry_for_modulus(&self, mod_bits: u32, backend: &str) -> Option<&TunedEntry> {
+    /// The row governing a modulus of `mod_bits` bits: the smallest
+    /// searched key size that accommodates it (an RSA modulus of a
+    /// `k`-bit key has `k` or `k - 1` significant bits, so exact matching
+    /// alone would miss half of real keys).
+    pub fn entry_for_modulus(&self, mod_bits: u32) -> Option<&TunedEntry> {
         self.entries
             .iter()
-            .filter(|e| e.backend == backend && e.key_bits >= mod_bits)
+            .filter(|e| e.key_bits >= mod_bits)
             .min_by_key(|e| e.key_bits)
     }
 
-    /// The generated parameter point a modulus's CRT halves run,
-    /// already re-validated against the *actual* modulus size — `None`
-    /// means "run the static point".
-    pub fn params_for_modulus(&self, mod_bits: u32, backend: &str) -> Option<KernelParams> {
-        let entry = self.entry_for_modulus(mod_bits, backend);
+    /// The parameter point a modulus's CRT halves run, already
+    /// re-validated against the *actual* modulus size — `None` means "no
+    /// row admits these halves; run the static point".
+    pub fn params_for_modulus(&self, mod_bits: u32) -> Option<KernelParams> {
+        let entry = self.entry_for_modulus(mod_bits);
         debug_assert!(
             entry.is_some() || mod_bits > 4096,
-            "the table expects a committed entry for {mod_bits}-bit moduli on {backend}"
+            "the table expects a committed row for {mod_bits}-bit moduli"
         );
-        let params = entry?.generated_params()?;
-        // The cell is keyed by the nominal RSA key size but its kernel
+        let params = entry?.params;
+        // The row is keyed by the nominal RSA key size but its kernel
         // runs on the CRT halves (the search validated at `key_bits/2`),
         // so the point is re-validated at the concrete half width here —
         // and once more against each actual half when the kernel is
         // built, which catches oddly split keys.
         params.validate(mod_bits.div_ceil(2)).ok().map(|()| params)
-    }
-}
-
-fn variant_name(v: MontVariant) -> &'static str {
-    match v {
-        MontVariant::Classic => "classic",
-        MontVariant::Truncated => "truncated",
-        MontVariant::Auto => "auto",
     }
 }
 
@@ -243,28 +198,10 @@ fn parse_entry(e: &Value) -> Result<TunedEntry, String> {
             .ok_or_else(|| format!("missing or invalid {key}"))
     };
     let key_bits = field_u32(e, "key_bits")?;
-    let backend = e
-        .get("backend")
-        .and_then(Value::as_str)
-        .ok_or("missing backend")?
-        .to_string();
-    let winner = match e.get("winner").and_then(Value::as_str) {
-        Some("generated") => Winner::Generated,
-        Some("static") => Winner::Static,
-        other => return Err(format!("invalid winner {other:?}")),
-    };
     let p = e.get("params").ok_or("missing params")?;
-    let variant = match p.get("variant").and_then(Value::as_str) {
-        Some("classic") => MontVariant::Classic,
-        Some("truncated") => MontVariant::Truncated,
-        other => return Err(format!("invalid variant {other:?}")),
-    };
     let params = KernelParams {
         radix_bits: field_u32(p, "radix_bits")?,
         window: field_u32(p, "window")?,
-        variant,
-        unroll: field_u32(p, "unroll")?,
-        occupancy: field_u32(p, "occupancy")?,
     };
     let cycles_static = e
         .get("cycles_static")
@@ -274,17 +211,13 @@ fn parse_entry(e: &Value) -> Result<TunedEntry, String> {
         .get("cycles_tuned")
         .and_then(Value::as_f64)
         .ok_or("missing cycles_tuned")?;
-    if winner == Winner::Generated {
-        // A generated winner must be runnable at its nominal size (the
-        // CRT engine runs the half size, which is strictly easier).
-        params
-            .validate(key_bits / 2)
-            .map_err(|err| format!("generated winner invalid at {key_bits}/2 bits: {err}"))?;
-    }
+    // A row must be runnable at its nominal half size (the CRT engine
+    // runs exactly that, or one bit less).
+    params
+        .validate(key_bits / 2)
+        .map_err(|err| format!("point invalid at {key_bits}/2 bits: {err}"))?;
     Ok(TunedEntry {
         key_bits,
-        backend,
-        winner,
         params,
         cycles_static,
         cycles_tuned,
@@ -299,13 +232,12 @@ mod tests {
     fn committed_table_parses_and_is_total() {
         let t = TuningTable::committed();
         assert_eq!(t.schema, TUNING_SCHEMA);
+        assert_eq!(t.entries.len(), 4, "one row per key size");
         for key_bits in [512u32, 1024, 2048, 4096] {
-            for backend in ["modeled-knc", "native-x86"] {
-                let e = t
-                    .lookup(key_bits, backend)
-                    .unwrap_or_else(|| panic!("missing entry {key_bits}/{backend}"));
-                e.params.validate(key_bits / 2).unwrap();
-            }
+            let e = t
+                .lookup(key_bits)
+                .unwrap_or_else(|| panic!("missing row {key_bits}"));
+            e.params.validate(key_bits / 2).unwrap();
         }
     }
 
@@ -320,12 +252,12 @@ mod tests {
     fn modulus_lookup_rounds_up_to_the_nominal_key_size() {
         let t = TuningTable::committed();
         // A 2047-bit modulus (2048-bit key with a short top limb) maps
-        // to the 2048 cell.
-        let e = t.entry_for_modulus(2047, "modeled-knc").unwrap();
+        // to the 2048 row.
+        let e = t.entry_for_modulus(2047).unwrap();
         assert_eq!(e.key_bits, 2048);
-        // Beyond the largest searched size there is no entry.
-        assert!(t.entry_for_modulus(5000, "modeled-knc").is_none());
-        assert_eq!(t.params_for_modulus(5000, "modeled-knc"), None);
+        // Beyond the largest searched size there is no row.
+        assert!(t.entry_for_modulus(5000).is_none());
+        assert_eq!(t.params_for_modulus(5000), None);
     }
 
     #[test]
@@ -333,16 +265,16 @@ mod tests {
         let t = TuningTable::committed();
         // Every supported key size must hand out params admissible at
         // the CRT half its kernels actually run on — in particular the
-        // 1024 cell's radix-29 point is inadmissible at 1024 bits but
+        // 1024 row's radix-29 point is inadmissible at 1024 bits but
         // valid at its 512-bit halves.
         for bits in [512u32, 1024, 2048, 4096] {
             let p = t
-                .params_for_modulus(bits, "modeled-knc")
-                .expect("committed winners apply at their own key size");
+                .params_for_modulus(bits)
+                .expect("committed rows apply at their own key size");
             p.validate(bits / 2).unwrap();
         }
         // A key_bits - 1-bit modulus (short top limb) still resolves.
-        assert!(t.params_for_modulus(1023, "modeled-knc").is_some());
+        assert!(t.params_for_modulus(1023).is_some());
     }
 
     #[test]
@@ -355,18 +287,46 @@ mod tests {
             TuningTable::parse(r#"{"schema": "phi-tuning/v0", "entries": []}"#),
             Err(TuningError::Schema(_))
         ));
-        let bad_entry = r#"{"schema": "phi-tuning/v1", "entries": [{"key_bits": 512}]}"#;
+        let bad_entry = r#"{"schema": "phi-tuning/v2", "entries": [{"key_bits": 512}]}"#;
         assert!(matches!(
             TuningTable::parse(bad_entry),
             Err(TuningError::Entry(_))
         ));
-        // A generated winner with an inadmissible radix is rejected.
-        let bad_params = r#"{"schema": "phi-tuning/v1", "entries": [{
-            "key_bits": 4096, "backend": "modeled-knc", "winner": "generated",
-            "params": {"radix_bits": 30, "window": 5, "variant": "truncated",
-                       "unroll": 8, "occupancy": 16},
+        // A row with an inadmissible radix is rejected.
+        let bad_params = r#"{"schema": "phi-tuning/v2", "entries": [{
+            "key_bits": 4096, "params": {"radix_bits": 30, "window": 5},
             "cycles_static": 1.0, "cycles_tuned": 1.0}]}"#;
         let err = TuningTable::parse(bad_params).unwrap_err();
         assert!(err.to_string().contains("inadmissible"));
+    }
+
+    /// The previous schema's two-column, five-axis document no longer
+    /// parses: its per-backend rows and `winner`, `variant`, `unroll`
+    /// and `occupancy` fields are gone with the axes they recorded.
+    #[test]
+    fn rejects_a_v1_document() {
+        let v1 = r#"{"schema": "phi-tuning/v1", "seed": 42, "entries": [{
+            "key_bits": 512, "backend": "modeled-knc", "winner": "generated",
+            "params": {"radix_bits": 29, "window": 4, "variant": "truncated",
+                       "unroll": 8, "occupancy": 16},
+            "cycles_static": 390271, "cycles_tuned": 334119}]}"#;
+        assert_eq!(
+            TuningTable::parse(v1),
+            Err(TuningError::Schema("phi-tuning/v1".into()))
+        );
+    }
+
+    /// One row per key size: a second row for a size (what a v1
+    /// backend column would be) is a malformed table.
+    #[test]
+    fn rejects_two_rows_for_one_key_size() {
+        let row = r#"{"key_bits": 512, "params": {"radix_bits": 29, "window": 4},
+            "cycles_static": 390271, "cycles_tuned": 334119}"#;
+        let doc = format!(r#"{{"schema": "phi-tuning/v2", "entries": [{row}, {row}]}}"#);
+        let err = TuningTable::parse(&doc).unwrap_err();
+        assert!(
+            matches!(&err, TuningError::Entry(msg) if msg.contains("second row for 512-bit")),
+            "{err}"
+        );
     }
 }

@@ -97,76 +97,6 @@ pub(crate) fn exp_fixed_window_generic<B: VectorBackend>(
     acc
 }
 
-/// Sliding-window exponentiation over the vector kernel — implemented for
-/// the fixed-vs-sliding ablation. Sliding does marginally fewer
-/// multiplications (zero runs are free) but its schedule depends on the
-/// exponent bits: unsuitable for the constant-sequence hardening and for
-/// the batched engine, which is why the paper fixes the window.
-pub fn exp_sliding_window_vec(
-    ctx: &VMontCtx,
-    base_m: &VecNum,
-    exp: &BigUint,
-    window: u32,
-) -> VecNum {
-    with_backend!(ctx.backend(), B => exp_sliding_window_generic::<B>(ctx, base_m, exp, window))
-}
-
-pub(crate) fn exp_sliding_window_generic<B: VectorBackend>(
-    ctx: &VMontCtx,
-    base_m: &VecNum,
-    exp: &BigUint,
-    window: u32,
-) -> VecNum {
-    let _span = phi_trace::span(phi_trace::Scope::VExpWindow);
-    assert!((1..=7).contains(&window), "window width out of range");
-    let bits = exp.bit_length();
-    debug_assert!(bits > 0);
-
-    // Odd powers: table[i] = base^(2i+1).
-    let table_len = 1usize << (window - 1);
-    let mut table = Vec::with_capacity(table_len);
-    table.push(base_m.clone());
-    if table_len > 1 {
-        let b2 = ctx.mont_mul_generic::<B>(base_m, base_m);
-        for i in 1..table_len {
-            let prev: &VecNum = &table[i - 1];
-            table.push(ctx.mont_mul_generic::<B>(prev, &b2));
-        }
-    }
-
-    let mut acc: Option<VecNum> = None;
-    let mut i = bits as i64 - 1;
-    while i >= 0 {
-        if !exp.bit(i as u32) {
-            if let Some(a) = acc.take() {
-                acc = Some(ctx.mont_mul_generic::<B>(&a, &a));
-            }
-            i -= 1;
-            continue;
-        }
-        let mut l = (i - window as i64 + 1).max(0);
-        while !exp.bit(l as u32) {
-            l += 1;
-        }
-        let width = (i - l + 1) as u32;
-        let val = exp.extract_bits(l as u32, width);
-        B::record(OpClass::SAlu, 4);
-        debug_assert!(val & 1 == 1);
-        let entry = fetch_entry::<B>(&table, ((val - 1) / 2) as usize, TableLookup::Direct);
-        acc = Some(match acc.take() {
-            None => entry,
-            Some(mut a) => {
-                for _ in 0..width {
-                    a = ctx.mont_mul_generic::<B>(&a, &a);
-                }
-                ctx.mont_mul_generic::<B>(&a, &entry)
-            }
-        });
-        i = l - 1;
-    }
-    acc.expect("nonzero exponent")
-}
-
 /// Read `table[val]` with the chosen lookup policy.
 fn fetch_entry<B: VectorBackend>(table: &[VecNum], val: usize, lookup: TableLookup) -> VecNum {
     match lookup {
@@ -310,50 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_matches_oracle() {
-        let ctx = ctx256();
-        let n = {
-            use phi_mont::MontEngine as _;
-            ctx.modulus().clone()
-        };
-        let base = BigUint::from_hex("123456789abcdef").unwrap();
-        for exp in [
-            BigUint::one(),
-            BigUint::from(2u64),
-            BigUint::from_hex("deadbeefcafebabe0123456789abcdef").unwrap(),
-            &BigUint::power_of_two(200) - &BigUint::one(),
-        ] {
-            for w in [1u32, 3, 5, 7] {
-                let bm = ctx.to_mont_vec(&base);
-                let got = ctx.from_mont_vec(&exp_sliding_window_vec(&ctx, &bm, &exp, w));
-                assert_eq!(got, base.mod_exp(&exp, &n), "w={w} exp={exp}");
-            }
-        }
-    }
-
-    #[test]
-    fn sliding_does_fewer_multiplies_than_fixed() {
-        // The flip side of the fixed window's data independence.
-        let ctx = ctx256();
-        let base_m = ctx.to_mont_vec(&BigUint::from(3u64));
-        // A sparse exponent exaggerates sliding's advantage.
-        let mut exp = BigUint::zero();
-        exp.set_bit(0, true);
-        exp.set_bit(100, true);
-        exp.set_bit(255, true);
-        count::reset();
-        let (_, sliding) = count::measure(|| exp_sliding_window_vec(&ctx, &base_m, &exp, 5));
-        let (_, fixed) =
-            count::measure(|| exp_fixed_window_vec(&ctx, &base_m, &exp, 5, TableLookup::Direct));
-        assert!(
-            sliding.get(OpClass::VMul) < fixed.get(OpClass::VMul),
-            "sliding {} !< fixed {}",
-            sliding.get(OpClass::VMul),
-            fixed.get(OpClass::VMul)
-        );
-    }
-
-    #[test]
     fn native_backend_exponentiation_matches_modeled() {
         let ctx = ctx256();
         let nctx = VMontCtx::with_backend(ctx.modulus(), ResolvedBackend::NativeX86).unwrap();
@@ -366,11 +252,6 @@ mod tests {
                 "{lookup:?}"
             );
         }
-        let bm = nctx.to_mont_vec(&base);
-        assert_eq!(
-            nctx.from_mont_vec(&exp_sliding_window_vec(&nctx, &bm, &exp, 5)),
-            base.mod_exp(&exp, ctx.modulus())
-        );
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn residue(n: &BigUint, seed: &BigUint) -> BigUint {
 }
 
 /// Odd moduli with every high limb saturated: `2^(64·limbs) − delta`
-/// (delta odd). The dense-top shape stresses the boundary columns of the
-/// truncated reduction's elided triangle harder than uniform limbs do.
+/// (delta odd). The dense-top shape drives the CIOS carries and the
+/// final conditional subtraction harder than uniform limbs do.
 fn dense_high_modulus() -> impl Strategy<Value = BigUint> {
     (2usize..9, 0u64..(1 << 20)).prop_map(|(limbs, delta)| {
         &(&BigUint::one() << (64 * limbs as u32)) - &BigUint::from(2 * delta + 1)
@@ -112,27 +112,7 @@ proptest! {
     }
 
     #[test]
-    fn truncated_matches_cios_across_limb_counts(
-        n in odd_modulus(),
-        a in proptest::collection::vec(any::<u64>(), 0..6),
-        b in proptest::collection::vec(any::<u64>(), 0..6),
-    ) {
-        let ctx = MontCtx64::new(&n).unwrap();
-        let a = residue(&n, &BigUint::from_limbs(a));
-        let b = residue(&n, &BigUint::from_limbs(b));
-        let (am, bm) = (ctx.to_mont(&a), ctx.to_mont(&b));
-        let want = ctx.mont_mul(&am, &bm);
-        prop_assert_eq!(ctx.mont_mul_truncated(&am, &bm), want.clone());
-        // The raw reduction of the double-width product agrees too.
-        prop_assert_eq!(ctx.mont_reduce_truncated(&am.mul_ref(&bm)), want);
-        prop_assert_eq!(
-            ctx.from_mont(&ctx.mont_mul_truncated(&am, &bm)),
-            a.mod_mul(&b, &n)
-        );
-    }
-
-    #[test]
-    fn truncated_handles_dense_high_limbs(
+    fn cios_handles_dense_high_limbs(
         n in dense_high_modulus(),
         a in proptest::collection::vec(any::<u64>(), 0..9),
         b in proptest::collection::vec(any::<u64>(), 0..9),
@@ -141,11 +121,7 @@ proptest! {
         let a = residue(&n, &BigUint::from_limbs(a));
         let b = residue(&n, &BigUint::from_limbs(b));
         let (am, bm) = (ctx.to_mont(&a), ctx.to_mont(&b));
-        prop_assert_eq!(ctx.mont_mul_truncated(&am, &bm), ctx.mont_mul(&am, &bm));
-        prop_assert_eq!(
-            ctx.mont_reduce_truncated(&am.mul_ref(&bm)),
-            ctx.mont_mul(&am, &bm)
-        );
+        prop_assert_eq!(ctx.from_mont(&ctx.mont_mul(&am, &bm)), a.mod_mul(&b, &n));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use phi_rsa::ops::{RsaBatchService, RsaOps};
 use phi_rt::service::ServiceConfig;
 use phi_rt::{FleetConfig, ResilienceConfig, RoutingPolicy};
 use phiopenssl::radix::VecNum;
-use phiopenssl::vexp::{exp_sliding_window_vec, mod_exp_vec};
+use phiopenssl::vexp::mod_exp_vec;
 use phiopenssl::vmul::{big_mul_vectorized, vec_mul, vec_mul_backend, vec_sqr, vec_sqr_backend};
 use phiopenssl::vsqr::mont_sqr_sos;
 use phiopenssl::{
@@ -294,8 +294,7 @@ fn check_vmont(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
 }
 
 /// The vectorized fixed-window ladder at every window width and both
-/// table-lookup policies, plus the sliding-window variant, vs the
-/// binary mod-exp oracle.
+/// table-lookup policies vs the binary mod-exp oracle.
 fn check_vexp(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     const NAME: &str = "vexp";
     let cases = (cfg.cases * 2) as u64;
@@ -352,27 +351,6 @@ fn check_vexp(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                     ])
                 ),
             });
-        }
-        if !exp.is_zero() && !base.is_zero() {
-            let bm = ctx.to_mont_vec(&base);
-            let sl = ctx.from_mont_vec(&exp_sliding_window_vec(&ctx, &bm, &exp, ct_window));
-            if sl != want {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "sliding window={ct_window}: {}",
-                        dump(&[
-                            ("n", &n),
-                            ("base", &base),
-                            ("exp", &exp),
-                            ("got", &sl),
-                            ("want", &want)
-                        ])
-                    ),
-                });
-            }
         }
     }
     cases
@@ -587,31 +565,23 @@ fn check_crt(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
 /// The truncated reduction elides low partial products and repairs the
 /// carry-out with an exact correction, so its admissibility claim is
 /// strict bit-identity. Each case stresses where that claim could crack,
-/// in two sweeps. On the profile's bit ladder: the classic kernel and
-/// the generated truncated kernel at the static point (the release
-/// check's) at every window width 1–7, with correction-boundary lanes 0,
-/// 1 and n−1 (the shapes that pin `D̂ mod R` to zero or the conditional
-/// subtract to its edge); the scalar truncated kernels of `phi_mont`
-/// against CIOS; and, when the host has AVX2, the native backend lane for
-/// lane. Then one committed tuning-table cell's point at its CRT-half
-/// size, regardless of the profile's bit ladder (the table governs real
-/// key sizes, so that is where it must be proven), at occupancy 1–16
-/// with dead lanes padded with 1 as `private_op_masked` pads, against the
-/// classic kernel and the generated classic-reduction twin at the same
-/// radix. Every third case pins both moduli to the dense-top corner
-/// `2^bits − d`, every high digit saturated: the boundary columns of the
-/// correction and the carry paths at any radix reach their maxima there.
+/// in two sweeps, every ladder checked against both the classic kernel
+/// and the scalar `mod_exp` oracle. On the profile's bit ladder: the
+/// generated kernel at the static point (the release check's) at every
+/// window width 1–7, with correction-boundary lanes 0, 1 and n−1 (the
+/// shapes that pin `D̂ mod R` to zero or the conditional subtract to its
+/// edge), and, when the host has AVX2, the native backend lane for lane.
+/// Then one committed tuning-table row's point at its CRT-half size,
+/// regardless of the profile's bit ladder (the table governs real key
+/// sizes, so that is where it must be proven), at occupancy 1–16 with
+/// dead lanes padded with 1 as `private_op_masked` pads. Every third case
+/// pins both moduli to the dense-top corner `2^bits − d`, every high
+/// digit saturated: the boundary columns of the correction and the carry
+/// paths at any radix reach their maxima there.
 fn check_batch_kernel(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     const NAME: &str = "batch-kernel";
-    use phiopenssl::{GenMontCtx, KernelParams, MontVariant, TunedEntry, TuningTable};
-    // One distinct cell per key size: the backend columns share the
-    // searched parameter point.
-    let mut entries: Vec<&TunedEntry> = Vec::new();
-    for e in &TuningTable::committed().entries {
-        if entries.iter().all(|seen| seen.key_bits != e.key_bits) {
-            entries.push(e);
-        }
-    }
+    use phiopenssl::{GenMontCtx, MontVariant, TuningTable};
+    let entries = &TuningTable::committed().entries;
     let cases = ((cfg.cases / 2).max(entries.len())) as u64;
     let inj = cfg.injected_case(NAME, cases);
     let mut g = cfg.gen_for(NAME);
@@ -672,7 +642,7 @@ fn check_batch_kernel(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let window = 1 + (case % 7) as u32;
         let classic = BatchMont::new(&ctx).mod_exp_16(&bases, &exp, window);
         let mut truncated =
-            BatchMont::with_variant(&ctx, MontVariant::Truncated).mod_exp_16(&bases, &exp, window);
+            BatchMont::with_variant(&ctx, MontVariant::Auto).mod_exp_16(&bases, &exp, window);
         if let Some(i) = inj.filter(|&i| i == case) {
             let lane = (i % 16) as usize;
             truncated[lane] = &truncated[lane] + &BigUint::one();
@@ -690,43 +660,12 @@ fn check_batch_kernel(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
             continue;
         }
 
-        // The scalar truncated kernel vs classic CIOS on the same ring,
-        // including the raw reduction of an un-multiplied product.
-        let m64 = MontCtx64::new(&n).expect("odd modulus");
-        let a = g.residue(&n);
-        let b = g.residue(&n);
-        let (am, bm) = (m64.to_mont(&a), m64.to_mont(&b));
-        let want = a.mod_mul(&b, &n);
-        let trunc_scalar = m64.from_mont(&m64.mont_mul_truncated(&am, &bm));
-        let cios_scalar = m64.from_mont(&m64.mont_mul(&am, &bm));
-        let raw = am.mul_ref(&bm);
-        if trunc_scalar != want
-            || cios_scalar != want
-            || m64.mont_reduce_truncated(&raw) != m64.mont_mul(&am, &bm)
-        {
-            out.push(diverge(
-                case,
-                format!(
-                    "scalar truncated split: {}",
-                    dump(&[
-                        ("n", &n),
-                        ("a", &a),
-                        ("b", &b),
-                        ("truncated", &trunc_scalar),
-                        ("cios", &cios_scalar),
-                        ("want", &want)
-                    ])
-                ),
-            ));
-            continue;
-        }
-
         // Native backend, lane for lane, when the host offers one.
         if native {
             let ctx_n =
                 VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
-            let got_n = BatchMont::with_variant(&ctx_n, MontVariant::Truncated)
-                .mod_exp_16(&bases, &exp, window);
+            let got_n =
+                BatchMont::with_variant(&ctx_n, MontVariant::Auto).mod_exp_16(&bases, &exp, window);
             if got_n != classic {
                 out.push(diverge(
                     case,
@@ -739,8 +678,8 @@ fn check_batch_kernel(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
             }
         }
 
-        // One committed cell's point at its half size.
-        let entry = entries[case as usize % entries.len()];
+        // One committed row's point at its half size.
+        let entry = &entries[case as usize % entries.len()];
         let bits = entry.key_bits / 2;
         let n = modulus(&mut g, case, bits);
         let params = entry.params;
@@ -775,32 +714,11 @@ fn check_batch_kernel(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let classic = BatchMont::new(&ctx).mod_exp_16(&bases, &exp, params.window);
         let got = gctx.mod_exp_16(&bases, &exp);
         let at = format!(
-            "entry {}b occ={occ} radix={} window={} unroll={}",
-            entry.key_bits, params.radix_bits, params.window, params.unroll
+            "entry {}b occ={occ} radix={} window={}",
+            entry.key_bits, params.radix_bits, params.window
         );
         let ladders = [("generated", &got[..]), ("classic", &classic[..])];
-        if lanes_diverge(out, case, at, &n, &bases, &exp, ladders) {
-            continue;
-        }
-        // The generated *classic* reduction at the same radix must agree
-        // with the generated truncated one (both variants of the
-        // generator share everything but the reduction).
-        let twin = KernelParams {
-            variant: MontVariant::Classic,
-            ..params
-        };
-        if let Ok(cl) = GenMontCtx::new(&n, twin, ResolvedBackend::ModeledKnc) {
-            if cl.mod_exp_16(&bases, &exp) != classic {
-                out.push(diverge(
-                    case,
-                    format!(
-                        "generated classic reduction diverges at radix {}: {}",
-                        params.radix_bits,
-                        dump(&[("n", &n), ("exp", &exp)])
-                    ),
-                ));
-            }
-        }
+        lanes_diverge(out, case, at, &n, &bases, &exp, ladders);
     }
     cases
 }

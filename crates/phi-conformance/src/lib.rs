@@ -9,7 +9,7 @@
 //!
 //! * **Differential fuzzing** ([`diff`]): every vector kernel — the
 //!   multiplication/squaring kernels, the Montgomery contexts, the
-//!   fixed/sliding-window ladders, the CRT engine, the 16-lane batchers,
+//!   fixed-window ladders, the CRT engine, the 16-lane batchers,
 //!   the RSA operation layer and the fault-resilient service — is
 //!   cross-checked against the word-level [`phi_bigint`] oracle on
 //!   structured adversarial inputs (all-ones limbs, carry-chain

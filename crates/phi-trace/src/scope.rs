@@ -26,7 +26,7 @@ pub enum Scope {
     MontReduce,
     /// Scalar-engine modular exponentiation ladders (`mont_exp`).
     MontExp,
-    /// Vectorized windowed exponentiation (fixed and sliding).
+    /// Vectorized fixed-window exponentiation.
     VExpWindow,
     /// 16-lane batched Montgomery multiply.
     BatchMont,

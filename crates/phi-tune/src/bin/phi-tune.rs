@@ -7,17 +7,18 @@
 //! ```
 //!
 //! * `--emit`: search every supported key size on the modeled channel
-//!   and write the schema-versioned table (default `bench/tuning.json`).
-//! * `--check`: re-measure each committed entry and fail (exit 1) if any
-//!   cell is no longer the argmax beyond the tolerance — the CI
+//!   and write the schema-versioned table, one row per key size
+//!   (default `bench/tuning.json`).
+//! * `--check`: re-measure each committed row and fail (exit 1) if any
+//!   row's point is no longer the best beyond the tolerance — the CI
 //!   staleness gate. With `--out`, also writes the freshly regenerated
 //!   table (uploaded as a CI artifact on failure).
-//! * `--print`: dump the committed table with per-entry improvement.
+//! * `--print`: dump the committed table with per-row improvement.
 //!
 //! Exit codes: 0 clean, 1 stale/failed, 2 usage error.
 
 use phi_tune::{build_table, check_table, DEFAULT_SEED, DEFAULT_TOLERANCE};
-use phiopenssl::tuning::{TuningTable, Winner};
+use phiopenssl::tuning::TuningTable;
 use std::process::ExitCode;
 
 const DEFAULT_TABLE: &str = "bench/tuning.json";
@@ -146,35 +147,14 @@ fn load(path: &str) -> Result<TuningTable, String> {
 fn print_table(t: &TuningTable) {
     println!("schema {} seed {}", t.schema, t.seed);
     println!(
-        "{:>8}  {:<12} {:<9} {:>5} {:>6} {:<9} {:>6} {:>14} {:>14} {:>7}",
-        "key",
-        "backend",
-        "winner",
-        "radix",
-        "window",
-        "variant",
-        "unroll",
-        "static cyc",
-        "tuned cyc",
-        "gain"
+        "{:>8}  {:>5} {:>6} {:>14} {:>14} {:>7}",
+        "key", "radix", "window", "static cyc", "tuned cyc", "gain"
     );
     for e in &t.entries {
         let gain = (1.0 - e.cycles_tuned / e.cycles_static) * 100.0;
         println!(
-            "{:>8}  {:<12} {:<9} {:>5} {:>6} {:<9} {:>6} {:>14.0} {:>14.0} {:>6.1}%",
-            e.key_bits,
-            e.backend,
-            match e.winner {
-                Winner::Generated => "generated",
-                Winner::Static => "static",
-            },
-            e.params.radix_bits,
-            e.params.window,
-            format!("{:?}", e.params.variant).to_lowercase(),
-            e.params.unroll,
-            e.cycles_static,
-            e.cycles_tuned,
-            gain,
+            "{:>8}  {:>5} {:>6} {:>14.0} {:>14.0} {:>6.1}%",
+            e.key_bits, e.params.radix_bits, e.params.window, e.cycles_static, e.cycles_tuned, gain,
         );
     }
 }

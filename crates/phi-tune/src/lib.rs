@@ -1,38 +1,38 @@
 //! The kernel autotuner behind `bench/tuning.json`.
 //!
-//! `phi-tune` sweeps the [`KernelParams`] space — radix, reduction
-//! variant, unroll factor, window width — per supported RSA key size,
-//! costing every point on the cycle-accounted `ModeledKnc` channel. The
-//! channel is *deterministic*: the same seed and schema produce the same
-//! table bit-for-bit on every machine, which is what makes the search
-//! result committable (and stale-checkable in CI) rather than a
-//! machine-local measurement.
+//! `phi-tune` sweeps the [`KernelParams`] space — radix and window
+//! width — per supported RSA key size, costing every point on the
+//! cycle-accounted `ModeledKnc` channel. The channel is *deterministic*:
+//! the same seed and schema produce the same table bit-for-bit on every
+//! machine, which is what makes the search result committable (and
+//! stale-checkable in CI) rather than a machine-local measurement.
 //!
 //! ## Search structure
 //!
-//! A full-ladder measurement of every point would be thousands of batch
-//! exponentiations; the search instead exploits that a fixed-window
-//! ladder's cost is a closed form over its two kernel primitives:
+//! A full-ladder measurement of every point would be dozens of batch
+//! exponentiations per key size; the search instead exploits that a
+//! fixed-window ladder's cost is a closed form over its two kernel
+//! primitives:
 //!
 //! 1. **Micro-measure** one 16-lane Montgomery multiply and one squaring
-//!    per (radix, variant, unroll) candidate on the modeled channel.
+//!    per admissible radix on the modeled channel.
 //! 2. **Compose analytically** across window widths: a `w`-bit window
 //!    over an `e`-bit exponent costs `(2^w - 1)` table multiplies,
 //!    `ceil(e/w)` window multiplies, `ceil(e/w)·w` squarings plus
 //!    per-window extraction glue — all in measured cycles.
 //! 3. **Validate by measurement**: the analytic argmin and the static
 //!    point ([`KernelParams::static_defaults`]) both run one real full
-//!    generated ladder; the winner is decided on those measured numbers
-//!    (and the tuner asserts the two ladders agree bit-for-bit while it
-//!    is at it).
+//!    generated ladder; the row records the argmin where it measured
+//!    under the static point and the static point otherwise (the tuner
+//!    asserts the two ladders agree bit-for-bit while it is at it).
 //!
-//! Both backend columns of the table share the modeled cost oracle: the
-//! native backend executes identical lane semantics, so the modeled
-//! cycle ordering is the committable prediction (E21 asserts the native
-//! engines bit-identical to the modeled ones). Occupancy is recorded at
-//! 16 — a batch pass costs the same at any fill level, so cost *per op*
-//! is maximized at full occupancy by construction; the `batch-kernel`
-//! conformance family sweeps occupancies 1–16 for correctness instead.
+//! One row serves every backend: the native backend executes identical
+//! lane semantics, so the modeled cycle ordering is the committable
+//! prediction (E21 asserts the native engines bit-identical to the
+//! modeled ones). Occupancy is no axis — a batch pass costs the same at
+//! any fill level, so cost *per op* is lowest at full occupancy by
+//! construction; the `batch-kernel` conformance family sweeps
+//! occupancies 1–16 for correctness instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,14 +41,11 @@ use phi_backend::ResolvedBackend;
 use phi_bigint::BigUint;
 use phi_simd::count;
 use phi_simd::CostModel;
-use phiopenssl::tuning::{TunedEntry, TuningTable, Winner, TUNING_SCHEMA};
-use phiopenssl::{GenMontCtx, KernelParams, MontVariant};
+use phiopenssl::tuning::{TunedEntry, TuningTable, TUNING_SCHEMA};
+use phiopenssl::{GenMontCtx, KernelParams};
 
 /// RSA key sizes the table is searched for (the paper's ladder).
 pub const SUPPORTED_KEY_SIZES: [u32; 4] = [512, 1024, 2048, 4096];
-
-/// Backend columns the table carries.
-pub const BACKENDS: [&str; 2] = ["modeled-knc", "native-x86"];
 
 /// Default search seed; recorded in the emitted table.
 pub const DEFAULT_SEED: u64 = 42;
@@ -141,28 +138,11 @@ fn ladder_cost(m: MicroCost, exp_bits: u32, k: usize, w: u32) -> f64 {
     (table_muls + windows + 2.0) * m.mul + windows * w as f64 * m.sqr + windows * glue
 }
 
-/// The searched outcome of one key-size cell (backend-agnostic: both
-/// backend columns share the modeled cost oracle).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellOutcome {
-    /// Key size searched.
-    pub key_bits: u32,
-    /// Best generated parameter point found.
-    pub params: KernelParams,
-    /// Measured full-ladder cycles of the static point.
-    pub cycles_static: f64,
-    /// Measured full-ladder cycles of the best generated point.
-    pub cycles_tuned: f64,
-    /// Which kernel dispatch should use.
-    pub winner: Winner,
-}
-
-/// Search one key-size cell: micro-measure every (radix, variant,
-/// unroll) candidate, sweep windows analytically, then decide the winner
-/// on measured full ladders. Panics if the argmin ladder diverges from
-/// the static point's bit-for-bit — the search doubles as a smoke
-/// differential.
-pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
+/// Search one key size: micro-measure every admissible radix, sweep
+/// windows analytically, then pick the row's point on measured full
+/// ladders. Panics if the argmin ladder diverges from the static
+/// point's bit-for-bit — the search doubles as a smoke differential.
+pub fn search_cell(key_bits: u32, seed: u64) -> TunedEntry {
     let n = half_modulus(key_bits, seed);
     let exp = half_exponent(key_bits, seed);
     let b16 = bases(&n, seed);
@@ -170,60 +150,52 @@ pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     let exp_bits = exp.bit_length();
 
     // Measured baseline: the static point, which the engine runs where
-    // no cell admits its halves.
+    // no row admits its halves.
     let (static_out, cycles_static) =
         measure_point(key_bits, seed, sd).expect("the static point admits every half size");
 
-    // Analytic sweep over the generated space.
+    // Analytic sweep over radix × window.
     let mut best: Option<(f64, KernelParams)> = None;
     for radix_bits in KernelParams::admissible_radices(n.bit_length()) {
-        for variant in [MontVariant::Classic, MontVariant::Truncated] {
-            for unroll in phiopenssl::params::UNROLL_FACTORS {
-                let probe = KernelParams {
-                    radix_bits,
-                    window: sd.window,
-                    variant,
-                    unroll,
-                    occupancy: 16,
-                };
-                let Ok(ctx) = GenMontCtx::new(&n, probe, ResolvedBackend::ModeledKnc) else {
-                    continue;
-                };
-                let micro = micro_measure(&ctx, &b16);
-                for window in WINDOWS {
-                    let cost = ladder_cost(micro, exp_bits, ctx.digits(), window);
-                    if best.is_none_or(|(c, _)| cost < c) {
-                        best = Some((cost, KernelParams { window, ..probe }));
-                    }
-                }
+        let probe = KernelParams {
+            radix_bits,
+            window: sd.window,
+        };
+        let Ok(ctx) = GenMontCtx::new(&n, probe, ResolvedBackend::ModeledKnc) else {
+            continue;
+        };
+        let micro = micro_measure(&ctx, &b16);
+        for window in WINDOWS {
+            let cost = ladder_cost(micro, exp_bits, ctx.digits(), window);
+            if best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, KernelParams { window, ..probe }));
             }
         }
     }
-    let (_, params) = best.expect("every key size admits at least one radix");
+    let (_, argmin) = best.expect("every key size admits at least one radix");
 
     // Measured validation of the analytic argmin.
-    let (tuned_out, cycles_tuned) =
-        measure_point(key_bits, seed, params).expect("argmin point validated during the sweep");
+    let (tuned_out, cycles_argmin) =
+        measure_point(key_bits, seed, argmin).expect("argmin point validated during the sweep");
     assert_eq!(
         tuned_out, static_out,
         "generated ladder diverged from the static point at {key_bits} bits"
     );
-
-    CellOutcome {
+    let (params, cycles_tuned) = if cycles_argmin < cycles_static {
+        (argmin, cycles_argmin)
+    } else {
+        (sd, cycles_static)
+    };
+    TunedEntry {
         key_bits,
         params,
         cycles_static,
         cycles_tuned,
-        winner: if cycles_tuned < cycles_static {
-            Winner::Generated
-        } else {
-            Winner::Static
-        },
     }
 }
 
 /// Run the full generated ladder of an explicit parameter point on the
-/// cell's deterministic workload, returning its results and modeled
+/// key size's deterministic workload, returning its results and modeled
 /// cycles (the baseline, the argmin validation and the `--check`
 /// re-measurement); `None` when the point does not admit the half size.
 pub fn measure_point(
@@ -240,32 +212,21 @@ pub fn measure_point(
 }
 
 /// Search every supported key size and assemble the committable table
-/// (one entry per backend column, sharing the modeled cost oracle).
+/// (one row per key size).
 pub fn build_table(seed: u64) -> TuningTable {
-    let entries = SUPPORTED_KEY_SIZES
-        .iter()
-        .flat_map(|&key_bits| {
-            let cell = search_cell(key_bits, seed);
-            BACKENDS.iter().map(move |&backend| TunedEntry {
-                key_bits,
-                backend: backend.to_string(),
-                winner: cell.winner,
-                params: cell.params,
-                cycles_static: cell.cycles_static,
-                cycles_tuned: cell.cycles_tuned,
-            })
-        })
-        .collect();
     TuningTable {
         schema: TUNING_SCHEMA.to_string(),
         seed,
-        entries,
+        entries: SUPPORTED_KEY_SIZES
+            .iter()
+            .map(|&key_bits| search_cell(key_bits, seed))
+            .collect(),
     }
 }
 
 /// Staleness-check a committed table against a fresh search: every
-/// supported cell must exist, and its dispatch cost must be within
-/// `tolerance` of the freshly searched best. Returns the list of
+/// supported key size must have a row, and the row's point must cost
+/// within `tolerance` of the freshly searched best. Returns the list of
 /// failures (empty = table is current).
 pub fn check_table(committed: &TuningTable, tolerance: f64) -> Vec<String> {
     let mut failures = Vec::new();
@@ -278,41 +239,31 @@ pub fn check_table(committed: &TuningTable, tolerance: f64) -> Vec<String> {
     }
     let seed = committed.seed;
     for &key_bits in &SUPPORTED_KEY_SIZES {
+        let Some(entry) = committed.lookup(key_bits) else {
+            failures.push(format!("missing row {key_bits}"));
+            continue;
+        };
         let fresh = search_cell(key_bits, seed);
-        let fresh_dispatch = fresh.cycles_tuned.min(fresh.cycles_static);
-        for &backend in &BACKENDS {
-            let Some(entry) = committed.lookup(key_bits, backend) else {
-                failures.push(format!("missing entry {key_bits}/{backend}"));
-                continue;
-            };
-            // What the committed entry actually dispatches to.
-            let committed_dispatch = match entry.winner {
-                Winner::Static => fresh.cycles_static,
-                Winner::Generated => {
-                    if entry.params == fresh.params {
-                        fresh.cycles_tuned
-                    } else {
-                        match measure_point(key_bits, seed, entry.params) {
-                            Some((_, c)) => c,
-                            None => {
-                                failures.push(format!(
-                                    "{key_bits}/{backend}: committed params no longer valid"
-                                ));
-                                continue;
-                            }
-                        }
-                    }
+        let committed_cycles = if entry.params == fresh.params {
+            fresh.cycles_tuned
+        } else {
+            match measure_point(key_bits, seed, entry.params) {
+                Some((_, c)) => c,
+                None => {
+                    failures.push(format!("{key_bits}: committed params no longer valid"));
+                    continue;
                 }
-            };
-            if committed_dispatch > fresh_dispatch * (1.0 + tolerance) {
-                failures.push(format!(
-                    "{key_bits}/{backend}: committed dispatch {committed_dispatch:.0} cycles \
-                     exceeds fresh best {fresh_dispatch:.0} beyond {:.1}% (params {:?}, fresh {:?})",
-                    tolerance * 100.0,
-                    entry.params,
-                    fresh.params,
-                ));
             }
+        };
+        if committed_cycles > fresh.cycles_tuned * (1.0 + tolerance) {
+            failures.push(format!(
+                "{key_bits}: committed point {committed_cycles:.0} cycles exceeds fresh best \
+                 {:.0} beyond {:.1}% (params {:?}, fresh {:?})",
+                fresh.cycles_tuned,
+                tolerance * 100.0,
+                entry.params,
+                fresh.params,
+            ));
         }
     }
     failures
@@ -361,36 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn committed_winners_monotonically_improve_on_static() {
-        // Table-wide invariant: a committed `generated` winner must have
-        // measured strictly under the static kernels, and no cell may
-        // record a tuned cost above its static cost — the table never
-        // makes dispatch slower than the static point.
+    fn committed_rows_never_lose_to_static() {
+        // Table-wide invariant: no row may record a cost above the
+        // static point's — the table never makes dispatch slower.
         let committed = TuningTable::committed();
         assert!(!committed.entries.is_empty());
         for e in &committed.entries {
             assert!(
                 e.cycles_tuned <= e.cycles_static,
-                "{}/{}: tuned {:.0} above static {:.0}",
+                "{}: tuned {:.0} above static {:.0}",
                 e.key_bits,
-                e.backend,
                 e.cycles_tuned,
                 e.cycles_static
             );
-            if e.winner == Winner::Generated {
-                assert!(
-                    e.cycles_tuned < e.cycles_static,
-                    "{}/{}: generated winner without a strict win",
-                    e.key_bits,
-                    e.backend
-                );
-            }
         }
-        // Re-measure the 512 cell: the committed params must still beat
+        // Re-measure the 512 row: the committed params must still beat
         // the static point on today's kernels, not just historically.
-        let entry = committed
-            .lookup(512, "modeled-knc")
-            .expect("512 cell is committed");
+        let entry = committed.lookup(512).expect("512 row is committed");
         let cell = search_cell(512, committed.seed);
         let (_, replayed) =
             measure_point(512, committed.seed, entry.params).expect("committed params stay valid");
@@ -401,10 +339,37 @@ mod tests {
         );
     }
 
+    /// `measure_point` reproduces the committed figures exactly: the
+    /// static point's and the row point's modeled cycles. A kernel change
+    /// that moves one modeled count fails here. The 2048- and 4096-bit
+    /// ladders run only in optimized builds.
     #[test]
-    fn search_at_512_finds_a_generated_winner() {
+    fn measure_point_reproduces_the_committed_cycles() {
+        let committed = TuningTable::committed();
+        let sizes: &[u32] = if cfg!(debug_assertions) {
+            &[512, 1024]
+        } else {
+            &SUPPORTED_KEY_SIZES
+        };
+        for &key_bits in sizes {
+            let e = committed.lookup(key_bits).expect("row is committed");
+            let point = |p| {
+                measure_point(key_bits, committed.seed, p)
+                    .expect("point admits")
+                    .1
+            };
+            assert_eq!(
+                point(KernelParams::static_defaults()),
+                e.cycles_static,
+                "{key_bits}: static"
+            );
+            assert_eq!(point(e.params), e.cycles_tuned, "{key_bits}: row point");
+        }
+    }
+
+    #[test]
+    fn search_at_512_finds_a_generated_point() {
         let cell = search_cell(512, DEFAULT_SEED);
-        assert_eq!(cell.winner, Winner::Generated);
         assert!(cell.cycles_tuned < cell.cycles_static);
         // The win the tuner banks on: wider radix (9 digits, not 10).
         assert!(cell.params.radix_bits > 27);

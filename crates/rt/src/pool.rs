@@ -1,11 +1,9 @@
 //! The Phi thread pool: real host threads, modeled card placement.
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 use phi_simd::count::{self, OpCounts};
 use phi_simd::{CostModel, KncMachine};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Thread-to-core placement policy (KMP_AFFINITY-style).
@@ -177,90 +175,6 @@ impl PhiPool {
     }
 }
 
-/// A persistent fire-and-forget worker pool for `'static` jobs (the shape
-/// of a long-running server dispatching handshakes).
-///
-/// Workers survive panicking jobs: a panic is caught, counted, and the
-/// worker moves on to the next job (a crashed handshake must not take the
-/// listener down).
-pub struct JobPool {
-    tx: Option<channel::Sender<Box<dyn FnOnce() + Send>>>,
-    workers: Vec<std::thread::JoinHandle<OpCounts>>,
-    drained: Arc<Mutex<OpCounts>>,
-    panics: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl JobPool {
-    /// Spawn `workers` host threads pulling jobs from a shared queue.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1);
-        let (tx, rx) = channel::unbounded::<Box<dyn FnOnce() + Send>>();
-        let drained = Arc::new(Mutex::new(OpCounts::zero()));
-        let panics = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let handles = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let drained = Arc::clone(&drained);
-                let panics = Arc::clone(&panics);
-                std::thread::spawn(move || {
-                    count::reset();
-                    while let Ok(job) = rx.recv() {
-                        // A panicking job must not kill the worker.
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        if outcome.is_err() {
-                            panics.fetch_add(1, Ordering::Relaxed);
-                            if phi_trace::is_enabled() {
-                                phi_trace::registry().counter_add("pool.jobs.panicked", 1);
-                            }
-                        }
-                    }
-                    let mine = count::snapshot();
-                    drained.lock().accumulate(&mine);
-                    mine
-                })
-            })
-            .collect();
-        JobPool {
-            tx: Some(tx),
-            workers: handles,
-            drained,
-            panics,
-        }
-    }
-
-    /// Number of jobs that panicked so far.
-    pub fn panicked_jobs(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// Enqueue a job.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.tx
-            .as_ref()
-            .expect("pool not shut down")
-            .send(Box::new(job))
-            .expect("workers alive");
-    }
-
-    /// Close the queue, join the workers, and return the summed counts.
-    pub fn shutdown(mut self) -> OpCounts {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        *self.drained.lock()
-    }
-}
-
-impl Drop for JobPool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,22 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn job_pool_runs_everything() {
-        let pool = JobPool::new(4);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..200 {
-            let h = Arc::clone(&hits);
-            pool.submit(move || {
-                h.fetch_add(1, Ordering::Relaxed);
-                record(OpClass::SAlu, 3);
-            });
-        }
-        let counts = pool.shutdown();
-        assert_eq!(hits.load(Ordering::Relaxed), 200);
-        assert_eq!(counts.get(OpClass::SAlu), 600);
-    }
-
-    #[test]
     fn host_throughput_positive() {
         let pool = PhiPool::new(2, AffinityPolicy::Compact);
         let (_, r) = pool.run_batch(10, |i| i);
@@ -368,92 +266,5 @@ mod tests {
         let s = r.latency_summary();
         assert_eq!(s.count, 25);
         assert!(s.max >= s.p50 && s.p50 >= s.min);
-    }
-}
-
-#[cfg(test)]
-mod failure_injection_tests {
-    use super::*;
-    use phi_simd::count::{record, OpClass};
-    use std::sync::atomic::AtomicU64;
-
-    /// Serializes the tests that panic pool jobs: `pool.jobs.panicked`
-    /// lives in the process-global registry, so a panicking job of one
-    /// test would otherwise land in another test's counter delta.
-    static PANICKING_JOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        PANICKING_JOBS.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn panicking_jobs_do_not_kill_workers() {
-        let _serial = serial();
-        let pool = JobPool::new(2);
-        let done = Arc::new(AtomicU64::new(0));
-        for i in 0..40 {
-            let done = Arc::clone(&done);
-            pool.submit(move || {
-                if i % 4 == 0 {
-                    panic!("injected failure {i}");
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-                record(OpClass::SAlu, 1);
-            });
-        }
-        let counts = pool.shutdown();
-        assert_eq!(
-            done.load(Ordering::Relaxed),
-            30,
-            "non-panicking jobs all ran"
-        );
-        assert_eq!(counts.get(OpClass::SAlu), 30);
-    }
-
-    #[test]
-    fn panicked_jobs_counted_and_published() {
-        // Deterministic count: a 1-worker pool serializes the jobs, and
-        // drop joins the worker before the counters are read.
-        let _serial = serial();
-        phi_trace::enable();
-        let before = phi_trace::registry().counter("pool.jobs.panicked");
-        let pool = JobPool::new(1);
-        for i in 0..6 {
-            pool.submit(move || {
-                if i % 2 == 0 {
-                    panic!("injected {i}");
-                }
-            });
-        }
-        // Fence: a 1-worker pool runs jobs in order, so once the fence
-        // job has signalled, every earlier job (and its panic) is done.
-        let (tx, rx) = crossbeam::channel::unbounded::<()>();
-        pool.submit(move || tx.send(()).unwrap());
-        rx.recv().unwrap();
-        assert_eq!(pool.panicked_jobs(), 3, "three of six jobs panicked");
-        let _ = pool.shutdown();
-        let after = phi_trace::registry().counter("pool.jobs.panicked");
-        phi_trace::disable();
-        assert_eq!(after - before, 3);
-    }
-
-    #[test]
-    fn panic_counter_reports() {
-        let _serial = serial();
-        let pool = JobPool::new(1);
-        pool.submit(|| panic!("boom"));
-        pool.submit(|| {});
-        // Drain by submitting a fence job and waiting via shutdown.
-        let p = Arc::new(AtomicU64::new(0));
-        {
-            let p = Arc::clone(&p);
-            pool.submit(move || {
-                p.store(1, Ordering::Relaxed);
-            });
-        }
-        let panics_seen = pool.panicked_jobs(); // racy snapshot, just must not crash
-        let _ = panics_seen;
-        drop(pool);
-        assert_eq!(p.load(Ordering::Relaxed), 1);
     }
 }

@@ -185,8 +185,8 @@ fn main() {
         );
     }
     let entry = phiopenssl::TuningTable::committed()
-        .entry_for_modulus(n.bit_length(), "modeled-knc")
-        .expect("committed cell");
+        .entry_for_modulus(n.bit_length())
+        .expect("committed row");
     println!(
         "batch engine: 1024-bit key runs the generated r{} w{} kernel, bit-identical to sequential CRT",
         entry.params.radix_bits, entry.params.window,
