@@ -24,7 +24,7 @@
 
 use phi_bench::registry::{self, Experiment, Profile};
 use phi_simd::{count, CostModel};
-use phi_trace::{ExperimentReport, FlushTelemetry, Report};
+use phi_trace::{ExperimentReport, Report};
 use std::time::Instant;
 
 const DEFAULT_JSON: &str = "BENCH_PR2.json";
@@ -92,28 +92,6 @@ fn parse(args: &[String]) -> Options {
     }
 }
 
-/// Harvest batch-service telemetry from the metrics registry, if the
-/// experiment flushed any batches.
-fn flush_telemetry() -> Option<FlushTelemetry> {
-    let m = phi_trace::registry().snapshot();
-    let flushes = m.counter("service.flush.count");
-    if flushes == 0 {
-        return None;
-    }
-    Some(FlushTelemetry {
-        flushes,
-        full: m.counter("service.flush.full"),
-        deadline: m.counter("service.flush.deadline"),
-        drain: m.counter("service.flush.drain"),
-        ops: m.counter("service.ops"),
-        rejected: m.counter("service.rejected"),
-        mean_occupancy: m
-            .histogram_summary("service.occupancy")
-            .map(|s| s.mean)
-            .unwrap_or(0.0),
-    })
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args);
@@ -128,7 +106,6 @@ fn main() {
     );
     for exp in &opts.experiments {
         phi_trace::reset();
-        phi_trace::registry().reset();
         let started = Instant::now();
         let (table, counts) = count::measure(|| (exp.run)(opts.profile));
         let wall_seconds = started.elapsed().as_secs_f64();
@@ -148,7 +125,6 @@ fn main() {
                 },
                 wall_seconds,
                 spans: ExperimentReport::spans_from_trace(&trace),
-                flush: flush_telemetry(),
             };
             println!(
                 "  [trace] {}: {:.3e} modeled cycles, span coverage {:.1}% across {} scopes\n",

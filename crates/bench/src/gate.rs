@@ -338,7 +338,6 @@ mod tests {
                 total_cycles: cycles,
                 exclusive_wall_seconds: 0.005,
             }],
-            flush: None,
         }
     }
 
@@ -386,6 +385,25 @@ mod tests {
         let lines = compare(&base, &base.clone()).unwrap();
         assert_eq!(lines.len(), GATED.len());
         assert!(lines.iter().all(|l| l.ok && (l.ratio - 1.0).abs() < 1e-12));
+    }
+
+    /// The committed baseline parses (skipping the per-experiment `flush`
+    /// block older reports carry), validates, passes the integrity check
+    /// and gates against itself at exactly 1.0000 on every gated
+    /// experiment.
+    #[test]
+    fn committed_baseline_reads_and_gates_against_itself() {
+        let text = include_str!("../../../bench/baseline.json");
+        let baseline = Report::from_json_str(text).expect("baseline parses");
+        baseline.validate().expect("baseline validates");
+        assert_eq!(check(&baseline), Vec::<String>::new());
+        let lines = compare(&baseline, &baseline).expect("baseline compares");
+        let ids: Vec<&str> = lines.iter().map(|l| l.id.as_str()).collect();
+        assert_eq!(ids, GATED);
+        for line in &lines {
+            assert!(line.ok, "{line:?}");
+            assert_eq!(format!("{:.4}", line.ratio), "1.0000", "{line:?}");
+        }
     }
 
     #[test]

@@ -67,11 +67,10 @@ pub struct TunedEntry {
     pub cycles_tuned: f64,
 }
 
-/// A parsed tuning table.
+/// A parsed tuning table. Its schema is always [`TUNING_SCHEMA`]:
+/// [`TuningTable::parse`] rejects every other tag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuningTable {
-    /// Schema tag ([`TUNING_SCHEMA`]).
-    pub schema: String,
     /// Search seed recorded for reproducibility.
     pub seed: u64,
     /// One entry per searched key size.
@@ -119,11 +118,7 @@ impl TuningTable {
             }
             entries.push(entry);
         }
-        Ok(TuningTable {
-            schema: schema.into(),
-            seed,
-            entries,
-        })
+        Ok(TuningTable { seed, entries })
     }
 
     /// Serialize back to the committed JSON shape (pretty, stable order).
@@ -147,7 +142,7 @@ impl TuningTable {
             })
             .collect();
         Value::Object(vec![
-            ("schema".into(), Value::Str(self.schema.clone())),
+            ("schema".into(), Value::Str(TUNING_SCHEMA.into())),
             ("generator".into(), Value::Str("phi-tune --emit".into())),
             ("seed".into(), Value::Num(self.seed as f64)),
             ("entries".into(), Value::Array(entries)),
@@ -231,7 +226,6 @@ mod tests {
     #[test]
     fn committed_table_parses_and_is_total() {
         let t = TuningTable::committed();
-        assert_eq!(t.schema, TUNING_SCHEMA);
         assert_eq!(t.entries.len(), 4, "one row per key size");
         for key_bits in [512u32, 1024, 2048, 4096] {
             let e = t

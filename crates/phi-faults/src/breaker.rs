@@ -144,9 +144,6 @@ impl CircuitBreaker {
                         consecutive_faults: 0,
                     };
                     self.recoveries += 1;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("breaker.recoveries", 1);
-                    }
                 } else {
                     self.inner = Inner::HalfOpen { successes };
                 }
@@ -187,9 +184,6 @@ impl CircuitBreaker {
             until: now + self.config.cooldown_s,
         };
         self.trips += 1;
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("breaker.trips", 1);
-        }
     }
 
     /// Times the breaker has tripped open.

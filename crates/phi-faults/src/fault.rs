@@ -112,20 +112,6 @@ impl FaultKind {
         matches!(self, FaultKind::CardReset)
     }
 
-    /// Stable snake-case name used in metrics counters
-    /// (`faults.injected.<name>`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultKind::PcieCorruption => "pcie_corruption",
-            FaultKind::PcieTimeout => "pcie_timeout",
-            FaultKind::CoreHang { .. } => "core_hang",
-            FaultKind::CardReset => "card_reset",
-            FaultKind::EccLaneFault { .. } => "ecc_lane",
-            FaultKind::SilentLaneFlip { .. } => "silent_lane_flip",
-            FaultKind::SilentBatchCorruption => "silent_batch",
-        }
-    }
-
     /// The lanes of an `n`-lane flush this fault poisons, as indices
     /// into the flush. Batch-wide faults poison everything; a core hang
     /// poisons one group of four adjacent lanes; an ECC event poisons a
@@ -254,13 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_display_are_informative() {
-        assert_eq!(FaultKind::CardReset.name(), "card_reset");
-        assert_eq!(
-            FaultKind::SilentLaneFlip { lane: 0 }.name(),
-            "silent_lane_flip"
-        );
-        assert_eq!(FaultKind::SilentBatchCorruption.name(), "silent_batch");
+    fn display_is_informative() {
         assert!(FaultKind::CoreHang { group: 2 }.to_string().contains('2'));
         assert!(FaultKind::EccLaneFault { lane: 7 }
             .to_string()

@@ -105,14 +105,6 @@ impl FaultRates {
     }
 }
 
-fn publish(kind: FaultKind) {
-    if phi_trace::is_enabled() {
-        let reg = phi_trace::registry();
-        reg.counter_add("faults.injected", 1);
-        reg.counter_add(&format!("faults.injected.{}", kind.name()), 1);
-    }
-}
-
 /// A seedable random fault schedule: each card attempt draws once from a
 /// deterministic generator and maps the draw to the rate table. Two
 /// injectors with the same seed and rates produce the same fault
@@ -192,7 +184,6 @@ impl FaultSource for FaultInjector {
         };
         drop(rng);
         self.injected.fetch_add(1, Ordering::Relaxed);
-        publish(kind);
         Some(kind)
     }
 
@@ -281,9 +272,8 @@ impl FaultSource for FaultScript {
             .unwrap_or_else(|e| e.into_inner())
             .pop_front()
             .flatten();
-        if let Some(kind) = step {
+        if step.is_some() {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            publish(kind);
         }
         step
     }

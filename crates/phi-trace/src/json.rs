@@ -69,14 +69,6 @@ impl Value {
         }
     }
 
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// Serialize compactly.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();

@@ -1,7 +1,7 @@
-//! Workspace-wide observability: cycle-accounted spans, a process-global
-//! metrics registry, and the machine-readable bench report format.
+//! Workspace-wide observability: cycle-accounted spans and the
+//! machine-readable bench report format.
 //!
-//! The crate has three layers, bottom to top:
+//! The crate has two layers, bottom to top:
 //!
 //! * [`span()`] — a lightweight scoped-timer API. A [`SpanGuard`] charges
 //!   the modeled KNC issue cycles (from [`phi_simd::count`]) and host
@@ -12,28 +12,24 @@
 //!   Tracing is off by default and gated behind one relaxed atomic load,
 //!   and spans never call [`phi_simd::count::record`], so modeled numbers
 //!   are bit-identical with tracing on or off.
-//! * [`metrics`] — a process-global registry of named counters, gauges
-//!   and histograms that `phi_rt::service`, `phi_rsa::ops` and
-//!   `phi_ssl::driver` publish into while tracing is enabled.
-//! * [`report`] — the `phi-bench-report/v1` schema: per-experiment
-//!   modeled cycles, modeled throughput, wall time, span breakdown and
-//!   flush telemetry, serialized through the dependency-free [`json`]
-//!   module.
+//! * [`report`] — the `phi-bench-report/v2` schema: per-experiment
+//!   modeled cycles, modeled throughput, wall time and span breakdown,
+//!   serialized through the dependency-free [`json`] module.
+//!
+//! The offload service's own telemetry is not here: each card worker
+//! keeps a typed `phi_rt::ResilienceReport`, and a fleet hands them back
+//! per card in its `FleetReport`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod metrics;
 pub mod report;
 pub mod scope;
 pub mod span;
-pub mod stats;
 
-pub use metrics::{card, registry, set_card, MetricsSnapshot, Registry};
-pub use report::{ExperimentReport, FlushTelemetry, Report, SpanReport, SCHEMA, SCHEMA_V1};
+pub use report::{ExperimentReport, Report, SpanReport, SCHEMA, SCHEMA_V1};
 pub use scope::Scope;
 pub use span::{
     disable, enable, is_enabled, reset, snapshot, span, SpanGuard, SpanStats, TraceSnapshot,
 };
-pub use stats::{geomean, percentile, Summary};

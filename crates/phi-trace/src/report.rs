@@ -2,12 +2,12 @@
 //!
 //! The harness emits one [`Report`] per run: per experiment, the modeled
 //! issue cycles and single-thread time, the deterministic modeled
-//! throughput the CI perf gate compares, the host wall time, the
-//! per-scope span breakdown, and batch-service flush telemetry when the
-//! experiment exercised the service layer. Everything round-trips
-//! through [`crate::json`] exactly (`f64` shortest-form printing), so a
+//! throughput the CI perf gate compares, the host wall time and the
+//! per-scope span breakdown. Everything round-trips through
+//! [`crate::json`] exactly (`f64` shortest-form printing), so a
 //! committed baseline file compares bit-for-bit against a fresh run of
-//! the same code.
+//! the same code. The reader skips fields it does not know, so reports
+//! that still carry the older per-experiment `flush` block read too.
 
 use crate::json::Value;
 use crate::span::TraceSnapshot;
@@ -36,25 +36,6 @@ pub struct SpanReport {
     pub exclusive_wall_seconds: f64,
 }
 
-/// Batch-service flush telemetry harvested from the metrics registry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlushTelemetry {
-    /// Batches executed.
-    pub flushes: u64,
-    /// Flushes triggered by a full batch.
-    pub full: u64,
-    /// Flushes triggered by the deadline.
-    pub deadline: u64,
-    /// Flushes triggered by drain/shutdown.
-    pub drain: u64,
-    /// Completed operations (live lanes across all flushes).
-    pub ops: u64,
-    /// Submissions bounced for backpressure.
-    pub rejected: u64,
-    /// Mean live-lane fraction across flushes.
-    pub mean_occupancy: f64,
-}
-
 /// One experiment's worth of numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
@@ -74,8 +55,6 @@ pub struct ExperimentReport {
     pub wall_seconds: f64,
     /// Span breakdown; scopes with no entries are omitted.
     pub spans: Vec<SpanReport>,
-    /// Service-layer telemetry, when the experiment flushed batches.
-    pub flush: Option<FlushTelemetry>,
 }
 
 impl ExperimentReport {
@@ -246,18 +225,6 @@ fn experiment_to_json(e: &ExperimentReport) -> Value {
             ])
         })
         .collect();
-    let flush = match &e.flush {
-        None => Value::Null,
-        Some(f) => Value::Object(vec![
-            ("flushes".into(), Value::Num(f.flushes as f64)),
-            ("full".into(), Value::Num(f.full as f64)),
-            ("deadline".into(), Value::Num(f.deadline as f64)),
-            ("drain".into(), Value::Num(f.drain as f64)),
-            ("ops".into(), Value::Num(f.ops as f64)),
-            ("rejected".into(), Value::Num(f.rejected as f64)),
-            ("mean_occupancy".into(), Value::Num(f.mean_occupancy)),
-        ]),
-    };
     Value::Object(vec![
         ("id".into(), Value::Str(e.id.clone())),
         ("title".into(), Value::Str(e.title.clone())),
@@ -270,7 +237,6 @@ fn experiment_to_json(e: &ExperimentReport) -> Value {
         ("wall_seconds".into(), Value::Num(e.wall_seconds)),
         ("span_coverage".into(), Value::Num(e.span_coverage())),
         ("spans".into(), Value::Array(spans)),
-        ("flush".into(), flush),
     ])
 }
 
@@ -291,18 +257,6 @@ fn experiment_from_json(v: &Value) -> Result<ExperimentReport, String> {
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let flush = match v.get("flush") {
-        None | Some(Value::Null) => None,
-        Some(f) => Some(FlushTelemetry {
-            flushes: req_u64(f, "flushes")?,
-            full: req_u64(f, "full")?,
-            deadline: req_u64(f, "deadline")?,
-            drain: req_u64(f, "drain")?,
-            ops: req_u64(f, "ops")?,
-            rejected: req_u64(f, "rejected")?,
-            mean_occupancy: req_f64(f, "mean_occupancy")?,
-        }),
-    };
     Ok(ExperimentReport {
         title: req_str(v, "title")?,
         modeled_cycles: req_f64(v, "modeled_cycles")?,
@@ -310,7 +264,6 @@ fn experiment_from_json(v: &Value) -> Result<ExperimentReport, String> {
         modeled_throughput: req_f64(v, "modeled_throughput")?,
         wall_seconds: req_f64(v, "wall_seconds")?,
         spans,
-        flush,
         id,
     })
 }
@@ -363,7 +316,6 @@ mod tests {
                     exclusive_wall_seconds: 0.009,
                 },
             ],
-            flush: None,
         });
         r.experiments.push(ExperimentReport {
             id: "e14".into(),
@@ -373,15 +325,6 @@ mod tests {
             modeled_throughput: 1.0 / 1.7e-2,
             wall_seconds: 0.4,
             spans: vec![],
-            flush: Some(FlushTelemetry {
-                flushes: 40,
-                full: 25,
-                deadline: 12,
-                drain: 3,
-                ops: 600,
-                rejected: 4,
-                mean_occupancy: 0.9375,
-            }),
         });
         r
     }

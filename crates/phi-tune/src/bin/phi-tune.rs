@@ -9,16 +9,16 @@
 //! * `--emit`: search every supported key size on the modeled channel
 //!   and write the schema-versioned table, one row per key size
 //!   (default `bench/tuning.json`).
-//! * `--check`: re-measure each committed row and fail (exit 1) if any
-//!   row's point is no longer the best beyond the tolerance — the CI
-//!   staleness gate. With `--out`, also writes the freshly regenerated
-//!   table (uploaded as a CI artifact on failure).
+//! * `--check`: search every key size again and fail (exit 1) if any
+//!   committed row's point is no longer the best beyond the tolerance —
+//!   the CI staleness gate. With `--out`, also writes the table that
+//!   search produced (uploaded as a CI artifact), at no extra cost.
 //! * `--print`: dump the committed table with per-row improvement.
 //!
 //! Exit codes: 0 clean, 1 stale/failed, 2 usage error.
 
 use phi_tune::{build_table, check_table, DEFAULT_SEED, DEFAULT_TOLERANCE};
-use phiopenssl::tuning::TuningTable;
+use phiopenssl::tuning::{TuningTable, TUNING_SCHEMA};
 use std::process::ExitCode;
 
 const DEFAULT_TABLE: &str = "bench/tuning.json";
@@ -105,10 +105,9 @@ fn main() -> ExitCode {
                 committed.seed,
                 tolerance * 100.0
             );
-            let failures = check_table(&committed, tolerance);
+            let (fresh, failures) = check_table(&committed, tolerance);
             if let Some(path) = out_path {
-                // Regenerated table for the CI artifact, whatever the verdict.
-                let fresh = build_table(committed.seed);
+                // The searched table for the CI artifact, whatever the verdict.
                 if let Err(e) = std::fs::write(&path, fresh.to_json() + "\n") {
                     eprintln!("phi-tune: cannot write {path}: {e}");
                 } else {
@@ -145,7 +144,7 @@ fn load(path: &str) -> Result<TuningTable, String> {
 }
 
 fn print_table(t: &TuningTable) {
-    println!("schema {} seed {}", t.schema, t.seed);
+    println!("schema {TUNING_SCHEMA} seed {}", t.seed);
     println!(
         "{:>8}  {:>5} {:>6} {:>14} {:>14} {:>7}",
         "key", "radix", "window", "static cyc", "tuned cyc", "gain"

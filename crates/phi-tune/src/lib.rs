@@ -41,7 +41,7 @@ use phi_backend::ResolvedBackend;
 use phi_bigint::BigUint;
 use phi_simd::count;
 use phi_simd::CostModel;
-use phiopenssl::tuning::{TunedEntry, TuningTable, TUNING_SCHEMA};
+use phiopenssl::tuning::{TunedEntry, TuningTable};
 use phiopenssl::{GenMontCtx, KernelParams};
 
 /// RSA key sizes the table is searched for (the paper's ladder).
@@ -215,7 +215,6 @@ pub fn measure_point(
 /// (one row per key size).
 pub fn build_table(seed: u64) -> TuningTable {
     TuningTable {
-        schema: TUNING_SCHEMA.to_string(),
         seed,
         entries: SUPPORTED_KEY_SIZES
             .iter()
@@ -224,26 +223,21 @@ pub fn build_table(seed: u64) -> TuningTable {
     }
 }
 
-/// Staleness-check a committed table against a fresh search: every
-/// supported key size must have a row, and the row's point must cost
-/// within `tolerance` of the freshly searched best. Returns the list of
-/// failures (empty = table is current).
-pub fn check_table(committed: &TuningTable, tolerance: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    if committed.schema != TUNING_SCHEMA {
-        failures.push(format!(
-            "schema {:?} != {TUNING_SCHEMA:?}",
-            committed.schema
-        ));
-        return failures;
-    }
+/// Staleness-check a committed table against a fresh search at its
+/// seed: every supported key size must have a row, and the row's point
+/// must cost within `tolerance` of the freshly searched best. Returns
+/// the fresh table (what `--emit` writes for that seed, each key size
+/// searched once) and the list of failures (empty = table is current).
+pub fn check_table(committed: &TuningTable, tolerance: f64) -> (TuningTable, Vec<String>) {
     let seed = committed.seed;
-    for &key_bits in &SUPPORTED_KEY_SIZES {
+    let table = build_table(seed);
+    let mut failures = Vec::new();
+    for fresh in &table.entries {
+        let key_bits = fresh.key_bits;
         let Some(entry) = committed.lookup(key_bits) else {
             failures.push(format!("missing row {key_bits}"));
             continue;
         };
-        let fresh = search_cell(key_bits, seed);
         let committed_cycles = if entry.params == fresh.params {
             fresh.cycles_tuned
         } else {
@@ -266,7 +260,7 @@ pub fn check_table(committed: &TuningTable, tolerance: f64) -> Vec<String> {
             ));
         }
     }
-    failures
+    (table, failures)
 }
 
 #[cfg(test)]
@@ -365,6 +359,21 @@ mod tests {
             );
             assert_eq!(point(e.params), e.cycles_tuned, "{key_bits}: row point");
         }
+    }
+
+    /// `check_table` hands back the table it searched, so `--check --out`
+    /// writes the committed file without a second search. All four key
+    /// sizes run only in optimized builds.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn check_returns_the_table_it_searched() {
+        let (fresh, failures) = check_table(TuningTable::committed(), DEFAULT_TOLERANCE);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(
+            fresh.to_json() + "\n",
+            include_str!("../../../bench/tuning.json"),
+            "the checked table is the committed file byte for byte"
+        );
     }
 
     #[test]

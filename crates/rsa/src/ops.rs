@@ -286,11 +286,6 @@ impl RsaOps {
         self.lib.name()
     }
 
-    /// Whether the private path uses the CRT.
-    pub fn uses_crt(&self) -> bool {
-        self.use_crt
-    }
-
     /// The cached session for `n`, built through the library on first use.
     fn session_for(&self, n: &BigUint) -> Result<Arc<ModulusSession>, RsaError> {
         let mut cache = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
@@ -323,32 +318,15 @@ impl RsaOps {
         if let Some(service) = &self.service {
             if self.use_crt && service.modulus() == key.public().n() {
                 match service.call(c.clone()) {
-                    Ok(m) => {
-                        if phi_trace::is_enabled() {
-                            phi_trace::registry().counter_add("rsa.private.batched", 1);
-                        }
-                        return Ok(m);
-                    }
-                    Err(RsaError::Service(SubmitError::QueueFull { .. })) => {
-                        // Shed to the sequential path below.
-                        if phi_trace::is_enabled() {
-                            phi_trace::registry().counter_add("rsa.private.shed", 1);
-                        }
-                    }
-                    Err(RsaError::Service(_) | RsaError::Offload(_)) => {
-                        // Service gone or offload gave up: this context's
-                        // own sequential CRT is the degradation of last
-                        // resort — the request still gets its answer.
-                        if phi_trace::is_enabled() {
-                            phi_trace::registry().counter_add("rsa.private.fallback", 1);
-                        }
-                    }
+                    Ok(m) => return Ok(m),
+                    // Shed under backpressure, service gone or offload
+                    // gave up: this context's own sequential CRT below is
+                    // the degradation of last resort — the request still
+                    // gets its answer.
+                    Err(RsaError::Service(_) | RsaError::Offload(_)) => {}
                     Err(other) => return Err(other),
                 }
             }
-        }
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("rsa.private.sequential", 1);
         }
         self.private_op_sequential(key, c)
     }

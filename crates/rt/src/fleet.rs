@@ -333,7 +333,7 @@ impl<T, R> CardSetup<T, R> {
 }
 
 /// Aggregated fleet telemetry: one [`ResilienceReport`] per card plus
-/// the cross-card ledger (steals, migrations, affinity hit rate).
+/// the cross-card ledger (steals, migrations, affinity hits and misses).
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Per-card resilience telemetry, indexed by card.
@@ -362,17 +362,6 @@ impl FleetReport {
     /// Requests resolved anywhere in the fleet.
     pub fn resolved_ops(&self) -> u64 {
         self.cards.iter().map(ResilienceReport::resolved_ops).sum()
-    }
-
-    /// Fraction of keyed submissions that hit their warm home card
-    /// (0 when no keyed submissions were routed).
-    pub fn affinity_hit_rate(&self) -> f64 {
-        let total = self.affinity_hits + self.affinity_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.affinity_hits as f64 / total as f64
-        }
     }
 }
 
@@ -499,7 +488,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         // Everything full: submit to the primary anyway so the rejection
         // is accounted exactly like the single-card path.
         let card = state.place(key).unwrap_or_else(|primary| primary);
-        let ticket = state.cards[card].collector.submit(
+        state.cards[card].collector.submit(
             RJob {
                 payload,
                 reply,
@@ -509,7 +498,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         )?;
         drop(state);
         self.shared.wakes[card].notify_one();
-        Ok(ResilientHandle::from_parts(ticket, rx))
+        Ok(ResilientHandle::new(rx))
     }
 
     /// Submit a burst of keyed requests at once, all or nothing.
@@ -556,12 +545,12 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
                     reply,
                     requeues: 0,
                 };
-                let ticket = state.cards[card]
+                state.cards[card]
                     .collector
                     .submit(job, now)
                     .expect("the burst fits the free slots");
                 touched[card] = true;
-                ResilientHandle::from_parts(ticket, rx)
+                ResilientHandle::new(rx)
             })
             .collect();
         drop(state);
@@ -660,9 +649,6 @@ fn fleet_worker<T, R>(
     T: Send + Clone,
     R: Send,
 {
-    // Metrics published from this thread (all the service/resilient
-    // counters inside the flush machinery) carry this card's label.
-    phi_trace::set_card(Some(card));
     let CardSetup {
         card_fn,
         host_fn,
@@ -693,9 +679,6 @@ fn fleet_worker<T, R>(
                 let stolen = state.cards[victim].collector.steal_back(take);
                 if !stolen.is_empty() {
                     state.steals += stolen.len() as u64;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("fleet.steals", stolen.len() as u64);
-                    }
                     state.cards[card].collector.adopt(stolen);
                     due = state.cards[card].collector.ready();
                 }
@@ -742,9 +725,6 @@ fn fleet_worker<T, R>(
                 Ok(()) => 0,
                 Err(_) => (occupancy - stats.settled()) as u64,
             };
-            if poisoned > 0 && phi_trace::is_enabled() {
-                phi_trace::registry().counter_add("service.poisoned_jobs", poisoned);
-            }
 
             state = lock(&shared.state);
             let card_online = breaker.state(vnow) != BreakerState::Open;
@@ -810,11 +790,7 @@ fn fleet_worker<T, R>(
                 let mut moving = state.cards[card].collector.steal_back(depth);
                 moving.append(&mut leftovers);
                 if !moving.is_empty() {
-                    let moved = moving.len() as u64;
-                    state.migrations += moved;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("fleet.migrations", moved);
-                    }
+                    state.migrations += moving.len() as u64;
                     for (i, entry) in moving.into_iter().enumerate() {
                         let target = survivors[i % survivors.len()];
                         state.cards[target].collector.adopt(vec![entry]);

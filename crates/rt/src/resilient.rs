@@ -44,7 +44,7 @@
 //! check per flush and never records modeled operations of its own, and
 //! on a card without a verify hook verification costs nothing.
 
-use crate::service::{Pending, ServiceConfig, Ticket};
+use crate::service::{Pending, ServiceConfig};
 use crate::verify::{IntegrityHooks, LaneQuarantine, QuarantineConfig};
 use phi_faults::{
     BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, FaultKind, FaultSource,
@@ -175,19 +175,13 @@ pub(crate) struct RJob<T, R> {
 /// A pending offload result: redeem with [`ResilientHandle::wait`].
 #[derive(Debug)]
 pub struct ResilientHandle<R> {
-    ticket: Ticket,
     rx: mpsc::Receiver<Result<R, OffloadError>>,
 }
 
 impl<R> ResilientHandle<R> {
     /// Assemble a handle around a request's reply channel.
-    pub(crate) fn from_parts(ticket: Ticket, rx: mpsc::Receiver<Result<R, OffloadError>>) -> Self {
-        ResilientHandle { ticket, rx }
-    }
-
-    /// The ticket this handle redeems.
-    pub fn ticket(&self) -> Ticket {
-        self.ticket
+    pub(crate) fn new(rx: mpsc::Receiver<Result<R, OffloadError>>) -> Self {
+        ResilientHandle { rx }
     }
 
     /// Block until the request resolves — on the card, on the host
@@ -281,14 +275,6 @@ fn resolve_off_card<T, R>(
         }
         entries[i] = None;
     }
-    if phi_trace::is_enabled() && !indices.is_empty() {
-        let reg = phi_trace::registry();
-        if host_fn.is_some() {
-            reg.counter_add("resilient.host_fallback.ops", indices.len() as u64);
-        } else {
-            reg.counter_add("resilient.errors", indices.len() as u64);
-        }
-    }
 }
 
 /// Release one card pass's completed lanes through the (optional)
@@ -370,13 +356,6 @@ where
             failed.push(i);
         }
     }
-    if phi_trace::is_enabled() {
-        let reg = phi_trace::registry();
-        reg.counter_add("verify.checked", done.len() as u64);
-        if !failed.is_empty() {
-            reg.counter_add("verify.failed", failed.len() as u64);
-        }
-    }
     failed
 }
 
@@ -414,9 +393,6 @@ pub(crate) fn run_flush<T, R, F>(
     // Breaker gate: an open breaker sends the whole flush to the host.
     if !breaker.allow(*vnow) {
         stats.degraded = true;
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("resilient.flush.degraded", 1);
-        }
         resolve_off_card(
             &mut entries,
             &pending,
@@ -440,10 +416,6 @@ pub(crate) fn run_flush<T, R, F>(
             for i in overflow {
                 let entry = entries[i].take().expect("pending lane live");
                 stats.requeued.push(entry);
-            }
-            if phi_trace::is_enabled() {
-                phi_trace::registry()
-                    .counter_add("quarantine.masked_out", stats.requeued.len() as u64);
             }
         }
     }
@@ -559,17 +531,11 @@ pub(crate) fn run_flush<T, R, F>(
                     return;
                 }
                 stats.verify_reruns += rerun.len() as u64;
-                if phi_trace::is_enabled() {
-                    phi_trace::registry().counter_add("verify.rerun", rerun.len() as u64);
-                }
                 pending = rerun;
                 // A quarantine escalation may have tripped the breaker:
                 // degrade the re-run set instead of re-trusting the card.
                 if breaker.state(*vnow) == BreakerState::Open {
                     stats.degraded = true;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("resilient.flush.degraded", 1);
-                    }
                     resolve_off_card(
                         &mut entries,
                         &pending,
@@ -589,9 +555,6 @@ pub(crate) fn run_flush<T, R, F>(
                     breaker.record_hard_fault(*vnow);
                 } else {
                     breaker.record_fault(*vnow);
-                }
-                if phi_trace::is_enabled() {
-                    phi_trace::registry().counter_add("resilient.flush.faulted", 1);
                 }
                 if !kind.is_batch_wide() {
                     // Lane-granular fault: the unaffected batch-mates
@@ -660,10 +623,6 @@ pub(crate) fn run_flush<T, R, F>(
                             }
                             if !rerun.is_empty() {
                                 stats.verify_reruns += rerun.len() as u64;
-                                if phi_trace::is_enabled() {
-                                    phi_trace::registry()
-                                        .counter_add("verify.rerun", rerun.len() as u64);
-                                }
                                 // Failed survivors go around with the
                                 // poisoned lanes, in lane order.
                                 next.extend(rerun);
@@ -681,9 +640,6 @@ pub(crate) fn run_flush<T, R, F>(
                 // remaining lanes immediately.
                 if breaker.state(*vnow) == BreakerState::Open {
                     stats.degraded = true;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("resilient.flush.degraded", 1);
-                    }
                     resolve_off_card(
                         &mut entries,
                         &pending,
@@ -714,9 +670,6 @@ pub(crate) fn run_flush<T, R, F>(
                     // (keeping their tickets and arrival stamps) unless
                     // we are draining or their requeue budget is spent.
                     stats.deadline_cancelled = true;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("resilient.deadline.cancelled", 1);
-                    }
                     let mut forced: Vec<usize> = Vec::new();
                     for &i in &pending {
                         let job = entries[i].as_mut().expect("pending lane live");
@@ -738,17 +691,10 @@ pub(crate) fn run_flush<T, R, F>(
                         vnow,
                         stats,
                     );
-                    if phi_trace::is_enabled() && !stats.requeued.is_empty() {
-                        phi_trace::registry()
-                            .counter_add("resilient.requeues", stats.requeued.len() as u64);
-                    }
                     return;
                 }
                 *vnow += delay;
                 stats.retries += 1;
-                if phi_trace::is_enabled() {
-                    phi_trace::registry().counter_add("resilient.retries", 1);
-                }
             }
         }
     }

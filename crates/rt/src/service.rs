@@ -179,9 +179,6 @@ impl<T> Collector<T> {
         if self.queue.len() >= self.config.queue_cap {
             return Err(self.reject(1));
         }
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("service.submitted", 1);
-        }
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         self.queue.push_back(Pending {
@@ -196,9 +193,6 @@ impl<T> Collector<T> {
     /// of them, and return the rejection they see.
     pub(crate) fn reject(&mut self, n: usize) -> SubmitError {
         self.rejected += n as u64;
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("service.rejected", n as u64);
-        }
         SubmitError::QueueFull {
             depth: self.queue.len(),
         }
@@ -235,9 +229,6 @@ impl<T> Collector<T> {
     /// `submitted_at`, so they stay first in arrival order, and they
     /// bypass the high-water mark: admission was already granted once.
     pub fn requeue_front(&mut self, entries: Vec<Pending<T>>) {
-        if phi_trace::is_enabled() && !entries.is_empty() {
-            phi_trace::registry().counter_add("service.requeued", entries.len() as u64);
-        }
         for p in entries.into_iter().rev() {
             self.queue.push_front(p);
         }
@@ -249,11 +240,7 @@ impl<T> Collector<T> {
     /// entries are in arrival order, keeping their tickets and stamps.
     pub fn steal_back(&mut self, n: usize) -> Vec<Pending<T>> {
         let take = n.min(self.queue.len());
-        let stolen: Vec<Pending<T>> = self.queue.split_off(self.queue.len() - take).into();
-        if phi_trace::is_enabled() && !stolen.is_empty() {
-            phi_trace::registry().counter_add("service.stolen", stolen.len() as u64);
-        }
-        stolen
+        self.queue.split_off(self.queue.len() - take).into()
     }
 
     /// Append already-admitted requests taken from another collector
@@ -261,9 +248,6 @@ impl<T> Collector<T> {
     /// and arrival stamps. Bypasses the high-water mark: admission was
     /// granted by the donor.
     pub fn adopt(&mut self, entries: Vec<Pending<T>>) {
-        if phi_trace::is_enabled() && !entries.is_empty() {
-            phi_trace::registry().counter_add("service.adopted", entries.len() as u64);
-        }
         self.queue.extend(entries);
     }
 
@@ -274,21 +258,6 @@ impl<T> Collector<T> {
         assert!(!self.queue.is_empty(), "take_batch on an empty collector");
         let take = self.queue.len().min(self.config.width);
         let entries: Vec<Pending<T>> = self.queue.drain(..take).collect();
-        if phi_trace::is_enabled() {
-            let reg = phi_trace::registry();
-            reg.counter_add("service.flush.count", 1);
-            let by = match reason {
-                FlushReason::Full => "service.flush.full",
-                FlushReason::Deadline => "service.flush.deadline",
-                FlushReason::Drain => "service.flush.drain",
-            };
-            reg.counter_add(by, 1);
-            reg.counter_add("service.ops", entries.len() as u64);
-            reg.observe(
-                "service.occupancy",
-                entries.len() as f64 / self.config.width as f64,
-            );
-        }
         Batch {
             reason,
             entries,

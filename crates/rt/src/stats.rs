@@ -1,11 +1,7 @@
 //! Per-flush accounting the batch service layer folds its telemetry
-//! into, plus re-exports of the sample statistics that moved to
-//! [`phi_trace::stats`] (kept here so `phi_rt::stats::Summary` callers
-//! keep compiling).
+//! into: the flush records and the per-card reports built from them.
 
 use crate::service::FlushReason;
-
-pub use phi_trace::stats::{geomean, percentile, Summary};
 
 /// Telemetry of one batch pass through the service collector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,11 +76,6 @@ impl ServiceReport {
     /// Total modeled single-thread KNC seconds spent in batch passes.
     pub fn total_modeled_seconds(&self) -> f64 {
         self.flushes.iter().map(|f| f.modeled_seconds).sum()
-    }
-
-    /// Total host wall-clock seconds spent in batch passes.
-    pub fn total_wall_seconds(&self) -> f64 {
-        self.flushes.iter().map(|f| f.wall_seconds).sum()
     }
 
     /// Modeled throughput over the service's busy time, in operations per
@@ -377,16 +368,5 @@ mod tests {
         assert_eq!(r.effective_throughput(), 0.0);
         assert_eq!(r.degradation_fraction(), 0.0);
         assert_eq!(r.breaker_state, phi_faults::BreakerState::Closed);
-    }
-
-    #[test]
-    fn reexported_summary_still_reachable_through_rt() {
-        // The statistics machinery lives in phi-trace now; this pins the
-        // compatibility path `phi_rt::stats::Summary`.
-        let s = Summary::of(&[2.0, 4.0]);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean, 3.0);
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(percentile(&[1.0, 2.0], 1.0), 2.0);
     }
 }

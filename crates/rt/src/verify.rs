@@ -252,9 +252,6 @@ impl LaneQuarantine {
             LaneState::Probation => {
                 self.lanes[lane] = LaneState::Healthy { strikes: 0 };
                 self.readmissions += 1;
-                if phi_trace::is_enabled() {
-                    phi_trace::registry().counter_add("quarantine.readmitted", 1);
-                }
             }
             LaneState::Healthy { strikes } => *strikes = 0,
             LaneState::Quarantined { .. } => unreachable!("quarantined lane carried work"),
@@ -284,16 +281,10 @@ impl LaneQuarantine {
             cooldown: self.config.cooldown_flushes,
         };
         self.quarantines += 1;
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("quarantine.tripped", 1);
-        }
         let escalate = self.config.escalate_threshold > 0
             && self.quarantined() == self.config.escalate_threshold;
         if escalate {
             self.escalations += 1;
-            if phi_trace::is_enabled() {
-                phi_trace::registry().counter_add("quarantine.escalated", 1);
-            }
         }
         FailureOutcome {
             quarantined: true,

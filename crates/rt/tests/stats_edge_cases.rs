@@ -1,53 +1,7 @@
-//! Edge-case coverage for `phi_rt::stats`: empty summaries, one-sample
-//! percentiles, geomean domain checks, and flush-occupancy bounds.
+//! Edge-case coverage for `phi_rt::stats`: flush-occupancy bounds.
 
 use phi_rt::service::FlushReason;
-use phi_rt::stats::{geomean, percentile, Summary};
 use phi_rt::FlushRecord;
-
-#[test]
-#[should_panic(expected = "no samples")]
-fn summary_of_empty_slice_panics() {
-    Summary::of(&[]);
-}
-
-#[test]
-fn single_sample_percentiles_collapse_to_the_sample() {
-    let s = Summary::of(&[42.0]);
-    assert_eq!(s.count, 1);
-    assert_eq!(s.min, 42.0);
-    assert_eq!(s.p50, 42.0);
-    assert_eq!(s.p95, 42.0);
-    assert_eq!(s.max, 42.0);
-    // Directly too, across the full percentile range.
-    for p in [0.0, 0.01, 0.5, 0.99, 1.0] {
-        assert_eq!(percentile(&[42.0], p), 42.0, "p = {p}");
-    }
-}
-
-#[test]
-#[should_panic(expected = "geomean needs positives")]
-fn geomean_with_zero_panics() {
-    geomean(&[2.0, 0.0, 8.0]);
-}
-
-#[test]
-#[should_panic(expected = "geomean needs positives")]
-fn geomean_with_negative_panics() {
-    geomean(&[2.0, -1.0]);
-}
-
-#[test]
-#[should_panic]
-fn geomean_of_nothing_panics() {
-    geomean(&[]);
-}
-
-#[test]
-#[should_panic]
-fn percentile_out_of_range_panics() {
-    percentile(&[1.0, 2.0], 1.5);
-}
 
 fn flush(occupancy: usize, width: usize) -> FlushRecord {
     FlushRecord {

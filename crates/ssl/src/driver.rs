@@ -6,7 +6,7 @@ use crate::record::Record;
 use phi_faults::FaultSource;
 use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::{RsaBatchService, RsaOps};
-use phi_rt::{AffinityPolicy, BatchReport, FleetReport, PhiPool, ResilienceConfig};
+use phi_rt::{BatchReport, FleetReport, PhiPool, ResilienceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -59,11 +59,6 @@ pub fn drive_handshake<R: Rng + ?Sized>(
         }
     }
     debug_assert_eq!(server.master_secret(), client.master_secret());
-    if phi_trace::is_enabled() {
-        let reg = phi_trace::registry();
-        reg.counter_add("ssl.handshakes", 1);
-        reg.counter_add("ssl.flights", flights as u64);
-    }
     Ok(HandshakeOutcome {
         master_secret: server.master_secret().to_vec(),
         flights,
@@ -72,19 +67,19 @@ pub fn drive_handshake<R: Rng + ?Sized>(
 
 /// Run `count` independent handshakes across a [`PhiPool`], each task
 /// building its own server/client pair over backends produced by
-/// `make_ops` (so any library can be plugged in). Returns the pool's
-/// batch report for modeled-throughput analysis.
+/// `make_ops` (so any library can be plugged in). Returns the success
+/// count and the pool's batch report (host wall clock and the summed
+/// modeled op counts).
 pub fn handshake_throughput<F>(
     key: &RsaPrivateKey,
     make_ops: F,
     count: usize,
     threads: u32,
-    policy: AffinityPolicy,
 ) -> (usize, BatchReport)
 where
     F: Fn() -> RsaOps + Sync,
 {
-    let pool = PhiPool::new(threads, policy);
+    let pool = PhiPool::new(threads);
     let (oks, report) = pool.run_batch(count, |i| {
         let mut rng = StdRng::seed_from_u64(0x5511 + i as u64);
         let mut server = Server::new(&mut rng, key.clone(), make_ops());
@@ -118,14 +113,12 @@ where
 /// Returns `(successes, pool_report, fleet_report)`; the fleet report
 /// carries per-card telemetry (flushes, faults, host fallback,
 /// verification) plus the cross-card ledger (steals, migrations,
-/// affinity hit rate).
-#[allow(clippy::too_many_arguments)]
+/// affinity hits and misses).
 pub fn drive_concurrent_fleet<F>(
     key: &RsaPrivateKey,
     make_ops: F,
     count: usize,
     threads: u32,
-    policy: AffinityPolicy,
     phi: &phiopenssl::PhiConfig,
     config: ResilienceConfig,
     faults: Vec<Option<Arc<dyn FaultSource>>>,
@@ -134,7 +127,7 @@ where
     F: Fn() -> RsaOps + Sync,
 {
     let service = Arc::new(RsaBatchService::new_fleet(key, phi, config, faults)?);
-    let pool = PhiPool::new(threads, policy);
+    let pool = PhiPool::new(threads);
     let (oks, report) = pool.run_batch(count, |i| {
         let mut rng = StdRng::seed_from_u64(0xF1EE + i as u64);
         let server_ops = make_ops().with_service(Arc::clone(&service));
@@ -191,13 +184,7 @@ mod tests {
     #[test]
     fn throughput_driver_counts_successes() {
         let k = key();
-        let (ok, report) = handshake_throughput(
-            &k,
-            || RsaOps::new(Box::new(MpssBaseline)),
-            8,
-            4,
-            AffinityPolicy::Compact,
-        );
+        let (ok, report) = handshake_throughput(&k, || RsaOps::new(Box::new(MpssBaseline)), 8, 4);
         assert_eq!(ok, 8);
         assert_eq!(report.tasks, 8);
         // Handshakes burn scalar multiplies on this backend.
@@ -234,7 +221,6 @@ mod tests {
             || RsaOps::new(Box::new(MpssBaseline)),
             8,
             4,
-            AffinityPolicy::Compact,
             phi,
             small_batches(),
             faults,

@@ -11,7 +11,6 @@
 use phi_mont::{Libcrypto, MpssBaseline, OpensslBaseline};
 use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::RsaOps;
-use phi_rt::AffinityPolicy;
 use phi_simd::CostModel;
 use phi_ssl::driver::handshake_throughput;
 use phiopenssl::PhiLibrary;
@@ -39,13 +38,7 @@ fn main() {
     );
     println!("backend      host rate        modeled card rate   modeled 1-thread latency");
     for (name, make) in backends {
-        let (ok, report) = handshake_throughput(
-            &key,
-            || RsaOps::new(make()),
-            HANDSHAKES,
-            THREADS,
-            AffinityPolicy::Compact,
-        );
+        let (ok, report) = handshake_throughput(&key, || RsaOps::new(make()), HANDSHAKES, THREADS);
         assert_eq!(ok, HANDSHAKES, "{name}: some handshakes failed");
         let per_op = report.counts_per_task();
         let card = model.throughput(&per_op, THREADS, false);

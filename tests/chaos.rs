@@ -17,7 +17,7 @@ use phiopenssl_suite::rsa::key::RsaPrivateKey;
 use phiopenssl_suite::rsa::{RsaBatchService, RsaOps};
 use phiopenssl_suite::rt::service::ServiceConfig;
 use phiopenssl_suite::rt::{
-    AffinityPolicy, CardSetup, FleetScheduler, OffloadError, ResilienceConfig, ResilienceReport,
+    CardSetup, FleetScheduler, OffloadError, ResilienceConfig, ResilienceReport,
 };
 use phiopenssl_suite::ssl::drive_concurrent_fleet;
 use phiopenssl_suite::Backend;
@@ -219,7 +219,6 @@ fn handshakes_survive_card_chaos_end_to_end() {
         || RsaOps::new(Box::new(MpssBaseline)),
         8,
         4,
-        AffinityPolicy::Compact,
         &PhiConfig::default(),
         quick_config(),
         vec![Some(faults)],
