@@ -571,75 +571,9 @@ pub fn e9_ssl(key_bits: u32, thread_points: &[u32]) -> Table {
     t
 }
 
-/// One simulated operating point of the batch service (virtual clock).
-struct SimPoint {
-    throughput: f64,
-    p99_wait: f64,
-    mean_occupancy: f64,
-}
-
-/// Drive the real [`Collector`] through a Poisson arrival schedule on a
-/// virtual clock, with a single work-conserving server whose batch
-/// execution time is `batch_cost(occupancy)` seconds: whenever the
-/// server is free and anything is parked it takes the `min(depth,
-/// width)` oldest requests, as a card worker does.
-///
-/// Waits are measured arrival → flush start. The policy adds no wait of
-/// its own (an idle server starts on the arrival itself), so this is the
-/// time a request queues behind the flushes ahead of it. Below
-/// saturation that stays under about one batch pass; above it the
-/// open-loop backlog grows for as long as arrivals keep coming.
-fn simulate_service(
-    arrivals: &[f64],
-    config: ServiceConfig,
-    batch_cost: impl Fn(usize) -> f64,
-) -> SimPoint {
-    let mut collector: Collector<usize> = Collector::new(config);
-    let mut now = 0.0f64;
-    let mut free_at = 0.0f64;
-    let mut next = 0usize;
-    let mut waits: Vec<f64> = Vec::with_capacity(arrivals.len());
-    let mut occupancies: Vec<usize> = Vec::new();
-    let mut done_at = 0.0f64;
-    while next < arrivals.len() || !collector.is_empty() {
-        let arrival = arrivals.get(next).copied().unwrap_or(f64::INFINITY);
-        // A flush starts as soon as the server is free and anything is
-        // parked.
-        let start = match collector.ready() {
-            Some(_) => free_at.max(now),
-            None => f64::INFINITY,
-        };
-        if arrival <= start {
-            collector
-                .submit(next, arrival)
-                .expect("simulation queue_cap is effectively unbounded");
-            now = arrival;
-            next += 1;
-        } else {
-            let reason = collector
-                .ready()
-                .expect("a flush starts only on parked work");
-            let batch = collector.take_batch(reason, start);
-            for pending in &batch.entries {
-                waits.push(start - pending.submitted_at);
-            }
-            occupancies.push(batch.occupancy());
-            now = start;
-            free_at = start + batch_cost(batch.occupancy());
-            done_at = free_at;
-        }
-    }
-    waits.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p99 = waits[((waits.len() as f64 * 0.99) as usize).min(waits.len() - 1)];
-    SimPoint {
-        throughput: waits.len() as f64 / done_at,
-        p99_wait: p99,
-        mean_occupancy: occupancies.iter().sum::<usize>() as f64 / occupancies.len().max(1) as f64,
-    }
-}
-
-/// Poisson arrival times: `count` arrivals at `rate` per second.
-fn poisson_arrivals(rate: f64, count: usize, seed: u64) -> Vec<f64> {
+/// Poisson arrivals for the fleet simulator: `count` keyless arrival
+/// times at `rate` per second.
+fn poisson_arrivals(rate: f64, count: usize, seed: u64) -> Vec<(f64, Option<u64>)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut now = 0.0f64;
     (0..count)
@@ -648,7 +582,7 @@ fn poisson_arrivals(rate: f64, count: usize, seed: u64) -> Vec<f64> {
             // logarithm below never sees zero.
             let u = 1.0 - (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             now += -u.ln() / rate;
-            now
+            (now, None)
         })
         .collect()
 }
@@ -737,6 +671,7 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
         config.width, ops_per_point, SINGLE_OP_MAX_LIVE
     ));
     let libs = service_costs(key_bits);
+    let fleet = FleetConfig::default();
 
     for (fi, &factor) in load_factors.iter().enumerate() {
         for (li, &(name, t1, t16)) in libs.iter().enumerate() {
@@ -744,15 +679,16 @@ pub fn e14_service(key_bits: u32, load_factors: &[f64], ops_per_point: usize) ->
             let offered = factor * capacity;
             let arrivals = poisson_arrivals(offered, ops_per_point, 0xE14 + (fi * 8 + li) as u64);
             let phi = name == "PhiOpenSSL";
-            let point = simulate_service(&arrivals, config, |k| {
+            let pass = |k| {
                 if phi && k > SINGLE_OP_MAX_LIVE {
                     t16 // padded pass: full width regardless of occupancy
                 } else {
                     k as f64 * t1
                 }
-            });
-            let seq = simulate_service(&arrivals, ServiceConfig { width: 1, ..config }, |_| t1)
-                .throughput;
+            };
+            let point = simulate_fleet(&arrivals, fleet, config, pass, 0.0);
+            let width_1 = ServiceConfig { width: 1, ..config };
+            let seq = simulate_fleet(&arrivals, fleet, width_1, |_| t1, 0.0).throughput;
             t.row(vec![
                 format!("{factor:.2}"),
                 name.to_string(),
@@ -940,28 +876,38 @@ pub struct FleetSimPoint {
     pub session_hit_rate: f64,
     /// Steal raids idle cards made on overloaded peers.
     pub steals: u64,
+    /// 99th-percentile wait, arrival to flush start, in seconds.
+    pub p99_wait: f64,
+    /// Mean live lanes per flush.
+    pub mean_occupancy: f64,
 }
 
 /// Drive the real [`FleetRouter`] plus one [`Collector`] per card
-/// through an arrival schedule on a virtual clock — the fleet analogue
-/// of [`simulate_service`], with the same work-conserving cards: each
-/// card flushes whenever it is free and anything is parked on it. A
-/// vector Montgomery pass shares one modulus
-/// across all lanes ([`BatchCrtEngine`](phiopenssl::BatchCrtEngine) is
-/// built per key), so a flushed batch covering `d` distinct keys
-/// executes as `d` masked full-cost
-/// passes of `batch_cost` seconds each — mixed-key batches are exactly
-/// what key-affinity routing exists to avoid. On top of that, every
-/// key whose Montgomery session is not resident in the card's
-/// [`SESSION_SLOTS`]-deep LRU cache pays `setup_cost` to (re)build it.
-/// Starved cards raid the deepest queue through the production
-/// [`FleetRouter::steal_victim`] rule, taking the newest half, exactly
-/// as the fleet workers do.
+/// through an arrival schedule on a virtual clock, with work-conserving
+/// cards: each card flushes the `min(depth, width)` oldest requests
+/// parked on it whenever it is free and anything is parked, as a card
+/// worker does. A vector Montgomery pass shares one modulus across all
+/// lanes ([`BatchCrtEngine`](phiopenssl::BatchCrtEngine) is built per
+/// key), so a flushed batch covering `d` distinct keys executes as `d`
+/// passes, each costing `batch_cost(lanes)` seconds for the live lanes
+/// carrying its key — mixed-key batches are exactly what key-affinity
+/// routing exists to avoid. On top of that, every key whose Montgomery
+/// session is not resident in the card's [`SESSION_SLOTS`]-deep LRU
+/// cache pays `setup_cost` to (re)build it. Starved cards raid the
+/// deepest queue through the production [`FleetRouter::steal_victim`]
+/// rule, taking the newest half, exactly as the fleet workers do. One
+/// card and keyless arrivals make it the single batch service of E14.
+///
+/// Waits are measured arrival → flush start. The policy adds no wait of
+/// its own (an idle card starts on the arrival itself), so this is the
+/// time a request queues behind the flushes ahead of it. Below
+/// saturation that stays under about one batch pass; above it the
+/// open-loop backlog grows for as long as arrivals keep coming.
 fn simulate_fleet(
     arrivals: &[(f64, Option<u64>)],
     fleet: FleetConfig,
     config: ServiceConfig,
-    batch_cost: f64,
+    batch_cost: impl Fn(usize) -> f64,
     setup_cost: f64,
 ) -> FleetSimPoint {
     let cards = fleet.cards;
@@ -977,6 +923,8 @@ fn simulate_fleet(
     let mut done_at = 0.0f64;
     let mut steals = 0u64;
     let (mut keyed_hits, mut keyed_total) = (0u64, 0u64);
+    let mut waits: Vec<f64> = Vec::with_capacity(arrivals.len());
+    let (mut flushes, mut flushed_lanes) = (0usize, 0usize);
     while next < arrivals.len() || collectors.iter().any(|c| !c.is_empty()) {
         // Starved cards steal before the next event is chosen: a card
         // raids only when its queue is dry AND it will finish its
@@ -1024,13 +972,18 @@ fn simulate_fleet(
                 .expect("a flush starts only on parked work");
             let batch = collectors[card].take_batch(reason, start);
             now = start;
-            // One masked vector pass per distinct modulus in the batch.
+            flushes += 1;
+            flushed_lanes += batch.occupancy();
+            // One masked vector pass per distinct modulus in the batch,
+            // charged when the key is first seen.
             let mut moduli: Vec<Option<u64>> = Vec::new();
             let mut cost = 0.0;
             for entry in &batch.entries {
+                waits.push(start - entry.submitted_at);
                 if !moduli.contains(&entry.payload) {
                     moduli.push(entry.payload);
-                    cost += batch_cost;
+                    let lanes = batch.entries.iter().filter(|e| e.payload == entry.payload);
+                    cost += batch_cost(lanes.count());
                 }
                 let Some(k) = entry.payload else { continue };
                 keyed_total += 1;
@@ -1049,6 +1002,7 @@ fn simulate_fleet(
             done_at = done_at.max(free_at[card]);
         }
     }
+    waits.sort_by(|a, b| a.partial_cmp(b).unwrap());
     FleetSimPoint {
         throughput: arrivals.len() as f64 / done_at,
         session_hit_rate: if keyed_total == 0 {
@@ -1057,6 +1011,8 @@ fn simulate_fleet(
             keyed_hits as f64 / keyed_total as f64
         },
         steals,
+        p99_wait: waits[((waits.len() as f64 * 0.99) as usize).min(waits.len() - 1)],
+        mean_occupancy: flushed_lanes as f64 / flushes.max(1) as f64,
     }
 }
 
@@ -1086,10 +1042,7 @@ pub fn fleet_scaling(key_bits: u32, cards: usize, ops: usize) -> FleetSimPoint {
     let (t16, _) = fleet_costs(key_bits);
     let capacity_one = BATCH_WIDTH as f64 / t16;
     let offered = 2.0 * cards as f64 * capacity_one;
-    let arrivals: Vec<(f64, Option<u64>)> = poisson_arrivals(offered, ops * cards, 0xE19)
-        .into_iter()
-        .map(|t| (t, None))
-        .collect();
+    let arrivals = poisson_arrivals(offered, ops * cards, 0xE19);
     let fleet = FleetConfig {
         cards,
         ..FleetConfig::default()
@@ -1098,7 +1051,7 @@ pub fn fleet_scaling(key_bits: u32, cards: usize, ops: usize) -> FleetSimPoint {
         width: BATCH_WIDTH,
         queue_cap: (ops * cards).max(BATCH_WIDTH),
     };
-    simulate_fleet(&arrivals, fleet, config, t16, 0.0)
+    simulate_fleet(&arrivals, fleet, config, |_| t16, 0.0)
 }
 
 /// Distinct moduli the routing panel spreads over the fleet — a
@@ -1196,7 +1149,7 @@ pub fn e19_fleet(key_bits: u32, cards_sweep: &[usize], ops: usize) -> Table {
     let keyed: Vec<(f64, Option<u64>)> = poisson_arrivals(offered, route_ops, 0xE19B)
         .into_iter()
         .enumerate()
-        .map(|(i, t)| (t, Some((i / ROUTE_BURST) as u64 % ROUTE_KEYS)))
+        .map(|(i, (t, _))| (t, Some((i / ROUTE_BURST) as u64 % ROUTE_KEYS)))
         .collect();
     let config = ServiceConfig {
         width: BATCH_WIDTH,
@@ -1209,7 +1162,7 @@ pub fn e19_fleet(key_bits: u32, cards_sweep: &[usize], ops: usize) -> Table {
             routing,
             ..FleetConfig::default()
         };
-        let point = simulate_fleet(&keyed, fleet, config, t16, setup);
+        let point = simulate_fleet(&keyed, fleet, config, |_| t16, setup);
         let baseline = *random_thr.get_or_insert(point.throughput);
         t.row(vec![
             "route".into(),
@@ -1624,18 +1577,22 @@ mod tests {
     fn e14_simulator_conserves_ops() {
         let arrivals = poisson_arrivals(5_000.0, 64, 7);
         assert_eq!(arrivals.len(), 64);
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "must be sorted");
+        assert!(
+            arrivals.windows(2).all(|w| w[0].0 <= w[1].0),
+            "must be sorted"
+        );
         let config = ServiceConfig {
             width: 8,
             queue_cap: 64,
         };
-        let point = simulate_service(&arrivals, config, |k| k as f64 * 1e-5);
+        let one = FleetConfig::default();
+        let point = simulate_fleet(&arrivals, one, config, |k| k as f64 * 1e-5, 0.0);
         assert!(point.throughput > 0.0);
         assert!(point.mean_occupancy >= 1.0 && point.mean_occupancy <= 8.0);
         // Arrivals far apart against the flush cost: an idle server
         // starts each request on arrival, alone and without waiting.
         let sparse = poisson_arrivals(10.0, 64, 7);
-        let point = simulate_service(&sparse, config, |k| k as f64 * 1e-6);
+        let point = simulate_fleet(&sparse, one, config, |k| k as f64 * 1e-6, 0.0);
         assert_eq!(point.p99_wait, 0.0);
         assert_eq!(point.mean_occupancy, 1.0);
     }

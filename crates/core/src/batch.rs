@@ -15,7 +15,8 @@
 //! Experiment E8 quantifies the trade.
 //!
 //! This module's own kernel is the classic interleaved CIOS one, the
-//! E8/E18 reference. Under `MontVariant::Auto` a [`BatchMont`] runs its
+//! E8/E18 reference; [`MultiBatchMont`](crate::batch_multi::MultiBatchMont)
+//! runs the same body with a modulus per lane. Under `MontVariant::Auto` a [`BatchMont`] runs its
 //! ladders and release checks through the generated truncated kernel
 //! ([`GenMontCtx`] at [`KernelParams::static_defaults`]) instead.
 
@@ -110,11 +111,6 @@ impl Batch16 {
         self.cols.len()
     }
 
-    /// The transposed digit columns (kernel internal).
-    pub(crate) fn cols(&self) -> &[U32x16] {
-        &self.cols
-    }
-
     /// True if the batch has no digit slots.
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
@@ -180,96 +176,18 @@ impl BatchMont {
 
     fn mont_mul_16_generic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
         let _span = phi_trace::span(phi_trace::Scope::BatchMont);
-        let kk = self.ctx.padded_digits();
-        let k = self.ctx.digits();
-        debug_assert_eq!(a.len(), kk);
-        debug_assert_eq!(b.len(), kk);
-
-        // Memory-resident accumulator: per column, two u64x8 halves.
-        let mut acc: Vec<(B::V64, B::V64)> = vec![(B::V64::zero(), B::V64::zero()); kk];
-        let n0_inv = self.ctx.n0_inv();
-
-        let b_halves: Vec<(B::V64, B::V64)> = b
-            .cols
+        // The shared modulus and n0', broadcast to every lane on each call.
+        let n_cols: Vec<(B::V64, B::V64)> = self
+            .n_cols
             .iter()
-            .map(|c| {
-                let col = B::V32::from_lanes(c.to_lanes());
-                (col.widen_lo(), col.widen_hi())
+            .map(|&d| {
+                let col = B::V64::splat(d);
+                (col, col)
             })
             .collect();
-        let n_splats: Vec<B::V64> = self.n_cols.iter().map(|&d| B::V64::splat(d)).collect();
-
-        let n0v = B::V64::splat(n0_inv);
-        let maskv = B::V64::splat(DIGIT_MASK);
-
-        for i in 0..k {
-            // Per-lane digit i of a (two widened halves; loads folded).
-            let a_col = B::V32::from_lanes(a.cols[i].to_lanes());
-            let av0 = a_col.widen_lo();
-            let av1 = a_col.widen_hi();
-
-            // Phase 1 on column 0 only, so q can be computed before
-            // streaming the rest of the row.
-            let (c00, c01) = acc[0];
-            let t00 = c00.fma32(av0, b_halves[0].0);
-            let t01 = c01.fma32(av1, b_halves[0].1);
-
-            // q = (t0 mod 2^27)·n0' mod 2^27, lane-wise and fully vectorized
-            // (no scalar glue — the batched kernel's advantage).
-            let q0 = B::V64::zero().fma32(t00.and(maskv), n0v).and(maskv);
-            let q1 = B::V64::zero().fma32(t01.and(maskv), n0v).and(maskv);
-
-            // Column 0 phase 2.
-            let t00 = t00.fma32(q0, n_splats[0]);
-            let t01 = t01.fma32(q1, n_splats[0]);
-            debug_assert!(t00.to_lanes().iter().all(|&l| l & DIGIT_MASK == 0));
-            let carry0 = t00.shr(DIGIT_BITS);
-            let carry1 = t01.shr(DIGIT_BITS);
-
-            // Stream remaining columns: one store per column; loads fold.
-            for d in 1..kk {
-                let (cd0, cd1) = acc[d];
-                let mut nd0 = cd0.fma32(av0, b_halves[d].0).fma32(q0, n_splats[d]);
-                let mut nd1 = cd1.fma32(av1, b_halves[d].1).fma32(q1, n_splats[d]);
-                if d == 1 {
-                    nd0 = nd0.add(carry0);
-                    nd1 = nd1.add(carry1);
-                }
-                // Shift integrated into the store address: column d lands
-                // in accumulator slot d-1.
-                acc[d - 1] = (nd0, nd1);
-                B::record(OpClass::VMem, 2);
-            }
-            acc[kk - 1] = (B::V64::zero(), B::V64::zero());
-        }
-
-        // Normalize and conditionally subtract per lane (scalar epilogue,
-        // one pass per operation — same footprint as 16 single epilogues).
-        let n_vecnum = self.n_vecnum();
-        let mut outs = Vec::with_capacity(BATCH_WIDTH);
-        for lane in 0..BATCH_WIDTH {
-            let (half, idx) = (lane / 8, lane % 8);
-            let mut v = VecNum::zero(kk);
-            let mut carry = 0u64;
-            for d in 0..kk {
-                let cell = if half == 0 {
-                    acc[d].0.lane(idx)
-                } else {
-                    acc[d].1.lane(idx)
-                };
-                let s = cell + carry;
-                v.digits_mut()[d] = s & DIGIT_MASK;
-                carry = s >> DIGIT_BITS;
-            }
-            debug_assert_eq!(carry, 0);
-            B::record(OpClass::SAlu, 3 * kk as u64);
-            B::record(OpClass::SMem, kk as u64);
-            if v.cmp_digits(&n_vecnum) != std::cmp::Ordering::Less {
-                v.sub_assign_digits(&n_vecnum);
-            }
-            outs.push(v);
-        }
-        Batch16::transpose_from_impl::<B>(&outs)
+        let n0 = B::V64::splat(self.ctx.n0_inv());
+        let n = [self.n_vecnum()];
+        cios_mont_mul_16::<B>(a, b, self.ctx.digits(), &n_cols, (n0, n0), &n)
     }
 
     /// Sixteen exponentiations `base[j]^exp mod n` with one shared exponent
@@ -432,6 +350,110 @@ impl BatchMont {
         v.digits_mut().copy_from_slice(&self.n_cols);
         v
     }
+}
+
+/// The classic interleaved-CIOS kernel body of both batch engines
+/// ([`BatchMont`] and [`MultiBatchMont`](crate::batch_multi::MultiBatchMont)):
+/// sixteen Montgomery products `a[j]·b[j]·R⁻¹`, reduced in `rows` rows
+/// against the prepared modulus columns — `n_cols[d]` holds digit `d` of
+/// each lane's modulus and `n0` each lane's `−n⁻¹ mod 2^27`, as two
+/// eight-lane halves — then conditionally subtracted per lane by
+/// `moduli[j % moduli.len()]` (one shared modulus, or one per lane).
+/// Callers build the columns and open the
+/// [`Scope::BatchMont`](phi_trace::Scope::BatchMont) span around both.
+pub(crate) fn cios_mont_mul_16<B: VectorBackend>(
+    a: &Batch16,
+    b: &Batch16,
+    rows: usize,
+    n_cols: &[(B::V64, B::V64)],
+    n0: (B::V64, B::V64),
+    moduli: &[VecNum],
+) -> Batch16 {
+    let kk = n_cols.len();
+    debug_assert_eq!(a.len(), kk);
+    debug_assert_eq!(b.len(), kk);
+
+    // Memory-resident accumulator: per column, two u64x8 halves.
+    let mut acc: Vec<(B::V64, B::V64)> = vec![(B::V64::zero(), B::V64::zero()); kk];
+    let b_halves: Vec<(B::V64, B::V64)> = b
+        .cols
+        .iter()
+        .map(|c| {
+            let col = B::V32::from_lanes(c.to_lanes());
+            (col.widen_lo(), col.widen_hi())
+        })
+        .collect();
+    let maskv = B::V64::splat(DIGIT_MASK);
+
+    for i in 0..rows {
+        // Per-lane digit i of a (two widened halves; loads folded).
+        let a_col = B::V32::from_lanes(a.cols[i].to_lanes());
+        let av0 = a_col.widen_lo();
+        let av1 = a_col.widen_hi();
+
+        // Phase 1 on column 0 only, so q can be computed before
+        // streaming the rest of the row.
+        let (c00, c01) = acc[0];
+        let t00 = c00.fma32(av0, b_halves[0].0);
+        let t01 = c01.fma32(av1, b_halves[0].1);
+
+        // q = (t0 mod 2^27)·n0' mod 2^27, lane-wise and fully vectorized
+        // (no scalar glue — the batched kernel's advantage).
+        let q0 = B::V64::zero().fma32(t00.and(maskv), n0.0).and(maskv);
+        let q1 = B::V64::zero().fma32(t01.and(maskv), n0.1).and(maskv);
+
+        // Column 0 phase 2.
+        let t00 = t00.fma32(q0, n_cols[0].0);
+        let t01 = t01.fma32(q1, n_cols[0].1);
+        debug_assert!(t00.to_lanes().iter().all(|&l| l & DIGIT_MASK == 0));
+        debug_assert!(t01.to_lanes().iter().all(|&l| l & DIGIT_MASK == 0));
+        let carry0 = t00.shr(DIGIT_BITS);
+        let carry1 = t01.shr(DIGIT_BITS);
+
+        // Stream remaining columns: one store per column; loads fold.
+        for d in 1..kk {
+            let (cd0, cd1) = acc[d];
+            let mut nd0 = cd0.fma32(av0, b_halves[d].0).fma32(q0, n_cols[d].0);
+            let mut nd1 = cd1.fma32(av1, b_halves[d].1).fma32(q1, n_cols[d].1);
+            if d == 1 {
+                nd0 = nd0.add(carry0);
+                nd1 = nd1.add(carry1);
+            }
+            // Shift integrated into the store address: column d lands
+            // in accumulator slot d-1.
+            acc[d - 1] = (nd0, nd1);
+            B::record(OpClass::VMem, 2);
+        }
+        acc[kk - 1] = (B::V64::zero(), B::V64::zero());
+    }
+
+    // Normalize and conditionally subtract per lane (scalar epilogue,
+    // one pass per operation — same footprint as 16 single epilogues).
+    let mut outs = Vec::with_capacity(BATCH_WIDTH);
+    for lane in 0..BATCH_WIDTH {
+        let (half, idx) = (lane / 8, lane % 8);
+        let mut v = VecNum::zero(kk);
+        let mut carry = 0u64;
+        for d in 0..kk {
+            let cell = if half == 0 {
+                acc[d].0.lane(idx)
+            } else {
+                acc[d].1.lane(idx)
+            };
+            let s = cell + carry;
+            v.digits_mut()[d] = s & DIGIT_MASK;
+            carry = s >> DIGIT_BITS;
+        }
+        debug_assert_eq!(carry, 0);
+        B::record(OpClass::SAlu, 3 * kk as u64);
+        B::record(OpClass::SMem, kk as u64);
+        let n = &moduli[lane % moduli.len()];
+        if v.cmp_digits(n) != std::cmp::Ordering::Less {
+            v.sub_assign_digits(n);
+        }
+        outs.push(v);
+    }
+    Batch16::transpose_from_impl::<B>(&outs)
 }
 
 #[cfg(test)]

@@ -10,12 +10,16 @@
 //!
 //! All lanes run `k = max kᵢ` reduction rows with the shared radix
 //! `R = 2^(27·k)` — perfectly valid Montgomery for the smaller moduli too,
-//! their residues just ride in a larger-than-minimal radix.
+//! their residues just ride in a larger-than-minimal radix. The kernel is
+//! [`BatchMont`](crate::batch::BatchMont)'s classic interleaved-CIOS
+//! body, fed per-lane modulus columns and `n₀'` instead of broadcast
+//! ones; the ladder stays here because its domain entry and exit are
+//! priced differently.
 
-use crate::batch::{Batch16, BATCH_WIDTH};
+use crate::batch::{cios_mont_mul_16, Batch16, BATCH_WIDTH};
 use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::inv_mod_digit;
-use phi_backend::{with_backend, ResolvedBackend, Vector32, Vector64, VectorBackend};
+use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};
 use phi_simd::count::OpClass;
 
@@ -166,87 +170,16 @@ impl MultiBatchMont {
 
     fn mont_mul_16_generic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
         let _span = phi_trace::span(phi_trace::Scope::BatchMont);
-        let kk = self.kk;
-        debug_assert_eq!(a.len(), kk);
-        debug_assert_eq!(b.len(), kk);
-
-        let mut acc: Vec<(B::V64, B::V64)> = vec![(B::V64::zero(), B::V64::zero()); kk];
-        let b_halves: Vec<(B::V64, B::V64)> = b
-            .cols()
-            .iter()
-            .map(|c| {
-                let col = B::V32::from_lanes(c.to_lanes());
-                (col.widen_lo(), col.widen_hi())
-            })
-            .collect();
-        let n_halves: Vec<(B::V64, B::V64)> = self
+        let n_cols: Vec<(B::V64, B::V64)> = self
             .n_halves
             .iter()
             .map(|&(lo, hi)| (B::V64::from_lanes(lo), B::V64::from_lanes(hi)))
             .collect();
-        let maskv = B::V64::splat(DIGIT_MASK);
-        let n0_lo = B::V64::from_lanes(self.n0_halves.0);
-        let n0_hi = B::V64::from_lanes(self.n0_halves.1);
-
-        for i in 0..self.k {
-            let a_col = B::V32::from_lanes(a.cols()[i].to_lanes());
-            let av0 = a_col.widen_lo();
-            let av1 = a_col.widen_hi();
-
-            let (c00, c01) = acc[0];
-            let t00 = c00.fma32(av0, b_halves[0].0);
-            let t01 = c01.fma32(av1, b_halves[0].1);
-
-            let q0 = B::V64::zero().fma32(t00.and(maskv), n0_lo).and(maskv);
-            let q1 = B::V64::zero().fma32(t01.and(maskv), n0_hi).and(maskv);
-
-            let t00 = t00.fma32(q0, n_halves[0].0);
-            let t01 = t01.fma32(q1, n_halves[0].1);
-            debug_assert!(t00.to_lanes().iter().all(|&l| l & DIGIT_MASK == 0));
-            debug_assert!(t01.to_lanes().iter().all(|&l| l & DIGIT_MASK == 0));
-            let carry0 = t00.shr(DIGIT_BITS);
-            let carry1 = t01.shr(DIGIT_BITS);
-
-            for d in 1..kk {
-                let (cd0, cd1) = acc[d];
-                let mut nd0 = cd0.fma32(av0, b_halves[d].0).fma32(q0, n_halves[d].0);
-                let mut nd1 = cd1.fma32(av1, b_halves[d].1).fma32(q1, n_halves[d].1);
-                if d == 1 {
-                    nd0 = nd0.add(carry0);
-                    nd1 = nd1.add(carry1);
-                }
-                acc[d - 1] = (nd0, nd1);
-                B::record(OpClass::VMem, 2);
-            }
-            acc[kk - 1] = (B::V64::zero(), B::V64::zero());
-        }
-
-        // Per-lane normalization + conditional subtract (each lane against
-        // its own modulus).
-        let mut outs = Vec::with_capacity(BATCH_WIDTH);
-        for lane in 0..BATCH_WIDTH {
-            let (half, idx) = (lane / 8, lane % 8);
-            let mut v = VecNum::zero(kk);
-            let mut carry = 0u64;
-            for (d, slot) in acc.iter().enumerate() {
-                let cell = if half == 0 {
-                    slot.0.lane(idx)
-                } else {
-                    slot.1.lane(idx)
-                };
-                let s = cell + carry;
-                v.digits_mut()[d] = s & DIGIT_MASK;
-                carry = s >> DIGIT_BITS;
-            }
-            debug_assert_eq!(carry, 0);
-            B::record(OpClass::SAlu, 3 * kk as u64);
-            B::record(OpClass::SMem, kk as u64);
-            if v.cmp_digits(&self.n_vecs[lane]) != std::cmp::Ordering::Less {
-                v.sub_assign_digits(&self.n_vecs[lane]);
-            }
-            outs.push(v);
-        }
-        Batch16::transpose_from_impl::<B>(&outs)
+        let n0 = (
+            B::V64::from_lanes(self.n0_halves.0),
+            B::V64::from_lanes(self.n0_halves.1),
+        );
+        cios_mont_mul_16::<B>(a, b, self.k, &n_cols, n0, &self.n_vecs)
     }
 
     /// Sixteen exponentiations with one **shared** exponent but per-lane

@@ -16,12 +16,13 @@
 //!   proptests drive it directly — the same split as [`Collector`] vs
 //!   the card workers that own one.
 //! * [`FleetScheduler`] — the threaded wrapper: one worker thread per
-//!   card, each owning its own [`Collector`], [`CircuitBreaker`],
-//!   modeled virtual clock and [`CostModel`] instance
-//!   ([`CostModel::knc_fleet`]), executing every flush through the flush
-//!   ladder of [`crate::resilient`] and folding it into the card's
+//!   card, each owning its own [`Collector`] and the card's flush ladder
+//!   ([`crate::resilient`]: its breaker, lane quarantine, modeled
+//!   virtual clock and [`CostModel`] instance from
+//!   [`CostModel::knc_fleet`]), executing every flush through that
+//!   ladder and merging what it did into the card's
 //!   [`ResilienceReport`]. A panicking card closure poisons only its own
-//!   flush: the flush's unresolved tickets resolve to
+//!   flush: the flush's unresolved requests resolve to
 //!   [`OffloadError::ServiceShutdown`], are counted in
 //!   [`ServiceReport::poisoned_jobs`](crate::stats::ServiceReport::poisoned_jobs),
 //!   and the card keeps serving.
@@ -31,8 +32,8 @@
 //!
 //! * **Work stealing** — an idle card pulls the *newest* parked requests
 //!   from the most-loaded card once the imbalance crosses
-//!   [`FleetConfig::steal_threshold`]. Stolen entries keep their tickets
-//!   and arrival stamps, so exactly-once resolution and arrival ordering
+//!   [`FleetConfig::steal_threshold`]. Stolen entries keep their
+//!   arrival stamps, so exactly-once resolution and arrival ordering
 //!   survive the move.
 //! * **Graceful capacity loss** — when a card's breaker trips open, its
 //!   parked lanes migrate wholesale (reply channels intact) onto the
@@ -51,12 +52,12 @@
 //! it whole with [`FleetScheduler::submit_many_keyed`].
 
 use crate::resilient::{
-    run_flush, FlushStats, HostFn, OffloadError, RJob, ResilienceConfig, ResilientHandle,
+    Card, FlushStats, HostFn, OffloadError, RJob, ResilienceConfig, ResilientHandle,
 };
 use crate::service::{Collector, FlushReason, SubmitError};
 use crate::stats::{FlushRecord, ResilienceReport};
-use crate::verify::{IntegrityHooks, LaneQuarantine};
-use phi_faults::{BreakerState, CircuitBreaker, FaultSource};
+use crate::verify::IntegrityHooks;
+use phi_faults::FaultSource;
 use phi_simd::cost::CostModel;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
@@ -641,7 +642,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> Drop for FleetScheduler<T, R>
 
 fn fleet_worker<T, R>(
     shared: Arc<FleetShared<T, R>>,
-    card: usize,
+    id: usize,
     config: ResilienceConfig,
     cost: CostModel,
     setup: CardSetup<T, R>,
@@ -649,23 +650,16 @@ fn fleet_worker<T, R>(
     T: Send + Clone,
     R: Send,
 {
-    let CardSetup {
-        card_fn,
-        host_fn,
-        faults,
-        integrity,
-    } = setup;
-    // Breaker, lane quarantine and virtual clock are worker-local:
-    // flushes run outside the state lock, and only this thread drives
-    // them.
-    let mut breaker = CircuitBreaker::new(config.breaker);
-    let mut quarantine = LaneQuarantine::new(config.service.width, config.quarantine);
-    let mut vnow: f64 = 0.0;
+    // The card's breaker, lane quarantine and virtual clock live in its
+    // ladder: flushes run outside the state lock, and only this thread
+    // drives them.
+    let mut card = Card::new(setup, config, cost);
+    let width = config.service.width;
     let mut state = lock(&shared.state);
     loop {
         let now = shared.now();
         // Work-conserving: an idle card takes whatever is parked.
-        let mut due = state.cards[card].collector.ready();
+        let mut due = state.cards[id].collector.ready();
 
         // Work stealing: idle and not shutting down, pull the newest
         // entries from the most-loaded card once the imbalance crosses
@@ -674,13 +668,13 @@ fn fleet_worker<T, R>(
         // host fallback), which is how it earns its way back online.
         if due.is_none() && !state.shutdown {
             let depths: Vec<usize> = state.cards.iter().map(|c| c.collector.depth()).collect();
-            if let Some(victim) = state.router.steal_victim(card, &depths) {
-                let take = (depths[victim] - depths[card]) / 2;
+            if let Some(victim) = state.router.steal_victim(id, &depths) {
+                let take = (depths[victim] - depths[id]) / 2;
                 let stolen = state.cards[victim].collector.steal_back(take);
                 if !stolen.is_empty() {
                     state.steals += stolen.len() as u64;
-                    state.cards[card].collector.adopt(stolen);
-                    due = state.cards[card].collector.ready();
+                    state.cards[id].collector.adopt(stolen);
+                    due = state.cards[id].collector.ready();
                 }
             }
         }
@@ -692,7 +686,7 @@ fn fleet_worker<T, R>(
                 FlushReason::Deadline if draining => FlushReason::Drain,
                 reason => reason,
             };
-            let batch = state.cards[card].collector.take_batch(reason, now);
+            let batch = state.cards[id].collector.take_batch(reason, now);
             drop(state);
 
             let oldest_wait = batch.oldest_wait();
@@ -703,79 +697,47 @@ fn fleet_worker<T, R>(
             // A panicking card closure poisons this flush only: the
             // entries it had not settled are dropped with the unwinding
             // frame (their waiters see ServiceShutdown), and the worker
-            // lives on to serve the next flush.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_flush(
-                    &config,
-                    &cost,
-                    &card_fn,
-                    host_fn.as_deref(),
-                    faults.as_deref(),
-                    integrity.as_ref(),
-                    &mut breaker,
-                    &mut quarantine,
-                    &mut vnow,
-                    batch.entries,
-                    draining,
-                    &mut stats,
-                )
+            // lives on to serve the next flush. A flush that returns has
+            // settled every entry, so only a panic leaves any poisoned.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                card.flush(batch.entries, draining, &mut stats)
             }));
             let wall_seconds = wall_start.elapsed().as_secs_f64();
-            let poisoned = match outcome {
-                Ok(()) => 0,
-                Err(_) => (occupancy - stats.settled()) as u64,
-            };
-
-            state = lock(&shared.state);
-            let card_online = breaker.state(vnow) != BreakerState::Open;
-            let width = state.cards[card].collector.config().width;
-            let slot = &mut state.cards[card];
-            if stats.card_completed > 0 {
-                slot.report.service.flushes.push(FlushRecord {
+            let poisoned = occupancy - stats.settled();
+            let FlushStats {
+                mut report,
+                card_ops,
+                card_modeled_s,
+                requeued: mut leftovers,
+            } = stats;
+            report.service.poisoned_jobs = poisoned as u64;
+            if card_ops > 0 {
+                report.service.flushes.push(FlushRecord {
                     reason,
-                    occupancy: stats.card_completed,
+                    occupancy: card_ops,
                     width,
                     queue_depth_after: depth_after,
                     oldest_wait,
-                    modeled_seconds: stats.card_modeled_s,
+                    modeled_seconds: card_modeled_s,
                     wall_seconds,
                 });
             }
-            slot.report.service.poisoned_jobs += poisoned;
-            slot.report.faults_seen += stats.faults;
-            slot.report.retries += stats.retries;
-            slot.report.host_fallback_ops += stats.host_completed as u64;
-            slot.report.host_modeled_seconds += stats.host_modeled_s;
-            slot.report.errored_ops += stats.errored as u64;
-            if stats.deadline_cancelled {
-                slot.report.deadline_cancellations += 1;
-            }
-            if stats.degraded {
-                slot.report.degraded_flushes += 1;
-            }
-            slot.report.verified_ops += stats.verified;
-            slot.report.verify_failures += stats.verify_failures;
-            slot.report.verify_reruns += stats.verify_reruns;
-            slot.report.verify_modeled_seconds += stats.verify_modeled_s;
-            slot.report.lane_quarantines = quarantine.quarantines();
-            slot.report.lane_readmissions = quarantine.readmissions();
-            slot.report.integrity_escalations = quarantine.escalations();
-            slot.report.quarantined_lanes = quarantine.quarantined() as u64;
-            slot.report.breaker_trips = breaker.trips();
-            slot.report.breaker_recoveries = breaker.recoveries();
-            slot.report.breaker_state = breaker.state(vnow);
-            slot.report.modeled_virtual_seconds = vnow;
-            slot.online = card_online;
 
-            let mut leftovers = stats.requeued;
-            let survivors: Vec<usize> = if card_online || state.shutdown {
+            state = lock(&shared.state);
+            let online = card.online();
+            let slot = &mut state.cards[id];
+            slot.report.merge(&report);
+            card.report_state(&mut slot.report);
+            slot.online = online;
+
+            let survivors: Vec<usize> = if online || state.shutdown {
                 Vec::new()
             } else {
                 state
                     .cards
                     .iter()
                     .enumerate()
-                    .filter(|&(c, slot)| c != card && slot.online)
+                    .filter(|&(c, slot)| c != id && slot.online)
                     .map(|(c, _)| c)
                     .collect()
             };
@@ -783,11 +745,11 @@ fn fleet_worker<T, R>(
                 // The breaker just tripped (or stayed) open: move this
                 // card's parked lanes — and any deadline-requeued ones —
                 // onto the surviving online cards. Entries move wholesale
-                // (tickets, stamps and reply channels intact), so
+                // (arrival stamps and reply channels intact), so
                 // exactly-once resolution is preserved. Skipped during
                 // shutdown so draining terminates locally.
-                let depth = state.cards[card].collector.depth();
-                let mut moving = state.cards[card].collector.steal_back(depth);
+                let depth = state.cards[id].collector.depth();
+                let mut moving = state.cards[id].collector.steal_back(depth);
                 moving.append(&mut leftovers);
                 if !moving.is_empty() {
                     state.migrations += moving.len() as u64;
@@ -803,8 +765,8 @@ fn fleet_worker<T, R>(
             if !leftovers.is_empty() {
                 // Deadline-cancelled lanes with nowhere else to go: back
                 // onto this card's queue, ahead of the parked work.
-                state.cards[card].report.requeues += leftovers.len() as u64;
-                state.cards[card].collector.requeue_front(leftovers);
+                state.cards[id].report.requeues += leftovers.len() as u64;
+                state.cards[id].collector.requeue_front(leftovers);
             }
             continue;
         }
@@ -814,7 +776,7 @@ fn fleet_worker<T, R>(
         // Idle: wake on submit/steal/migration/shutdown, and poll
         // periodically so this card can notice a stealable imbalance even
         // when nothing is routed to it.
-        state = shared.wakes[card]
+        state = shared.wakes[id]
             .wait_timeout(state, std::time::Duration::from_millis(1))
             .unwrap_or_else(|e| e.into_inner())
             .0;
@@ -825,7 +787,7 @@ fn fleet_worker<T, R>(
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
-    use phi_faults::{FaultInjector, FaultKind, FaultRates, FaultScript};
+    use phi_faults::{BreakerState, FaultInjector, FaultKind, FaultRates, FaultScript};
 
     fn config(width: usize, queue_cap: usize) -> ResilienceConfig {
         ResilienceConfig {

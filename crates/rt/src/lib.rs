@@ -32,6 +32,6 @@ pub use fleet::{
 };
 pub use pool::{BatchReport, PhiPool};
 pub use resilient::{OffloadError, ResilienceConfig, ResilientHandle};
-pub use service::{Batch, Collector, FlushReason, ServiceConfig, SubmitError, Ticket, BATCH_WIDTH};
+pub use service::{Batch, Collector, FlushReason, ServiceConfig, SubmitError, BATCH_WIDTH};
 pub use stats::{FlushRecord, ResilienceReport, ServiceReport};
 pub use verify::{IntegrityHooks, LaneQuarantine, QuarantineConfig};

@@ -57,16 +57,6 @@ impl ServiceConfig {
     }
 }
 
-/// Receipt for one submitted request, unique within its service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ticket(pub u64);
-
-impl fmt::Display for Ticket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{}", self.0)
-    }
-}
-
 /// Why a request could not be (or was not) served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -108,8 +98,6 @@ pub enum FlushReason {
 /// One parked request inside a [`Collector`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pending<T> {
-    /// The receipt handed back at submission.
-    pub ticket: Ticket,
     /// The caller's request value.
     pub payload: T,
     /// Clock reading at submission (collector-clock seconds).
@@ -151,7 +139,6 @@ impl<T> Batch<T> {
 pub struct Collector<T> {
     config: ServiceConfig,
     queue: VecDeque<Pending<T>>,
-    next_ticket: u64,
     rejected: u64,
 }
 
@@ -163,7 +150,6 @@ impl<T> Collector<T> {
         Collector {
             config,
             queue: VecDeque::new(),
-            next_ticket: 0,
             rejected: 0,
         }
     }
@@ -175,18 +161,15 @@ impl<T> Collector<T> {
 
     /// Park a request at clock reading `now`; fails fast when the queue
     /// is at its high-water mark.
-    pub fn submit(&mut self, payload: T, now: f64) -> Result<Ticket, SubmitError> {
+    pub fn submit(&mut self, payload: T, now: f64) -> Result<(), SubmitError> {
         if self.queue.len() >= self.config.queue_cap {
             return Err(self.reject(1));
         }
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
         self.queue.push_back(Pending {
-            ticket,
             payload,
             submitted_at: now,
         });
-        Ok(ticket)
+        Ok(())
     }
 
     /// Count `n` submissions turned away for backpressure, parking none
@@ -237,16 +220,16 @@ impl<T> Collector<T> {
     /// Remove and return up to `n` of the *newest* parked requests — the
     /// work-stealing donor path of the fleet scheduler. The oldest
     /// requests keep their place at the head of the queue; returned
-    /// entries are in arrival order, keeping their tickets and stamps.
+    /// entries are in arrival order, keeping their arrival stamps.
     pub fn steal_back(&mut self, n: usize) -> Vec<Pending<T>> {
         let take = n.min(self.queue.len());
         self.queue.split_off(self.queue.len() - take).into()
     }
 
     /// Append already-admitted requests taken from another collector
-    /// (the work-stealing/migration receiver path), keeping their tickets
-    /// and arrival stamps. Bypasses the high-water mark: admission was
-    /// granted by the donor.
+    /// (the work-stealing/migration receiver path), keeping their arrival
+    /// stamps. Bypasses the high-water mark: admission was granted by the
+    /// donor.
     pub fn adopt(&mut self, entries: Vec<Pending<T>>) {
         self.queue.extend(entries);
     }
@@ -322,22 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn collector_tickets_are_unique_and_ordered() {
-        let mut c = Collector::new(config(4, 4));
-        let t0 = c.submit("x", 0.0).unwrap();
-        let t1 = c.submit("y", 0.0).unwrap();
-        assert!(t1 > t0);
-        // Rejection must not consume a ticket id.
-        for _ in 0..2 {
-            c.submit("z", 0.0).unwrap();
-        }
-        let _ = c.submit("w", 0.0).unwrap_err();
-        c.take_batch(FlushReason::Full, 0.0);
-        let t_next = c.submit("v", 0.0).unwrap();
-        assert_eq!(t_next.0, t1.0 + 3);
-    }
-
-    #[test]
     fn oversized_queue_drains_in_width_sized_batches() {
         let mut c = Collector::new(config(4, 16));
         for i in 0..10 {
@@ -373,8 +340,7 @@ mod tests {
         let again = c.take_batch(FlushReason::Full, 1.0);
         let payloads: Vec<i32> = again.entries.iter().map(|p| p.payload).collect();
         assert_eq!(payloads, vec![0, 1, 2, 3]);
-        // Tickets and submission stamps survive the round trip.
-        assert_eq!(again.entries[0].ticket, Ticket(0));
+        // Submission stamps survive the round trip.
         assert_eq!(again.entries[0].submitted_at, 0.0);
     }
 

@@ -40,7 +40,7 @@ pub struct ServiceReport {
     /// Submissions bounced for backpressure (queue at high-water mark).
     pub rejected: u64,
     /// Requests whose flush was poisoned by a panicking card closure
-    /// before they resolved: their tickets were dropped (waiters see
+    /// before they resolved: their reply channels were dropped (waiters see
     /// `ServiceShutdown`) and no flush record counts them.
     pub poisoned_jobs: u64,
 }

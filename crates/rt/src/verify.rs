@@ -27,10 +27,11 @@
 //!   once, the card itself is suspect and the event escalates to the
 //!   circuit breaker as a hard fault.
 //!
-//! The full ladder, walked by `run_flush` in [`crate::resilient`]:
-//! verification failure → re-run the lane once on-card → quarantine the
-//! lane → escalate repeated quarantines to the breaker → host-scalar
-//! fallback. Host results sit inside the trust boundary and are not
+//! The full ladder, walked by every card attempt of the flush ladder in
+//! [`crate::resilient`]: verification failure → re-run the lane once
+//! on-card (with the attempt's fault-poisoned lanes, in lane order) →
+//! quarantine the lane → escalate repeated quarantines to the breaker →
+//! host-scalar fallback. Host results sit inside the trust boundary and are not
 //! re-verified. A service without a `verify` hook pays nothing: no
 //! measured verification pass, no quarantine bookkeeping, bit- and
 //! cycle-identical to the pre-verification stack.

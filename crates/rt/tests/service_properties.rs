@@ -1,7 +1,7 @@
 //! Property tests for the work-conserving batch collector: under any
 //! arrival schedule, a batch is due whenever something is parked, every
 //! batch takes the `min(depth, width)` oldest parked requests, and every
-//! accepted ticket is delivered in exactly one flushed batch — nothing
+//! accepted request is delivered in exactly one flushed batch — nothing
 //! lost, nothing duplicated. The offload service (a one-card fleet)
 //! extends the invariant to fault schedules: whatever the injected
 //! faults, deadline budget and fallback configuration, every submitted
@@ -9,18 +9,19 @@
 
 use phi_bigint::BigUint;
 use phi_faults::{FaultKind, FaultScript, FaultSource};
-use phi_rt::service::{Collector, FlushReason, ServiceConfig, SubmitError, Ticket};
+use phi_rt::service::{Collector, FlushReason, ServiceConfig, SubmitError};
 use phi_rt::{CardSetup, FleetConfig, FleetScheduler, ResilienceConfig};
 use phiopenssl::{BatchCrtEngine, CrtKey, PhiConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One flushed batch: its reason, its tickets, the depth it was taken
-/// from, and the wait of its oldest request.
+/// One flushed batch: its reason, its requests (each identified by its
+/// distinct payload), the depth it was taken from, and the wait of its
+/// oldest request.
 struct Flush {
     reason: FlushReason,
-    tickets: Vec<Ticket>,
+    requests: Vec<u64>,
     depth: usize,
     oldest_wait: f64,
 }
@@ -48,7 +49,7 @@ impl Server {
             let batch = self.collector.take_batch(reason, at);
             self.flushes.push(Flush {
                 reason,
-                tickets: batch.entries.iter().map(|p| p.ticket).collect(),
+                requests: batch.entries.iter().map(|p| p.payload).collect(),
                 depth,
                 oldest_wait: batch.oldest_wait(),
             });
@@ -65,7 +66,7 @@ fn run_schedule(
     config: ServiceConfig,
     gaps_us: &[u32],
     flush_us: u32,
-) -> (Vec<Ticket>, Vec<Flush>, u64) {
+) -> (Vec<u64>, Vec<Flush>, u64) {
     let mut server = Server {
         collector: Collector::new(config),
         free_at: 0.0,
@@ -79,7 +80,7 @@ fn run_schedule(
         server.serve(now, target);
         now = target;
         match server.collector.submit(i as u64, now) {
-            Ok(ticket) => accepted.push(ticket),
+            Ok(()) => accepted.push(i as u64),
             Err(SubmitError::QueueFull { .. }) => {}
             Err(e) => panic!("collector can only reject for backpressure: {e}"),
         }
@@ -103,7 +104,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn no_ticket_lost_or_duplicated(
+    fn no_request_lost_or_duplicated(
         gaps_us in proptest::collection::vec(0u32..3000, 1..200),
         width in 1usize..=16,
         flush_us in 0u32..5000,
@@ -115,13 +116,13 @@ proptest! {
         };
         let (accepted, flushes, rejected) = run_schedule(config, &gaps_us, flush_us);
 
-        // Conservation: the flushed tickets are exactly the accepted
-        // tickets, each exactly once, in submission order — so every
+        // Conservation: the flushed requests are exactly the accepted
+        // requests, each exactly once, in submission order — so every
         // batch took the oldest parked requests.
-        let delivered: Vec<Ticket> = flushes.iter().flat_map(|f| f.tickets.clone()).collect();
+        let delivered: Vec<u64> = flushes.iter().flat_map(|f| f.requests.clone()).collect();
         prop_assert_eq!(&delivered, &accepted, "delivery must preserve order");
-        let unique: HashSet<Ticket> = delivered.iter().copied().collect();
-        prop_assert_eq!(unique.len(), delivered.len(), "duplicated ticket");
+        let unique: HashSet<u64> = delivered.iter().copied().collect();
+        prop_assert_eq!(unique.len(), delivered.len(), "duplicated request");
         prop_assert_eq!(
             accepted.len() + rejected as usize,
             gaps_us.len(),
@@ -130,8 +131,8 @@ proptest! {
 
         // Every batch takes min(depth, width) requests, and says why.
         for f in &flushes {
-            prop_assert_eq!(f.tickets.len(), f.depth.min(width), "batch size");
-            let full = f.tickets.len() == width;
+            prop_assert_eq!(f.requests.len(), f.depth.min(width), "batch size");
+            let full = f.requests.len() == width;
             let want = if full { FlushReason::Full } else { FlushReason::Deadline };
             prop_assert_eq!(f.reason, want);
         }
@@ -150,7 +151,7 @@ proptest! {
         prop_assert_eq!(rejected, 0);
         prop_assert_eq!(flushes.len(), accepted.len());
         for f in &flushes {
-            prop_assert_eq!(f.tickets.len(), 1);
+            prop_assert_eq!(f.requests.len(), 1);
             prop_assert_eq!(f.oldest_wait, 0.0);
         }
     }
@@ -177,7 +178,7 @@ proptest! {
     /// submitted request comes back — on the card, through the host
     /// fallback, or as a typed error — and the final report accounts for
     /// each one exactly once. No hangs (the test would never finish),
-    /// no lost tickets, no wrong results.
+    /// no lost requests, no wrong results.
     #[test]
     fn one_card_fleet_conserves_requests_under_any_fault_schedule(
         codes in proptest::collection::vec(0u8..12, 0..60),

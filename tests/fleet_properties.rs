@@ -59,31 +59,30 @@ proptest! {
         }
     }
 
-    /// `steal_back` + `adopt` conserve requests exactly: every ticket
-    /// submitted to the victim ends up exactly once in either the
-    /// victim's queue or the thief's, in arrival order within each.
+    /// `steal_back` + `adopt` conserve requests exactly: every request
+    /// submitted to the victim (each identified by its distinct payload)
+    /// ends up exactly once in either the victim's queue or the thief's,
+    /// in arrival order within each.
     #[test]
-    fn stealing_conserves_every_ticket(
+    fn stealing_conserves_every_request(
         submitted in 1usize..40,
         steal in any::<usize>(),
     ) {
         let config = ServiceConfig { width: 16, queue_cap: 64 };
         let mut victim = Collector::<u64>::new(config);
         let mut thief = Collector::<u64>::new(config);
-        let mut all = Vec::new();
-        for i in 0..submitted {
-            let ticket = victim.submit(i as u64, 0.0).unwrap();
-            all.push(ticket);
+        let all: Vec<u64> = (0..submitted as u64).collect();
+        for &request in &all {
+            victim.submit(request, 0.0).unwrap();
         }
         let stolen = victim.steal_back(steal % (submitted + 1));
-        let stolen_tickets: Vec<_> = stolen.iter().map(|p| p.ticket).collect();
+        let stolen_requests: Vec<u64> = stolen.iter().map(|p| p.payload).collect();
         thief.adopt(stolen);
         prop_assert_eq!(victim.depth() + thief.depth(), submitted);
         // The thief got the newest entries; the victim kept the oldest.
         let survivors = victim.steal_back(victim.depth());
-        let kept: Vec<_> = survivors.iter().map(|p| p.ticket).collect();
-        let mut recombined = kept.clone();
-        recombined.extend(stolen_tickets.iter().copied());
+        let mut recombined: Vec<u64> = survivors.iter().map(|p| p.payload).collect();
+        recombined.extend(stolen_requests);
         prop_assert_eq!(recombined, all, "oldest-first order must survive a steal");
     }
 
