@@ -39,11 +39,12 @@ use phi_bigint::{BigIntError, BigUint};
 ///
 /// Two, because a pass costs at least 2.68× a single op on the modeled
 /// KNC channel (tightest at 384 bits), at every key size from 127 to
-/// 4096 bits, and 3.6–5.3× on the native backend at 256–2048-bit keys
-/// (the default `x86-64-v3` build on one Xeon core). Two singles always
-/// undercut it; three would not. The check clears the same bar: one
-/// `pow_eq_16` costs 3.8–6.4× a single-lane `pow_eq` on the modeled
-/// channel at 256–2048-bit moduli (5.5× at 1024 bits).
+/// 4096 bits, and 3.0–5.3× on the native backend at 256–2048-bit keys
+/// (3.5/3.0/3.8/5.3× at 256/512/1024/2048 bits, the default `x86-64-v3`
+/// build pinned to one Xeon core). Two singles always undercut it;
+/// three would not (they tie at 512 bits). The check clears the same
+/// bar: one `pow_eq_16` costs 3.8–6.4× a single-lane `pow_eq` on the
+/// modeled channel at 256–2048-bit moduli (5.5× at 1024 bits).
 pub const SINGLE_OP_MAX_LIVE: usize = 2;
 
 /// A reusable engine executing RSA private operations sixteen at a time.

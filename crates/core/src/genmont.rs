@@ -300,7 +300,7 @@ impl GenMontCtx {
     /// admissibility bound keeps every column sum below `2^63`.
     fn raw_product<B: VectorBackend>(&self, aw: &[Pair<B>], bw: &[Pair<B>]) -> Vec<Pair<B>> {
         let k = self.k;
-        let mut cols = Vec::with_capacity(2 * k - 1);
+        let mut cols = vec![(B::V64::zero(), B::V64::zero()); 2 * k - 1];
         self.ctl::<B>(2 * k - 1);
         for c in 0..(2 * k - 1) {
             let mut lo = B::V64::zero();
@@ -314,7 +314,7 @@ impl GenMontCtx {
                 hi = hi.fma32(aw[i].1, bw[j].1);
             }
             B::record(OpClass::VMem, 2);
-            cols.push((lo, hi));
+            cols[c] = (lo, hi);
         }
         cols
     }
@@ -325,7 +325,7 @@ impl GenMontCtx {
     fn raw_square<B: VectorBackend>(&self, aw: &[Pair<B>]) -> Vec<Pair<B>> {
         let k = self.k;
         let a2: Vec<Pair<B>> = aw.iter().map(|p| (p.0.add(p.0), p.1.add(p.1))).collect();
-        let mut cols = Vec::with_capacity(2 * k - 1);
+        let mut cols = vec![(B::V64::zero(), B::V64::zero()); 2 * k - 1];
         self.ctl::<B>(k); // doubling pass
         self.ctl::<B>(2 * k - 1);
         for c in 0..(2 * k - 1) {
@@ -345,7 +345,7 @@ impl GenMontCtx {
                 hi = hi.fma32(aw[i].1, aw[i].1);
             }
             B::record(OpClass::VMem, 2);
-            cols.push((lo, hi));
+            cols[c] = (lo, hi);
         }
         cols
     }
@@ -358,7 +358,7 @@ impl GenMontCtx {
         out_len: usize,
         maskv: B::V64,
     ) -> (Vec<Pair<B>>, Pair<B>) {
-        let mut out = Vec::with_capacity(out_len);
+        let mut out = vec![(B::V64::zero(), B::V64::zero()); out_len];
         let mut carry = (B::V64::zero(), B::V64::zero());
         self.ctl::<B>(out_len);
         for idx in 0..out_len {
@@ -369,7 +369,7 @@ impl GenMontCtx {
             };
             let vlo = rlo.add(carry.0);
             let vhi = rhi.add(carry.1);
-            out.push((vlo.and(maskv), vhi.and(maskv)));
+            out[idx] = (vlo.and(maskv), vhi.and(maskv));
             carry = (vlo.shr(self.r), vhi.shr(self.r));
             B::record(OpClass::VMem, 2);
         }
@@ -385,7 +385,7 @@ impl GenMontCtx {
             .iter()
             .map(|&d| B::V64::splat(d))
             .collect();
-        let mut mraw = Vec::with_capacity(k);
+        let mut mraw = vec![(B::V64::zero(), B::V64::zero()); k];
         self.ctl::<B>(k);
         for c in 0..k {
             let mut lo = B::V64::zero();
@@ -396,7 +396,7 @@ impl GenMontCtx {
                 hi = hi.fma32(t[i].1, np[c - i]);
             }
             B::record(OpClass::VMem, 2);
-            mraw.push((lo, hi));
+            mraw[c] = (lo, hi);
         }
         let (m, _dropped) = self.normalize::<B>(&mraw, k, maskv);
         m
@@ -517,19 +517,19 @@ impl GenMontCtx {
             .map(|&d| B::V64::splat(d))
             .chain(std::iter::once(B::V64::zero()))
             .collect();
-        let mut diff = Vec::with_capacity(kk);
+        let mut diff = vec![(B::V64::zero(), B::V64::zero()); kk];
         let mut borrow = (B::V64::zero(), B::V64::zero());
         self.ctl::<B>(kk);
         for c in 0..kk {
             let vlo = ud[c].0.sub(nall[c]).sub(borrow.0);
             let vhi = ud[c].1.sub(nall[c]).sub(borrow.1);
             borrow = (vlo.shr(63), vhi.shr(63));
-            diff.push((vlo.and(maskv), vhi.and(maskv)));
+            diff[c] = (vlo.and(maskv), vhi.and(maskv));
             B::record(OpClass::VMem, 2);
         }
         let keep = (B::V64::zero().sub(borrow.0), B::V64::zero().sub(borrow.1));
 
-        let mut cols = Vec::with_capacity(k);
+        let mut cols = vec![[0u64; BATCH_WIDTH]; k];
         self.ctl::<B>(kk);
         for c in 0..kk {
             let lo = diff[c].0.add(ud[c].0.sub(diff[c].0).and(keep.0));
@@ -541,14 +541,13 @@ impl GenMontCtx {
             }
             let llo = lo.to_lanes();
             let lhi = hi.to_lanes();
-            let mut lanes = [0u64; BATCH_WIDTH];
+            let lanes = &mut cols[c];
             for j in 0..8 {
                 debug_assert!(llo[j] <= self.mask && lhi[j] <= self.mask);
                 lanes[j] = llo[j];
                 lanes[8 + j] = lhi[j];
             }
             B::record(OpClass::VPerm, 2);
-            cols.push(lanes);
         }
         GenBatch { cols }
     }
@@ -679,9 +678,8 @@ fn widen<B: VectorBackend>(b: &GenBatch) -> Vec<Pair<B>> {
     b.cols
         .iter()
         .map(|c| {
-            let lo: [u64; 8] = c[..8].try_into().expect("8 lanes");
-            let hi: [u64; 8] = c[8..].try_into().expect("8 lanes");
-            (B::V64::from_lanes(lo), B::V64::from_lanes(hi))
+            let (lo, hi) = c.split_at(8);
+            (B::V64::from_slice_folded(lo), B::V64::from_slice_folded(hi))
         })
         .collect()
 }
@@ -980,6 +978,55 @@ mod tests {
             let m = GenMontCtx::new(&n, p, ResolvedBackend::ModeledKnc).unwrap();
             let nat = GenMontCtx::new(&n, p, ResolvedBackend::NativeX86).unwrap();
             assert_eq!(m.mod_exp_16(&bases, &exp), nat.mod_exp_16(&bases, &exp));
+        }
+    }
+
+    /// Sixteen residues spanning the modulus's full width, with the
+    /// extreme lanes 0 and `n - 1`.
+    fn sixteen_full_width(n: &BigUint, seed: u64) -> Vec<BigUint> {
+        let bits = n.bit_length();
+        let mut vals: Vec<BigUint> = (0..BATCH_WIDTH as u64)
+            .map(|j| &shaped_modulus(bits, 3, seed + j) % n)
+            .collect();
+        vals[0] = BigUint::zero();
+        vals[1] = n - &BigUint::one();
+        vals
+    }
+
+    #[test]
+    fn native_matches_modeled_at_every_tuning_row_and_the_static_point() {
+        // Each committed row's point at its CRT-half size, and the static
+        // point there: the two backends must agree bit for bit on every
+        // kernel entry, a short-exponent ladder, and the power check on
+        // honest and flipped lanes.
+        let exp = BigUint::from(0xb5u64);
+        let e = BigUint::from(65537u64);
+        for row in &crate::tuning::TuningTable::committed().entries {
+            let bits = row.key_bits / 2;
+            let n = shaped_modulus(bits, 3, u64::from(bits));
+            let (a, b) = (sixteen_full_width(&n, 40), sixteen_full_width(&n, 80));
+            let powers: Vec<BigUint> = a.iter().map(|x| x.mod_exp(&e, &n)).collect();
+            let mut claimed = powers.clone();
+            claimed[5] = &(&claimed[5] + &BigUint::one()) % &n;
+            let honest = vec![true; BATCH_WIDTH];
+            let flipped: Vec<bool> = (0..BATCH_WIDTH).map(|j| j != 5).collect();
+            for p in [row.params, KernelParams::static_defaults()] {
+                let what = format!("{bits}-bit modulus at {p:?}");
+                let m = GenMontCtx::new(&n, p, ResolvedBackend::ModeledKnc).unwrap();
+                let nat = GenMontCtx::new(&n, p, ResolvedBackend::NativeX86).unwrap();
+                let (am, bm) = (m.enter_mont_16(&a), m.enter_mont_16(&b));
+                assert_eq!(nat.enter_mont_16(&a), am, "{what}: entry");
+                let prod = m.mont_mul_16(&am, &bm);
+                assert_eq!(nat.mont_mul_16(&am, &bm), prod, "{what}: mul");
+                assert_eq!(nat.mont_sqr_16(&am), m.mont_sqr_16(&am), "{what}: sqr");
+                let want: Vec<BigUint> = a.iter().map(|x| x.mod_exp(&exp, &n)).collect();
+                assert_eq!(m.mod_exp_16(&a, &exp), want, "{what}: modeled exp");
+                assert_eq!(nat.mod_exp_16(&a, &exp), want, "{what}: native exp");
+                for ctx in [&m, &nat] {
+                    assert_eq!(ctx.pow_eq_16(&a, &e, &powers), honest, "{what}: honest");
+                    assert_eq!(ctx.pow_eq_16(&a, &e, &claimed), flipped, "{what}: flip");
+                }
+            }
         }
     }
 

@@ -13,6 +13,7 @@ use phi_backend::{with_backend, LaneMask8, Vector64, VectorBackend};
 use phi_bigint::BigUint;
 use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
+use std::borrow::Cow;
 
 /// How the window table is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,15 +98,20 @@ pub(crate) fn exp_fixed_window_generic<B: VectorBackend>(
     acc
 }
 
-/// Read `table[val]` with the chosen lookup policy.
-fn fetch_entry<B: VectorBackend>(table: &[VecNum], val: usize, lookup: TableLookup) -> VecNum {
+/// Read `table[val]` with the chosen lookup policy. A direct read
+/// borrows the entry, so the ladder copies nothing per window.
+fn fetch_entry<B: VectorBackend>(
+    table: &[VecNum],
+    val: usize,
+    lookup: TableLookup,
+) -> Cow<'_, VecNum> {
     match lookup {
         TableLookup::Direct => {
             // One vector load per chunk of the selected entry.
             B::record(OpClass::VMem, (table[val].len() / LANES) as u64);
-            table[val].clone()
+            Cow::Borrowed(&table[val])
         }
-        TableLookup::ConstantTime => gather_constant_time::<B>(table, val),
+        TableLookup::ConstantTime => Cow::Owned(gather_constant_time::<B>(table, val)),
     }
 }
 

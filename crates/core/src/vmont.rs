@@ -450,6 +450,51 @@ mod tests {
         assert_eq!(d.get(OpClass::SMul32), 0);
     }
 
+    /// A pseudo-random `bits`-bit value with the top bit set.
+    fn full_width(bits: u32, seed: u64) -> BigUint {
+        let mut state = seed;
+        let limbs = (0..bits.div_ceil(64))
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state ^ (state >> 29)
+            })
+            .collect();
+        let mut v = BigUint::from_limbs(limbs);
+        v.mask_low_bits(bits);
+        v.set_bit(bits - 1, true);
+        v
+    }
+
+    #[test]
+    fn native_matches_modeled_at_production_sizes() {
+        let e = BigUint::from(65537u64);
+        for bits in [512u32, 1024, 2048] {
+            let mut n = full_width(bits, u64::from(bits));
+            n.set_bit(0, true);
+            let modeled = VMontCtx::new(&n).unwrap();
+            let native = VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).unwrap();
+            for seed in [1u64, 2, 3] {
+                let x = &full_width(bits, seed) % &n;
+                let y = &full_width(bits, seed + 100) % &n;
+                let (xm, ym) = (modeled.to_mont_vec(&x), modeled.to_mont_vec(&y));
+                assert_eq!(native.to_mont_vec(&x), xm, "{bits} bits: entry");
+                assert_eq!(
+                    native.mont_mul_vec(&xm, &ym),
+                    modeled.mont_mul_vec(&xm, &ym),
+                    "{bits} bits: product"
+                );
+                let power = x.mod_exp(&e, &n);
+                let flipped = &(&power + &BigUint::one()) % &n;
+                for ctx in [&modeled, &native] {
+                    assert!(ctx.pow_eq(&x, &e, &power), "{bits} bits: honest");
+                    assert!(!ctx.pow_eq(&x, &e, &flipped), "{bits} bits: flip");
+                }
+            }
+        }
+    }
+
     #[test]
     fn pow_eq_accepts_true_powers_and_rejects_anything_else() {
         let n = n256();

@@ -3,8 +3,7 @@
 //! Lane types are plain arrays and every lane operation, the widening
 //! 32×32→64 multiply-accumulate [`fma32`](crate::Vector64::fma32)
 //! included, is a plain lane loop. LLVM lowers those loops to the best
-//! SIMD the build targets and keeps all eight lanes in registers across
-//! the surrounding vector ops: `vpmuludq`/`vpaddq` on ymm in the default
+//! SIMD the build targets: `vpmuludq`/`vpaddq` on ymm in the default
 //! x86-64 build (`x86-64-v3`, set in the repository's
 //! `.cargo/config.toml`), on zmm under `RUSTFLAGS="-C target-cpu=native"`
 //! on an AVX-512 host. Hand-written `core::arch` lowerings measured
@@ -12,6 +11,27 @@
 //! cannot inline into callers built without that feature, and inlined
 //! intrinsics fence the lanes through memory at each op boundary), so
 //! the backend has none and the crate forbids `unsafe`.
+//!
+//! The lanes stay in registers across a kernel's loop only when two
+//! things hold, and the objdump of the release build is the check:
+//!
+//! * **Fixed-width lane copies.** [`load`](crate::Vector64::load),
+//!   [`from_slice_folded`](crate::Vector64::from_slice_folded) and
+//!   [`store`](crate::Vector64::store) copy one `[u64; 8]` chunk
+//!   whenever the slice holds one (`first_chunk`), so LLVM sees a
+//!   fixed 64-byte move it folds into the arithmetic. Only a slice
+//!   shorter than 8 lanes takes the zero-padded lane-by-lane path. A
+//!   `min(len, 8)`-lane `copy_from_slice` from an open-ended slice
+//!   compiles to a libc `memcpy` call per chunk instead.
+//! * **Accumulators that never escape the loop.** A kernel writes each
+//!   finished accumulator into a preallocated slot (`cols[c] = (lo,
+//!   hi)`), not through `Vec::push`, whose growth path is a call that
+//!   keeps the accumulators in stack slots, reloaded and re-stored on
+//!   every multiply-accumulate.
+//!
+//! In the default build, the generated kernel's column loops then hold
+//! their four ymm accumulators in registers, and neither kernel's
+//! loops call `memcpy`.
 //!
 //! [`native_tier`] names the SIMD level the lane loops actually run at:
 //! the lesser of what the build compiled them for
@@ -143,8 +163,10 @@ impl Vector64 for NV64 {
     }
     #[inline(always)]
     fn store(self, dst: &mut [u64]) {
-        let n = dst.len().min(8);
-        dst[..n].copy_from_slice(&self.0[..n]);
+        match dst.first_chunk_mut::<8>() {
+            Some(chunk) => *chunk = self.0,
+            None => dst.iter_mut().zip(self.0).for_each(|(d, s)| *d = s),
+        }
     }
     #[inline(always)]
     fn from_lanes(lanes: [u64; 8]) -> Self {
@@ -152,10 +174,10 @@ impl Vector64 for NV64 {
     }
     #[inline(always)]
     fn from_slice_folded(src: &[u64]) -> Self {
-        let mut lanes = [0u64; 8];
-        let n = src.len().min(8);
-        lanes[..n].copy_from_slice(&src[..n]);
-        NV64(lanes)
+        match src.first_chunk::<8>() {
+            Some(chunk) => NV64(*chunk),
+            None => NV64(std::array::from_fn(|i| src.get(i).copied().unwrap_or(0))),
+        }
     }
     #[inline(always)]
     fn to_lanes(self) -> [u64; 8] {
@@ -279,6 +301,7 @@ impl VectorBackend for NativeX86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phi_simd::U64x8;
 
     #[test]
     fn fma32_matches_contract() {
@@ -301,6 +324,37 @@ mod tests {
         let v32 = NV32::from_lanes(std::array::from_fn(|i| i as u32));
         assert_eq!(v32.widen_lo().0, [0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(v32.widen_hi().0, [8, 9, 10, 11, 12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn lane_copies_match_the_modeled_register() {
+        // Short slices, exactly one chunk, and longer slices: loads take
+        // a zero-padded prefix of at most 8 lanes, and a store writes
+        // only the prefix it covers, exactly as the modeled register does.
+        let src: Vec<u64> = (1..=16).collect();
+        let v = NV64(std::array::from_fn(|i| 100 + i as u64));
+        for len in 0..=16 {
+            let s = &src[..len];
+            let n = len.min(8);
+            let mut want = [0u64; 8];
+            want[..n].copy_from_slice(&s[..n]);
+            assert_eq!(NV64::load(s).0, want, "load, {len} lanes");
+            assert_eq!(NV64::from_slice_folded(s).0, want, "folded, {len} lanes");
+            assert_eq!(U64x8::load(s).0, want, "modeled load, {len} lanes");
+            assert_eq!(
+                U64x8::from_slice_folded(s).0,
+                want,
+                "modeled folded, {len} lanes"
+            );
+
+            let mut native = vec![7u64; len];
+            let mut modeled = native.clone();
+            v.store(&mut native);
+            U64x8(v.0).store(&mut modeled);
+            assert_eq!(native, modeled, "store, {len} lanes");
+            assert_eq!(native[..n], v.0[..n], "store writes the prefix");
+            assert!(native[n..].iter().all(|&x| x == 7), "store leaves the rest");
+        }
     }
 
     #[test]

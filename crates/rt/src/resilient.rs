@@ -43,9 +43,12 @@
 //!    and no backoff), quarantine the physical lane
 //!    ([`crate::verify::LaneQuarantine`]), escalate repeated quarantines
 //!    to the breaker, and finally resolve off-card (host fallback or
-//!    [`OffloadError::IntegrityFailure`]). This is the countermeasure to
-//!    *silent* faults ([`FaultKind::is_silent`]), which corrupt results
-//!    while the attempt reports success — undetectable by steps 1–4.
+//!    [`OffloadError::IntegrityFailure`]; a lane that a quarantine pushes
+//!    off the narrowed card before any check saw it reports the detected
+//!    fault that sent it around, [`OffloadError::Faulted`]). This is the
+//!    countermeasure to *silent* faults ([`FaultKind::is_silent`]), which
+//!    corrupt results while the attempt reports success — undetectable
+//!    by steps 1–4.
 //!
 //! The breaker counts a success only after an attempt with no detected
 //! fault and no failed check. With no fault source and a closed breaker
@@ -119,10 +122,11 @@ impl ResilienceConfig {
 /// Why a request left the offload service without a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadError {
-    /// Every retry of the request's batch faulted and no host fallback
-    /// is configured.
+    /// The request's card attempts faulted and no host fallback is
+    /// configured: every retry of its batch, or the attempts before a
+    /// mid-flush lane quarantine narrowed the card past it.
     Faulted {
-        /// The fault observed on the final attempt.
+        /// The detected fault of the request's final attempt.
         kind: FaultKind,
         /// Card attempts made before giving up.
         attempts: u32,
@@ -237,11 +241,13 @@ impl<T, R> FlushStats<T, R> {
     }
 }
 
-/// The entries of the flush in progress, each until it settles, and the
-/// release-check rejections each has drawn in this flush.
+/// The entries of the flush in progress, each until it settles, the
+/// release-check rejections each has drawn in this flush, and the last
+/// detected fault that poisoned each.
 struct Lanes<T, R> {
     entries: Vec<Option<Pending<RJob<T, R>>>>,
     rejections: Vec<u32>,
+    poisoned_by: Vec<Option<FaultKind>>,
 }
 
 impl<T, R> Lanes<T, R> {
@@ -258,6 +264,17 @@ impl<T, R> Lanes<T, R> {
 
     fn resolve(&mut self, i: usize, resolution: Result<R, OffloadError>) {
         let _ = self.take(i).payload.reply.send(resolution);
+    }
+
+    /// The error of lane `i` leaving the card on the verification
+    /// ladder after `attempts` card attempts: the rejections it drew, or,
+    /// for a lane no check ever saw, the detected fault that sent it
+    /// around.
+    fn ladder_error(&self, i: usize, attempts: u32) -> OffloadError {
+        match (self.rejections[i], self.poisoned_by[i]) {
+            (0, Some(kind)) => OffloadError::Faulted { kind, attempts },
+            (rejections, _) => OffloadError::IntegrityFailure { rejections },
+        }
     }
 }
 
@@ -318,6 +335,7 @@ impl<T: Clone, R> Card<T, R> {
     ) {
         let mut lanes = Lanes {
             rejections: vec![0; entries.len()],
+            poisoned_by: vec![None; entries.len()],
             entries: entries.into_iter().map(Some).collect(),
         };
         let mut pending: Vec<usize> = (0..lanes.entries.len()).collect();
@@ -338,7 +356,9 @@ impl<T: Clone, R> Card<T, R> {
         }
 
         let vstart = self.vnow;
-        let mut attempts: u32 = 0;
+        // Card attempts, and the detected faults among them: only the
+        // latter spend the retry budget and pace the backoff.
+        let (mut attempts, mut faults): (u32, u32) = (0, 0);
         loop {
             attempts += 1;
             // Physical lanes carrying this attempt, by position. Mid-flush
@@ -347,7 +367,8 @@ impl<T: Clone, R> Card<T, R> {
             let mut phys = self.quarantine.usable_lanes();
             if pending.len() > phys.len() {
                 let overflow = pending.split_off(phys.len());
-                self.off_card(&mut lanes, &overflow, integrity_failure, stats);
+                let made = attempts - 1;
+                self.off_card(&mut lanes, &overflow, |l, i| l.ladder_error(i, made), stats);
             }
             phys.truncate(pending.len());
 
@@ -363,6 +384,7 @@ impl<T: Clone, R> Card<T, R> {
             let detected = fault.filter(|k| !k.is_silent());
             let poisoned = match detected {
                 Some(kind) => {
+                    faults += 1;
                     stats.report.faults_seen += 1;
                     self.vnow += self.config.fault_cost_s;
                     if kind.is_hard() {
@@ -380,6 +402,7 @@ impl<T: Clone, R> Card<T, R> {
             let mut run = Vec::new();
             for (p, (&i, &lane)) in pending.iter().zip(&phys).enumerate() {
                 if poisoned.contains(&p) {
+                    lanes.poisoned_by[i] = detected;
                     next.push(i);
                 } else {
                     run.push((i, lane));
@@ -403,7 +426,12 @@ impl<T: Clone, R> Card<T, R> {
                 let (rerun, offcard): (Vec<usize>, Vec<usize>) = failed
                     .into_iter()
                     .partition(|&i| lanes.rejections[i] <= max_reruns);
-                self.off_card(&mut lanes, &offcard, integrity_failure, stats);
+                self.off_card(
+                    &mut lanes,
+                    &offcard,
+                    |l, i| l.ladder_error(i, attempts),
+                    stats,
+                );
                 stats.report.verify_reruns += rerun.len() as u64;
                 next.extend(rerun);
                 next.sort_unstable();
@@ -421,13 +449,13 @@ impl<T: Clone, R> Card<T, R> {
             }
             // Verification re-runs spend no retry budget and no backoff.
             let Some(kind) = detected else { continue };
-            if attempts > self.config.backoff.max_retries {
+            if faults > self.config.backoff.max_retries {
                 // Retry ladder exhausted inside one flush.
                 let error = OffloadError::Faulted { kind, attempts };
                 self.off_card(&mut lanes, &pending, |_, _| error, stats);
                 return;
             }
-            let delay = self.config.backoff.delay(attempts);
+            let delay = self.config.backoff.delay(faults);
             if self.vnow - vstart + delay > self.config.flush_deadline_s {
                 // Deadline: cancel the flush. Live lanes requeue (keeping
                 // their arrival stamps) unless the card is draining or
@@ -442,8 +470,8 @@ impl<T: Clone, R> Card<T, R> {
                     entry.payload.requeues += 1;
                     stats.requeued.push(entry);
                 }
-                let deadline = |job: &RJob<T, R>, _| OffloadError::DeadlineExceeded {
-                    requeues: job.requeues,
+                let deadline = |l: &Lanes<T, R>, i| OffloadError::DeadlineExceeded {
+                    requeues: l.job(i).requeues,
                 };
                 self.off_card(&mut lanes, &forced, deadline, stats);
                 return;
@@ -546,13 +574,13 @@ impl<T: Clone, R> Card<T, R> {
     }
 
     /// Resolve `which` off the card: on the host fallback, or, with no
-    /// fallback, with the error `error` builds from each request and the
-    /// rejections it drew in this flush.
+    /// fallback, with the error `error` builds from the flush's lanes and
+    /// each lane's index.
     fn off_card(
         &mut self,
         lanes: &mut Lanes<T, R>,
         which: &[usize],
-        error: impl Fn(&RJob<T, R>, u32) -> OffloadError,
+        error: impl Fn(&Lanes<T, R>, usize) -> OffloadError,
         stats: &mut FlushStats<T, R>,
     ) {
         for &i in which {
@@ -570,18 +598,12 @@ impl<T: Clone, R> Card<T, R> {
                 }
                 None => {
                     stats.report.errored_ops += 1;
-                    Err(error(lanes.job(i), lanes.rejections[i]))
+                    Err(error(lanes, i))
                 }
             };
             lanes.resolve(i, resolution);
         }
     }
-}
-
-/// The error of a lane that left the card on the verification ladder:
-/// the rejections it drew.
-fn integrity_failure<T, R>(_: &RJob<T, R>, rejections: u32) -> OffloadError {
-    OffloadError::IntegrityFailure { rejections }
 }
 
 #[cfg(test)]
@@ -1043,6 +1065,76 @@ mod tests {
         assert_eq!(report.lane_quarantines, 1);
         assert_eq!(report.errored_ops, 1);
         assert_eq!(report.verify_failures, 2);
+    }
+
+    #[test]
+    fn verification_reruns_spend_no_retry_budget() {
+        // A silent flip sends the only lane around for a check re-run;
+        // then every attempt times out. The re-run is not a retry: the
+        // flush still gets the full budget of three retries (four
+        // detected faults) before giving up, on its fifth card attempt.
+        let mut script = vec![Some(FaultKind::SilentLaneFlip { lane: 0 })];
+        script.extend([Some(FaultKind::PcieTimeout); 8]);
+        let script: Arc<dyn FaultSource> = Arc::new(FaultScript::new(script));
+        let mut cfg = config(1, 64);
+        cfg.breaker.trip_threshold = u32::MAX; // isolate the retry-exhaustion path
+        let service = one_card(cfg, false, Some(script), Some(doubler_hooks()));
+        let h = service.submit(5).unwrap();
+        assert_eq!(
+            h.wait(),
+            Err(OffloadError::Faulted {
+                kind: FaultKind::PcieTimeout,
+                attempts: 5
+            })
+        );
+        let report = shutdown(service);
+        assert_eq!(report.verify_reruns, 1);
+        assert_eq!(report.retries, 3);
+        assert_eq!(report.faults_seen, 4);
+    }
+
+    #[test]
+    fn lane_pushed_off_a_narrowed_card_reports_its_fault() {
+        // An ECC fault poisons lane 1 (payload 6) while payload 5 fails
+        // its check on lane 0, whose first strike quarantines it. The
+        // re-run set no longer fits the one usable lane, so payload 6,
+        // never checked, leaves the card with the fault that sent it
+        // around rather than an integrity failure.
+        let script: Arc<dyn FaultSource> =
+            Arc::new(FaultScript::new(vec![Some(FaultKind::EccLaneFault {
+                lane: 1,
+            })]));
+        let wrong_once = std::sync::atomic::AtomicBool::new(true);
+        let card = move |xs: &[u64]| {
+            xs.iter()
+                .map(|&x| {
+                    let wrong =
+                        x == 5 && wrong_once.swap(false, std::sync::atomic::Ordering::Relaxed);
+                    x * 2 + u64::from(wrong)
+                })
+                .collect()
+        };
+        let mut cfg = config(2, 64);
+        cfg.quarantine.strike_threshold = 1;
+        cfg.quarantine.escalate_threshold = 0;
+        let setup = CardSetup::new(card)
+            .with_faults(script)
+            .with_integrity(doubler_hooks());
+        let service = FleetScheduler::new(FleetConfig::default(), cfg, vec![setup]);
+        let [a, b] = burst(&service, [5, 6]);
+        assert_eq!(a.wait(), Ok(10));
+        assert_eq!(
+            b.wait(),
+            Err(OffloadError::Faulted {
+                kind: FaultKind::EccLaneFault { lane: 1 },
+                attempts: 1
+            })
+        );
+        let report = shutdown(service);
+        assert_eq!(report.faults_seen, 1);
+        assert_eq!(report.verify_failures, 1);
+        assert_eq!(report.lane_quarantines, 1);
+        assert_eq!(report.errored_ops, 1);
     }
 
     #[test]
