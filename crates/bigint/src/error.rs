@@ -30,6 +30,13 @@ pub enum BigIntError {
         /// Minimum accepted bit length.
         min: u32,
     },
+    /// The requested bit length is too large for the operation.
+    BitLengthTooLarge {
+        /// Requested bit length.
+        bits: u32,
+        /// Maximum accepted bit length.
+        max: u32,
+    },
 }
 
 impl fmt::Display for BigIntError {
@@ -49,6 +56,9 @@ impl fmt::Display for BigIntError {
             }
             BigIntError::BitLengthTooSmall { bits, min } => {
                 write!(f, "bit length {bits} is below the minimum of {min}")
+            }
+            BigIntError::BitLengthTooLarge { bits, max } => {
+                write!(f, "bit length {bits} is above the maximum of {max}")
             }
         }
     }
@@ -77,5 +87,10 @@ mod tests {
         assert!(e.to_string().contains("512"));
         let e = BigIntError::BitLengthTooSmall { bits: 2, min: 16 };
         assert!(e.to_string().contains('2'));
+        let e = BigIntError::BitLengthTooLarge {
+            bits: 13825,
+            max: 13824,
+        };
+        assert!(e.to_string().contains("13825") && e.to_string().contains("13824"));
     }
 }

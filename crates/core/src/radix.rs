@@ -4,10 +4,21 @@
 //! cannot use full 32-bit digits: partial products must accumulate in
 //! 64-bit lanes without overflowing between explicit normalization points.
 //! Storing `DIGIT_BITS = 27`-bit digits makes every lane product at most
-//! 2^54, so even a 4096-bit operand (152 digits) accumulates
-//! `2 · 152 · 2^54 < 2^63` per column across a full Montgomery pass —
+//! `D² = (2^27 − 1)²`, so even a 4096-bit operand (152 digits) accumulates
+//! `2 · 152 · D² < 2^63` per column across a full Montgomery pass —
 //! comfortably inside a `u64` lane. (28-bit digits would overflow at 4096
 //! bits: `2 · 147 · 2^56 > 2^64`.)
+//!
+//! The limit: each CIOS row adds at most two products (`aᵢ·bⱼ` and
+//! `q·nⱼ`) to every column lane, so after the `k` rows of a `k`-digit
+//! modulus a lane holds at most `2k·D²`. Lane 0 also carries the digit
+//! the previous row shifted out, at most its value over `2^27`, and so
+//! does each column of the final normalization. At `k = 512`,
+//! `2k·D² = 2^64 − 2^38 + 2^10` leaves room for that carry (just over
+//! `2^37`); at `k = 513` the products alone can pass `2^64`. So the
+//! vector Montgomery kernel takes moduli of at most
+//! [`MAX_MONT_DIGITS`] digits ([`MAX_MONT_BITS`] bits), and
+//! `VMontCtx` rejects larger ones.
 //!
 //! Digits are stored little-endian in `u64` slots (pre-widened, the layout
 //! the vector loads want), padded to a multiple of the 8-lane vector width.
@@ -23,6 +34,13 @@ pub const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
 
 /// 64-bit lanes per 512-bit vector.
 pub const LANES: usize = 8;
+
+/// Most digits a Montgomery modulus may have before a column lane can
+/// overflow (the limit in the module doc).
+pub const MAX_MONT_DIGITS: u32 = 512;
+
+/// [`MAX_MONT_DIGITS`] in bits: 13,824.
+pub const MAX_MONT_BITS: u32 = MAX_MONT_DIGITS * DIGIT_BITS;
 
 /// A non-negative integer in reduced-radix vector form.
 ///
@@ -166,6 +184,28 @@ mod tests {
         assert_eq!(pad_to_lanes(9), 16);
         assert_eq!(pad_to_lanes(0), 8);
         assert_eq!(VecNum::zero(9).len(), 16);
+    }
+
+    /// The largest value a column lane can reach in a Montgomery
+    /// multiplication modulo a `k`-digit modulus, from digit bounds alone:
+    /// `2·row` products in lane 0 plus the carry it inherits, then `2k`
+    /// products plus a carry in every column the normalization walks.
+    fn worst_lane(k: u32) -> u128 {
+        let (k, dd) = (u128::from(k), u128::from(DIGIT_MASK).pow(2));
+        let (mut carry, mut worst) = (0u128, 0u128);
+        for rows in (1..=k).chain(std::iter::repeat_n(k, k as usize + LANES)) {
+            let v = 2 * rows * dd + carry;
+            carry = v >> DIGIT_BITS;
+            worst = worst.max(v);
+        }
+        worst
+    }
+
+    #[test]
+    fn mont_lane_bound_holds_exactly_up_to_the_limit() {
+        assert!(worst_lane(MAX_MONT_DIGITS) <= u128::from(u64::MAX));
+        assert!(worst_lane(MAX_MONT_DIGITS + 1) > u128::from(u64::MAX));
+        assert_eq!(MAX_MONT_BITS, 13_824);
     }
 
     #[test]

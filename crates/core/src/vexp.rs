@@ -145,6 +145,8 @@ mod tests {
     use super::*;
     use phi_backend::{ModeledKnc, ResolvedBackend};
     use phi_simd::count;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn ctx256() -> VMontCtx {
         VMontCtx::new(
@@ -257,6 +259,32 @@ mod tests {
                 mod_exp_vec(&nctx, &base, &exp, 5, lookup),
                 "{lookup:?}"
             );
+        }
+    }
+
+    #[test]
+    fn native_matches_modeled_with_full_width_exponents() {
+        // The 3- and 5-chunk array storages of the single-op kernel, over
+        // a whole exponentiation with an exponent as wide as the modulus.
+        for bits in [512u32, 1024] {
+            let mut n = BigUint::random_bits(&mut StdRng::seed_from_u64(u64::from(bits)), bits);
+            n.set_bit(0, true);
+            let mut rng = StdRng::seed_from_u64(u64::from(bits) + 1);
+            let base = &BigUint::random_bits(&mut rng, bits) % &n;
+            let exp = BigUint::random_bits(&mut rng, bits);
+            let want = base.mod_exp(&exp, &n);
+            let modeled = VMontCtx::new(&n).unwrap();
+            let native = VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).unwrap();
+            for lookup in [TableLookup::Direct, TableLookup::ConstantTime] {
+                for ctx in [&modeled, &native] {
+                    assert_eq!(
+                        mod_exp_vec(ctx, &base, &exp, DEFAULT_WINDOW, lookup),
+                        want,
+                        "{bits} bits, {:?}, {lookup:?}",
+                        ctx.backend()
+                    );
+                }
+            }
         }
     }
 

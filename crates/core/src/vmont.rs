@@ -12,11 +12,12 @@
 //! row, this kernel issues `2·⌈K/8⌉` vector FMAs plus two broadcasts — the
 //! structural advantage the paper's speedups come from.
 
-use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
+use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES, MAX_MONT_BITS};
 use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};
 use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
+use std::ops::{Index, IndexMut};
 
 /// Scalar glue charged per CIOS row: extracting the low accumulator lane,
 /// forming `q`, the carry shift and carry add, and loop bookkeeping. These
@@ -36,6 +37,35 @@ pub(crate) fn inv_mod_digit(x: u64) -> u64 {
     inv
 }
 
+/// Storage for one row's vector chunks: `[V; C]` or `Vec<V>`.
+trait Chunks<V>: Index<usize, Output = V> + IndexMut<usize> {
+    /// `len` chunks, chunk `c` holding `f(c)`.
+    fn from_fn(len: usize, f: impl FnMut(usize) -> V) -> Self;
+    /// The chunk count: the constant `C` for an array.
+    fn len(&self) -> usize;
+}
+
+impl<V, const C: usize> Chunks<V> for [V; C] {
+    #[inline(always)]
+    fn from_fn(len: usize, f: impl FnMut(usize) -> V) -> Self {
+        debug_assert_eq!(len, C);
+        std::array::from_fn(f)
+    }
+    #[inline(always)]
+    fn len(&self) -> usize {
+        C
+    }
+}
+
+impl<V> Chunks<V> for Vec<V> {
+    fn from_fn(len: usize, f: impl FnMut(usize) -> V) -> Self {
+        (0..len).map(f).collect()
+    }
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
 /// A vectorized Montgomery context for one odd modulus.
 ///
 /// The Montgomery radix is `R = 2^(27·k)` where `k` is the digit count of
@@ -50,7 +80,6 @@ pub struct VMontCtx {
     kk: usize,
     /// `kk / 8` — vector chunks per column pass.
     chunks: usize,
-    n_digits: Vec<u64>,
     n_vec: VecNum,
     /// `-n⁻¹ mod 2^27`.
     n0_inv: u64,
@@ -69,9 +98,19 @@ impl VMontCtx {
     }
 
     /// Build a context for the odd modulus `n` on an explicit backend.
+    ///
+    /// Fails on an even modulus, and on one of more than
+    /// [`MAX_MONT_BITS`] bits, where the kernel's 64-bit column lanes
+    /// could overflow.
     pub fn with_backend(n: &BigUint, backend: ResolvedBackend) -> Result<Self, BigIntError> {
         if n.is_zero() || n.is_even() {
             return Err(BigIntError::EvenModulus);
+        }
+        if n.bit_length() > MAX_MONT_BITS {
+            return Err(BigIntError::BitLengthTooLarge {
+                bits: n.bit_length(),
+                max: MAX_MONT_BITS,
+            });
         }
         let _span = phi_trace::span(phi_trace::Scope::CtxSetup);
         phi_simd::count::record_ctx_setup();
@@ -88,7 +127,6 @@ impl VMontCtx {
             k,
             kk,
             chunks: kk / LANES,
-            n_digits: n_vec.digits().to_vec(),
             n_vec,
             n0_inv,
             rr_vec,
@@ -119,7 +157,7 @@ impl VMontCtx {
 
     /// The modulus in padded digit form (shared with the batched kernel).
     pub fn n_digits(&self) -> &[u64] {
-        &self.n_digits
+        self.n_vec.digits()
     }
 
     /// `R² mod n` in vector form (shared with the batch domain entry).
@@ -168,24 +206,44 @@ impl VMontCtx {
     /// Backend-generic body of [`mont_mul_vec`](Self::mont_mul_vec) —
     /// generic callers (exponentiation, batching) use this directly so a
     /// single dispatch covers a whole exponentiation.
+    ///
+    /// The chunk count picks the row storage: fixed arrays for the
+    /// 512-, 1024- and 2048-bit moduli (3, 5 and 10 chunks: the CRT
+    /// halves of RSA-1024 and RSA-2048 and the single-lane checks of
+    /// both), a `Vec` for every other size. Both run the same rows.
     pub(crate) fn mont_mul_generic<B: VectorBackend>(&self, a: &VecNum, b: &VecNum) -> VecNum {
         let _span = phi_trace::span(phi_trace::Scope::MontReduce);
         debug_assert_eq!(a.len(), self.kk);
         debug_assert_eq!(b.len(), self.kk);
-        let chunks = self.chunks;
+        match self.chunks {
+            3 => self.mont_mul_rows::<B, [B::V64; 3]>(a, b),
+            5 => self.mont_mul_rows::<B, [B::V64; 5]>(a, b),
+            10 => self.mont_mul_rows::<B, [B::V64; 10]>(a, b),
+            _ => self.mont_mul_rows::<B, Vec<B::V64>>(a, b),
+        }
+    }
 
-        // Column accumulators, held in vector registers for the whole pass.
-        let mut acc = vec![B::V64::zero(); chunks];
+    /// The CIOS rows over chunk storage `S`. For an array, `S::len` is a
+    /// compile-time constant, so the loops below have fixed bounds and
+    /// the accumulators and the `B` and `N` chunks, loaded once per
+    /// call, stay in registers across the rows (DESIGN.md §3.11).
+    fn mont_mul_rows<B: VectorBackend, S: Chunks<B::V64>>(&self, a: &VecNum, b: &VecNum) -> VecNum {
+        // The B and N operands fold into the FMAs as memory sources,
+        // KNC-style: free on the modeled channel, loaded here once.
+        let fold = |digits: &[u64]| {
+            S::from_fn(self.chunks, |c| {
+                B::V64::from_slice_folded(&digits[c * LANES..])
+            })
+        };
+        let (bv, nv) = (fold(&b.digits), fold(self.n_vec.digits()));
+        let mut acc = S::from_fn(self.chunks, |_| B::V64::zero());
+        let chunks = acc.len();
 
         for i in 0..self.k {
-            let ai = a.digit(i);
-
-            // acc += a_i * B : one broadcast + `chunks` FMAs (the B operand
-            // folds into the FMA as a memory source, KNC-style).
-            let av = B::V64::splat(ai);
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let b_chunk = B::V64::from_slice_folded(&b.digits[c * LANES..]);
-                *slot = slot.fma32(av, b_chunk);
+            // acc += a_i * B : one broadcast + `chunks` FMAs.
+            let av = B::V64::splat(a.digit(i));
+            for c in 0..chunks {
+                acc[c] = acc[c].fma32(av, bv[c]);
             }
 
             // q = (t₀ · n₀') mod 2^27 — scalar, on the critical path.
@@ -195,9 +253,8 @@ impl VMontCtx {
 
             // acc += q * N : clears the low digit.
             let qv = B::V64::splat(q);
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let n_chunk = B::V64::from_slice_folded(&self.n_digits[c * LANES..]);
-                *slot = slot.fma32(qv, n_chunk);
+            for c in 0..chunks {
+                acc[c] = acc[c].fma32(qv, nv[c]);
             }
             debug_assert_eq!(acc[0].lane(0) & DIGIT_MASK, 0, "row {i} not reduced");
 
@@ -221,7 +278,7 @@ impl VMontCtx {
         // Normalize the redundant columns into proper 27-bit digits.
         let mut out = VecNum::zero(self.kk);
         let mut carry = 0u64;
-        for j in 0..self.kk {
+        for j in 0..chunks * LANES {
             let v = acc[j / LANES].lane(j % LANES) + carry;
             out.digits[j] = v & DIGIT_MASK;
             carry = v >> DIGIT_BITS;
@@ -308,6 +365,7 @@ impl MontEngine for VMontCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::MAX_MONT_DIGITS;
     use phi_simd::count;
 
     fn n256() -> BigUint {
@@ -326,6 +384,34 @@ mod tests {
     fn rejects_even_modulus() {
         assert!(VMontCtx::new(&BigUint::from(8u64)).is_err());
         assert!(VMontCtx::new(&BigUint::zero()).is_err());
+    }
+
+    #[test]
+    fn takes_moduli_up_to_the_lane_bound_and_rejects_one_digit_more() {
+        let top = BigUint::power_of_two(MAX_MONT_BITS);
+        let n = &top - &BigUint::from(0x11Du64);
+        // n − 1 and n − 2: every digit but the lowest is all ones, the
+        // worst case for the column lanes.
+        let a = &n - &BigUint::one();
+        let b = &n - &BigUint::from(2u64);
+        let r = BigUint::power_of_two(DIGIT_BITS * MAX_MONT_DIGITS);
+        let want = a.mod_mul(&b, &n);
+        for backend in [ResolvedBackend::ModeledKnc, ResolvedBackend::NativeX86] {
+            let ctx = VMontCtx::with_backend(&n, backend).unwrap();
+            assert_eq!(ctx.digits(), MAX_MONT_DIGITS as usize);
+            let out = ctx.mont_mul_vec(&ctx.to_vec_form(&a), &ctx.to_vec_form(&b));
+            // out = a·b·R⁻¹ mod n, checked as out·R ≡ a·b (mod n).
+            assert_eq!(out.to_biguint().mod_mul(&r, &n), want, "{backend:?}");
+
+            let over = &(&top + &top) - &BigUint::from(0x11Du64);
+            assert_eq!(
+                VMontCtx::with_backend(&over, backend).unwrap_err(),
+                BigIntError::BitLengthTooLarge {
+                    bits: MAX_MONT_BITS + 1,
+                    max: MAX_MONT_BITS
+                }
+            );
+        }
     }
 
     #[test]
@@ -411,20 +497,31 @@ mod tests {
 
     #[test]
     fn vector_ops_dominate_the_count() {
-        let n = n256();
-        let ctx = VMontCtx::new(&n).unwrap();
-        let a = ctx.to_mont_vec(&BigUint::from(3u64));
-        let b = ctx.to_mont_vec(&BigUint::from(5u64));
-        count::reset();
-        let (_, d) = count::measure(|| ctx.mont_mul_vec(&a, &b));
-        // k rows × 2·chunks FMAs.
-        let k = ctx.digits() as u64;
-        let chunks = (ctx.padded_digits() / LANES) as u64;
-        assert_eq!(d.get(OpClass::VMul), 2 * k * chunks);
-        // Broadcasts (2/row) + column shifts (chunks/row).
-        assert_eq!(d.get(OpClass::VPerm), k * (2 + chunks));
-        assert_eq!(d.get(OpClass::SMul64), 0);
-        assert_eq!(d.get(OpClass::SMul32), k);
+        // Every chunk storage the kernel picks: a `Vec` at 256 and 4096
+        // bits, arrays at 512, 1024 and 2048.
+        for (bits, want_chunks) in [(256u32, 2u64), (512, 3), (1024, 5), (2048, 10), (4096, 20)] {
+            let n = if bits == 256 {
+                n256()
+            } else {
+                let mut n = full_width(bits, u64::from(bits));
+                n.set_bit(0, true);
+                n
+            };
+            let ctx = VMontCtx::new(&n).unwrap();
+            let a = ctx.to_mont_vec(&full_width(bits - 1, 3));
+            let b = ctx.to_mont_vec(&full_width(bits - 1, 5));
+            count::reset();
+            let (_, d) = count::measure(|| ctx.mont_mul_vec(&a, &b));
+            // k rows × 2·chunks FMAs.
+            let k = ctx.digits() as u64;
+            let chunks = (ctx.padded_digits() / LANES) as u64;
+            assert_eq!(chunks, want_chunks, "{bits} bits");
+            assert_eq!(d.get(OpClass::VMul), 2 * k * chunks, "{bits} bits");
+            // Broadcasts (2/row) + column shifts (chunks/row).
+            assert_eq!(d.get(OpClass::VPerm), k * (2 + chunks), "{bits} bits");
+            assert_eq!(d.get(OpClass::SMul64), 0, "{bits} bits");
+            assert_eq!(d.get(OpClass::SMul32), k, "{bits} bits");
+        }
     }
 
     #[test]
@@ -469,12 +566,22 @@ mod tests {
 
     #[test]
     fn native_matches_modeled_at_production_sizes() {
+        // The array storages (512, 1024, 2048 bits) and the `Vec` one on
+        // each side of them: one chunk (64 bits), 2 and 20 chunks.
         let e = BigUint::from(65537u64);
-        for bits in [512u32, 1024, 2048] {
+        for (bits, chunks) in [
+            (64u32, 1usize),
+            (256, 2),
+            (512, 3),
+            (1024, 5),
+            (2048, 10),
+            (4096, 20),
+        ] {
             let mut n = full_width(bits, u64::from(bits));
             n.set_bit(0, true);
             let modeled = VMontCtx::new(&n).unwrap();
             let native = VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).unwrap();
+            assert_eq!(modeled.padded_digits() / LANES, chunks, "{bits} bits");
             for seed in [1u64, 2, 3] {
                 let x = &full_width(bits, seed) % &n;
                 let y = &full_width(bits, seed + 100) % &n;

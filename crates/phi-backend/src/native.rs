@@ -12,7 +12,7 @@
 //! intrinsics fence the lanes through memory at each op boundary), so
 //! the backend has none and the crate forbids `unsafe`.
 //!
-//! The lanes stay in registers across a kernel's loop only when two
+//! The lanes stay in registers across a kernel's loop only when these
 //! things hold, and the objdump of the release build is the check:
 //!
 //! * **Fixed-width lane copies.** [`load`](crate::Vector64::load),
@@ -28,10 +28,26 @@
 //!   hi)`), not through `Vec::push`, whose growth path is a call that
 //!   keeps the accumulators in stack slots, reloaded and re-stored on
 //!   every multiply-accumulate.
+//! * **Loop bounds the compiler knows, operands held as values.** The
+//!   single-op kernel (`VMontCtx`) keeps each row's accumulators, and
+//!   the `B` and `N` chunks it loads once per call, in `[V; C]` arrays
+//!   at the chunk counts of 512-, 1024- and 2048-bit moduli, so the
+//!   monomorphized row loop has constant bounds. And
+//!   [`shift_lanes_down`](crate::Vector64::shift_lanes_down) builds its
+//!   result as one eight-lane array: a `copy_from_slice` of lanes 1–7
+//!   compiled to a memory-to-memory copy whose 32-byte load spans the
+//!   two stores the row had just made, which the CPU cannot forward.
+//!   Over a heap `Vec` re-sliced per chunk, LLVM also narrowed each
+//!   folded operand load to half width. Either change alone gained a
+//!   few percent at most; together they hold the rows' lanes in
+//!   registers.
 //!
 //! In the default build, the generated kernel's column loops then hold
-//! their four ymm accumulators in registers, and neither kernel's
-//! loops call `memcpy`.
+//! their four ymm accumulators in registers, the single-op kernel's
+//! rows make no call and read back no vector stored in pieces, and no
+//! kernel loop calls `memcpy`. LLVM splits the single-op rows'
+//! accumulators into scalar lanes, though: a 1024-bit (5-chunk) row
+//! does 6 ymm `vpmuludq` and 56 scalar `imul` lane products.
 //!
 //! [`native_tier`] names the SIMD level the lane loops actually run at:
 //! the lesser of what the build compiled them for
@@ -248,10 +264,8 @@ impl Vector64 for NV64 {
     }
     #[inline(always)]
     fn shift_lanes_down(self, fill: u64) -> Self {
-        let mut out = [0u64; 8];
-        out[..7].copy_from_slice(&self.0[1..]);
-        out[7] = fill;
-        NV64(out)
+        let a = self.0;
+        NV64([a[1], a[2], a[3], a[4], a[5], a[6], a[7], fill])
     }
 }
 
