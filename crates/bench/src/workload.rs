@@ -38,6 +38,10 @@ pub fn exponent(bits: u32) -> BigUint {
 
 /// The deterministic RSA key for a given modulus size (cached — 4096-bit
 /// generation costs a few seconds once).
+///
+/// The key is a fixture, not work under test: it is generated
+/// [`unmeasured`](phi_trace::unmeasured), so its prime search lands in
+/// no experiment's modeled cycles or spans, whichever asks first.
 pub fn rsa_key(bits: u32) -> RsaPrivateKey {
     static KEYS: OnceLock<Mutex<HashMap<u32, RsaPrivateKey>>> = OnceLock::new();
     let cache = KEYS.get_or_init(|| Mutex::new(HashMap::new()));
@@ -46,7 +50,8 @@ pub fn rsa_key(bits: u32) -> RsaPrivateKey {
         .entry(bits)
         .or_insert_with(|| {
             let mut rng = StdRng::seed_from_u64(0x05E5_0000 + bits as u64);
-            RsaPrivateKey::generate(&mut rng, bits).expect("key generation")
+            phi_trace::unmeasured(|| RsaPrivateKey::generate(&mut rng, bits))
+                .expect("key generation")
         })
         .clone()
 }
@@ -101,6 +106,16 @@ mod tests {
         assert_eq!(operand(512, 1), operand(512, 1));
         assert_ne!(operand(512, 1), operand(512, 2));
         assert_eq!(exponent(512).bit_length(), 512);
+    }
+
+    #[test]
+    fn rsa_key_generation_records_nothing_into_the_callers_measurement() {
+        use phi_simd::count;
+        // 160 bits: a size no other test asks for, so this call generates.
+        let ((key, setups), ops) = count::measure(|| count::measure_ctx_setups(|| rsa_key(160)));
+        assert_eq!(key.public().bits(), 160);
+        assert_eq!(ops, count::OpCounts::zero());
+        assert_eq!(setups, 0);
     }
 
     #[test]

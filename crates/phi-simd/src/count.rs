@@ -195,6 +195,17 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, OpCounts) {
     (out, after.since(&before))
 }
 
+/// Run `f` and keep none of what it records: this thread's op counts
+/// and context-setup count are restored afterwards, so an enclosing
+/// [`measure`] or [`measure_ctx_setups`] sees none of `f`'s work.
+pub fn isolated<R>(f: impl FnOnce() -> R) -> R {
+    let (counts, setups) = (snapshot(), ctx_setups());
+    let out = f();
+    COUNTS.with(|c| *c.borrow_mut() = counts);
+    CTX_SETUPS.with(|c| c.set(setups));
+    out
+}
+
 /// Record one Montgomery context construction on the current thread.
 ///
 /// Called by every `MontCtx64` / `MontCtx32` / `VMontCtx` constructor.
@@ -297,6 +308,25 @@ mod tests {
             ctx_setups()
         });
         assert_eq!(handle.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn isolated_work_leaves_the_enclosing_measurement_untouched() {
+        let ((n, setups), d) = measure(|| {
+            record(OpClass::SAlu, 2);
+            let n = measure_ctx_setups(|| {
+                isolated(|| {
+                    record(OpClass::VMul, 40);
+                    record_ctx_setup();
+                    7
+                })
+            });
+            record(OpClass::SAlu, 3);
+            n
+        });
+        assert_eq!((n, setups), (7, 0));
+        assert_eq!(d.get(OpClass::SAlu), 5);
+        assert_eq!(d.get(OpClass::VMul), 0);
     }
 
     #[test]

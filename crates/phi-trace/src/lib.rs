@@ -31,5 +31,6 @@ pub mod span;
 pub use report::{ExperimentReport, Report, SpanReport, SCHEMA, SCHEMA_V1};
 pub use scope::Scope;
 pub use span::{
-    disable, enable, is_enabled, reset, snapshot, span, SpanGuard, SpanStats, TraceSnapshot,
+    disable, enable, is_enabled, reset, snapshot, span, unmeasured, SpanGuard, SpanStats,
+    TraceSnapshot,
 };

@@ -53,6 +53,8 @@ thread_local! {
     /// inside the currently open one, on this thread.
     static CHILD_CYCLES: Cell<f64> = const { Cell::new(0.0) };
     static CHILD_NANOS: Cell<u64> = const { Cell::new(0) };
+    /// Set inside [`unmeasured`]: spans opened on this thread are inert.
+    static UNMEASURED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The frozen KNC cost model used to convert op counts to issue cycles.
@@ -81,7 +83,7 @@ pub fn is_enabled() -> bool {
 /// relaxed atomic load.
 #[must_use = "a span charges its scope when the guard drops"]
 pub fn span(scope: Scope) -> SpanGuard {
-    if !is_enabled() {
+    if !is_enabled() || UNMEASURED.get() {
         return SpanGuard { active: None };
     }
     SpanGuard {
@@ -129,6 +131,18 @@ impl Drop for SpanGuard {
         CHILD_CYCLES.set(a.saved_child_cycles + total_cycles);
         CHILD_NANOS.set(a.saved_child_nanos + total_nanos);
     }
+}
+
+/// Run `f` off the books on this thread: the spans it opens charge
+/// nothing, and [`count::isolated`] drops the ops it records, so neither
+/// the trace nor an enclosing measurement sees its work. For fixtures
+/// that are built once and cached, like a benchmark's RSA keys, whose
+/// cost would otherwise land on whichever measurement asks first.
+pub fn unmeasured<R>(f: impl FnOnce() -> R) -> R {
+    let was = UNMEASURED.replace(true);
+    let out = count::isolated(f);
+    UNMEASURED.set(was);
+    out
 }
 
 /// Aggregated numbers for one scope, as raw table units.

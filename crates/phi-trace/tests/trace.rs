@@ -137,3 +137,27 @@ fn multi_threaded_spans_aggregate_into_the_global_table() {
     let w = CostModel::knc().weight(OpClass::VMul);
     assert!((s.exclusive_cycles() - 100.0 * w).abs() < 1e-2);
 }
+
+#[test]
+fn unmeasured_work_charges_neither_the_trace_nor_the_counters() {
+    let mut ops = None;
+    let trace = traced(|| {
+        let _outer = span(Scope::RsaPrivate);
+        let ((), d) = count::measure(|| {
+            count::record(OpClass::SAlu, 10);
+            phi_trace::unmeasured(|| {
+                let _inner = span(Scope::MontReduce);
+                count::record(OpClass::VMul, 500);
+            });
+        });
+        ops = Some(d);
+    });
+    let ops = ops.unwrap();
+    assert_eq!(ops.get(OpClass::SAlu), 10);
+    assert_eq!(ops.get(OpClass::VMul), 0);
+    assert_eq!(trace.get(Scope::MontReduce).entries, 0);
+    let outer = trace.get(Scope::RsaPrivate);
+    let w_salu = CostModel::knc().weight(OpClass::SAlu);
+    assert!((outer.total_cycles() - 10.0 * w_salu).abs() < 1e-2);
+    assert!((trace.exclusive_cycles_total() - outer.total_cycles()).abs() < 1e-2);
+}
