@@ -66,6 +66,41 @@ impl<V> Chunks<V> for Vec<V> {
     }
 }
 
+/// Where a row reads its `B` and `N` chunks: a `[V; C]` array loaded
+/// once per call, or the digits themselves.
+trait Operand<'a, V> {
+    /// The operand whose digits are `digits`, `chunks` chunks long.
+    fn load(digits: &'a [u64], chunks: usize) -> Self;
+    /// Chunk `c`.
+    fn chunk(&self, c: usize) -> V;
+}
+
+impl<V: Vector64, const C: usize> Operand<'_, V> for [V; C] {
+    #[inline(always)]
+    fn load(digits: &[u64], chunks: usize) -> Self {
+        debug_assert_eq!(chunks, C);
+        std::array::from_fn(|c| V::from_slice_folded(&digits[c * LANES..]))
+    }
+    #[inline(always)]
+    fn chunk(&self, c: usize) -> V {
+        self[c]
+    }
+}
+
+/// The digits themselves, each chunk folded from them when a row reads
+/// it, so that a row over a `Vec` allocates only its accumulator.
+struct Folded<'a>(&'a [u64]);
+
+impl<'a, V: Vector64> Operand<'a, V> for Folded<'a> {
+    fn load(digits: &'a [u64], _chunks: usize) -> Self {
+        Folded(digits)
+    }
+    #[inline(always)]
+    fn chunk(&self, c: usize) -> V {
+        V::from_slice_folded(&self.0[c * LANES..])
+    }
+}
+
 /// A vectorized Montgomery context for one odd modulus.
 ///
 /// The Montgomery radix is `R = 2^(27·k)` where `k` is the digit count of
@@ -207,35 +242,37 @@ impl VMontCtx {
     /// generic callers (exponentiation, batching) use this directly so a
     /// single dispatch covers a whole exponentiation.
     ///
-    /// The chunk count picks the row storage: fixed arrays for the
-    /// 512-, 1024- and 2048-bit moduli (3, 5 and 10 chunks: the CRT
-    /// halves of RSA-1024 and RSA-2048 and the single-lane checks of
-    /// both), a `Vec` for every other size. Both run the same rows.
+    /// The chunk count picks the row storage. The 512- and 1024-bit
+    /// moduli (3 and 5 chunks: the CRT halves of RSA-1024 and RSA-2048,
+    /// and the single-lane checks of RSA-1024) keep the accumulators in
+    /// an array and load the `B` and `N` chunks into arrays once per
+    /// call. Every other size keeps its accumulators in one `Vec` and
+    /// folds `B` and `N` from their digits on each row. Both run the
+    /// same rows.
     pub(crate) fn mont_mul_generic<B: VectorBackend>(&self, a: &VecNum, b: &VecNum) -> VecNum {
         let _span = phi_trace::span(phi_trace::Scope::MontReduce);
         debug_assert_eq!(a.len(), self.kk);
         debug_assert_eq!(b.len(), self.kk);
         match self.chunks {
-            3 => self.mont_mul_rows::<B, [B::V64; 3]>(a, b),
-            5 => self.mont_mul_rows::<B, [B::V64; 5]>(a, b),
-            10 => self.mont_mul_rows::<B, [B::V64; 10]>(a, b),
-            _ => self.mont_mul_rows::<B, Vec<B::V64>>(a, b),
+            3 => self.mont_mul_rows::<B, [B::V64; 3], [B::V64; 3]>(a, b),
+            5 => self.mont_mul_rows::<B, [B::V64; 5], [B::V64; 5]>(a, b),
+            _ => self.mont_mul_rows::<B, Vec<B::V64>, Folded>(a, b),
         }
     }
 
-    /// The CIOS rows over chunk storage `S`. For an array, `S::len` is a
-    /// compile-time constant, so the loops below have fixed bounds and
-    /// the accumulators and the `B` and `N` chunks, loaded once per
-    /// call, stay in registers across the rows (DESIGN.md §3.11).
-    fn mont_mul_rows<B: VectorBackend, S: Chunks<B::V64>>(&self, a: &VecNum, b: &VecNum) -> VecNum {
+    /// The CIOS rows over accumulator storage `S`, reading `B` and `N`
+    /// through `O`. For an array, `S::len` is a compile-time constant,
+    /// so the loops below have fixed bounds, and no row reloads a vector
+    /// it stored in pieces (DESIGN.md §3.11).
+    fn mont_mul_rows<'a, B: VectorBackend, S: Chunks<B::V64>, O: Operand<'a, B::V64>>(
+        &'a self,
+        a: &VecNum,
+        b: &'a VecNum,
+    ) -> VecNum {
         // The B and N operands fold into the FMAs as memory sources,
-        // KNC-style: free on the modeled channel, loaded here once.
-        let fold = |digits: &[u64]| {
-            S::from_fn(self.chunks, |c| {
-                B::V64::from_slice_folded(&digits[c * LANES..])
-            })
-        };
-        let (bv, nv) = (fold(&b.digits), fold(self.n_vec.digits()));
+        // KNC-style: free on the modeled channel.
+        let bv = O::load(&b.digits, self.chunks);
+        let nv = O::load(self.n_vec.digits(), self.chunks);
         let mut acc = S::from_fn(self.chunks, |_| B::V64::zero());
         let chunks = acc.len();
 
@@ -243,7 +280,7 @@ impl VMontCtx {
             // acc += a_i * B : one broadcast + `chunks` FMAs.
             let av = B::V64::splat(a.digit(i));
             for c in 0..chunks {
-                acc[c] = acc[c].fma32(av, bv[c]);
+                acc[c] = acc[c].fma32(av, bv.chunk(c));
             }
 
             // q = (t₀ · n₀') mod 2^27 — scalar, on the critical path.
@@ -254,7 +291,7 @@ impl VMontCtx {
             // acc += q * N : clears the low digit.
             let qv = B::V64::splat(q);
             for c in 0..chunks {
-                acc[c] = acc[c].fma32(qv, nv[c]);
+                acc[c] = acc[c].fma32(qv, nv.chunk(c));
             }
             debug_assert_eq!(acc[0].lane(0) & DIGIT_MASK, 0, "row {i} not reduced");
 
@@ -497,8 +534,8 @@ mod tests {
 
     #[test]
     fn vector_ops_dominate_the_count() {
-        // Every chunk storage the kernel picks: a `Vec` at 256 and 4096
-        // bits, arrays at 512, 1024 and 2048.
+        // Every chunk storage the kernel picks: arrays at 512 and 1024
+        // bits, a `Vec` at 256, 2048 and 4096.
         for (bits, want_chunks) in [(256u32, 2u64), (512, 3), (1024, 5), (2048, 10), (4096, 20)] {
             let n = if bits == 256 {
                 n256()
@@ -566,8 +603,8 @@ mod tests {
 
     #[test]
     fn native_matches_modeled_at_production_sizes() {
-        // The array storages (512, 1024, 2048 bits) and the `Vec` one on
-        // each side of them: one chunk (64 bits), 2 and 20 chunks.
+        // The array storages (512 and 1024 bits) and the `Vec` one on
+        // each side of them: one chunk (64 bits), 2, 10 and 20 chunks.
         let e = BigUint::from(65537u64);
         for (bits, chunks) in [
             (64u32, 1usize),
