@@ -39,10 +39,10 @@ use phi_bigint::{BigIntError, BigUint};
 ///
 /// Two, because a pass costs at least 2.68× a single op on the modeled
 /// KNC channel (tightest at 384 bits), at every key size from 127 to
-/// 4096 bits, and 2.8–7.4× on the native backend at 256–2048-bit keys
-/// (2.85/2.76/7.43/7.29× at 256/512/1024/2048 bits, the default
+/// 4096 bits, and 2.9–7.5× on the native backend at 256–2048-bit keys
+/// (3.24/3.03/7.24/7.20× at 256/512/1024/2048 bits, the default
 /// `x86-64-v3` build pinned to one Xeon core). Two singles always
-/// undercut it; three would not (they lose at 512 bits). The check clears the same
+/// undercut it; three would not (they tie it at 512 bits). The check clears the same
 /// bar: one `pow_eq_16` costs 3.8–6.4× a single-lane `pow_eq` on the
 /// modeled channel at 256–2048-bit moduli (5.5× at 1024 bits).
 pub const SINGLE_OP_MAX_LIVE: usize = 2;

@@ -31,7 +31,7 @@
 //! * **Loop bounds the compiler knows, operands held as values.** The
 //!   single-op kernel (`VMontCtx`) keeps each row's accumulators, and
 //!   the `B` and `N` chunks it loads once per call, in `[V; C]` arrays
-//!   at the chunk counts of 512-, 1024- and 2048-bit moduli, so the
+//!   at the chunk counts of 512- and 1024-bit moduli, so the
 //!   monomorphized row loop has constant bounds. And
 //!   [`shift_lanes_down`](crate::Vector64::shift_lanes_down) builds its
 //!   result as one eight-lane array: a `copy_from_slice` of lanes 1–7
@@ -39,15 +39,18 @@
 //!   two stores the row had just made, which the CPU cannot forward.
 //!   Over a heap `Vec` re-sliced per chunk, LLVM also narrowed each
 //!   folded operand load to half width. Either change alone gained a
-//!   few percent at most; together they hold the rows' lanes in
-//!   registers.
+//!   few percent at most; together they keep the array rows' lanes in
+//!   registers or in stack slots of their own.
 //!
 //! In the default build, the generated kernel's column loops then hold
-//! their four ymm accumulators in registers, the single-op kernel's
-//! rows make no call and read back no vector stored in pieces, and no
-//! kernel loop calls `memcpy`. LLVM splits the single-op rows'
-//! accumulators into scalar lanes, though: a 1024-bit (5-chunk) row
-//! does 6 ymm `vpmuludq` and 56 scalar `imul` lane products.
+//! their four ymm accumulators in registers, and no kernel loop calls
+//! `memcpy`. The single-op kernel's 3- and 5-chunk rows make no call
+//! and read back no vector stored in pieces, but LLVM splits their
+//! accumulators into scalar lanes: a 5-chunk row does 6 ymm `vpmuludq`
+//! and 56 scalar `imul` lane products. Its rows at every other chunk
+//! count keep their accumulators in a heap `Vec`, and those still stall:
+//! each row's shift reads lanes 1–4 of a chunk across the two 32-byte
+//! stores its multiply-accumulate has just made.
 //!
 //! [`native_tier`] names the SIMD level the lane loops actually run at:
 //! the lesser of what the build compiled them for
