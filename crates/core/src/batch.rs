@@ -27,11 +27,10 @@ use crate::genmont::GenMontCtx;
 use crate::params::KernelParams;
 use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::VMontCtx;
-use phi_backend::{with_backend, ModeledKnc, Vector32, Vector64, VectorBackend};
+use phi_backend::{with_backend, ModeledKnc, VectorBackend, V32, V64};
 use phi_bigint::BigUint;
 use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
-use phi_simd::U32x16;
 
 /// Operations per batch (one per 32-bit lane of a 512-bit register).
 pub const BATCH_WIDTH: usize = 16;
@@ -57,7 +56,7 @@ pub enum MontVariant {
 /// `cols[d]` holds digit `d` of every operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch16 {
-    cols: Vec<U32x16>,
+    cols: Vec<[u32; 16]>,
 }
 
 impl Batch16 {
@@ -83,7 +82,7 @@ impl Batch16 {
                 debug_assert!(v.digit(d) <= DIGIT_MASK);
                 lanes[j] = v.digit(d) as u32;
             }
-            cols.push(U32x16::from_lanes(lanes));
+            cols.push(lanes);
             B::record(OpClass::VPerm, 4);
         }
         Batch16 { cols }
@@ -100,7 +99,7 @@ impl Batch16 {
         for (d, col) in self.cols.iter().enumerate() {
             B::record(OpClass::VPerm, 4);
             for (j, v) in out.iter_mut().enumerate() {
-                v.digits_mut()[d] = col.lane(j) as u64;
+                v.digits_mut()[d] = col[j] as u64;
             }
         }
         out
@@ -177,15 +176,15 @@ impl BatchMont {
     fn mont_mul_16_generic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
         let _span = phi_trace::span(phi_trace::Scope::BatchMont);
         // The shared modulus and n0', broadcast to every lane on each call.
-        let n_cols: Vec<(B::V64, B::V64)> = self
+        let n_cols: Vec<(V64<B>, V64<B>)> = self
             .n_cols
             .iter()
             .map(|&d| {
-                let col = B::V64::splat(d);
+                let col = V64::<B>::splat(d);
                 (col, col)
             })
             .collect();
-        let n0 = B::V64::splat(self.ctx.n0_inv());
+        let n0 = V64::<B>::splat(self.ctx.n0_inv());
         let n = [self.n_vecnum()];
         cios_mont_mul_16::<B>(a, b, self.ctx.digits(), &n_cols, (n0, n0), &n)
     }
@@ -365,8 +364,8 @@ pub(crate) fn cios_mont_mul_16<B: VectorBackend>(
     a: &Batch16,
     b: &Batch16,
     rows: usize,
-    n_cols: &[(B::V64, B::V64)],
-    n0: (B::V64, B::V64),
+    n_cols: &[(V64<B>, V64<B>)],
+    n0: (V64<B>, V64<B>),
     moduli: &[VecNum],
 ) -> Batch16 {
     let kk = n_cols.len();
@@ -374,20 +373,20 @@ pub(crate) fn cios_mont_mul_16<B: VectorBackend>(
     debug_assert_eq!(b.len(), kk);
 
     // Memory-resident accumulator: per column, two u64x8 halves.
-    let mut acc: Vec<(B::V64, B::V64)> = vec![(B::V64::zero(), B::V64::zero()); kk];
-    let b_halves: Vec<(B::V64, B::V64)> = b
+    let mut acc: Vec<(V64<B>, V64<B>)> = vec![(V64::<B>::zero(), V64::<B>::zero()); kk];
+    let b_halves: Vec<(V64<B>, V64<B>)> = b
         .cols
         .iter()
         .map(|c| {
-            let col = B::V32::from_lanes(c.to_lanes());
+            let col = V32::<B>::from_lanes(*c);
             (col.widen_lo(), col.widen_hi())
         })
         .collect();
-    let maskv = B::V64::splat(DIGIT_MASK);
+    let maskv = V64::<B>::splat(DIGIT_MASK);
 
     for i in 0..rows {
         // Per-lane digit i of a (two widened halves; loads folded).
-        let a_col = B::V32::from_lanes(a.cols[i].to_lanes());
+        let a_col = V32::<B>::from_lanes(a.cols[i]);
         let av0 = a_col.widen_lo();
         let av1 = a_col.widen_hi();
 
@@ -399,8 +398,8 @@ pub(crate) fn cios_mont_mul_16<B: VectorBackend>(
 
         // q = (t0 mod 2^27)·n0' mod 2^27, lane-wise and fully vectorized
         // (no scalar glue — the batched kernel's advantage).
-        let q0 = B::V64::zero().fma32(t00.and(maskv), n0.0).and(maskv);
-        let q1 = B::V64::zero().fma32(t01.and(maskv), n0.1).and(maskv);
+        let q0 = V64::<B>::zero().fma32(t00.and(maskv), n0.0).and(maskv);
+        let q1 = V64::<B>::zero().fma32(t01.and(maskv), n0.1).and(maskv);
 
         // Column 0 phase 2.
         let t00 = t00.fma32(q0, n_cols[0].0);
@@ -424,7 +423,7 @@ pub(crate) fn cios_mont_mul_16<B: VectorBackend>(
             acc[d - 1] = (nd0, nd1);
             B::record(OpClass::VMem, 2);
         }
-        acc[kk - 1] = (B::V64::zero(), B::V64::zero());
+        acc[kk - 1] = (V64::<B>::zero(), V64::<B>::zero());
     }
 
     // Normalize and conditionally subtract per lane (scalar epilogue,

@@ -19,7 +19,7 @@
 use crate::batch::{cios_mont_mul_16, Batch16, BATCH_WIDTH};
 use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::inv_mod_digit;
-use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
+use phi_backend::{with_backend, ResolvedBackend, VectorBackend, V64};
 use phi_bigint::{BigIntError, BigUint};
 use phi_simd::count::OpClass;
 
@@ -170,14 +170,14 @@ impl MultiBatchMont {
 
     fn mont_mul_16_generic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
         let _span = phi_trace::span(phi_trace::Scope::BatchMont);
-        let n_cols: Vec<(B::V64, B::V64)> = self
+        let n_cols: Vec<(V64<B>, V64<B>)> = self
             .n_halves
             .iter()
-            .map(|&(lo, hi)| (B::V64::from_lanes(lo), B::V64::from_lanes(hi)))
+            .map(|&(lo, hi)| (V64::<B>::from_lanes(lo), V64::<B>::from_lanes(hi)))
             .collect();
         let n0 = (
-            B::V64::from_lanes(self.n0_halves.0),
-            B::V64::from_lanes(self.n0_halves.1),
+            V64::<B>::from_lanes(self.n0_halves.0),
+            V64::<B>::from_lanes(self.n0_halves.1),
         );
         cios_mont_mul_16::<B>(a, b, self.k, &n_cols, n0, &self.n_vecs)
     }

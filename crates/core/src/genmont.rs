@@ -38,7 +38,7 @@
 #![allow(clippy::needless_range_loop)] // explicit column indices read as kernel semantics
 
 use crate::params::{KernelParams, ParamError};
-use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
+use phi_backend::{with_backend, ResolvedBackend, VectorBackend, V64};
 use phi_bigint::{BigIntError, BigUint};
 use phi_mont::ctx64::inv_mod_2_64;
 use phi_simd::count::{record, OpClass};
@@ -54,7 +54,7 @@ use crate::batch::BATCH_WIDTH;
 const UNROLL: u64 = 8;
 
 /// A 16-lane column as two 8-lane u64 halves (lanes 0..8 and 8..16).
-type Pair<B> = (<B as VectorBackend>::V64, <B as VectorBackend>::V64);
+type Pair<B> = (V64<B>, V64<B>);
 
 /// Why a generated context could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,11 +300,11 @@ impl GenMontCtx {
     /// admissibility bound keeps every column sum below `2^63`.
     fn raw_product<B: VectorBackend>(&self, aw: &[Pair<B>], bw: &[Pair<B>]) -> Vec<Pair<B>> {
         let k = self.k;
-        let mut cols = vec![(B::V64::zero(), B::V64::zero()); 2 * k - 1];
+        let mut cols = vec![(V64::<B>::zero(), V64::<B>::zero()); 2 * k - 1];
         self.ctl::<B>(2 * k - 1);
         for c in 0..(2 * k - 1) {
-            let mut lo = B::V64::zero();
-            let mut hi = B::V64::zero();
+            let mut lo = V64::<B>::zero();
+            let mut hi = V64::<B>::zero();
             let first = (c + 1).saturating_sub(k);
             let last = c.min(k - 1);
             self.ctl::<B>(last + 1 - first);
@@ -325,12 +325,12 @@ impl GenMontCtx {
     fn raw_square<B: VectorBackend>(&self, aw: &[Pair<B>]) -> Vec<Pair<B>> {
         let k = self.k;
         let a2: Vec<Pair<B>> = aw.iter().map(|p| (p.0.add(p.0), p.1.add(p.1))).collect();
-        let mut cols = vec![(B::V64::zero(), B::V64::zero()); 2 * k - 1];
+        let mut cols = vec![(V64::<B>::zero(), V64::<B>::zero()); 2 * k - 1];
         self.ctl::<B>(k); // doubling pass
         self.ctl::<B>(2 * k - 1);
         for c in 0..(2 * k - 1) {
-            let mut lo = B::V64::zero();
-            let mut hi = B::V64::zero();
+            let mut lo = V64::<B>::zero();
+            let mut hi = V64::<B>::zero();
             let first = (c + 1).saturating_sub(k);
             let last = c.div_ceil(2);
             self.ctl::<B>(last - first);
@@ -356,16 +356,16 @@ impl GenMontCtx {
         &self,
         cols: &[Pair<B>],
         out_len: usize,
-        maskv: B::V64,
+        maskv: V64<B>,
     ) -> (Vec<Pair<B>>, Pair<B>) {
-        let mut out = vec![(B::V64::zero(), B::V64::zero()); out_len];
-        let mut carry = (B::V64::zero(), B::V64::zero());
+        let mut out = vec![(V64::<B>::zero(), V64::<B>::zero()); out_len];
+        let mut carry = (V64::<B>::zero(), V64::<B>::zero());
         self.ctl::<B>(out_len);
         for idx in 0..out_len {
             let (rlo, rhi) = if idx < cols.len() {
                 cols[idx]
             } else {
-                (B::V64::zero(), B::V64::zero())
+                (V64::<B>::zero(), V64::<B>::zero())
             };
             let vlo = rlo.add(carry.0);
             let vhi = rhi.add(carry.1);
@@ -378,18 +378,18 @@ impl GenMontCtx {
 
     /// `m = (T_lo · N') mod R`: the low product triangle of the
     /// normalized digits of `T` against the full-width `N'`.
-    fn m_digits<B: VectorBackend>(&self, t: &[Pair<B>], maskv: B::V64) -> Vec<Pair<B>> {
+    fn m_digits<B: VectorBackend>(&self, t: &[Pair<B>], maskv: V64<B>) -> Vec<Pair<B>> {
         let k = self.k;
-        let np: Vec<B::V64> = self
+        let np: Vec<V64<B>> = self
             .nprime_digits
             .iter()
-            .map(|&d| B::V64::splat(d))
+            .map(|&d| V64::<B>::splat(d))
             .collect();
-        let mut mraw = vec![(B::V64::zero(), B::V64::zero()); k];
+        let mut mraw = vec![(V64::<B>::zero(), V64::<B>::zero()); k];
         self.ctl::<B>(k);
         for c in 0..k {
-            let mut lo = B::V64::zero();
-            let mut hi = B::V64::zero();
+            let mut lo = V64::<B>::zero();
+            let mut hi = V64::<B>::zero();
             self.ctl::<B>(c + 1);
             for i in 0..=c {
                 lo = lo.fma32(t[i].0, np[c - i]);
@@ -424,7 +424,7 @@ impl GenMontCtx {
         let k = self.k;
         let kk = k + 1;
         let r = self.r;
-        let maskv = B::V64::splat(self.mask);
+        let maskv = V64::<B>::splat(self.mask);
 
         let (t, t_carry) = self.normalize::<B>(traw, 2 * k, maskv);
         assert_zero_pair::<B>(&t_carry, "carry out of T normalization");
@@ -439,12 +439,12 @@ impl GenMontCtx {
         // Σ t_0..t_{k-3} ≠ 0 — a bounded sum standing in for the OR the
         // lane ISA doesn't have, tested via the carry-out of adding
         // 2^63 - 1.
-        let ns: Vec<B::V64> = self.n_digits.iter().map(|&d| B::V64::splat(d)).collect();
+        let ns: Vec<V64<B>> = self.n_digits.iter().map(|&d| V64::<B>::splat(d)).collect();
         let s_km2 = self.boundary_column::<B>(&m, &ns, k - 2);
         let s_km1 = self.boundary_column::<B>(&m, &ns, k - 1);
-        let biasv = B::V64::splat((1u64 << 63) - 1);
+        let biasv = V64::<B>::splat((1u64 << 63) - 1);
         let corr = {
-            let mut halves = [B::V64::zero(); 2];
+            let mut halves = [V64::<B>::zero(); 2];
             let x = [t[k - 2].0.add(s_km2.0), t[k - 2].1.add(s_km2.1)];
             let y = [t[k - 1].0.add(s_km1.0), t[k - 1].1.add(s_km1.1)];
             for h in 0..2 {
@@ -468,7 +468,7 @@ impl GenMontCtx {
                 if c < k {
                     t[k + c]
                 } else {
-                    (B::V64::zero(), B::V64::zero())
+                    (V64::<B>::zero(), V64::<B>::zero())
                 }
             })
             .collect();
@@ -492,9 +492,9 @@ impl GenMontCtx {
     }
 
     /// Exact raw column sum `s_c` of `m·n` for one boundary column.
-    fn boundary_column<B: VectorBackend>(&self, m: &[Pair<B>], ns: &[B::V64], c: usize) -> Pair<B> {
-        let mut lo = B::V64::zero();
-        let mut hi = B::V64::zero();
+    fn boundary_column<B: VectorBackend>(&self, m: &[Pair<B>], ns: &[V64<B>], c: usize) -> Pair<B> {
+        let mut lo = V64::<B>::zero();
+        let mut hi = V64::<B>::zero();
         self.ctl::<B>(c + 1);
         for i in 0..=c {
             lo = lo.fma32(m[i].0, ns[c - i]);
@@ -510,15 +510,15 @@ impl GenMontCtx {
         let k = self.k;
         let kk = k + 1;
         debug_assert_eq!(ud.len(), kk);
-        let maskv = B::V64::splat(self.mask);
-        let nall: Vec<B::V64> = self
+        let maskv = V64::<B>::splat(self.mask);
+        let nall: Vec<V64<B>> = self
             .n_digits
             .iter()
-            .map(|&d| B::V64::splat(d))
-            .chain(std::iter::once(B::V64::zero()))
+            .map(|&d| V64::<B>::splat(d))
+            .chain(std::iter::once(V64::<B>::zero()))
             .collect();
-        let mut diff = vec![(B::V64::zero(), B::V64::zero()); kk];
-        let mut borrow = (B::V64::zero(), B::V64::zero());
+        let mut diff = vec![(V64::<B>::zero(), V64::<B>::zero()); kk];
+        let mut borrow = (V64::<B>::zero(), V64::<B>::zero());
         self.ctl::<B>(kk);
         for c in 0..kk {
             let vlo = ud[c].0.sub(nall[c]).sub(borrow.0);
@@ -527,7 +527,10 @@ impl GenMontCtx {
             diff[c] = (vlo.and(maskv), vhi.and(maskv));
             B::record(OpClass::VMem, 2);
         }
-        let keep = (B::V64::zero().sub(borrow.0), B::V64::zero().sub(borrow.1));
+        let keep = (
+            V64::<B>::zero().sub(borrow.0),
+            V64::<B>::zero().sub(borrow.1),
+        );
 
         let mut cols = vec![[0u64; BATCH_WIDTH]; k];
         self.ctl::<B>(kk);
@@ -679,7 +682,10 @@ fn widen<B: VectorBackend>(b: &GenBatch) -> Vec<Pair<B>> {
         .iter()
         .map(|c| {
             let (lo, hi) = c.split_at(8);
-            (B::V64::from_slice_folded(lo), B::V64::from_slice_folded(hi))
+            (
+                V64::<B>::from_slice_folded(lo),
+                V64::<B>::from_slice_folded(hi),
+            )
         })
         .collect()
 }

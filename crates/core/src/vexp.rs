@@ -9,7 +9,7 @@
 
 use crate::radix::{VecNum, LANES};
 use crate::vmont::VMontCtx;
-use phi_backend::{with_backend, LaneMask8, Vector64, VectorBackend};
+use phi_backend::{with_backend, Mask8, VectorBackend, V64};
 use phi_bigint::BigUint;
 use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
@@ -122,16 +122,13 @@ fn gather_constant_time<B: VectorBackend>(table: &[VecNum], val: usize) -> VecNu
     let chunks = len / LANES;
     let mut out = VecNum::zero(len);
     for (idx, entry) in table.iter().enumerate() {
-        // One mask set per entry…
-        let mask = if idx == val {
-            B::M8::all()
-        } else {
-            B::M8::none()
-        };
+        // One mask set per entry, all lanes or none, built from the
+        // comparison's bit without a branch on the index…
+        let mask = Mask8::<B>::from_bits(0u8.wrapping_sub((idx == val) as u8));
         for c in 0..chunks {
             // …then per chunk: load the entry and blend under the mask.
-            let cur = B::V64::from_slice_folded(&out.digits()[c * LANES..]);
-            let ent = B::V64::load(&entry.digits()[c * LANES..]);
+            let cur = V64::<B>::from_slice_folded(&out.digits()[c * LANES..]);
+            let ent = V64::<B>::load(&entry.digits()[c * LANES..]);
             let sel = cur.blend(mask, ent);
             let lanes = sel.to_lanes();
             out.digits_mut()[c * LANES..c * LANES + LANES].copy_from_slice(&lanes);

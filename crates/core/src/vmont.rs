@@ -4,16 +4,16 @@
 //! digits of `a` in scalar code while each row's two multiply-accumulate
 //! passes (`+ aᵢ·B` and `+ q·N`) run across all columns in 512-bit vector
 //! FMAs, sixteen digit-products per issued instruction (two 8-lane
-//! [`fma32`](phi_simd::U64x8::fma32) halves per 16-digit chunk pair — here
-//! one `U64x8` covers 8 pre-widened digits, so a `⌈K/8⌉`-chunk loop covers
-//! the row).
+//! [`fma32`](phi_backend::V64::fma32) halves per 16-digit chunk pair —
+//! here one [`V64`] covers 8 pre-widened digits, so a `⌈K/8⌉`-chunk loop
+//! covers the row).
 //!
 //! Where the scalar baselines issue `2k` dependent 64×64 multiplies per
 //! row, this kernel issues `2·⌈K/8⌉` vector FMAs plus two broadcasts — the
 //! structural advantage the paper's speedups come from.
 
 use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES, MAX_MONT_BITS};
-use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
+use phi_backend::{with_backend, ResolvedBackend, VectorBackend, V64};
 use phi_bigint::{BigIntError, BigUint};
 use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
@@ -75,14 +75,14 @@ trait Operand<'a, V> {
     fn chunk(&self, c: usize) -> V;
 }
 
-impl<V: Vector64, const C: usize> Operand<'_, V> for [V; C] {
+impl<B: VectorBackend, const C: usize> Operand<'_, V64<B>> for [V64<B>; C] {
     #[inline(always)]
     fn load(digits: &[u64], chunks: usize) -> Self {
         debug_assert_eq!(chunks, C);
-        std::array::from_fn(|c| V::from_slice_folded(&digits[c * LANES..]))
+        std::array::from_fn(|c| V64::from_slice_folded(&digits[c * LANES..]))
     }
     #[inline(always)]
-    fn chunk(&self, c: usize) -> V {
+    fn chunk(&self, c: usize) -> V64<B> {
         self[c]
     }
 }
@@ -91,13 +91,13 @@ impl<V: Vector64, const C: usize> Operand<'_, V> for [V; C] {
 /// it, so that a row over a `Vec` allocates only its accumulator.
 struct Folded<'a>(&'a [u64]);
 
-impl<'a, V: Vector64> Operand<'a, V> for Folded<'a> {
+impl<'a, B: VectorBackend> Operand<'a, V64<B>> for Folded<'a> {
     fn load(digits: &'a [u64], _chunks: usize) -> Self {
         Folded(digits)
     }
     #[inline(always)]
-    fn chunk(&self, c: usize) -> V {
-        V::from_slice_folded(&self.0[c * LANES..])
+    fn chunk(&self, c: usize) -> V64<B> {
+        V64::from_slice_folded(&self.0[c * LANES..])
     }
 }
 
@@ -254,9 +254,9 @@ impl VMontCtx {
         debug_assert_eq!(a.len(), self.kk);
         debug_assert_eq!(b.len(), self.kk);
         match self.chunks {
-            3 => self.mont_mul_rows::<B, [B::V64; 3], [B::V64; 3]>(a, b),
-            5 => self.mont_mul_rows::<B, [B::V64; 5], [B::V64; 5]>(a, b),
-            _ => self.mont_mul_rows::<B, Vec<B::V64>, Folded>(a, b),
+            3 => self.mont_mul_rows::<B, [V64<B>; 3], [V64<B>; 3]>(a, b),
+            5 => self.mont_mul_rows::<B, [V64<B>; 5], [V64<B>; 5]>(a, b),
+            _ => self.mont_mul_rows::<B, Vec<V64<B>>, Folded>(a, b),
         }
     }
 
@@ -264,7 +264,7 @@ impl VMontCtx {
     /// through `O`. For an array, `S::len` is a compile-time constant,
     /// so the loops below have fixed bounds, and no row reloads a vector
     /// it stored in pieces (DESIGN.md §3.11).
-    fn mont_mul_rows<'a, B: VectorBackend, S: Chunks<B::V64>, O: Operand<'a, B::V64>>(
+    fn mont_mul_rows<'a, B: VectorBackend, S: Chunks<V64<B>>, O: Operand<'a, V64<B>>>(
         &'a self,
         a: &VecNum,
         b: &'a VecNum,
@@ -273,12 +273,12 @@ impl VMontCtx {
         // KNC-style: free on the modeled channel.
         let bv = O::load(&b.digits, self.chunks);
         let nv = O::load(self.n_vec.digits(), self.chunks);
-        let mut acc = S::from_fn(self.chunks, |_| B::V64::zero());
+        let mut acc = S::from_fn(self.chunks, |_| V64::<B>::zero());
         let chunks = acc.len();
 
         for i in 0..self.k {
             // acc += a_i * B : one broadcast + `chunks` FMAs.
-            let av = B::V64::splat(a.digit(i));
+            let av = V64::<B>::splat(a.digit(i));
             for c in 0..chunks {
                 acc[c] = acc[c].fma32(av, bv.chunk(c));
             }
@@ -289,7 +289,7 @@ impl VMontCtx {
             B::record(OpClass::SMul32, 1);
 
             // acc += q * N : clears the low digit.
-            let qv = B::V64::splat(q);
+            let qv = V64::<B>::splat(q);
             for c in 0..chunks {
                 acc[c] = acc[c].fma32(qv, nv.chunk(c));
             }

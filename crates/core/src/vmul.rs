@@ -17,7 +17,7 @@
 #![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
 
 use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
-use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
+use phi_backend::{with_backend, ResolvedBackend, VectorBackend, V64};
 use phi_bigint::BigUint;
 use phi_simd::count::OpClass;
 
@@ -50,11 +50,11 @@ pub(crate) fn vec_mul_generic<B: VectorBackend>(a: &VecNum, b: &VecNum) -> VecNu
             B::record(OpClass::SAlu, 2);
             continue;
         }
-        let av = B::V64::splat(ai);
+        let av = V64::<B>::splat(ai);
         for c in 0..b_chunks {
             let off = i + c * LANES;
-            let cur = B::V64::load(&acc[off..off + LANES]);
-            let b_chunk = B::V64::from_slice_folded(&b.digits()[c * LANES..]);
+            let cur = V64::<B>::load(&acc[off..off + LANES]);
+            let b_chunk = V64::<B>::from_slice_folded(&b.digits()[c * LANES..]);
             let sum = cur.fma32(av, b_chunk);
             sum.store(&mut acc[off..off + LANES]);
         }
@@ -99,7 +99,7 @@ pub(crate) fn vec_sqr_generic<B: VectorBackend>(a: &VecNum) -> VecNum {
             B::record(OpClass::SAlu, 2);
             continue;
         }
-        let av = B::V64::splat(ai);
+        let av = V64::<B>::splat(ai);
         // Start at the chunk containing digit i+1; lanes below are masked
         // out by zeroing (modeled as part of the same FMA via write-mask).
         let start_chunk = (i + 1) / LANES;
@@ -113,8 +113,8 @@ pub(crate) fn vec_sqr_generic<B: VectorBackend>(a: &VecNum) -> VecNum {
                 }
             }
             let off = i + lo;
-            let cur = B::V64::load(&acc[off..off + LANES]);
-            let sum = cur.fma32(av, B::V64::from_lanes(lanes));
+            let cur = V64::<B>::load(&acc[off..off + LANES]);
+            let sum = cur.fma32(av, V64::<B>::from_lanes(lanes));
             sum.store(&mut acc[off..off + LANES]);
         }
         B::record(OpClass::SAlu, 2);
@@ -125,7 +125,7 @@ pub(crate) fn vec_sqr_generic<B: VectorBackend>(a: &VecNum) -> VecNum {
     let mut c = 0usize;
     while c * LANES < out_len {
         let off = c * LANES;
-        let v = B::V64::load(&acc[off..off + LANES]);
+        let v = V64::<B>::load(&acc[off..off + LANES]);
         v.shl(1).store(&mut acc[off..off + LANES]);
         c += 1;
     }

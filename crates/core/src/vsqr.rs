@@ -16,7 +16,7 @@
 use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
 use crate::vmont::{VMontCtx, ROW_GLUE_SALU};
 use crate::vmul::vec_sqr_generic;
-use phi_backend::{with_backend, Vector64, VectorBackend};
+use phi_backend::{with_backend, VectorBackend, V64};
 use phi_simd::count::OpClass;
 
 /// Montgomery squaring via half-product squaring + SOS reduction.
@@ -53,11 +53,11 @@ pub(crate) fn mont_sqr_sos_generic<B: VectorBackend>(ctx: &VMontCtx, a: &VecNum)
 
         // acc[i..] += m * N — vectorized row at digit offset i, through
         // the memory accumulator (load + FMA + store per chunk).
-        let mv = B::V64::splat(m);
+        let mv = V64::<B>::splat(m);
         for c in 0..chunks {
             let off = i + c * LANES;
-            let cur = B::V64::load(&acc[off..off + LANES]);
-            let n_chunk = B::V64::from_slice_folded(&n_digits[c * LANES..]);
+            let cur = V64::<B>::load(&acc[off..off + LANES]);
+            let n_chunk = V64::<B>::from_slice_folded(&n_digits[c * LANES..]);
             let sum = cur.fma32(mv, n_chunk);
             sum.store(&mut acc[off..off + LANES]);
         }

@@ -1,17 +1,20 @@
 //! Vector-backend abstraction for the PhiOpenSSL kernels.
 //!
-//! The kernels in `phiopenssl` (core) are written once, generically over
-//! the [`VectorBackend`] trait, and run against either of two
-//! implementations:
+//! The kernels in `phiopenssl` (core) are written once, over the lane
+//! types [`V64`], [`V32`] and [`Mask8`], generically over a
+//! [`VectorBackend`] that says how an issued instruction is accounted:
 //!
-//! * [`ModeledKnc`] — the software model of the Xeon Phi (KNC) 512-bit
-//!   vector unit from `phi-simd`, with deterministic per-instruction
-//!   accounting. This is the repo's historical and default mode; the
-//!   trait indirection is count- and bit-identical to the pre-trait code.
-//! * [`NativeX86`] — real host SIMD: plain lane loops the compiler
-//!   auto-vectorizes to whatever the build targets, with no accounting.
-//!   [`native_tier`] labels the SIMD level those loops run at (the
-//!   lesser of the build's and the host's) for logs.
+//! * [`ModeledKnc`] — every lane method that models one IMCI instruction
+//!   charges it to the thread-local KNC op counters of `phi-simd`, for
+//!   deterministic per-instruction accounting. This is the repository's
+//!   default mode.
+//! * [`NativeX86`] — real host SIMD: the same lane loops, which the
+//!   compiler auto-vectorizes to whatever the build targets, with no
+//!   accounting. [`native_tier`] labels the SIMD level those loops run
+//!   at (the lesser of the build's and the host's) for logs.
+//!
+//! There is one lane implementation, so the modeled count describes
+//! exactly the code the native channel executes.
 //!
 //! Callers pick a backend with [`Backend`], through
 //! `PhiConfig::builder().backend(...)` in the core crate (the default is
@@ -21,13 +24,13 @@
 
 #![forbid(unsafe_code)]
 
-mod modeled;
+mod lanes;
 mod native;
 mod traits;
 
-pub use modeled::ModeledKnc;
-pub use native::{native_tier, NMask8, NativeTier, NativeX86, NV32, NV64};
-pub use traits::{LaneMask8, Vector32, Vector64, VectorBackend};
+pub use lanes::{Mask8, V32, V64};
+pub use native::{native_tier, NativeTier, NativeX86};
+pub use traits::{ModeledKnc, VectorBackend};
 
 use std::fmt;
 
