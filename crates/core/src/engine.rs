@@ -8,7 +8,7 @@
 //! shared exponent each, and only the Garner recombination is per-lane.
 //!
 //! An engine is built one way, from a [`PhiConfig`], which supplies the
-//! vector backend and the single-op window width. The batch ladders run
+//! vector backend and the single-op window width and table lookup. The batch ladders run
 //! the generated kernel ([`GenMontCtx`]) at the committed
 //! [`TuningTable`] point for the key size (one row serves every
 //! backend), or at [`KernelParams::static_defaults`] where no row admits
@@ -58,6 +58,9 @@ pub struct BatchCrtEngine {
     qinv: BigUint,
     n: BigUint,
     window: u32,
+    /// The single-op ladders' window-table lookup, from
+    /// [`PhiConfig::lookup`].
+    lookup: TableLookup,
     /// Generated half-size contexts `(p, q)` the batch ladders run:
     /// absent only for halves of a single radix-2^27 digit.
     generated: Option<(GenMontCtx, GenMontCtx)>,
@@ -80,7 +83,8 @@ impl BatchCrtEngine {
     }
 
     /// Build from raw CRT components (`n = p·q` is trusted, not
-    /// recomputed); window width and backend come from `config`.
+    /// recomputed); the single-op window width and table lookup, and the
+    /// backend, come from `config`.
     ///
     /// Builds exactly one [`VMontCtx`] and one [`GenMontCtx`] per half
     /// (no `GenMontCtx` for single-digit halves), and never a [`CrtKey`].
@@ -116,6 +120,7 @@ impl BatchCrtEngine {
             qinv,
             n,
             window: config.window,
+            lookup: config.lookup,
             generated,
         })
     }
@@ -187,13 +192,7 @@ impl BatchCrtEngine {
     /// One operation through the intra-operand single-op kernel.
     pub fn private_op_single(&self, c: &BigUint) -> BigUint {
         let half = |ctx: &VMontCtx, d: &BigUint| {
-            let r = exp_fixed_window_vec(
-                ctx,
-                &ctx.to_mont_vec(c),
-                d,
-                self.window,
-                TableLookup::Direct,
-            );
+            let r = exp_fixed_window_vec(ctx, &ctx.to_mont_vec(c), d, self.window, self.lookup);
             ctx.from_mont_vec(&r)
         };
         let (m1, m2) = (half(&self.ctx_p, &self.dp), half(&self.ctx_q, &self.dq));
@@ -322,6 +321,40 @@ mod tests {
         );
         // And it never touches the scalar multiplier in the ladders.
         let _ = batched.get(OpClass::SMul64);
+    }
+
+    #[test]
+    fn constant_time_single_op_gathers_the_whole_table_per_window() {
+        let (direct, key, e, _) = demo();
+        let config = PhiConfig::builder().constant_time().build();
+        let ct = BatchCrtEngine::with_config(&key, &config).unwrap();
+        let (msgs, cts) = ciphertexts(direct.modulus(), &e, 1);
+        count::reset();
+        let (m_direct, d_direct) = count::measure(|| direct.private_op_single(&cts[0]));
+        let (m_ct, d_ct) = count::measure(|| ct.private_op_single(&cts[0]));
+        assert_eq!(m_direct, msgs[0]);
+        assert_eq!(m_ct, m_direct);
+
+        // Per window of each half, the gather sets one mask per table
+        // entry and loads and blends every chunk of every entry, where
+        // the direct read loads the selected entry's chunks.
+        let entries = 1u64 << config.window;
+        let (mut masks, mut loads, mut blends) = (0, 0, 0);
+        for (ctx, d) in [(&ct.ctx_p, &ct.dp), (&ct.ctx_q, &ct.dq)] {
+            let windows = d.bit_length().div_ceil(config.window) as u64;
+            let chunks = (ctx.padded_digits() / crate::radix::LANES) as u64;
+            masks += windows * entries;
+            loads += windows * (entries - 1) * chunks;
+            blends += windows * entries * chunks;
+        }
+        assert_eq!(d_direct.get(OpClass::VMask), 0);
+        assert_eq!(d_ct.get(OpClass::VMask), masks);
+        assert_eq!(d_ct.get(OpClass::VMem) - d_direct.get(OpClass::VMem), loads);
+        assert_eq!(
+            d_ct.get(OpClass::VAlu) - d_direct.get(OpClass::VAlu),
+            blends
+        );
+        assert_eq!(d_ct.get(OpClass::VMul), d_direct.get(OpClass::VMul));
     }
 
     #[test]

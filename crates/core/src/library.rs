@@ -78,7 +78,12 @@ pub struct PhiConfig {
     /// single-op ladder's. The batch engines' 16-lane ladders run the
     /// window of their tuning-table point instead.
     pub window: u32,
-    /// Window-table lookup policy.
+    /// Window-table lookup policy of every single-op ladder: a
+    /// `PhiLibrary` session's and a batch engine's
+    /// (`BatchCrtEngine::private_op_single`, which serves a flush of at
+    /// most `SINGLE_OP_MAX_LIVE` live lanes). The 16-lane batch ladders
+    /// still read `table[val]` directly whatever this says (ROADMAP
+    /// item 3).
     pub lookup: TableLookup,
     /// Which vector backend the kernels execute on.
     pub backend: Backend,
@@ -151,12 +156,6 @@ impl PhiConfigBuilder {
         self
     }
 
-    /// Set the window-table lookup policy explicitly.
-    pub fn lookup(mut self, lookup: TableLookup) -> Self {
-        self.config.lookup = lookup;
-        self
-    }
-
     /// Set the card-fleet shape (card count, routing policy, steal
     /// threshold, routing seed). Degenerate shapes — zero cards, or a
     /// steal threshold of zero, which would make every idle card steal
@@ -223,16 +222,6 @@ impl PhiLibrary {
     pub fn with_config(config: PhiConfig) -> Self {
         PhiLibrary { config }
     }
-
-    /// A library hardened with the constant-time table gather.
-    pub fn constant_time() -> Self {
-        PhiLibrary {
-            config: PhiConfig {
-                lookup: TableLookup::ConstantTime,
-                ..PhiConfig::default()
-            },
-        }
-    }
 }
 
 impl Libcrypto for PhiLibrary {
@@ -289,7 +278,9 @@ mod tests {
         assert_eq!(lib.config.window, 5);
         assert_eq!(lib.config.lookup, TableLookup::Direct);
         assert_eq!(
-            PhiLibrary::constant_time().config.lookup,
+            PhiLibrary::with_config(PhiConfig::builder().constant_time().build())
+                .config
+                .lookup,
             TableLookup::ConstantTime
         );
     }

@@ -33,8 +33,8 @@ use phiopenssl::vexp::mod_exp_vec;
 use phiopenssl::vmul::{big_mul_vectorized, vec_mul, vec_mul_backend, vec_sqr, vec_sqr_backend};
 use phiopenssl::vsqr::mont_sqr_sos;
 use phiopenssl::{
-    BatchCrtEngine, BatchMont, CpuFeatures, CrtKey, MultiBatchMont, PhiLibrary, ResolvedBackend,
-    TableLookup, VMontCtx, DIGIT_BITS,
+    BatchCrtEngine, BatchMont, CpuFeatures, CrtKey, MultiBatchMont, PhiConfig, PhiLibrary,
+    ResolvedBackend, TableLookup, VMontCtx, DIGIT_BITS,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -443,7 +443,9 @@ fn check_session(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let want_mul = a.mod_mul(&b, &n);
         let libs: Vec<Box<dyn Libcrypto>> = vec![
             Box::new(PhiLibrary::default()),
-            Box::new(PhiLibrary::constant_time()),
+            Box::new(PhiLibrary::with_config(
+                PhiConfig::builder().constant_time().build(),
+            )),
             Box::new(MpssBaseline),
             Box::new(OpensslBaseline),
         ];

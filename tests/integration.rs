@@ -7,14 +7,19 @@ use phi_rsa::blinding::Blinding;
 use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::RsaOps;
 use phi_ssl::{drive_handshake, Client, Server};
-use phiopenssl::PhiLibrary;
+use phiopenssl::{PhiConfig, PhiLibrary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn all_libs() -> Vec<(&'static str, Box<dyn Libcrypto>)> {
     vec![
         ("phi", Box::new(PhiLibrary::default()) as Box<dyn Libcrypto>),
-        ("phi-ct", Box::new(PhiLibrary::constant_time())),
+        (
+            "phi-ct",
+            Box::new(PhiLibrary::with_config(
+                PhiConfig::builder().constant_time().build(),
+            )),
+        ),
         ("mpss", Box::new(MpssBaseline)),
         ("openssl", Box::new(OpensslBaseline)),
     ]
