@@ -52,7 +52,9 @@
 //!   single-op kernel (`VMontCtx`) keeps each row's accumulators, and
 //!   the `B` and `N` chunks it loads once per call, in `[V; C]` arrays
 //!   at the chunk counts of 512- and 1024-bit moduli, so the
-//!   monomorphized row loop has constant bounds. And
+//!   monomorphized row loop has constant bounds. At 1024 bits the three
+//!   arrays are the planes of one 64-byte-aligned `[[V; 5]; 3]` value
+//!   built inside the row function. And
 //!   [`shift_lanes_down`](V64::shift_lanes_down) builds its result as
 //!   one eight-lane array: a `copy_from_slice` of lanes 1–7 compiled to
 //!   a memory-to-memory copy whose 32-byte load spans the two stores the
@@ -64,13 +66,16 @@
 //!
 //! In the default build, the generated kernel's column loops then hold
 //! their four ymm accumulators in registers, and no kernel loop calls
-//! `memcpy`. The single-op kernel's 3- and 5-chunk rows make no call
-//! and read back no vector stored in pieces, but LLVM splits their
-//! accumulators into scalar lanes: a 5-chunk row does 6 ymm `vpmuludq`
-//! and 56 scalar `imul` lane products. Its rows at every other chunk
-//! count keep their accumulators in a heap `Vec`, and those still stall:
-//! each row's shift reads lanes 1–4 of a chunk across the two 32-byte
-//! stores its multiply-accumulate has just made.
+//! `memcpy`. The single-op kernel's 5-chunk row holds its accumulators
+//! in ymm registers and reads `B` and `N` as `vpmuludq` memory operands
+//! from the planes value: 18 ymm `vpmuludq` and 8 scalar `imul` lane
+//! products. Its 3-chunk row makes no call and reads back no vector
+//! stored in pieces, but LLVM splits half of its accumulators into
+//! scalar lanes (6 ymm `vpmuludq`, 24 scalar `imul` lane products); in
+//! planes that row compiled to scalar lanes only. Its rows at every
+//! other chunk count keep their accumulators in a heap `Vec`, and those
+//! still stall: each row's `q·N` pass reads lanes 1–4 of a chunk across
+//! the two 32-byte stores its `a·B` pass has just made.
 
 #![allow(clippy::needless_range_loop)] // explicit lane indices read as lane semantics
 #![allow(clippy::should_implement_trait)] // methods mirror IMCI mnemonics (add/sub/shl/shr)
